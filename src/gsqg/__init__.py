@@ -27,7 +27,7 @@ from .geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
                        UnitGrid, coeffs_from_values, conj_deriv, default_grid,
                        dilate, embed_mfold, eval_deriv, eval_deriv_at,
                        eval_map, eval_map_at, project_mfold, univalence_margin)
-from .kernels import (MomentTable, ResidualField, SelfIntersectionError,
+from .kernels import (ResidualField, SelfIntersectionError,
                       ellipse_fourth_coefficient, ellipse_moment_ratio,
                       functional_G, functional_G_sqg, s_phi, s_phi_trapezoid,
                       singular_moment_I, singular_moment_J, singular_moment_Z,

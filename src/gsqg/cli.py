@@ -1,9 +1,11 @@
 """Command-line drivers for every workflow in the package.
 
 Exit codes follow one contract everywhere: 0 all embedded checks passed,
-1 a numerical check failed (one machine-parsable FAIL line on stdout),
-2 invalid configuration.  Output files are deterministic; re-running a
-command with the same arguments reproduces them byte for byte.
+1 a numerical check failed or the numerics raised one of the package's
+typed failures (one machine-parsable FAIL line on stdout), 2 invalid
+configuration, 3 any other exception (a bug; traceback on stderr).  Output
+files are deterministic; re-running a command with the same arguments
+reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -11,27 +13,35 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import oracles
-from .continuation import continue_branch, residual_on_grid, solve_vstate
-from .evolution import (ContourState, conserved_diagnostics, evolve,
+from .continuation import (FoldError, NonConvergenceError, continue_branch,
+                           solve_vstate)
+from .evolution import (ContourError, ContourState, conserved_diagnostics, evolve,
                         hausdorff_distance, normal_velocity_residual,
                         velocity_contour)
-from .geometry import FourierBoundary, UnitGrid, default_grid, eval_map
-from .kernels import (ellipse_fourth_coefficient, ellipse_moment_ratio,
-                      functional_G, singular_moment_I, singular_moment_J,
-                      singular_moment_Z, sqg_moment_1, sqg_moment_2)
-from .linearization import (bifurcation_scan, kernel_diagnostics,
+from .geometry import FourierBoundary, UnitGrid, eval_map
+from .kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
+                      ellipse_moment_ratio, functional_G, singular_moment_I,
+                      singular_moment_J, singular_moment_Z, sqg_moment_1,
+                      sqg_moment_2)
+from .linearization import (BracketError, bifurcation_scan, kernel_diagnostics,
                             multiplier_at_disc, numerical_jacobian,
                             transversality_check)
 from .output import (write_csv, write_curves_svg, write_json, write_jsonl,
                      write_residual_csv, write_residual_json, write_xy_svg)
-from .specfun import omega_asymptotic, omega_dispersion, theta_alpha
+from .specfun import (GammaPoleError, omega_asymptotic, omega_dispersion,
+                      theta_alpha)
 
 ENV_OUTPUT_DIR = "GSQG_OUTPUT_DIR"
+
+# the package's typed numerical failures; these map to exit code 1
+NUMERICAL_ERRORS = (NonConvergenceError, FoldError, SelfIntersectionError,
+                    ContourError, BracketError, GammaPoleError)
 
 
 class ConfigError(ValueError):
@@ -392,9 +402,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"CONFIG {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # numerical failures map to exit 1
+    except NUMERICAL_ERRORS as exc:
         print(f"FAIL {type(exc).__name__}: {exc}")
         return 1
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

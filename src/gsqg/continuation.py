@@ -213,8 +213,9 @@ def continue_branch(alpha: float, m: int, s_max: float, ds: float,
     table = BranchTable(alpha=alpha, m=m)
     guess = None
     jac_seed: list = [None]
-    s = ds
-    while s <= s_max * (1.0 + 1e-12):
+    k = 1
+    while k * ds <= s_max * (1.0 + 1e-12):
+        s = k * ds   # not accumulated, so the k-th amplitude is exactly k * ds
         try:
             sol = solve_vstate(alpha, m, s, initial_guess=guess, tol=tol,
                                k_modes=k_modes, grid=grid, _jac_seed=jac_seed)
@@ -223,7 +224,7 @@ def continue_branch(alpha: float, m: int, s_max: float, ds: float,
             break
         table.solutions.append(sol)
         guess = (sol.omega, sol.boundary.reduced[1:])
-        s += ds
+        k += 1
     return table
 
 

@@ -94,6 +94,8 @@ class FourierBoundary:
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        if not (np.all(np.isfinite(arr)) and np.isfinite(self.lead)):
+            raise ValueError("boundary coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
@@ -208,6 +210,8 @@ class MFoldBoundary:
         if self.m < 2:
             raise ValueError("m-fold symmetry needs m >= 2")
         arr = np.atleast_1d(np.asarray(self.reduced, dtype=float))
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("reduced coefficients must be finite")
         object.__setattr__(self, "reduced", arr)
 
     @property

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (FourierBoundary, UnitGrid, default_grid, eval_deriv,
                        eval_deriv_at, eval_map, eval_map_at)
@@ -92,35 +94,6 @@ def singular_moment_Z(alpha: float, n: int) -> float:
     return -0.5 * _moment_prefactor(alpha) * (1.0 - ratio)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Exact circle moments I/J/Z up to a fixed order, for one alpha."""
-
-    alpha: float
-    I: np.ndarray
-    J: np.ndarray
-    Z: np.ndarray
-    max_n: int
-
-    @classmethod
-    def build(cls, alpha: float, max_n: int) -> "MomentTable":
-        ratios = _poch_ratio_ladder(alpha, max_n + 1)
-        r = _moment_prefactor(alpha)
-        i_vals = r * ratios[1:max_n + 2]
-        pref_j = (1.0 + alpha / 2.0) * r / (2.0 - alpha)
-        j_vals = np.empty(max_n + 1)
-        z_vals = np.empty(max_n + 1)
-        acc_j = 1.0
-        acc_z = 1.0
-        for n in range(max_n + 1):
-            j_vals[n] = pref_j * (1.0 - acc_j)
-            z_vals[n] = 0.0 if n == 0 else -0.5 * r * (1.0 + acc_z)
-            acc_j *= (2.0 + alpha / 2.0 + n) / (2.0 - alpha / 2.0 + n)
-            if n >= 1:
-                acc_z *= (1.0 + alpha / 2.0 + n - 1.0) / (1.0 - alpha / 2.0 + n - 1.0)
-        return cls(alpha=alpha, I=i_vals, J=j_vals, Z=z_vals, max_n=max_n)
-
-
 def sqg_moment_1(n: int) -> float:
     """Subtracted first moment of the critical kernel: -(2/pi) sum_{k<n} 1/(2k+1)."""
     if n < 1:
@@ -139,11 +112,16 @@ def sqg_moment_2(n: int) -> float:
 # product-quadrature machinery
 
 
-def _chord_ratio(phi: np.ndarray, w: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-    """H[i, j] = |phi(w_i)-phi(w_j)| / |w_i-w_j| with the diagonal limit |phi'|."""
-    num = np.abs(phi[:, None] - phi[None, :])
-    den = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(num, np.abs(dphi))
+def _chord_ratio(phi: np.ndarray, w: np.ndarray, dphi: np.ndarray,
+                 n_rows: int | None = None) -> np.ndarray:
+    """H[i, j] = |phi(w_i)-phi(w_j)| / |w_i-w_j| with the diagonal limit |phi'|.
+
+    Only the first n_rows target rows (default: all) are formed.
+    """
+    n_rows = len(w) if n_rows is None else n_rows
+    num = np.abs(phi[:n_rows, None] - phi[None, :])
+    den = np.abs(w[:n_rows, None] - w[None, :])
+    np.fill_diagonal(num, np.abs(dphi[:n_rows]))
     np.fill_diagonal(den, 1.0)
     h = num / den
     if h.min() < _H_FLOOR:
@@ -151,27 +129,54 @@ def _chord_ratio(phi: np.ndarray, w: np.ndarray, dphi: np.ndarray) -> np.ndarray
     return h
 
 
-def _fourier_rows(values: np.ndarray, grid: UnitGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row Fourier coefficients in tau, shift-corrected; returns (freqs, coeffs)."""
-    m = grid.size
-    c = np.fft.fft(values, axis=-1) / m
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    return k, c * np.exp(-1j * k * grid.shift)[None, :]
+@lru_cache(maxsize=32)
+def _circulant_weights(size: int, alpha: float) -> np.ndarray:
+    """Read-only view W[i, j] = K[(i - j) mod size] of one product-quadrature row.
+
+    K = ifft(mu) in fftfreq layout, with mu_k the exact |w-tau|^(-a) moment
+    attached to the tau^k mode (the odd-harmonic sigma_|k| ladder at a = 1).
+    Contracting a grid-sampled smooth factor f[i, :] against row i of W
+    gives sum_k c_k mu_k w_i^k, with c_k the tau-Fourier coefficients of
+    f[i, :]: the product-integration sum without a per-row expansion, for
+    any grid shift.  The view reads a 2*size-1 vector; no size x size
+    matrix is stored.
+    """
+    k = np.fft.fftfreq(size, d=1.0 / size)
+    if alpha == 1.0:
+        mu = _odd_harmonic_ladder(size // 2 + 1)[np.abs(k).astype(int)]
+    else:
+        p = np.abs(k + 1.0).astype(int)
+        mu = _moment_prefactor(alpha) * _poch_ratio_ladder(alpha, int(p.max()))[p]
+    row = np.fft.ifft(mu)
+    # ext[u] = K[(size-1-u) mod size], so row i of W is ext[size-1-i : 2*size-1-i]
+    ext = np.concatenate([row[::-1], row[:0:-1]])
+    return sliding_window_view(ext, size)[::-1]
 
 
-def _contract_power_moments(k: np.ndarray, coeffs: np.ndarray,
-                            theta: np.ndarray, alpha: float) -> np.ndarray:
-    """sum_k c[i,k] * w_i^(k+1) * mu_k with mu the exact |w-tau|^(-a) moments."""
-    p = np.abs(k + 1.0).astype(int)
-    mu = _moment_prefactor(alpha) * _poch_ratio_ladder(alpha, int(p.max()))[p]
-    phase = np.exp(1j * np.outer(theta, k + 1.0))
-    return np.einsum("ik,ik,k->i", coeffs, phase, mu)
+def _contract(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-dot of the first len(values) target rows against the circulant weights."""
+    weights = _circulant_weights(values.shape[1], alpha)[:len(values)]
+    return np.einsum("ij,ij->i", values, weights)
+
+
+def _sector_rows(bnd: FourierBoundary, size: int) -> int:
+    """Target rows that determine every other row of an equivariant boundary.
+
+    With f = gcd(size, n+1 over every nonzero b_n), rotating the grid by
+    2*pi/f maps the boundary onto itself, so the chord ratio H and
+    phi'(tau) are invariant under the joint index shift (i, j) -> (i + size/f,
+    j + size/f); every contraction row repeats with period size/f.  The
+    self-intersection check over those rows covers all rows for the same
+    reason.
+    """
+    orders = np.flatnonzero(bnd.coeffs) + 1
+    return size // math.gcd(size, *orders.tolist())
 
 
 def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None) -> np.ndarray:
     """Layer potential S(phi)(w_j) = C_a * mean of phi'(tau) / |phi(w)-phi(tau)|^a.
 
-    Product quadrature: smooth factor phi'(tau) H^(-a) expanded per target,
+    Product quadrature: smooth factor phi'(tau) H^(-a) sampled per target,
     contracted against exact moments.  For the identity map this returns
     theta_alpha * w exactly (to rounding).
     """
@@ -181,11 +186,10 @@ def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None) -> n
     w = grid.nodes
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
-    h = _chord_ratio(phi, w, dphi)
-    smooth = dphi[None, :] * h ** (-alpha)
-    k, coeffs = _fourier_rows(smooth, grid)
-    vals = _contract_power_moments(k, coeffs, grid.angles, alpha)
-    return conv_constant(alpha) * vals
+    n_rows = _sector_rows(bnd, grid.size)
+    h = _chord_ratio(phi, w, dphi, n_rows)
+    sector = _contract(dphi[None, :] * h ** (-alpha), alpha)
+    return conv_constant(alpha) * w * np.tile(sector, grid.size // n_rows)
 
 
 def s_phi_trapezoid(bnd: FourierBoundary, alpha: float, targets: np.ndarray,
@@ -277,13 +281,13 @@ def functional_G_sqg(omega: float, bnd: FourierBoundary,
     w = grid.nodes
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
-    h = _chord_ratio(phi, w, dphi)
+    n_rows = _sector_rows(bnd, grid.size)
+    h = _chord_ratio(phi, w, dphi, n_rows)
     p = w * dphi
-    numer = (p[None, :] - p[:, None]) / h
-    k, coeffs = _fourier_rows(numer, grid)
-    sig = _odd_harmonic_ladder(grid.size // 2 + 1)[np.abs(k).astype(int)]
-    phase = np.exp(1j * np.outer(grid.angles, k))
-    t_vals = -(2.0 / math.pi) * np.einsum("ik,ik,k->i", coeffs, phase, sig)
+    numer = (p[None, :] - p[:n_rows, None]) / h
+    # p(w) turns with w under the symmetry, so the sector repeats as t / w
+    sector = np.conj(w[:n_rows]) * _contract(numer, 1.0)
+    t_vals = -(2.0 / math.pi) * w * np.tile(sector, grid.size // n_rows)
     vals = np.imag((omega * phi - t_vals) * np.conj(w) * np.conj(dphi))
     return _field_from_values(vals, grid)
 

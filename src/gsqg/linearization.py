@@ -18,8 +18,8 @@ import numpy as np
 
 from .geometry import (FourierBoundary, UnitGrid, default_grid, eval_deriv,
                        eval_map)
-from .kernels import (_chord_ratio, _contract_power_moments, _field_from_values,
-                      _fourier_rows, functional_G, functional_G_sqg)
+from .kernels import (_chord_ratio, _contract, _field_from_values, functional_G,
+                      functional_G_sqg)
 from .specfun import conv_constant, omega_dispersion
 
 
@@ -72,7 +72,6 @@ def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
     order = max(bnd.order, h.order)
     grid = default_grid(order + 1) if grid is None else grid
     w = grid.nodes
-    theta = grid.angles
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
     hv = eval_map(h, grid) - w          # direction as a map increment
@@ -80,23 +79,17 @@ def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
     c_a = conv_constant(alpha)
 
     hmat = _chord_ratio(phi, w, dphi)
-    smooth_s = dphi[None, :] * hmat ** (-alpha)
-    k, coeffs = _fourier_rows(smooth_s, grid)
-    s_bare = _contract_power_moments(k, coeffs, theta, alpha)
-
-    smooth_a = dhv[None, :] * hmat ** (-alpha)
-    k, coeffs = _fourier_rows(smooth_a, grid)
-    a_vals = _contract_power_moments(k, coeffs, theta, alpha)
+    kern = hmat ** (-alpha)
+    s_bare = w * _contract(dphi[None, :] * kern, alpha)
+    a_vals = w * _contract(dhv[None, :] * kern, alpha)
 
     phi_ratio = _ratio_matrix(phi, w, dphi)
     h_ratio = _ratio_matrix(hv, w, dhv)
     hpow = hmat ** (-(alpha + 2.0))
     g_b = phi_ratio * np.conj(h_ratio) * dphi[None, :] * hpow
-    k, coeffs = _fourier_rows(g_b, grid)
-    b_vals = _contract_power_moments(k, coeffs, theta, alpha)
+    b_vals = w * _contract(g_b, alpha)
     g_c = np.conj(phi_ratio) * h_ratio * dphi[None, :] * hpow
-    k, coeffs = _fourier_rows(g_c, grid)
-    c_vals = _contract_power_moments(k, coeffs, theta, alpha)
+    c_vals = w * _contract(g_c, alpha)
 
     wb = np.conj(w)
     quad_part = omega * (phi * wb * np.conj(dhv) + hv * wb * np.conj(dphi))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import gsqg.continuation as cont
 from gsqg.continuation import (BranchTable, NonConvergenceError, VStateSolution,
                                continue_branch, residual_on_grid, solve_vstate,
                                verify_dilation_law)
-from gsqg.geometry import UnitGrid, embed_mfold
+from gsqg.geometry import MFoldBoundary, UnitGrid, embed_mfold
 from gsqg.kernels import functional_G
 from gsqg.specfun import omega_dispersion
 
@@ -87,6 +88,18 @@ class TestBranch:
         turned = functional_G(sol.omega, sol.full_boundary, 0.5,
                               UnitGrid(sol.grid_size, shift=2 * np.pi / sol.m))
         assert abs(base.sup_norm - turned.sup_norm) < 1e-12
+
+    def test_amplitudes_are_exact_multiples(self, monkeypatch):
+        # accumulating s += 0.05 gives 0.39999999999999997 at the 8th step
+        def fake_solve(alpha, m, s, initial_guess=None, **kwargs):
+            return VStateSolution(alpha=alpha, m=m, s=s, omega=0.0,
+                                  boundary=MFoldBoundary(m=m, reduced=[s, 0.0]),
+                                  residual_norm=0.0, grid_size=64)
+        monkeypatch.setattr(cont, "solve_vstate", fake_solve)
+        table = continue_branch(0.5, 3, 0.4, 0.05)
+        k = np.arange(1, 9)
+        assert np.array_equal(table.amplitudes, k * 0.05)
+        assert table.amplitudes[-1] == 0.4
 
     def test_bad_steps(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import gsqg.evolution as ev
 from gsqg.evolution import (ContourError, ContourState, conserved_diagnostics,
                             evolve, hausdorff_distance,
                             normal_velocity_residual, redistribute, step_rk4,
                             velocity_contour)
-from gsqg.geometry import FourierBoundary
+from gsqg.geometry import FourierBoundary, MFoldBoundary, embed_mfold
 from gsqg.specfun import theta_alpha
 
 
@@ -60,6 +61,25 @@ class TestVelocity:
         nodes = np.cos(theta) + 1e-4j * np.sin(theta)
         with pytest.raises(ContourError):
             velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
+
+    @pytest.mark.parametrize("n_nodes", [64, 200, 512, 1024])
+    def test_tiled_pair_kernel_matches_dense(self, n_nodes, monkeypatch):
+        # 200 is not a multiple of the tile edge
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
+        for alpha, subtract in ((0.35, False), (0.5, False), (0.97, True), (1.0, True)):
+            st = ContourState.from_boundary(bnd, n_nodes, alpha)
+            tiled = velocity_contour(st, subtract)
+            with monkeypatch.context() as mp:
+                mp.setattr(ev, "_pair_kernel_products", lambda z, a, vec: squareform(
+                    pdist(np.column_stack([z.real, z.imag])) ** (-a)) @ vec)
+                dense = velocity_contour(st, subtract)
+            assert np.max(np.abs(tiled - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_non_finite_nodes_rejected(self):
+        nodes = ContourState.disc(64, 0.5).nodes
+        nodes[5] = np.nan
+        with pytest.raises(ValueError):
+            ContourState(nodes=nodes, time=0.0, alpha=0.5)
 
     def test_vstate_normal_velocity(self, vstate_053):
         st = ContourState.from_boundary(vstate_053.full_boundary, 1024, 0.5)

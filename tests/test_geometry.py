@@ -120,6 +120,16 @@ class TestMFold:
         assert discarded == pytest.approx(0.1)
 
 
+class TestFiniteData:
+    def test_fourier_boundary_rejects_nan(self):
+        with pytest.raises(ValueError):
+            FourierBoundary(np.array([0.0, 0.1, np.nan]))
+
+    def test_mfold_boundary_rejects_inf(self):
+        with pytest.raises(ValueError):
+            MFoldBoundary(m=3, reduced=np.array([0.1, np.inf]))
+
+
 class TestTransforms:
     def test_parseval_recovery(self, rng):
         n = 9

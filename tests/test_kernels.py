@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from gsqg import oracles
-from gsqg.geometry import FourierBoundary, MFoldBoundary, UnitGrid, embed_mfold
-from gsqg.kernels import (MomentTable, SelfIntersectionError,
-                          ellipse_fourth_coefficient, ellipse_moment_ratio,
-                          functional_G, functional_G_sqg, s_phi,
-                          s_phi_trapezoid, singular_moment_I, singular_moment_J,
-                          singular_moment_Z, sqg_moment_1, sqg_moment_2)
-from gsqg.specfun import gamma_fn, theta_alpha
+from gsqg import kernels, oracles
+from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid, embed_mfold,
+                           eval_deriv, eval_map)
+from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
+                          ellipse_moment_ratio, functional_G, functional_G_sqg,
+                          s_phi, s_phi_trapezoid, singular_moment_I,
+                          singular_moment_J, singular_moment_Z, sqg_moment_1,
+                          sqg_moment_2)
+from gsqg.specfun import conv_constant, gamma_fn, pochhammer_ratio, theta_alpha
 
 R_HALF = gamma_fn(0.5) / gamma_fn(0.75) ** 2   # moment prefactor at alpha = 1/2
 
@@ -39,14 +42,6 @@ class TestMomentsClosedForm:
         for a in (0.25, 0.5, 0.75):
             pref = gamma_fn(1.0 - a) / gamma_fn(1.0 - a / 2.0) ** 2
             assert singular_moment_Z(a, 1) == pytest.approx(-pref, rel=1e-14)
-
-    def test_table_matches_scalars(self):
-        tab = MomentTable.build(0.6, 20)
-        for n in range(21):
-            assert tab.I[n] == pytest.approx(singular_moment_I(0.6, n), rel=1e-14)
-            assert tab.J[n] == pytest.approx(singular_moment_J(0.6, n), rel=1e-14)
-            assert tab.Z[n] == pytest.approx(singular_moment_Z(0.6, n), rel=1e-14)
-        assert tab.Z[0] == 0.0
 
 
 class TestMomentsVsQuadrature:
@@ -170,3 +165,90 @@ class TestCriticalFunctional:
         bnd = embed_mfold(MFoldBoundary(m=2, reduced=np.array([0.05, 0.002])))
         fld = functional_G_sqg(0.3, bnd, UnitGrid(256))
         assert fld.cosine_residue < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference product quadrature by FFT rows: every target row of the smooth
+# factor is expanded in tau by its own FFT and each mode is summed against the
+# exact moment times w_i^(k+1) through an explicit N x N phase matrix, over all
+# rows.  It shares no contraction code with the circulant weights in kernels.
+
+
+def _oracle_rows(values, grid, ladder, power_shift):
+    m = grid.size
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    coeffs = np.fft.fft(values, axis=-1) / m * np.exp(-1j * k * grid.shift)[None, :]
+    phase = np.exp(1j * np.outer(grid.angles, k + power_shift))
+    return np.einsum("ik,ik,k->i", coeffs, phase, ladder(k))
+
+
+def _oracle_chord(bnd, grid):
+    w, phi, dphi = grid.nodes, eval_map(bnd, grid), eval_deriv(bnd, grid)
+    num = np.abs(phi[:, None] - phi[None, :])
+    den = np.abs(w[:, None] - w[None, :])
+    np.fill_diagonal(num, np.abs(dphi))
+    np.fill_diagonal(den, 1.0)
+    return w, phi, dphi, num / den
+
+
+def oracle_s_phi(bnd, alpha, grid):
+    w, phi, dphi, h = _oracle_chord(bnd, grid)
+    pref = gamma_fn(1.0 - alpha) / gamma_fn(1.0 - alpha / 2.0) ** 2
+    p_max = grid.size // 2 + 1
+    ratios = np.array([pochhammer_ratio(alpha / 2.0, 1.0 - alpha / 2.0, p)
+                       for p in range(p_max + 1)])
+    ladder = lambda k: pref * ratios[np.abs(k + 1.0).astype(int)]
+    return conv_constant(alpha) * _oracle_rows(dphi[None, :] * h ** (-alpha),
+                                               grid, ladder, 1.0)
+
+
+def oracle_residual(omega, bnd, alpha, grid):
+    """Residual samples of functional_G (alpha < 1) or functional_G_sqg (alpha = 1)."""
+    w, phi, dphi, h = _oracle_chord(bnd, grid)
+    if alpha == 1.0:
+        p = w * dphi
+        sig = np.concatenate([[0.0], np.cumsum(1.0 / (2.0 * np.arange(grid.size // 2) + 1.0))])
+        ladder = lambda k: sig[np.abs(k).astype(int)]
+        s_vals = -(2.0 / math.pi) * _oracle_rows((p[None, :] - p[:, None]) / h,
+                                                 grid, ladder, 0.0)
+    else:
+        s_vals = oracle_s_phi(bnd, alpha, grid)
+    return np.imag((omega * phi - s_vals) * np.conj(w) * np.conj(dphi))
+
+
+def _oracle_boundary(kind, rng):
+    if kind == "asym":
+        return FourierBoundary(0.03 * rng.standard_normal(7))
+    return embed_mfold(MFoldBoundary(m=kind, reduced=[0.05, -0.004, 3e-4]))
+
+
+class TestCirculantQuadrature:
+    @pytest.mark.parametrize("size", [64, 256, 272, 768, 1024])
+    @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
+    def test_matches_fft_row_oracle(self, size, kind, rng):
+        bnd = _oracle_boundary(kind, rng)
+        for grid in (UnitGrid(size), UnitGrid.half_offset(size)):
+            for alpha in (0.3, 0.5, 0.9, 1.0):
+                ref = oracle_residual(0.3, bnd, alpha, grid)
+                fld = (functional_G_sqg(0.3, bnd, grid) if alpha == 1.0
+                       else functional_G(0.3, bnd, alpha, grid))
+                assert np.max(np.abs(fld.sine_coeffs - grid.sine_coeffs(ref))) <= 1e-13
+                assert abs(fld.cosine_residue - grid.cosine_residue(ref)) <= 1e-13
+                if alpha < 1.0:
+                    assert np.max(np.abs(s_phi(bnd, alpha, grid)
+                                         - oracle_s_phi(bnd, alpha, grid))) <= 1e-13
+
+    def test_sector_rows_follow_the_coefficient_ladder(self):
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
+        assert kernels._sector_rows(bnd, 768) == 256
+        assert kernels._sector_rows(bnd, 1024) == 1024     # 3 does not divide 1024
+        assert kernels._sector_rows(FourierBoundary.identity(), 64) == 1
+        assert kernels._sector_rows(FourierBoundary.ellipse(0.3), 64) == 32
+
+    def test_off_ladder_coefficient_falls_back_to_all_rows(self):
+        coeffs = embed_mfold(MFoldBoundary(m=4, reduced=[0.05, -0.004, 3e-4])).coeffs
+        coeffs[4] = 1e-14      # n + 1 = 5 breaks the 4-fold ladder
+        bnd = FourierBoundary(coeffs)
+        grid = UnitGrid(256)
+        assert kernels._sector_rows(bnd, grid.size) == grid.size
+        assert np.max(np.abs(s_phi(bnd, 0.5, grid) - oracle_s_phi(bnd, 0.5, grid))) <= 1e-13

@@ -5,7 +5,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import gsqg.cli as cli
 from gsqg.cli import main
+from gsqg.continuation import NonConvergenceError
 from gsqg.output import format_float, json_dumps, write_csv, write_curves_svg
 
 
@@ -141,3 +143,19 @@ class TestCli:
         monkeypatch.setenv("GSQG_OUTPUT_DIR", str(tmp_path / "envdir"))
         assert main(["dispersion", "--alpha", "0.5", "--m-max", "3"]) == 0
         assert (tmp_path / "envdir" / "dispersion.csv").exists()
+
+    def test_programming_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise TypeError("bug")
+        monkeypatch.setattr(cli, "cmd_dispersion", broken)
+        assert run_cli(tmp_path, "dispersion", "--alpha", "0.5") == 3
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert "TypeError: bug" in captured.err and "Traceback" in captured.err
+
+    def test_numerical_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        def diverges(args):
+            raise NonConvergenceError("residual 1e-3")
+        monkeypatch.setattr(cli, "cmd_dispersion", diverges)
+        assert run_cli(tmp_path, "dispersion", "--alpha", "0.5") == 1
+        assert capsys.readouterr().out.startswith("FAIL NonConvergenceError")
