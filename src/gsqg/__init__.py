@@ -35,8 +35,8 @@ from .kernels import (ResidualField, SelfIntersectionError,
 from .linearization import (BracketError, JacobianMatrix, MultiplierSpectrum,
                             bifurcation_scan, gateaux_derivative,
                             kernel_diagnostics, mixed_omega_column,
-                            multiplier_at_disc, numerical_jacobian,
-                            transversality_check)
+                            monomial_derivatives, multiplier_at_disc,
+                            numerical_jacobian, transversality_check)
 from .continuation import (BranchTable, FoldError, NonConvergenceError,
                            VStateSolution, continue_branch, residual_on_grid,
                            solve_vstate, verify_dilation_law)

@@ -200,6 +200,8 @@ def cmd_solve_branch(args) -> int:
                 "s": [sol.s for sol in table.solutions],
                 "omega": [sol.omega for sol in table.solutions],
                 "residual": [sol.residual_norm for sol in table.solutions],
+                "residual_evals": [sol.residual_evals for sol in table.solutions],
+                "jacobian_builds": [sol.jacobian_builds for sol in table.solutions],
                 "failure": table.failure})
     if table.solutions:
         curves = [eval_map(sol.full_boundary, UnitGrid(512))

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (FourierBoundary, MFoldBoundary, UnitGrid, default_grid,
-                       dilate, embed_mfold)
+                       dilate, embed_mfold, eval_deriv, eval_map)
 from .kernels import (ResidualField, SelfIntersectionError, functional_G,
                       functional_G_sqg)
+from .linearization import monomial_derivatives
 from .specfun import omega_dispersion
 
 
@@ -41,6 +42,8 @@ class VStateSolution:
     boundary: MFoldBoundary
     residual_norm: float
     grid_size: int
+    residual_evals: int = 0      # residual evaluations the solve made
+    jacobian_builds: int = 0     # Newton Jacobians it assembled
 
     @property
     def full_boundary(self) -> FourierBoundary:
@@ -95,17 +98,36 @@ def _equations(omega: float, reduced: np.ndarray, alpha: float, m: int,
     return fld.sine_coeffs[rows]
 
 
+def _mfold_jacobian(omega: float, reduced: np.ndarray, alpha: float, m: int,
+                    grid: UnitGrid, k_modes: int) -> np.ndarray:
+    """Analytic Jacobian of _equations in (omega, a_{2m-1}, ..., a_{Km-1}).
+
+    The functional is affine in omega, so its omega column is the sine
+    expansion of Im(phi conj(w) conj(phi')); the rung columns are the
+    Gateaux derivatives along b_{2m-1}, ..., b_{Km-1}, all from one pass.
+    """
+    bnd = embed_mfold(MFoldBoundary(m=m, reduced=reduced))
+    d_omega = np.imag(eval_map(bnd, grid) * np.conj(grid.nodes)
+                      * np.conj(eval_deriv(bnd, grid)))
+    rungs = m * np.arange(2, k_modes + 1) - 1
+    fields = np.vstack([d_omega, monomial_derivatives(bnd, rungs, omega, alpha, grid)])
+    rows = m * np.arange(1, k_modes + 1) - 1   # sine modes m, 2m, ..., Km
+    return grid.sine_coeffs(fields)[:, rows].T
+
+
 def solve_vstate(alpha: float, m: int, s: float,
                  initial_guess: tuple[float, np.ndarray] | None = None,
                  tol: float = 1e-11, max_iter: int = 30, k_modes: int = 16,
-                 grid: UnitGrid | None = None,
-                 _jac_seed: list | None = None) -> VStateSolution:
+                 grid: UnitGrid | None = None) -> VStateSolution:
     """Newton-solve the m-fold branch point at pinned amplitude s.
 
     initial_guess is (omega, higher_coeffs) with k_modes - 1 higher rungs;
     by default the disc data (dispersion omega, zero rungs), which is inside
-    the Newton basin for small s.  Raises NonConvergenceError, FoldError, or
-    a self-intersection error from the kernel layer.
+    the Newton basin for small s.  The Newton Jacobian is analytic for
+    alpha in (0, 1); at alpha = 1 the subtracted kernel has no analytic
+    derivative yet, so the Jacobian there is built by central differences.
+    Raises NonConvergenceError, FoldError, or a self-intersection error from
+    the kernel layer.
     """
     if m < 2:
         raise ValueError("m-fold branches need m >= 2")
@@ -131,13 +153,23 @@ def solve_vstate(alpha: float, m: int, s: float,
     def reduced_of(x_vec: np.ndarray) -> np.ndarray:
         return np.concatenate([[s], x_vec[1:]])
 
+    evals = 0
+
     def res_of(x_vec: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += 1
         return _equations(x_vec[0], reduced_of(x_vec), alpha, m, grid, k_modes)
 
-    sol_x, norm = _chord_newton(x, res_of, tol, max_iter, s, jac_seed=_jac_seed)
+    def jac_of(x_vec: np.ndarray) -> np.ndarray:
+        if alpha == 1.0:
+            return _fd_jacobian(x_vec, res_of)
+        return _mfold_jacobian(x_vec[0], reduced_of(x_vec), alpha, m, grid, k_modes)
+
+    sol_x, norm, builds = _chord_newton(x, res_of, jac_of, tol, max_iter, s)
     bnd = MFoldBoundary(m=m, reduced=reduced_of(sol_x))
     return VStateSolution(alpha=alpha, m=m, s=s, omega=float(sol_x[0]), boundary=bnd,
-                          residual_norm=norm, grid_size=grid.size)
+                          residual_norm=norm, grid_size=grid.size,
+                          residual_evals=evals, jacobian_builds=builds)
 
 
 def _fd_jacobian(x: np.ndarray, res_of) -> np.ndarray:
@@ -151,24 +183,26 @@ def _fd_jacobian(x: np.ndarray, res_of) -> np.ndarray:
     return jac
 
 
-def _chord_newton(x: np.ndarray, res_of, tol: float, max_iter: int, s: float,
-                  jac_seed: list | None = None) -> tuple[np.ndarray, float]:
-    """Damped Newton with Jacobian reuse.
+def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, max_iter: int,
+                  s: float) -> tuple[np.ndarray, float, int]:
+    """Damped Newton with Jacobian reuse; returns (x, residual norm, builds).
 
-    The reduced Jacobian varies slowly along the branch, so it is rebuilt
-    only when the chord iteration stalls; jac_seed is a one-element holder
-    that lets continue_branch carry the factorization across steps.
+    The Jacobian is kept across steps (a chord iteration) and rebuilt at the
+    current iterate when a chord step stalls under damping or contracts
+    slowly.  A Jacobian counts as fresh only for the step taken right after
+    it was built.
     """
     res = res_of(x)
     res_norm = float(np.max(np.abs(res)))
-    jac = jac_seed[0] if (jac_seed and jac_seed[0] is not None) else None
-    rebuilt = jac is None
+    jac = None
+    builds = 0
     for _ in range(max_iter):
         if res_norm < tol:
             break
-        if jac is None:
-            jac = _fd_jacobian(x, res_of)
-            rebuilt = True
+        fresh = jac is None
+        if fresh:
+            jac = jac_of(x)
+            builds += 1
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -184,20 +218,18 @@ def _chord_newton(x: np.ndarray, res_of, tol: float, max_iter: int, s: float,
                 break
             lam *= 0.5
         if not accepted:
-            if not rebuilt:
+            if not fresh:
                 jac = None      # stale chord Jacobian; rebuild and retry
                 continue
             raise NonConvergenceError(f"damping stalled at s={s}, residual {res_norm:.3e}")
         # slow linear contraction also signals a stale Jacobian
-        if not rebuilt and norm_new > 0.3 * res_norm:
+        if not fresh and norm_new > 0.3 * res_norm:
             jac = None
         x, res, res_norm = x_new, res_new, norm_new
     if res_norm >= tol:
         raise NonConvergenceError(f"no convergence at s={s}: residual {res_norm:.3e} "
                                   f"after {max_iter} iterations")
-    if jac_seed is not None:
-        jac_seed[0] = jac
-    return x, res_norm
+    return x, res_norm, builds
 
 
 def continue_branch(alpha: float, m: int, s_max: float, ds: float,
@@ -212,13 +244,12 @@ def continue_branch(alpha: float, m: int, s_max: float, ds: float,
         raise ValueError("need 0 < ds <= s_max")
     table = BranchTable(alpha=alpha, m=m)
     guess = None
-    jac_seed: list = [None]
     k = 1
     while k * ds <= s_max * (1.0 + 1e-12):
         s = k * ds   # not accumulated, so the k-th amplitude is exactly k * ds
         try:
             sol = solve_vstate(alpha, m, s, initial_guess=guess, tol=tol,
-                               k_modes=k_modes, grid=grid, _jac_seed=jac_seed)
+                               k_modes=k_modes, grid=grid)
         except (NonConvergenceError, FoldError, SelfIntersectionError) as exc:
             table.failure = f"s={s:.6g}: {type(exc).__name__}: {exc}"
             break

@@ -55,7 +55,8 @@ class UnitGrid:
         """Fourier coefficients c_k of values = sum_k c_k e^(i k theta).
 
         Returns (freqs, coeffs) in fftfreq layout, shift-corrected so the
-        coefficients refer to the absolute angle theta.
+        coefficients refer to the absolute angle theta.  Leading axes of
+        values are kept: each row along the last axis is one field.
         """
         m = self.size
         c = np.fft.fft(np.asarray(values)) / m
@@ -68,7 +69,7 @@ class UnitGrid:
         if n_max > self.size // 2 - 1:
             raise ValueError("requested modes beyond the grid resolution")
         _, c = self.mode_coeffs(values)
-        return c[1:n_max + 1].imag.copy()
+        return c[..., 1:n_max + 1].imag.copy()
 
     def cosine_residue(self, values: np.ndarray) -> float:
         """Largest even-part coefficient; vanishes for pure sine fields."""

@@ -159,7 +159,7 @@ def _contract(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.einsum("ij,ij->i", values, weights)
 
 
-def _sector_rows(bnd: FourierBoundary, size: int) -> int:
+def _sector_rows(bnd: FourierBoundary, size: int, directions=()) -> int:
     """Target rows that determine every other row of an equivariant boundary.
 
     With f = gcd(size, n+1 over every nonzero b_n), rotating the grid by
@@ -167,10 +167,11 @@ def _sector_rows(bnd: FourierBoundary, size: int) -> int:
     phi'(tau) are invariant under the joint index shift (i, j) -> (i + size/f,
     j + size/f); every contraction row repeats with period size/f.  The
     self-intersection check over those rows covers all rows for the same
-    reason.
+    reason.  A derivative along directions w^(-n) keeps that period only
+    when each n+1 is a multiple of f too, so those n join the gcd.
     """
     orders = np.flatnonzero(bnd.coeffs) + 1
-    return size // math.gcd(size, *orders.tolist())
+    return size // math.gcd(size, *orders.tolist(), *(int(n) + 1 for n in directions))
 
 
 def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None) -> np.ndarray:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (FourierBoundary, UnitGrid, default_grid, eval_deriv,
-                       eval_map)
-from .kernels import (_chord_ratio, _contract, _field_from_values, functional_G,
+from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
+                       eval_deriv, eval_map)
+from .kernels import (_H_FLOOR, SelfIntersectionError, _circulant_weights,
+                      _field_from_values, _sector_rows, functional_G,
                       functional_G_sqg)
 from .specfun import conv_constant, omega_dispersion
 
@@ -47,56 +48,111 @@ def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> MultiplierSpec
     return MultiplierSpectrum(alpha=alpha, omega=omega, N=n_max, mult=mult)
 
 
-def _ratio_matrix(vals: np.ndarray, w: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """(vals_i - vals_j) / (w_i - w_j) with the supplied diagonal limit."""
-    num = vals[:, None] - vals[None, :]
-    den = w[:, None] - w[None, :]
-    np.fill_diagonal(den, 1.0)
-    out = num / den
-    np.fill_diagonal(out, diag)
+_ROW_BLOCK = 64   # target rows per pass; bounds every temporary at 64 x M
+
+
+def _chord_rows(vals: np.ndarray, w: np.ndarray, diag: np.ndarray,
+                start: int, stop: int) -> np.ndarray:
+    """(vals_i - vals_j) / (w_i - w_j) for target rows start..stop-1, diagonal diag_i."""
+    rows = np.arange(start, stop)
+    den = w[start:stop, None] - w[None, :]
+    den[rows - start, rows] = 1.0
+    out = (vals[start:stop, None] - vals[None, :]) / den
+    out[rows - start, rows] = diag[start:stop]
     return out
+
+
+def _chord_sums(terms: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """sum_{r=1..n} terms[:, r] for each n in modes; for n = -1 the sum is -terms[:, 0].
+
+    Both cases are prefix[n+1] - terms[:, 0] with prefix[k] = sum_{r<k}.
+    """
+    prefix = np.zeros((len(terms), terms.shape[1] + 1), dtype=complex)
+    np.cumsum(terms, axis=1, out=prefix[:, 1:])
+    return prefix[:, modes + 1] - terms[:, :1]
+
+
+def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float,
+                         grid: UnitGrid) -> np.ndarray:
+    """Directional derivatives of the functional at bnd along h = w^(-n), n in modes.
+
+    Row k holds the grid values of dG(omega, phi)[w^(-modes[k])]: n >= 1 is
+    the coefficient b_n, n = 0 the translation b_0 and n = -1 the leading
+    coefficient (h = w).  Every direction shares one pass over the target
+    rows: per block of rows the chord ratio, H^(-a) W and phi' H^(-a-2) W
+    are formed once, with W the circulant weight rows.  On the circle
+
+        (w_i^(-n) - w_j^(-n)) / (w_i - w_j) = -sum_{q<n} w_i^(-q-1) w_j^(q-n),
+
+    so the chord-difference integrals of all directions come from two
+    products with the Vandermonde block [w_j^r] (and its conjugate) and a
+    prefix sum over r; the layer-potential term is one more product with
+    the direction derivatives.  When the boundary and every direction are
+    f-fold symmetric, only size/f target rows are formed.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("analytic derivative implemented for alpha in (0, 1)")
+    modes = np.asarray(modes, dtype=int)
+    if modes.size and modes.min() < -1:
+        raise ValueError("directions are w^(-n) with n >= -1")
+    n_max = max(int(modes.max(initial=0)), 0)
+    if grid.size < 2 * (n_max + 1):
+        warnings.warn(f"grid of size {grid.size} under-resolves the direction b_{n_max}",
+                      AliasingWarning, stacklevel=2)
+    w, theta = grid.nodes, grid.angles
+    phi = eval_map(bnd, grid)
+    dphi = eval_deriv(bnd, grid)
+    inv = np.exp(-1j * np.outer(theta, modes + 1))      # w^(-n-1) = h / w
+    dhv = -modes * inv                                   # h' = -n w^(-n-1)
+    vand = np.exp(1j * np.outer(theta, np.arange(n_max + 1)))   # w_j^r, r = 0..n_max
+    vand_conj = np.conj(vand)
+    dirs = np.column_stack([dphi, dhv])
+    weights = _circulant_weights(grid.size, alpha)
+    n_rows = _sector_rows(bnd, grid.size, modes)
+    sing = np.empty((n_rows, modes.size), dtype=complex)
+    for start in range(0, n_rows, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n_rows)
+        ratio = _chord_rows(phi, w, dphi, start, stop)
+        hmat = np.abs(ratio)
+        if hmat.min() < _H_FLOOR:
+            raise SelfIntersectionError(f"chord ratio fell to {hmat.min():.3e}")
+        kern = hmat ** (-alpha) * weights[start:stop]
+        layer = kern @ dirs                     # [S / (C_a w), a-terms]
+        pw = kern * (dphi[None, :] / (hmat * hmat))
+        # the two chord-difference integrals over w_i, summed: chord sums of
+        # w_i^(-r) [(ratio pw) vand]_r and of w_i^r [(conj(ratio) pw) conj(vand)]_r,
+        # turned by w_i^(n+1) and w_i^(-n-1)
+        sum_b = _chord_sums(vand_conj[start:stop] * ((ratio * pw) @ vand), modes)
+        sum_c = _chord_sums(vand[start:stop] * ((np.conj(ratio) * pw) @ vand_conj), modes)
+        rows_inv = inv[start:stop]
+        chord = -(np.conj(rows_inv) * sum_b + rows_inv * sum_c)
+        sing[start:stop] = (layer[:, :1] * np.conj(dhv[start:stop])
+                            + np.conj(dphi[start:stop, None])
+                            * (layer[:, 1:] - 0.5 * alpha * chord))
+    quad = omega * (phi[:n_rows, None] * np.conj(w[:n_rows, None] * dhv[:n_rows])
+                    + inv[:n_rows] * np.conj(dphi[:n_rows, None]))
+    vals = np.imag(quad - conv_constant(alpha) * sing)
+    return np.tile(vals, (grid.size // n_rows, 1)).T
 
 
 def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
                        alpha: float, grid: UnitGrid | None = None):
     """Directional derivative of the functional at bnd in the direction h.
 
-    Assembles the quadratic terms plus the three singular pieces: the
-    perturbed layer potential and the two chord-difference integrals that
-    come from differentiating the kernel power.  Agrees with
-    multiplier_at_disc at the identity and with central finite differences
-    of functional_G elsewhere.
+    The derivative is linear in h, so it is the coefficient-weighted sum of
+    the monomial derivatives over the nonzero b_n of h (plus the leading
+    direction when h.lead != 1).  Agrees with multiplier_at_disc at the
+    identity and with central finite differences of functional_G elsewhere.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("analytic derivative implemented for alpha in (0, 1)")
     order = max(bnd.order, h.order)
     grid = default_grid(order + 1) if grid is None else grid
-    w = grid.nodes
-    phi = eval_map(bnd, grid)
-    dphi = eval_deriv(bnd, grid)
-    hv = eval_map(h, grid) - w          # direction as a map increment
-    dhv = eval_deriv(h, grid) - 1.0
-    c_a = conv_constant(alpha)
-
-    hmat = _chord_ratio(phi, w, dphi)
-    kern = hmat ** (-alpha)
-    s_bare = w * _contract(dphi[None, :] * kern, alpha)
-    a_vals = w * _contract(dhv[None, :] * kern, alpha)
-
-    phi_ratio = _ratio_matrix(phi, w, dphi)
-    h_ratio = _ratio_matrix(hv, w, dhv)
-    hpow = hmat ** (-(alpha + 2.0))
-    g_b = phi_ratio * np.conj(h_ratio) * dphi[None, :] * hpow
-    b_vals = w * _contract(g_b, alpha)
-    g_c = np.conj(phi_ratio) * h_ratio * dphi[None, :] * hpow
-    c_vals = w * _contract(g_c, alpha)
-
-    wb = np.conj(w)
-    quad_part = omega * (phi * wb * np.conj(dhv) + hv * wb * np.conj(dphi))
-    sing_part = c_a * (s_bare * wb * np.conj(dhv)
-                       + wb * np.conj(dphi) * (a_vals - 0.5 * alpha * (b_vals + c_vals)))
-    vals = np.imag(quad_part - sing_part)
-    return _field_from_values(vals, grid)
+    modes = np.flatnonzero(h.coeffs)
+    amps = h.coeffs[modes]
+    if h.lead != 1.0:
+        modes = np.append(modes, -1)
+        amps = np.append(amps, h.lead - 1.0)
+    fields = monomial_derivatives(bnd, modes, omega, alpha, grid)
+    return _field_from_values(amps @ fields, grid)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import gsqg.continuation as cont
 from gsqg.continuation import (BranchTable, NonConvergenceError, VStateSolution,
                                continue_branch, residual_on_grid, solve_vstate,
                                verify_dilation_law)
-from gsqg.geometry import MFoldBoundary, UnitGrid, embed_mfold
+from gsqg.geometry import MFoldBoundary, UnitGrid, default_grid, embed_mfold
 from gsqg.kernels import functional_G
 from gsqg.specfun import omega_dispersion
 
@@ -49,6 +49,53 @@ class TestSolve:
     def test_guess_size_mismatch(self):
         with pytest.raises(ValueError):
             solve_vstate(0.5, 3, 0.01, initial_guess=(0.3, np.zeros(3)), k_modes=8)
+
+    def test_records_solver_work(self):
+        # the analytic Jacobian costs no residual evaluation; central
+        # differences at alpha = 1 cost two per unknown
+        sol = solve_vstate(0.5, 3, 0.02, k_modes=8)
+        assert sol.jacobian_builds >= 1
+        assert 2 <= sol.residual_evals < 2 * 8
+        with pytest.warns(RuntimeWarning, match="experimental"):
+            crit = solve_vstate(1.0, 3, 1e-3, k_modes=6)
+        assert crit.residual_evals >= 2 * 6 * crit.jacobian_builds
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_analytic_matches_finite_differences(self, m):
+        alpha, s, k_modes = 0.5, 0.02, 16
+        grid = default_grid(k_modes * m)
+        sol = solve_vstate(alpha, m, s, k_modes=k_modes, grid=grid)
+        converged = np.concatenate([[sol.omega], sol.boundary.reduced[1:]])
+        disc_guess = np.zeros(k_modes)
+        disc_guess[0] = omega_dispersion(alpha, m)
+        for x in (converged, disc_guess):
+            reduced = np.concatenate([[s], x[1:]])
+            fd = cont._fd_jacobian(x, lambda v: cont._equations(
+                v[0], np.concatenate([[s], v[1:]]), alpha, m, grid, k_modes))
+            jac = cont._mfold_jacobian(x[0], reduced, alpha, m, grid, k_modes)
+            assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(fd))
+
+
+class TestChordNewton:
+    @pytest.mark.parametrize("res_of, jac_of, x0", [
+        # chord steps with the x = 2 slope contract by 12/13 near the root
+        (lambda x: x ** 3 + x, lambda x: np.diag(3 * x ** 2 + 1), 2.0),
+        # the first step crosses the fold at x = -1, so the old slope points uphill
+        (lambda x: x ** 3 - 3 * x - 1.9, lambda x: np.diag(3 * x ** 2 - 3), 0.6),
+    ], ids=["slow-contraction", "damping-stall"])
+    def test_rebuilds_stale_jacobian(self, res_of, jac_of, x0):
+        x, norm, builds = cont._chord_newton(np.array([x0]), res_of, jac_of,
+                                             1e-11, 30, 0.1)
+        assert norm < 1e-11 and abs(res_of(x)[0]) < 1e-11
+        assert builds >= 2
+
+    def test_fresh_jacobian_stall_raises(self):
+        # a Newton direction that is uphill at a fresh Jacobian is a real failure
+        with pytest.raises(NonConvergenceError, match="damping stalled"):
+            cont._chord_newton(np.array([1.0]), lambda x: x ** 2 + 1.0,
+                               lambda x: -np.diag(2 * x), 1e-11, 30, 0.1)
 
 
 @pytest.fixture(scope="module")

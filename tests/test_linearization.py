@@ -1,19 +1,60 @@
 import numpy as np
 import pytest
 
-from gsqg.geometry import FourierBoundary, MFoldBoundary, UnitGrid, embed_mfold
-from gsqg.kernels import functional_G
+import gsqg.linearization as lin
+from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary, UnitGrid,
+                           embed_mfold, eval_deriv, eval_map)
+from gsqg.kernels import _chord_ratio, _contract, _field_from_values, functional_G
 from gsqg.linearization import (BracketError, bifurcation_scan, fd_column,
                                 gateaux_derivative, kernel_diagnostics,
-                                mixed_omega_column, multiplier_at_disc,
-                                numerical_jacobian, transversality_check)
-from gsqg.specfun import omega_dispersion, omega_sqg, theta_alpha
+                                mixed_omega_column, monomial_derivatives,
+                                multiplier_at_disc, numerical_jacobian,
+                                transversality_check)
+from gsqg.specfun import conv_constant, omega_dispersion, omega_sqg, theta_alpha
 
 
 def direction(mode: int, amp: float = 1.0) -> FourierBoundary:
     coeffs = np.zeros(mode + 1)
     coeffs[mode] = amp
     return FourierBoundary(coeffs)
+
+
+def _ratio_matrix(vals, w, diag):
+    num = vals[:, None] - vals[None, :]
+    den = w[:, None] - w[None, :]
+    np.fill_diagonal(den, 1.0)
+    out = num / den
+    np.fill_diagonal(out, diag)
+    return out
+
+
+def gateaux_dense(bnd, h, omega, alpha, grid):
+    """Reference Gateaux derivative: every N x N factor formed for the whole h."""
+    w = grid.nodes
+    phi = eval_map(bnd, grid)
+    dphi = eval_deriv(bnd, grid)
+    hv = eval_map(h, grid) - w
+    dhv = eval_deriv(h, grid) - 1.0
+    hmat = _chord_ratio(phi, w, dphi)
+    kern = hmat ** (-alpha)
+    s_bare = w * _contract(dphi[None, :] * kern, alpha)
+    a_vals = w * _contract(dhv[None, :] * kern, alpha)
+    phi_ratio = _ratio_matrix(phi, w, dphi)
+    h_ratio = _ratio_matrix(hv, w, dhv)
+    hpow = hmat ** (-(alpha + 2.0))
+    b_vals = w * _contract(phi_ratio * np.conj(h_ratio) * dphi[None, :] * hpow, alpha)
+    c_vals = w * _contract(np.conj(phi_ratio) * h_ratio * dphi[None, :] * hpow, alpha)
+    wb = np.conj(w)
+    quad_part = omega * (phi * wb * np.conj(dhv) + hv * wb * np.conj(dphi))
+    sing_part = conv_constant(alpha) * (
+        s_bare * wb * np.conj(dhv)
+        + wb * np.conj(dphi) * (a_vals - 0.5 * alpha * (b_vals + c_vals)))
+    return _field_from_values(np.imag(quad_part - sing_part), grid)
+
+
+def _random_boundary(rng, n=6, norm=0.05):
+    coeffs = rng.uniform(-1.0, 1.0, n)
+    return FourierBoundary(coeffs * norm / max(1.0, np.abs(coeffs).sum()))
 
 
 class TestMultipliers:
@@ -92,6 +133,68 @@ class TestGateaux:
                   - functional_G(om, FourierBoundary(dn_c), a, g).sine_coeffs) / (2 * eps)
             scale = max(np.max(np.abs(fd[:16])), 1e-12)
             assert np.max(np.abs(fld.sine_coeffs[:16] - fd[:16])) / scale < 1e-6
+
+
+    def test_matches_dense_oracle(self, rng):
+        # single and mixed directions, b_0, a non-unit lead, plain and offset grids
+        directions = [direction(3), direction(0), FourierBoundary(rng.uniform(-1, 1, 5)),
+                      FourierBoundary(np.array([0.0, 0.4]), lead=1.3),
+                      FourierBoundary.identity(2)]
+        for grid in (UnitGrid(128), UnitGrid.half_offset(128)):
+            for alpha in (0.3, 0.5, 0.9):
+                bnd = _random_boundary(rng)
+                for h in directions:
+                    ref = gateaux_dense(bnd, h, 0.27, alpha, grid)
+                    got = gateaux_derivative(bnd, h, 0.27, alpha, grid)
+                    scale = max(np.max(np.abs(ref.values)), 1e-12)
+                    assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * scale
+
+    def test_linear_in_direction(self, rng):
+        a, om, g = 0.5, 0.3, UnitGrid(128)
+        bnd = _random_boundary(rng)
+        both = gateaux_derivative(bnd, FourierBoundary(np.array([0.0, 0.7, 0.0, -1.2])),
+                                  om, a, g)
+        one = gateaux_derivative(bnd, direction(1, 0.7), om, a, g)
+        three = gateaux_derivative(bnd, direction(3, -1.2), om, a, g)
+        assert np.max(np.abs(both.values - one.values - three.values)) < 1e-13
+
+    def test_lead_direction_matches_finite_differences(self, rng):
+        a, om, eps, g = 0.5, 0.3, 1e-6, UnitGrid(256)
+        bnd = _random_boundary(rng)
+        # h = 2w moves phi by w: the derivative in the leading coefficient
+        fld = gateaux_derivative(bnd, FourierBoundary(np.zeros(1), lead=2.0), om, a, g)
+        up = FourierBoundary(bnd.coeffs, lead=1.0 + eps)
+        dn = FourierBoundary(bnd.coeffs, lead=1.0 - eps)
+        fd = (functional_G(om, up, a, g).sine_coeffs
+              - functional_G(om, dn, a, g).sine_coeffs) / (2.0 * eps)
+        assert np.max(np.abs(fld.sine_coeffs[:16] - fd[:16])) < 1e-7 * np.max(np.abs(fd))
+
+    def test_sector_rows_match_all_rows(self, monkeypatch):
+        # 3-fold boundary and 3-fold directions: 768 / 3 target rows suffice
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, 0.004, -0.001])))
+        modes = [-1, 2, 5, 8, 11]
+        grid = UnitGrid(768)
+        assert lin._sector_rows(bnd, grid.size, modes) == 256
+        reduced = monomial_derivatives(bnd, modes, 0.34, 0.5, grid)
+        monkeypatch.setattr(lin, "_sector_rows", lambda bnd, size, directions: size)
+        full = monomial_derivatives(bnd, modes, 0.34, 0.5, grid)
+        assert np.max(np.abs(reduced - full)) <= 1e-13 * np.max(np.abs(full))
+
+    def test_off_ladder_direction_uses_all_rows(self):
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05])))
+        assert lin._sector_rows(bnd, 768, [1]) == 768
+        assert lin._sector_rows(bnd, 768, [0]) == 768
+
+    def test_unresolved_direction_warns(self):
+        with pytest.warns(AliasingWarning):
+            gateaux_derivative(FourierBoundary.identity(), direction(40), 0.3, 0.5,
+                               UnitGrid(64))
+
+    def test_alpha_domain(self):
+        with pytest.raises(ValueError):
+            monomial_derivatives(FourierBoundary.identity(), [1], 0.3, 1.0, UnitGrid(64))
+        with pytest.raises(ValueError):
+            monomial_derivatives(FourierBoundary.identity(), [-2], 0.3, 0.5, UnitGrid(64))
 
 
 class TestJacobian:

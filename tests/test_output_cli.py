@@ -125,6 +125,20 @@ class TestCli:
         assert report["failure"] is None
         assert max(report["residual"]) < 1e-11
 
+    def test_solve_branch_reports_solver_work(self, tmp_path):
+        # per-point counts are deterministic, so the report stays byte-reproducible
+        for sub in ("a", "b"):
+            assert run_cli(tmp_path / sub, "solve-branch", "--alpha", "0.5", "--m", "3",
+                           "--s-max", "0.02", "--ds", "0.01") == 0
+        first = (tmp_path / "a" / "branch_a0.5_m3.json").read_bytes()
+        assert first == (tmp_path / "b" / "branch_a0.5_m3.json").read_bytes()
+        report = json.loads(first)
+        assert len(report["residual_evals"]) == len(report["jacobian_builds"]) == 2
+        assert all(builds >= 1 for builds in report["jacobian_builds"])
+        # an analytic Jacobian costs no residual evaluation; 16 central
+        # differences would cost 32
+        assert all(2 <= evals < 32 for evals in report["residual_evals"])
+
     def test_evolve_disc(self, tmp_path):
         assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--shape", "disc",
                        "--t-final", "0.2", "--dt", "0.002", "--nodes", "256",
