@@ -6,7 +6,7 @@ m-fold symmetric branch leaves the unit disc at each angular velocity of the
 dispersion relation.  The subpackages compute these objects and verify their
 analytic properties at desk scale:
 
-specfun        gamma / rising-factorial arithmetic and the dispersion relation
+specfun        rising-factorial and odd-harmonic ladders, the dispersion relation
 geometry       boundaries as exterior conformal-map Fourier coefficients
 kernels        exact circle moments and the nonlinear patch functional
 linearization  Fourier multipliers, discrete Jacobians, bifurcation scans
@@ -17,12 +17,11 @@ output         deterministic CSV / JSON / SVG emission
 cli            command-line drivers (also exposed as `python -m gsqg`)
 """
 
-from .specfun import (EULER_GAMMA, AsymptoticParams, DispersionTable,
-                      GammaPoleError, conv_constant, digamma_half_integer,
-                      gamma_fn, harmonic_odd, omega_asymptotic,
-                      omega_dispersion, omega_sqg, pochhammer,
-                      pochhammer_ratio, theta_alpha, zeta_odd,
-                      zeta_tail_constant)
+from .specfun import (EULER_GAMMA, DispersionTable, GammaPoleError,
+                      conv_constant, gamma_fn, harmonic_odd,
+                      odd_harmonic_ladder, omega_asymptotic, omega_dispersion,
+                      omega_sqg, pochhammer_ratio, rising_ratio_ladder,
+                      theta_alpha, zeta_tail_constant)
 from .geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
                        UnitGrid, coeffs_from_values, conj_deriv, default_grid,
                        dilate, embed_mfold, eval_deriv, eval_deriv_at,
@@ -33,13 +32,14 @@ from .kernels import (ResidualField, SelfIntersectionError,
                       singular_moment_I, singular_moment_J, singular_moment_Z,
                       sqg_moment_1, sqg_moment_2)
 from .linearization import (BracketError, JacobianMatrix, MultiplierSpectrum,
-                            bifurcation_scan, gateaux_derivative,
-                            kernel_diagnostics, mixed_omega_column,
-                            monomial_derivatives, multiplier_at_disc,
-                            numerical_jacobian, transversality_check)
+                            bifurcation_scan, crosses_transversally,
+                            gateaux_derivative, kernel_diagnostics,
+                            mixed_omega_column, monomial_derivatives,
+                            multiplier_at_disc, numerical_jacobian,
+                            omega_slope, transversality_check)
 from .continuation import (BranchTable, FoldError, NonConvergenceError,
-                           VStateSolution, continue_branch, residual_on_grid,
-                           solve_vstate, verify_dilation_law)
+                           VStateSolution, continue_branch, solve_vstate,
+                           verify_dilation_law)
 from .evolution import (ContourError, ContourState, conserved_diagnostics,
                         evolve, hausdorff_distance, normal_velocity_residual,
                         redistribute, step_rk4, velocity_contour)

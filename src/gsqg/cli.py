@@ -29,9 +29,9 @@ from .kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                       ellipse_moment_ratio, functional_G, singular_moment_I,
                       singular_moment_J, singular_moment_Z, sqg_moment_1,
                       sqg_moment_2)
-from .linearization import (BracketError, bifurcation_scan, kernel_diagnostics,
-                            multiplier_at_disc, numerical_jacobian,
-                            transversality_check)
+from .linearization import (BracketError, bifurcation_scan, crosses_transversally,
+                            kernel_diagnostics, multiplier_at_disc,
+                            numerical_jacobian)
 from .output import (write_csv, write_curves_svg, write_json, write_jsonl,
                      write_residual_csv, write_residual_json, write_xy_svg)
 from .specfun import (GammaPoleError, omega_asymptotic, omega_dispersion,
@@ -168,7 +168,7 @@ def cmd_scan(args) -> int:
     window = (closed - args.window, closed + args.window)
     located = bifurcation_scan(alpha, args.m, window)
     diag = kernel_diagnostics(alpha, args.m, located)
-    trans = transversality_check(alpha, args.m)
+    trans = crosses_transversally(diag)
     gap = abs(located - closed)
     report = {"alpha": alpha, "m": args.m, "omega_located": located,
               "omega_closed_form": closed, "gap": gap,

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (FourierBoundary, MFoldBoundary, UnitGrid, default_grid,
-                       dilate, embed_mfold, eval_deriv, eval_map)
-from .kernels import (ResidualField, SelfIntersectionError, functional_G,
-                      functional_G_sqg)
-from .linearization import monomial_derivatives
+                       dilate, embed_mfold)
+from .kernels import SelfIntersectionError, functional_G
+from .linearization import monomial_derivatives, omega_slope
 from .specfun import omega_dispersion
 
 
@@ -83,17 +82,9 @@ class BranchTable:
         return float((s2 ** 2 * o1 - s1 ** 2 * o2) / (s2 ** 2 - s1 ** 2))
 
 
-def _mfold_residual(omega: float, reduced: np.ndarray, alpha: float, m: int,
-                    grid: UnitGrid) -> ResidualField:
-    bnd = embed_mfold(MFoldBoundary(m=m, reduced=reduced))
-    if alpha == 1.0:
-        return functional_G_sqg(omega, bnd, grid)
-    return functional_G(omega, bnd, alpha, grid)
-
-
 def _equations(omega: float, reduced: np.ndarray, alpha: float, m: int,
                grid: UnitGrid, k_modes: int) -> np.ndarray:
-    fld = _mfold_residual(omega, reduced, alpha, m, grid)
+    fld = functional_G(omega, embed_mfold(MFoldBoundary(m=m, reduced=reduced)), alpha, grid)
     rows = m * np.arange(1, k_modes + 1) - 1   # sine modes m, 2m, ..., Km
     return fld.sine_coeffs[rows]
 
@@ -103,12 +94,11 @@ def _mfold_jacobian(omega: float, reduced: np.ndarray, alpha: float, m: int,
     """Analytic Jacobian of _equations in (omega, a_{2m-1}, ..., a_{Km-1}).
 
     The functional is affine in omega, so its omega column is the sine
-    expansion of Im(phi conj(w) conj(phi')); the rung columns are the
+    expansion of its slope (omega_slope); the rung columns are the
     Gateaux derivatives along b_{2m-1}, ..., b_{Km-1}, all from one pass.
     """
     bnd = embed_mfold(MFoldBoundary(m=m, reduced=reduced))
-    d_omega = np.imag(eval_map(bnd, grid) * np.conj(grid.nodes)
-                      * np.conj(eval_deriv(bnd, grid)))
+    d_omega = omega_slope(bnd, grid)
     rungs = m * np.arange(2, k_modes + 1) - 1
     fields = np.vstack([d_omega, monomial_derivatives(bnd, rungs, omega, alpha, grid)])
     rows = m * np.arange(1, k_modes + 1) - 1   # sine modes m, 2m, ..., Km
@@ -257,16 +247,6 @@ def continue_branch(alpha: float, m: int, s_max: float, ds: float,
         guess = (sol.omega, sol.boundary.reduced[1:])
         k += 1
     return table
-
-
-def residual_on_grid(sol: VStateSolution, grid: UnitGrid) -> float:
-    """Sup norm of the functional's sine coefficients on an arbitrary grid."""
-    bnd = sol.full_boundary
-    if sol.alpha == 1.0:
-        fld = functional_G_sqg(sol.omega, bnd, grid)
-    else:
-        fld = functional_G(sol.omega, bnd, sol.alpha, grid)
-    return fld.sup_norm
 
 
 def verify_dilation_law(sol: VStateSolution, lam: float,

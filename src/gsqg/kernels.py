@@ -28,7 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (FourierBoundary, UnitGrid, default_grid, eval_deriv,
                        eval_deriv_at, eval_map, eval_map_at)
-from .specfun import conv_constant, gamma_fn, pochhammer_ratio
+from .specfun import (conv_constant, gamma_fn, odd_harmonic_ladder, pochhammer_ratio,
+                      rising_ratio_ladder)
 
 _H_FLOOR = 1e-8
 
@@ -42,16 +43,11 @@ def _moment_prefactor(alpha: float) -> float:
     return gamma_fn(1.0 - alpha) / gamma_fn(1.0 - alpha / 2.0) ** 2
 
 
-def _poch_ratio_ladder(alpha: float, p_max: int) -> np.ndarray:
-    """(a/2)_p / (1-a/2)_p for p = 0..p_max, by cumulative products."""
-    out = np.empty(p_max + 1)
-    out[0] = 1.0
-    a, b = alpha / 2.0, 1.0 - alpha / 2.0
-    acc = 1.0
-    for p in range(1, p_max + 1):
-        acc *= (a + p - 1.0) / (b + p - 1.0)
-        out[p] = acc
-    return out
+def _check_moment_args(alpha: float, n: int) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("moments need alpha in (0, 1)")
+    if n < 0:
+        raise ValueError("moment order must be >= 0")
 
 
 def singular_moment_I(alpha: float, n: int) -> float:
@@ -60,19 +56,13 @@ def singular_moment_I(alpha: float, n: int) -> float:
     The full contour mean of tau^n / |tau-w|^a equals this factor times
     w^(n+1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("moments need alpha in (0, 1)")
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
+    _check_moment_args(alpha, n)
     return _moment_prefactor(alpha) * pochhammer_ratio(alpha / 2.0, 1.0 - alpha / 2.0, n + 1)
 
 
 def singular_moment_J(alpha: float, n: int) -> float:
     """Factor of the chord-difference moment; the full integral is factor * w^(n+2)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("moments need alpha in (0, 1)")
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
+    _check_moment_args(alpha, n)
     pref = (1.0 + alpha / 2.0) * _moment_prefactor(alpha) / (2.0 - alpha)
     return pref * (1.0 - pochhammer_ratio(2.0 + alpha / 2.0, 2.0 - alpha / 2.0, n))
 
@@ -83,10 +73,7 @@ def singular_moment_Z(alpha: float, n: int) -> float:
     The rising-factorial ratio with the negative base reduces to minus the
     ratio shifted by one, which is what gets evaluated here.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("moments need alpha in (0, 1)")
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
+    _check_moment_args(alpha, n)
     if n == 0:
         return 0.0
     # (a/2)_n / (-a/2)_n = -(1+a/2)_{n-1} / (1-a/2)_{n-1} for n >= 1
@@ -95,17 +82,17 @@ def singular_moment_Z(alpha: float, n: int) -> float:
 
 
 def sqg_moment_1(n: int) -> float:
-    """Subtracted first moment of the critical kernel: -(2/pi) sum_{k<n} 1/(2k+1)."""
+    """Subtracted first moment of the critical kernel: -(2/pi) sigma_n."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    return -(2.0 / math.pi) * sum(1.0 / (2 * k + 1) for k in range(n))
+    return -(2.0 / math.pi) * float(odd_harmonic_ladder(n)[n])
 
 
 def sqg_moment_2(n: int) -> float:
-    """Squared-chord moment of the critical kernel: (2/pi) sum_{k=1..n} 1/(2k+1)."""
+    """Squared-chord moment of the critical kernel: (2/pi) (sigma_{n+1} - sigma_1), sigma_1 = 1."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    return (2.0 / math.pi) * sum(1.0 / (2 * k + 1) for k in range(1, n + 1))
+    return (2.0 / math.pi) * (float(odd_harmonic_ladder(n + 1)[n + 1]) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +130,11 @@ def _circulant_weights(size: int, alpha: float) -> np.ndarray:
     """
     k = np.fft.fftfreq(size, d=1.0 / size)
     if alpha == 1.0:
-        mu = _odd_harmonic_ladder(size // 2 + 1)[np.abs(k).astype(int)]
+        mu = odd_harmonic_ladder(size // 2)[np.abs(k).astype(int)]
     else:
         p = np.abs(k + 1.0).astype(int)
-        mu = _moment_prefactor(alpha) * _poch_ratio_ladder(alpha, int(p.max()))[p]
+        ladder = rising_ratio_ladder(alpha / 2.0, 1.0 - alpha / 2.0, int(p.max()))
+        mu = _moment_prefactor(alpha) * ladder[p]
     row = np.fft.ifft(mu)
     # ext[u] = K[(size-1-u) mod size], so row i of W is ext[size-1-i : 2*size-1-i]
     ext = np.concatenate([row[::-1], row[:0:-1]])
@@ -260,7 +248,10 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
 
     Identically zero (to rounding) for the disc at any omega; a converged
     m-fold solution drives every sine coefficient below the solver tolerance.
+    At the critical exponent alpha = 1 this is functional_G_sqg.
     """
+    if alpha == 1.0:
+        return functional_G_sqg(omega, bnd, grid)
     grid = default_grid(bnd.order + 1) if grid is None else grid
     w = grid.nodes
     phi = eval_map(bnd, grid)
@@ -291,16 +282,6 @@ def functional_G_sqg(omega: float, bnd: FourierBoundary,
     t_vals = -(2.0 / math.pi) * w * np.tile(sector, grid.size // n_rows)
     vals = np.imag((omega * phi - t_vals) * np.conj(w) * np.conj(dphi))
     return _field_from_values(vals, grid)
-
-
-def _odd_harmonic_ladder(p_max: int) -> np.ndarray:
-    """sigma_p = sum_{k=0}^{p-1} 1/(2k+1) for p = 0..p_max-1."""
-    sig = np.zeros(p_max)
-    acc = 0.0
-    for p_val in range(1, p_max):
-        acc += 1.0 / (2 * (p_val - 1) + 1)
-        sig[p_val] = acc
-    return sig
 
 
 def ellipse_fourth_coefficient(omega: float, q: float, alpha: float,

@@ -19,9 +19,8 @@ import numpy as np
 from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
                        eval_deriv, eval_map)
 from .kernels import (_H_FLOOR, SelfIntersectionError, _circulant_weights,
-                      _field_from_values, _sector_rows, functional_G,
-                      functional_G_sqg)
-from .specfun import conv_constant, omega_dispersion
+                      _field_from_values, _sector_rows, functional_G)
+from .specfun import DispersionTable, conv_constant, omega_dispersion
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,9 @@ def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> MultiplierSpec
     """Exact multipliers: mult[0] = omega/2, mult[n] = (n+1)(omega - omega_{n+1})/2."""
     if n_max < 2:
         raise ValueError("need at least modes up to n = 2")
-    mult = np.empty(n_max + 1)
-    mult[0] = omega / 2.0
-    for n in range(1, n_max + 1):
-        mult[n] = (n + 1) * (omega - omega_dispersion(alpha, n + 1)) / 2.0
+    omegas = np.fromiter(DispersionTable.build(alpha, n_max + 1).values.values(), float)
+    n = np.arange(1, n_max + 1)
+    mult = np.concatenate([[omega / 2.0], (n + 1) * (omega - omegas) / 2.0])
     return MultiplierSpectrum(alpha=alpha, omega=omega, N=n_max, mult=mult)
 
 
@@ -70,6 +68,19 @@ def _chord_sums(terms: np.ndarray, modes: np.ndarray) -> np.ndarray:
     prefix = np.zeros((len(terms), terms.shape[1] + 1), dtype=complex)
     np.cumsum(terms, axis=1, out=prefix[:, 1:])
     return prefix[:, modes + 1] - terms[:, :1]
+
+
+def omega_slope(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
+    """dG/domega on the grid: G is affine in omega with slope Im(phi conj(w) conj(phi'))."""
+    return np.imag(eval_map(bnd, grid) * np.conj(grid.nodes) * np.conj(eval_deriv(bnd, grid)))
+
+
+def _mixed_slope(phi, dphi, w, inv, dhv) -> np.ndarray:
+    """Derivative of omega_slope along h, Im(phi conj(w h') + (h/w) conj(phi')).
+
+    inv = h/w and dhv = h' broadcast against the boundary samples phi, dphi, w.
+    """
+    return np.imag(phi * np.conj(w * dhv) + inv * np.conj(dphi))
 
 
 def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float,
@@ -129,9 +140,10 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
         sing[start:stop] = (layer[:, :1] * np.conj(dhv[start:stop])
                             + np.conj(dphi[start:stop, None])
                             * (layer[:, 1:] - 0.5 * alpha * chord))
-    quad = omega * (phi[:n_rows, None] * np.conj(w[:n_rows, None] * dhv[:n_rows])
-                    + inv[:n_rows] * np.conj(dphi[:n_rows, None]))
-    vals = np.imag(quad - conv_constant(alpha) * sing)
+    rows = slice(0, n_rows)
+    vals = (omega * _mixed_slope(phi[rows, None], dphi[rows, None], w[rows, None],
+                                 inv[rows], dhv[rows])
+            - conv_constant(alpha) * np.imag(sing))
     return np.tile(vals, (grid.size // n_rows, 1)).T
 
 
@@ -166,12 +178,6 @@ class JacobianMatrix:
     eps: float
 
 
-def _residual(omega: float, bnd: FourierBoundary, alpha: float, grid: UnitGrid):
-    if alpha == 1.0:
-        return functional_G_sqg(omega, bnd, grid)
-    return functional_G(omega, bnd, alpha, grid)
-
-
 def _perturbed(bnd: FourierBoundary, mode: int, eps: float, width: int) -> FourierBoundary:
     coeffs = np.zeros(max(bnd.order, width - 1, mode) + 1)
     coeffs[:bnd.order + 1] = bnd.coeffs
@@ -182,22 +188,23 @@ def _perturbed(bnd: FourierBoundary, mode: int, eps: float, width: int) -> Fouri
 def fd_column(bnd: FourierBoundary, mode: int, omega: float, alpha: float,
               grid: UnitGrid, eps: float, n_rows: int) -> np.ndarray:
     """Sine coefficients of the central difference in the direction b_mode."""
-    fp = _residual(omega, _perturbed(bnd, mode, +eps, n_rows), alpha, grid)
-    fm = _residual(omega, _perturbed(bnd, mode, -eps, n_rows), alpha, grid)
+    fp = functional_G(omega, _perturbed(bnd, mode, +eps, n_rows), alpha, grid)
+    fm = functional_G(omega, _perturbed(bnd, mode, -eps, n_rows), alpha, grid)
     return (fp.sine_coeffs[:n_rows] - fm.sine_coeffs[:n_rows]) / (2.0 * eps)
 
 
-def mixed_omega_column(bnd: FourierBoundary, mode: int, alpha: float,
-                       grid: UnitGrid, eps: float, n_rows: int) -> np.ndarray:
+def mixed_omega_column(bnd: FourierBoundary, mode: int, grid: UnitGrid,
+                       n_rows: int) -> np.ndarray:
     """Mixed derivative d/domega of the Jacobian column for b_mode.
 
-    The functional is affine in omega, so one central difference in omega of
-    the direction column is exact.  At the disc this reproduces
-    (m/2) * i(w^m - conj(w)^m) for the direction b_{m-1}.
+    The functional is affine in omega, so this is the sine expansion of the
+    derivative of omega_slope along w^(-mode), at every alpha.  At the disc it
+    reproduces (m/2) * i(w^m - conj(w)^m) for the direction b_{m-1}.
     """
-    col_hi = fd_column(bnd, mode, 0.5, alpha, grid, eps, n_rows)
-    col_lo = fd_column(bnd, mode, -0.5, alpha, grid, eps, n_rows)
-    return col_hi - col_lo
+    inv = np.exp(-1j * (mode + 1) * grid.angles)   # w^(-mode-1) = h / w
+    mixed = _mixed_slope(eval_map(bnd, grid), eval_deriv(bnd, grid), grid.nodes,
+                         inv, -mode * inv)
+    return grid.sine_coeffs(mixed)[:n_rows]
 
 
 def numerical_jacobian(bnd: FourierBoundary, omega: float, alpha: float,
@@ -225,7 +232,7 @@ def numerical_jacobian(bnd: FourierBoundary, omega: float, alpha: float,
             warnings.warn(f"finite-difference columns drift by {drift:.2e} "
                           "under step halving", RuntimeWarning, stacklevel=2)
     mode = n_modes - 1 if mixed_mode is None else mixed_mode
-    omega_col = mixed_omega_column(bnd, mode, alpha, grid, eps, n_modes)
+    omega_col = mixed_omega_column(bnd, mode, grid, n_modes)
     return JacobianMatrix(entries=entries, omega_column=omega_col,
                           alpha=alpha, omega=omega, eps=eps)
 
@@ -299,15 +306,22 @@ def kernel_diagnostics(alpha: float, m: int, omega: float,
 
 def transversality_check(alpha: float, m: int, grid: UnitGrid | None = None,
                          tol: float = 1e-3, column: np.ndarray | None = None) -> bool:
-    """True when the mixed omega-derivative column leaves the Jacobian range.
-
-    Projects that column (or a caller-supplied replacement, for negative
-    controls) onto the numerically computed cokernel of the disc Jacobian at
-    the bifurcation value; crossing with nonzero speed means a nonzero
-    projection.
-    """
+    """True when the mixed omega-derivative column leaves the range of the disc
+    Jacobian at the closed-form omega_m (see crosses_transversally)."""
     omega = omega_dispersion(alpha, m)
-    diag = kernel_diagnostics(alpha, m, omega, grid=grid)
+    return crosses_transversally(kernel_diagnostics(alpha, m, omega, grid=grid),
+                                 tol, column)
+
+
+def crosses_transversally(diag: dict, tol: float = 1e-3,
+                          column: np.ndarray | None = None) -> bool:
+    """Transversality from one kernel_diagnostics result.
+
+    Projects the mixed omega-derivative column (or a caller-supplied
+    replacement, for negative controls) onto the numerically computed
+    cokernel of the disc Jacobian; crossing with nonzero speed means a
+    nonzero projection.
+    """
     col = diag["omega_column"] if column is None else np.asarray(column, dtype=float)
     norm = np.linalg.norm(col)
     if norm == 0.0:

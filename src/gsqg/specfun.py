@@ -1,9 +1,13 @@
 """Closed-form constants and the dispersion relation of the rotating-patch problem.
 
-Everything here is scalar arithmetic: the gamma function, Pochhammer symbols,
-digamma values at half-integers, the kernel normalization constant, and the
-angular velocities ``omega_m`` at which nontrivial m-fold patch branches
-bifurcate from the disc, together with their large-m asymptotics.
+Every rising-factorial ratio (a)_p / (b)_p and every odd-harmonic sum
+sigma_p = sum_{k<p} 1/(2k+1) in the package is a rung of one of two
+ladders defined here, one cumulative product and one cumulative sum; the
+gamma function is math.gamma with its poles typed, and the Riemann zeta
+values come from scipy.special.  On top of them sit the kernel
+normalization constant and the angular velocities ``omega_m`` at which
+nontrivial m-fold patch branches bifurcate from the disc, together with
+their large-m asymptotics.
 
 All functions are pure and safe for concurrent use.
 """
@@ -12,26 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import zeta
 
 EULER_GAMMA = 0.5772156649015328606
-
-# Lanczos coefficients, g = 7, 9 terms.  Uniform relative accuracy is a few
-# ulp for real arguments away from the poles, comfortably below 1e-13.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 class GammaPoleError(ValueError):
@@ -39,47 +28,43 @@ class GammaPoleError(ValueError):
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function for real x, continued to negative non-integers.
+    """Gamma function for real x: math.gamma with its poles 0, -1, -2, ... typed.
 
-    Lanczos approximation for x >= 0.5, reflection formula below.  Raises
-    GammaPoleError at the poles 0, -1, -2, ...
+    Raises GammaPoleError at the poles, where math.gamma raises a bare
+    ValueError.
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise GammaPoleError(f"gamma pole at x={x}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
+def rising_ratio_ladder(a: float, b: float, n: int) -> np.ndarray:
+    """(a)_p / (b)_p for p = 0..n: one cumulative product of (a+k)/(b+k).
+
+    Factor by factor, so the rungs stay finite for n in the thousands, where
+    the rising factorials themselves would overflow.
+    """
     if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    out = 1.0
-    for k in range(n):
-        out *= x + k
+        raise ValueError("rising_ratio_ladder needs n >= 0")
+    k = np.arange(n, dtype=float)
+    out = np.ones(n + 1)
+    np.cumprod((a + k) / (b + k), out=out[1:])
+    return out
+
+
+def odd_harmonic_ladder(n: int) -> np.ndarray:
+    """sigma_p = sum_{k<p} 1/(2k+1) for p = 0..n: one cumulative sum."""
+    if n < 0:
+        raise ValueError("odd_harmonic_ladder needs n >= 0")
+    out = np.zeros(n + 1)
+    np.cumsum(1.0 / (2.0 * np.arange(n) + 1.0), out=out[1:])
     return out
 
 
 def pochhammer_ratio(a: float, b: float, n: int) -> float:
-    """Product of (a+k)/(b+k) for k = 0..n-1, i.e. (a)_n / (b)_n.
-
-    Evaluated factor by factor so it stays finite for n in the thousands,
-    where the individual rising factorials would overflow.
-    """
-    if n < 0:
-        raise ValueError("pochhammer_ratio needs n >= 0")
-    if n == 0:
-        return 1.0
-    k = np.arange(n, dtype=float)
-    return float(np.prod((a + k) / (b + k)))
+    """(a)_n / (b)_n, the top rung of rising_ratio_ladder."""
+    return float(rising_ratio_ladder(a, b, n)[-1])
 
 
 def conv_constant(alpha: float) -> float:
@@ -107,13 +92,10 @@ def theta_alpha(alpha: float) -> float:
 
 
 def harmonic_odd(m: int) -> float:
-    """Sum of 1/(2k+1) for k = 1..m-1 (empty for m = 1)."""
+    """Sum of 1/(2k+1) for k = 1..m-1 (empty for m = 1), i.e. sigma_m - 1."""
     if m < 1:
         raise ValueError("harmonic_odd needs m >= 1")
-    if m == 1:
-        return 0.0
-    k = np.arange(1, m, dtype=float)
-    return float(np.sum(1.0 / (2.0 * k + 1.0)))
+    return float(odd_harmonic_ladder(m)[m]) - 1.0
 
 
 def omega_sqg(m: int) -> float:
@@ -153,44 +135,21 @@ def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
     return theta_alpha(alpha) * (1.0 - ratio)
 
 
-@lru_cache(maxsize=None)
-def zeta_odd(s: int) -> float:
-    """Riemann zeta at an odd integer s >= 3.
-
-    Direct summation of the first 2000 terms plus the Euler-Maclaurin tail;
-    the neglected remainder is below 1e-20 for every s used here.
-    """
-    if s < 3 or s % 2 == 0:
-        raise ValueError("zeta_odd expects odd s >= 3")
-    n_cut = 2000
-    n = np.arange(1, n_cut + 1, dtype=float)
-    head = float(np.sum(n ** (-float(s))))
-    tail = n_cut ** (1.0 - s) / (s - 1.0) - 0.5 * n_cut ** (-float(s)) \
-        + s * n_cut ** (-s - 1.0) / 12.0
-    return head + tail
-
-
 def zeta_tail_constant(alpha: float) -> float:
     """Odd-zeta power series entering the large-mode asymptotics.
 
-    c(alpha) = 2 sum_{j>=1} zeta(2j+1) (alpha/2)^(2j+1) / (2j+1), truncated
-    once the next term drops below 1e-15; vanishes like alpha^3 zeta(3)/12.
+    c(alpha) = 2 sum_{j>=1} zeta(2j+1) (alpha/2)^(2j+1) / (2j+1), summed over
+    j <= 60 (the terms fall below 1e-17 before j = 25 for alpha <= 1);
+    vanishes like alpha^3 zeta(3)/12.
     Satisfies the exact identity
     (1 - alpha/2) exp(alpha*euler_gamma + c) = gamma(2-alpha/2)/gamma(1+alpha/2),
     which pins the constant and is what the tests check.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("zeta_tail_constant needs alpha in [0, 1]")
-    total = 0.0
-    j = 1
-    while True:
-        p = 2 * j + 1
-        term = 2.0 * zeta_odd(p) * (alpha / 2.0) ** p / p
-        total += term
-        if term < 1e-15 or j > 60:
-            break
-        j += 1
-    return total
+    p = 2.0 * np.arange(1, 61) + 1.0
+    terms = 2.0 * zeta(p) * (alpha / 2.0) ** p / p
+    return float(np.sum(terms))
 
 
 def omega_asymptotic(alpha: float, n: int) -> float:
@@ -208,16 +167,6 @@ def omega_asymptotic(alpha: float, n: int) -> float:
     return th - amp / n ** (1.0 - alpha)
 
 
-def digamma_half_integer(n: int) -> float:
-    """digamma(n + 1/2) as the exact finite sum -gamma - 2 ln 2 + 2 sum 1/(2k+1)."""
-    if n < 0:
-        raise ValueError("digamma_half_integer needs n >= 0")
-    acc = 0.0
-    for k in range(n):
-        acc += 1.0 / (2 * k + 1)
-    return -EULER_GAMMA - 2.0 * math.log(2.0) + 2.0 * acc
-
-
 @dataclass(frozen=True)
 class DispersionTable:
     """Mode-indexed angular velocities omega_m for one fixed alpha."""
@@ -227,54 +176,30 @@ class DispersionTable:
 
     @classmethod
     def build(cls, alpha: float, m_max: int) -> "DispersionTable":
-        """Tabulate omega_m for m = 2..m_max with one cumulative product pass."""
+        """Tabulate omega_m for m = 2..m_max from one ladder pass."""
         if m_max < 2:
             raise ValueError("m_max must be >= 2")
-        vals: dict[int, float] = {}
-        if alpha == 0.0:
-            for m in range(2, m_max + 1):
-                vals[m] = (m - 1.0) / (2.0 * m)
-        elif alpha == 1.0:
-            acc = 0.0
-            for m in range(2, m_max + 1):
-                acc += 1.0 / (2.0 * (m - 1) + 1.0)
-                vals[m] = (2.0 / math.pi) * acc
+        m = np.arange(2, m_max + 1)
+        if alpha == 1.0:
+            sig = odd_harmonic_ladder(m_max)
+            vals = (2.0 / math.pi) * (sig[2:] - sig[1])
         else:
-            th = theta_alpha(alpha)
-            ratio = 1.0
-            for m in range(2, m_max + 1):
-                k = m - 2
-                ratio *= (1.0 + alpha / 2.0 + k) / (2.0 - alpha / 2.0 + k)
-                vals[m] = th * (1.0 - ratio)
-        return cls(alpha=alpha, values=vals)
+            # at alpha = 0 the ratio is 1/m and theta is 1/2: (m-1)/(2m)
+            th = 0.5 if alpha == 0.0 else theta_alpha(alpha)
+            ladder = rising_ratio_ladder(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m_max - 1)
+            vals = th * (1.0 - ladder[1:])
+        return cls(alpha=alpha, values=dict(zip(m.tolist(), vals.tolist())))
 
     def check_invariants(self) -> None:
         """Positivity, strict monotonicity, and the theta upper bound."""
         ms = sorted(self.values)
-        prev = None
-        sup = theta_alpha(self.alpha) if 0.0 < self.alpha < 1.0 else None
-        for m in ms:
-            v = self.values[m]
-            if 0.0 < self.alpha < 1.0:
-                if v <= 0.0:
-                    raise AssertionError(f"omega_{m} = {v} not positive")
-                if sup is not None and v >= sup:
-                    raise AssertionError(f"omega_{m} = {v} not below theta = {sup}")
-            if prev is not None and v <= prev:
-                raise AssertionError(f"omega values not increasing at m = {m}")
-            prev = v
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Constants of the large-mode expansion at one alpha."""
-
-    alpha: float
-    theta_alpha: float
-    c_alpha: float
-    euler_gamma: float = EULER_GAMMA
-
-    @classmethod
-    def for_alpha(cls, alpha: float) -> "AsymptoticParams":
-        return cls(alpha=alpha, theta_alpha=theta_alpha(alpha),
-                   c_alpha=zeta_tail_constant(alpha))
+        vals = np.array([self.values[m] for m in ms])
+        if 0.0 < self.alpha < 1.0:
+            sup = theta_alpha(self.alpha)
+            bad = np.flatnonzero((vals <= 0.0) | (vals >= sup))
+            if bad.size:
+                k = bad[0]
+                raise AssertionError(f"omega_{ms[k]} = {vals[k]} outside (0, theta = {sup})")
+        bad = np.flatnonzero(np.diff(vals) <= 0.0)
+        if bad.size:
+            raise AssertionError(f"omega values not increasing at m = {ms[bad[0] + 1]}")

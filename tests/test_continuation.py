@@ -3,8 +3,7 @@ import pytest
 
 import gsqg.continuation as cont
 from gsqg.continuation import (BranchTable, NonConvergenceError, VStateSolution,
-                               continue_branch, residual_on_grid, solve_vstate,
-                               verify_dilation_law)
+                               continue_branch, solve_vstate, verify_dilation_law)
 from gsqg.geometry import MFoldBoundary, UnitGrid, default_grid, embed_mfold
 from gsqg.kernels import functional_G
 from gsqg.specfun import omega_dispersion
@@ -31,7 +30,8 @@ class TestSolve:
 
     def test_grid_refinement(self):
         sol = solve_vstate(0.5, 2, 0.03, tol=1e-11)
-        fine = residual_on_grid(sol, UnitGrid(4 * sol.grid_size))
+        fine = functional_G(sol.omega, sol.full_boundary, sol.alpha,
+                            UnitGrid(4 * sol.grid_size)).sup_norm
         assert fine < 10.0 * 1e-11
 
     def test_mfold_purity(self):
@@ -171,3 +171,12 @@ class TestDilation:
     def test_domain(self, vstate_053):
         with pytest.raises(ValueError):
             verify_dilation_law(vstate_053, 0.0)
+
+    def test_critical_case(self):
+        with pytest.warns(RuntimeWarning, match="experimental"):
+            sol = solve_vstate(1.0, 3, 1e-3, k_modes=6)
+        good = verify_dilation_law(sol, 2.0)
+        assert good <= 10.0 * max(sol.residual_norm, 1e-12)
+        # omega * lam^(-1/2) is the wrong rescaling at alpha = 1
+        bad = verify_dilation_law(sol, 2.0, omega_exponent=0.5)
+        assert bad > 100.0 * max(good, sol.residual_norm)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -155,3 +158,17 @@ class TestDiagnostics:
     def test_hausdorff_ignores_reparametrization(self):
         z = ContourState.disc(256, 0.5).nodes
         assert hausdorff_distance(z, np.exp(0.37j) * z) < 5e-7
+
+
+def test_imports_nothing_from_the_spectral_solver():
+    # contour dynamics is the independent check on the solver, so it may not
+    # share the solver's code
+    tree = ast.parse(Path(ev.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert not imported & {"kernels", "linearization", "continuation"}

@@ -226,11 +226,23 @@ class TestJacobian:
     def test_mixed_omega_column_at_disc(self):
         # direction b_{m-1} responds in sine mode m with weight m/2
         for m in (2, 3, 5):
-            col = mixed_omega_column(FourierBoundary.identity(), m - 1, 0.5,
-                                     UnitGrid(128), 1e-6, 8)
+            col = mixed_omega_column(FourierBoundary.identity(), m - 1, UnitGrid(128), 8)
             expect = np.zeros(8)
             expect[m - 1] = m / 2.0
             assert np.max(np.abs(col - expect)) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_mixed_omega_column_matches_finite_differences(self, alpha):
+        # G is affine in omega: one central difference in omega of the
+        # finite-difference direction column is the mixed derivative
+        grid = UnitGrid(128)
+        for bnd in (FourierBoundary.identity(),
+                    FourierBoundary([0.0, 0.04, -0.01, 0.005, 0.002, -0.001])):
+            for mode in (1, 2, 4):
+                fd = (fd_column(bnd, mode, 0.5, alpha, grid, 1e-6, 12)
+                      - fd_column(bnd, mode, -0.5, alpha, grid, 1e-6, 12))
+                col = mixed_omega_column(bnd, mode, grid, 12)
+                assert np.max(np.abs(col - fd)) < 1e-9
 
     def test_mfold_rows_decouple(self):
         m = 3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gsqg.cli as cli
+import gsqg.linearization as lin
 from gsqg.cli import main
 from gsqg.continuation import NonConvergenceError
 from gsqg.output import format_float, json_dumps, write_csv, write_curves_svg
@@ -98,6 +99,24 @@ class TestCli:
         assert report["gap"] < 1e-7
         assert report["kernel_dimension"] == 1
         assert report["transversal"] is True
+
+    def test_scan_builds_one_disc_jacobian(self, tmp_path, monkeypatch):
+        calls = {"fd_column": 0, "numerical_jacobian": 0}
+
+        def counting(name):
+            original = getattr(lin, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(lin, name, wrapper)
+
+        counting("fd_column")
+        counting("numerical_jacobian")
+        assert run_cli(tmp_path, "scan", "--alpha", "0.5", "--m", "3") == 0
+        # 2 bracket ends + 30 bisection steps, then the 16 columns of one
+        # Jacobian; the mixed omega column is closed-form
+        assert calls == {"fd_column": 48, "numerical_jacobian": 1}
 
     def test_ellipse_test(self, tmp_path):
         assert run_cli(tmp_path, "ellipse-test", "--alpha", "0.5", "--Q", "0.3",

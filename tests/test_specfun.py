@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gsqg.specfun import (EULER_GAMMA, AsymptoticParams, DispersionTable,
-                          GammaPoleError, conv_constant, digamma_half_integer,
-                          gamma_fn, harmonic_odd, omega_asymptotic,
-                          omega_dispersion, omega_sqg, pochhammer,
-                          pochhammer_ratio, theta_alpha, zeta_odd,
-                          zeta_tail_constant)
+from scipy.special import digamma
+
+from gsqg.specfun import (EULER_GAMMA, DispersionTable, GammaPoleError,
+                          conv_constant, gamma_fn, harmonic_odd,
+                          odd_harmonic_ladder, omega_asymptotic,
+                          omega_dispersion, omega_sqg, pochhammer_ratio,
+                          rising_ratio_ladder, theta_alpha, zeta_tail_constant)
 
 SQRT_PI = 1.7724538509055159
 
@@ -40,29 +41,32 @@ class TestGamma:
 
 class TestPochhammer:
     def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
+        assert pochhammer_ratio(3.7, 1.2, 0) == 1.0
+        assert np.array_equal(rising_ratio_ladder(3.7, 1.2, 0), [1.0])
 
     def test_small(self):
-        assert pochhammer(2.0, 3) == 24.0
+        # (2)_p / (1)_p = (p+1)! / p! = p + 1
+        assert rising_ratio_ladder(2.0, 1.0, 3) == pytest.approx([1.0, 2.0, 3.0, 4.0],
+                                                                 rel=1e-15)
 
     def test_gamma_identity(self):
-        # (x)_n = gamma(x + n) / gamma(x)
-        assert pochhammer(0.25, 5) == pytest.approx(
-            gamma_fn(5.25) / gamma_fn(0.25), rel=1e-13)
+        # (a)_n / (b)_n = gamma(a + n) gamma(b) / (gamma(a) gamma(b + n))
+        assert pochhammer_ratio(0.25, 1.75, 5) == pytest.approx(
+            gamma_fn(5.25) * gamma_fn(1.75) / (gamma_fn(0.25) * gamma_fn(6.75)), rel=1e-13)
 
     def test_recurrences(self, rng):
+        # shifting both bases: (a)_n / (b)_n = (a/b) (a+1)_{n-1} / (b+1)_{n-1}
         for _ in range(200):
-            x = rng.uniform(-5.0, 5.0)
-            n = int(rng.integers(0, 21))
-            if n >= 1:
-                assert pochhammer(x, n) == pytest.approx(
-                    x * pochhammer(1.0 + x, n - 1), rel=1e-12, abs=1e-12)
-            assert pochhammer(x, n + 1) == pytest.approx(
-                (x + n) * pochhammer(x, n), rel=1e-12, abs=1e-12)
+            a, b = rng.uniform(0.05, 5.0, 2)
+            n = int(rng.integers(1, 21))
+            assert pochhammer_ratio(a, b, n) == pytest.approx(
+                a / b * pochhammer_ratio(a + 1.0, b + 1.0, n - 1), rel=1e-12)
 
     def test_ratio_matches_direct(self):
-        assert pochhammer_ratio(1.25, 1.75, 7) == pytest.approx(
-            pochhammer(1.25, 7) / pochhammer(1.75, 7), rel=1e-13)
+        k = range(7)
+        direct = math.prod(1.25 + j for j in k) / math.prod(1.75 + j for j in k)
+        assert pochhammer_ratio(1.25, 1.75, 7) == pytest.approx(direct, rel=1e-13)
+        assert rising_ratio_ladder(1.25, 1.75, 7)[-1] == pochhammer_ratio(1.25, 1.75, 7)
 
 
 class TestConvConstant:
@@ -162,7 +166,7 @@ class TestAsymptotics:
     def test_tail_constant_small_alpha(self):
         c = zeta_tail_constant(0.01)
         assert c < 1e-6
-        assert c == pytest.approx(0.01 ** 3 * zeta_odd(3) / 12.0, rel=1e-4)
+        assert c == pytest.approx(0.01 ** 3 * 1.2020569031595942 / 12.0, rel=1e-4)
 
     def test_matches_dispersion_at_large_mode(self):
         assert abs(omega_asymptotic(0.5, 1000) - omega_dispersion(0.5, 1000)) < 5e-6
@@ -181,44 +185,38 @@ class TestAsymptotics:
                            for n in range(50, 2001)])
         assert scaled[975:].max() <= scaled[:975].max()
 
-    def test_params_bundle(self):
-        p = AsymptoticParams.for_alpha(0.5)
-        assert p.theta_alpha == pytest.approx(theta_alpha(0.5))
-        assert p.c_alpha >= 0.0
-        assert p.euler_gamma == pytest.approx(0.5772156649015329, abs=1e-15)
 
 
 class TestZeta:
     def test_known_values(self):
-        from scipy.special import zeta as scipy_zeta
-        for s in (3, 5, 7, 9, 15):
-            assert zeta_odd(s) == pytest.approx(float(scipy_zeta(s)), rel=1e-14)
+        # the gamma identity of the tail constant at alpha = 1 gives ln 2 - gamma
+        assert zeta_tail_constant(0.0) == 0.0
+        assert zeta_tail_constant(1.0) == pytest.approx(math.log(2.0) - EULER_GAMMA,
+                                                        rel=1e-14)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            zeta_odd(4)
+        for a in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                zeta_tail_constant(a)
 
 
 class TestDigamma:
+    # sigma_p = (digamma(p + 1/2) + euler_gamma + 2 ln 2) / 2
     def test_n0(self):
-        assert digamma_half_integer(0) == pytest.approx(
-            -EULER_GAMMA - 2.0 * math.log(2.0), rel=1e-15)
-        assert digamma_half_integer(0) == pytest.approx(-1.9635100260214235, abs=1e-12)
+        assert np.array_equal(odd_harmonic_ladder(0), [0.0])
 
     def test_n1(self):
-        assert digamma_half_integer(1) == pytest.approx(
-            -EULER_GAMMA - 2.0 * math.log(2.0) + 2.0, rel=1e-15)
+        assert np.array_equal(odd_harmonic_ladder(1), [0.0, 1.0])
 
     def test_against_scipy(self):
-        from scipy.special import digamma
-        for n in range(0, 20):
-            assert digamma_half_integer(n) == pytest.approx(
-                float(digamma(n + 0.5)), rel=1e-12)
+        p = np.arange(20)
+        expect = (digamma(p + 0.5) + EULER_GAMMA + 2.0 * math.log(2.0)) / 2.0
+        assert odd_harmonic_ladder(19) == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
     def test_reproduces_critical_dispersion(self):
         # omega_m at alpha=1 equals -(digamma(3/2) - digamma(m+1/2))/pi
         for m in range(2, 12):
-            expect = -(digamma_half_integer(1) - digamma_half_integer(m)) / math.pi
+            expect = -(digamma(1.5) - digamma(m + 0.5)) / math.pi
             assert omega_dispersion(1.0, m) == pytest.approx(expect, rel=1e-13)
 
     def test_harmonic_odd(self):
