@@ -17,8 +17,8 @@ output         deterministic CSV / JSON / SVG emission
 cli            command-line drivers (also exposed as `python -m gsqg`)
 """
 
-from .specfun import (EULER_GAMMA, DispersionTable, GammaPoleError,
-                      conv_constant, gamma_fn, harmonic_odd,
+from .specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
+                      GammaPoleError, conv_constant, gamma_fn, harmonic_odd,
                       odd_harmonic_ladder, omega_asymptotic, omega_dispersion,
                       omega_sqg, pochhammer_ratio, rising_ratio_ladder,
                       theta_alpha, zeta_tail_constant)

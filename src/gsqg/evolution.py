@@ -20,29 +20,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .geometry import FourierBoundary, UnitGrid, eval_map
 from .specfun import conv_constant
 
 _WINDOW = 3  # cells on each side of the singular node handled by product integration
-_TILE = 128  # edge of the pair-kernel tiles; fastest of 64/88/128 at 512 nodes
+_TILE = 128  # rows per pair-kernel strip; 64 ties at 512 nodes, 256 is ~10% slower
 
 
 class ContourError(RuntimeError):
     """Self-intersection or step-size violation during evolution."""
-
-
-def _inverse_power_sq(d2: np.ndarray, alpha: float) -> np.ndarray:
-    """d^(-alpha) from the squared distance d2, in place, with cheap paths
-    for the half-integer exponents."""
-    if alpha == 1.0:
-        np.sqrt(d2, out=d2)
-        return np.reciprocal(d2, out=d2)
-    if alpha == 0.5:
-        np.sqrt(d2, out=d2)
-        np.sqrt(d2, out=d2)
-        return np.reciprocal(d2, out=d2)
-    return np.power(d2, -0.5 * alpha, out=d2)
 
 
 @dataclass(frozen=True)
@@ -111,63 +99,52 @@ def _hat_weights(alpha: float, h: float, p: int) -> tuple:
     return tuple(2.0 * wi if d == 0 else wi for d, wi in enumerate(w))
 
 
-@lru_cache(maxsize=8)
-def _band_masks(m: int) -> dict:
-    """Off-band masks of the upper tiles that meet the band |i - j| <= _WINDOW (mod m).
-
-    Keyed by the tile origin (i0, j0); tiles missing from the dict lie
-    wholly off the band.
-    """
-    masks = {}
-    for i0 in range(0, m, _TILE):
-        ii = np.arange(i0, min(i0 + _TILE, m))[:, None]
-        for j0 in range(i0, m, _TILE):
-            gap = np.abs(ii - np.arange(j0, min(j0 + _TILE, m))[None, :])
-            off = np.minimum(gap, m - gap) > _WINDOW
-            if not off.all():
-                off.flags.writeable = False
-                masks[i0, j0] = off
-    return masks
+@lru_cache(maxsize=64)
+def _off_band(m: int, i0: int) -> np.ndarray:
+    """Mask of the strip rows i0.. against columns j >= i0 that lie off the
+    band |i - j| <= _WINDOW (mod m)."""
+    gap = np.abs(np.arange(i0, min(i0 + _TILE, m))[:, None] - np.arange(i0, m)[None, :])
+    off = np.minimum(gap, m - gap) > _WINDOW
+    off.flags.writeable = False
+    return off
 
 
 def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.ndarray:
     """K @ vec for the pair kernel K[i, j] = |z_i - z_j|^(-alpha), K[i, i] = 0.
 
-    K is symmetric, so it is built in fixed tiles over j >= i and each
-    off-diagonal tile serves both (i, j) and (j, i); the working set is two
-    tile buffers whatever m is.  Raises ContourError if non-adjacent nodes
-    (outside the product-integration band) are closer than a quarter of
-    the mean node spacing.
+    K is symmetric, so it is built in strips of _TILE rows i0:i1 against the
+    columns j >= i0: one cdist of squared distances, then d^(-alpha) as
+    exp(-alpha/2 * log d^2) in place.
+    Each strip serves its own rows and, transposed, the rows below it; the
+    working set is one strip buffer.  Raises ContourError if non-adjacent
+    nodes (outside the product-integration band) are closer than a quarter
+    of the mean node spacing.  The band can only lower a strip's plain
+    minimum, so the masked off-band minimum is taken only when the plain
+    one falls below that floor.
     """
     m = len(z)
-    x, y = z.real, z.imag
-    masks = _band_masks(m)
+    pts = np.column_stack([z.real, z.imag])
     floor_sq = (float(np.mean(np.abs(np.roll(z, -1) - z))) / 4.0) ** 2
     out = np.zeros((m, vec.shape[1]))
-    buf = np.empty((2, _TILE, _TILE))
+    buf = np.empty(min(_TILE, m) * m)
     for i0 in range(0, m, _TILE):
         i1 = min(i0 + _TILE, m)
-        for j0 in range(i0, m, _TILE):
-            j1 = min(j0 + _TILE, m)
-            d2 = buf[0, :i1 - i0, :j1 - j0]
-            dy = buf[1, :i1 - i0, :j1 - j0]
-            np.subtract(x[i0:i1, None], x[None, j0:j1], out=d2)
-            np.subtract(y[i0:i1, None], y[None, j0:j1], out=dy)
-            np.square(d2, out=d2)
-            np.square(dy, out=dy)
-            d2 += dy
-            off = masks.get((i0, j0))
-            nearest_sq = d2.min() if off is None else d2.min(where=off, initial=np.inf)
+        d2 = buf[:(i1 - i0) * (m - i0)].reshape(i1 - i0, m - i0)
+        cdist(pts[i0:i1], pts[i0:], "sqeuclidean", out=d2)
+        np.fill_diagonal(d2, np.inf)
+        nearest_sq = d2.min()
+        if nearest_sq < floor_sq:
+            nearest_sq = d2.min(where=_off_band(m, i0), initial=np.inf)
             if nearest_sq < floor_sq:
                 raise ContourError(
                     f"non-adjacent nodes at distance {math.sqrt(nearest_sq):.3e} "
                     f"< spacing/4 = {math.sqrt(floor_sq):.3e}")
-            if i0 == j0:
-                np.fill_diagonal(d2, np.inf)
-            kern = _inverse_power_sq(d2, alpha)
-            out[i0:i1] += kern @ vec[j0:j1]
-            if j0 != i0:
-                out[j0:j1] += kern.T @ vec[i0:i1]
+        # d^(-alpha) = exp(-alpha/2 * log d^2) in place; the diagonal's inf gives 0
+        np.log(d2, out=d2)
+        d2 *= -0.5 * alpha
+        kern = np.exp(d2, out=d2)
+        out[i0:i1] += kern @ vec[i0:]
+        out[i1:] += kern[:, i1 - i0:].T @ vec[i0:i1]
     return out
 
 
@@ -190,7 +167,8 @@ def velocity_contour(state: ContourState, subtract: bool | None = None) -> np.nd
     gp = _spectral_tangent(z)
     rows = np.arange(m)
 
-    # one product per tile gives the convolution with gamma' and the row sum
+    # one pass over the pair-kernel strips gives the convolution with gamma'
+    # and the row sum
     vec = np.column_stack([gp.real, gp.imag, np.ones(m)])
     acc = _pair_kernel_products(z, alpha, vec)
     conv = acc[:, 0] + 1j * acc[:, 1]

@@ -27,16 +27,24 @@ class GammaPoleError(ValueError):
     """Gamma evaluated at a nonpositive integer."""
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function for real x: math.gamma with its poles 0, -1, -2, ... typed.
+class GammaOverflowError(GammaPoleError):
+    """Gamma too large for a float: x beyond ~171.6 or next to a pole."""
 
-    Raises GammaPoleError at the poles, where math.gamma raises a bare
-    ValueError.
+
+def gamma_fn(x: float) -> float:
+    """Gamma function for real x: math.gamma with its failures typed.
+
+    Raises GammaPoleError at the poles 0, -1, -2, ..., where math.gamma
+    raises a bare ValueError, and GammaOverflowError where it raises a bare
+    OverflowError.
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise GammaPoleError(f"gamma pole at x={x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise GammaOverflowError(f"gamma overflows at x={x!r}") from None
 
 
 def rising_ratio_ladder(a: float, b: float, n: int) -> np.ndarray:
@@ -110,8 +118,8 @@ def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
 
     * ``form="pochhammer"`` (default): theta_alpha * (1 - ratio of rising
       factorials), numerically stable for any m.
-    * ``form="gamma"``: the direct gamma-function expression; overflows for
-      m beyond ~170 and is kept as an independent cross-check.
+    * ``form="gamma"``: the direct gamma-function expression; raises
+      GammaOverflowError for m beyond ~170 and is kept as an independent cross-check.
 
     The endpoints use their own closed forms: (m-1)/(2m) at alpha = 0 and
     the odd harmonic sum at alpha = 1.

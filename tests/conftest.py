@@ -4,10 +4,6 @@ import pytest
 from gsqg.continuation import solve_vstate
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: multi-minute evolution or branch runs")
-
-
 @pytest.fixture(scope="session")
 def vstate_053():
     """The (alpha=0.5, m=3, s=0.03) reference solution, solved once."""

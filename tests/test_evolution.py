@@ -65,9 +65,25 @@ class TestVelocity:
         with pytest.raises(ContourError):
             velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
 
-    @pytest.mark.parametrize("n_nodes", [64, 200, 512, 1024])
+    def test_adjacent_cluster_inside_band_passes(self):
+        # adjacent nodes closer than the floor lie in the product-integration
+        # band, which the near-approach guard ignores
+        nodes = ContourState.disc(256, 0.5).nodes
+        nodes[5] = nodes[4] + 0.05 * (nodes[5] - nodes[4])
+        u = velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
+        assert np.all(np.isfinite(u))
+
+    def test_near_contact_past_first_strip_raises(self):
+        # nodes 300 and 305 are non-adjacent and both lie in the third strip
+        nodes = ContourState.disc(512, 0.5).nodes
+        nodes[300] = nodes[305] + 1e-5
+        with pytest.raises(ContourError, match="non-adjacent"):
+            velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
+
+    @pytest.mark.parametrize("n_nodes", [64, 130, 200, 512, 1024])
     def test_tiled_pair_kernel_matches_dense(self, n_nodes, monkeypatch):
-        # 200 is not a multiple of the tile edge
+        # 130 and 200 are not multiples of the strip height; 130 leaves a
+        # last strip of 2 rows
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
         for alpha, subtract in ((0.35, False), (0.5, False), (0.97, True), (1.0, True)):
             st = ContourState.from_boundary(bnd, n_nodes, alpha)

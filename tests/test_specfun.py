@@ -5,8 +5,8 @@ import pytest
 
 from scipy.special import digamma
 
-from gsqg.specfun import (EULER_GAMMA, DispersionTable, GammaPoleError,
-                          conv_constant, gamma_fn, harmonic_odd,
+from gsqg.specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
+                          GammaPoleError, conv_constant, gamma_fn, harmonic_odd,
                           odd_harmonic_ladder, omega_asymptotic,
                           omega_dispersion, omega_sqg, pochhammer_ratio,
                           rising_ratio_ladder, theta_alpha, zeta_tail_constant)
@@ -37,6 +37,16 @@ class TestGamma:
         for x in (0.0, -1.0, -7.0):
             with pytest.raises(GammaPoleError):
                 gamma_fn(x)
+
+    @pytest.mark.parametrize("x", [172.0, 5e-324])
+    def test_overflow_is_typed(self, x):
+        # beyond ~171.6 and next to the pole at 0 math.gamma overflows
+        with pytest.raises(GammaOverflowError):
+            gamma_fn(x)
+
+    def test_gamma_form_overflow_is_typed(self):
+        with pytest.raises(GammaOverflowError):
+            omega_dispersion(0.5, 175, form="gamma")
 
 
 class TestPochhammer:
