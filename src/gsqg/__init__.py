@@ -11,7 +11,8 @@ geometry       boundaries as exterior conformal-map Fourier coefficients
 kernels        exact circle moments and the nonlinear patch functional
 linearization  Fourier multipliers, discrete Jacobians, bifurcation scans
 continuation   Newton solver and amplitude continuation for m-fold branches
-evolution      Lagrangian contour dynamics (independent of the spectral path)
+evolution      contour dynamics, Lagrangian and normal-velocity stepping
+               (independent of the spectral path)
 oracles        adaptive-quadrature references for the closed-form moments
 output         deterministic CSV / JSON / SVG emission
 cli            command-line drivers (also exposed as `python -m gsqg`)
@@ -41,7 +42,9 @@ from .continuation import (BranchTable, FoldError, NonConvergenceError,
                            VStateSolution, continue_branch, solve_vstate,
                            verify_dilation_law)
 from .evolution import (ContourError, ContourState, conserved_diagnostics,
-                        evolve, hausdorff_distance, normal_velocity_residual,
-                        redistribute, step_rk4, velocity_contour)
+                        evolve, evolve_normal, hausdorff_distance,
+                        normal_node_velocity, normal_velocity_residual,
+                        redistribute, stability_step, step_normal, step_rk4,
+                        velocity_contour)
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ from . import oracles
 from .continuation import (FoldError, NonConvergenceError, continue_branch,
                            solve_vstate)
 from .evolution import (ContourError, ContourState, conserved_diagnostics, evolve,
-                        hausdorff_distance, normal_velocity_residual,
-                        velocity_contour)
+                        evolve_normal, hausdorff_distance, normal_node_velocity,
+                        normal_velocity_residual, redistribute, stability_step)
 from .geometry import FourierBoundary, UnitGrid, eval_map
 from .kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                       ellipse_moment_ratio, functional_G, singular_moment_I,
@@ -62,6 +62,11 @@ def _check_alpha(alpha: float, *, lo: float = 0.0, hi: float = 1.0,
         kind = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
         raise ConfigError(f"alpha = {alpha} outside {kind}")
     return alpha
+
+
+def _check_nodes(nodes: int) -> None:
+    if nodes < 8 or nodes % 2:
+        raise ConfigError(f"nodes = {nodes} must be even and at least 8")
 
 
 def _fail(reason: str) -> int:
@@ -258,6 +263,7 @@ def cmd_evolve(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True)
     if args.t_final <= 0 or args.dt <= 0:
         raise ConfigError("need positive --t-final and --dt")
+    _check_nodes(args.nodes)
     out = _outdir(args)
     state = _initial_contour(args, alpha)
     area0, cent0 = conserved_diagnostics(state)
@@ -289,16 +295,21 @@ def cmd_rigid_check(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True)
     if args.m < 2:
         raise ConfigError("m must be >= 2")
+    _check_nodes(args.nodes)
     out = _outdir(args)
     sol = solve_vstate(alpha, args.m, args.s)
     state0 = ContourState.from_boundary(sol.full_boundary, args.nodes, alpha)
     normal_res = normal_velocity_residual(state0, sol.omega)
     t_quarter = np.pi / (2.0 * sol.omega)
-    u0 = velocity_contour(state0)
-    spacing = float(np.mean(np.abs(np.roll(state0.nodes, -1) - state0.nodes)))
-    dt = 0.95 * spacing / (4.0 * float(np.max(np.abs(u0))))
-    n_steps = int(np.ceil(t_quarter / dt))
-    state1 = evolve(state0, t_quarter, t_quarter / n_steps)
+    # normal-velocity stepping from equal arclength; the step is the smaller
+    # of the RK4 stability rule and 0.95 of the quarter-spacing guard
+    start = redistribute(state0)
+    v0 = normal_node_velocity(start)
+    spacing = float(np.mean(np.abs(np.roll(start.nodes, -1) - start.nodes)))
+    dt_guard = 0.95 * spacing / (4.0 * float(np.max(np.abs(v0))))
+    dt_stability = stability_step(start)
+    n_steps = int(np.ceil(t_quarter / min(dt_stability, dt_guard)))
+    state1 = evolve_normal(start, t_quarter, t_quarter / n_steps)
     rotated = np.exp(1j * sol.omega * t_quarter) * state0.nodes
     dist = hausdorff_distance(state1.nodes, rotated)
     area0, cent0 = conserved_diagnostics(state0)
@@ -311,6 +322,8 @@ def cmd_rigid_check(args) -> int:
                       {"alpha": alpha, "m": args.m, "s": args.s,
                        "omega": sol.omega, "nodes": args.nodes,
                        "steps": n_steps, "quarter_period": t_quarter,
+                       "dt": t_quarter / n_steps, "dt_stability": dt_stability,
+                       "dt_guard": dt_guard,
                        "normal_velocity_residual": normal_res,
                        "hausdorff": dist, "area_drift": d_area,
                        "centroid_drift": d_cent})

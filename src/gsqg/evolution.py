@@ -1,12 +1,19 @@
-"""Lagrangian contour dynamics for patch boundaries.
+"""Contour dynamics for patch boundaries.
 
 The boundary velocity is the power-law layer integral of the tangent
 vector.  Discretization is deliberately independent of the spectral
-machinery used by the solver: plain trapezoid over the Lagrangian nodes,
-with the integrable singularity handled by product integration of
+machinery used by the solver: plain trapezoid over the nodes, with the
+integrable singularity handled by product integration of
 |s - sigma|^(-alpha) against a piecewise-linear interpolant of the smooth
 factor on a few cells around the target node.  Leading quadrature error is
 tangential, so shapes evolve more accurately than node positions.
+
+Two node motions share one RK4 step: Lagrangian (`step_rk4`, nodes move with
+the full velocity) and normal-velocity (`step_normal`, nodes move with the
+normal velocity plus a tangential velocity that keeps the arclength spacing
+equal, after Hou, Lowengrub & Shelley, JCP 1994).  Only the normal velocity
+moves the curve, and on a rotating patch it is far smaller than the node
+speed, so the second motion takes its step from RK4 stability instead.
 
 States are immutable snapshots; stepping returns new states.
 """
@@ -23,10 +30,20 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .geometry import FourierBoundary, UnitGrid, eval_map
-from .specfun import conv_constant
+from .specfun import conv_constant, omega_dispersion
 
 _WINDOW = 3  # cells on each side of the singular node handled by product integration
 _TILE = 128  # rows per pair-kernel strip; 64 ties at 512 nodes, 256 is ~10% slower
+# normal-velocity filter exp(-_FILTER_DECAY (|k|/(N/2))^_FILTER_ORDER): the
+# decay takes the Nyquist mode to e^-36 ~ 2e-16, machine precision; the
+# order keeps every mode below 0.8 N/2 within 1.2% of 1, so only the top
+# fifth of the spectrum, where the scheme's high modes grow, is damped
+_FILTER_DECAY = 36.0
+_FILTER_ORDER = 36
+# fraction of the RK4 stability reach (2 sqrt 2 on the imaginary axis) used
+# by `stability_step`: the disc-mode estimate of the top frequency ignores the
+# shape and the quadrature, so the step keeps a 20% margin
+_STABILITY_SAFETY = 0.8
 
 
 class ContourError(RuntimeError):
@@ -65,12 +82,42 @@ class ContourState:
         return cls(nodes=radius * grid.nodes, time=0.0, alpha=alpha)
 
 
-def _spectral_tangent(nodes: np.ndarray) -> np.ndarray:
-    """d(gamma)/d(sigma) for the uniform Lagrangian parameter, via FFT."""
-    m = len(nodes)
+@lru_cache(maxsize=16)
+def _wavenumbers(m: int) -> np.ndarray:
+    """Integer wavenumbers of an m-point periodic sequence; for even m the
+    unmatched Nyquist mode is zeroed (odd m has none)."""
     k = np.fft.fftfreq(m, d=1.0 / m)
-    k[m // 2] = 0.0   # drop the unmatched Nyquist mode of the derivative
-    return np.fft.ifft(1j * k * np.fft.fft(nodes))
+    if m % 2 == 0:
+        k[m // 2] = 0.0
+    k.flags.writeable = False
+    return k
+
+
+def _spectral_tangent(nodes: np.ndarray) -> np.ndarray:
+    """d(gamma)/d(sigma) for the uniform node parameter, via FFT."""
+    return np.fft.ifft(1j * _wavenumbers(len(nodes)) * np.fft.fft(nodes))
+
+
+def _spectral_antiderivative(f: np.ndarray) -> np.ndarray:
+    """The zero-mean periodic antiderivative of the zero-mean real samples f."""
+    k = _wavenumbers(len(f))
+    spec = np.fft.fft(f)
+    inv = np.zeros_like(spec)
+    live = k != 0
+    inv[live] = spec[live] / (1j * k[live])
+    return np.fft.ifft(inv).real
+
+
+@lru_cache(maxsize=16)
+def _velocity_filter(m: int) -> np.ndarray:
+    k = np.abs(np.fft.fftfreq(m, d=1.0 / m)) / (m / 2.0)
+    filt = np.exp(-_FILTER_DECAY * k ** _FILTER_ORDER)
+    filt.flags.writeable = False
+    return filt
+
+
+def _mean_spacing(z: np.ndarray) -> float:
+    return float(np.mean(np.abs(np.roll(z, -1) - z)))
 
 
 @lru_cache(maxsize=32)
@@ -124,7 +171,7 @@ def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.nd
     """
     m = len(z)
     pts = np.column_stack([z.real, z.imag])
-    floor_sq = (float(np.mean(np.abs(np.roll(z, -1) - z))) / 4.0) ** 2
+    floor_sq = (_mean_spacing(z) / 4.0) ** 2
     out = np.zeros((m, vec.shape[1]))
     buf = np.empty(min(_TILE, m) * m)
     for i0 in range(0, m, _TILE):
@@ -201,22 +248,73 @@ def _advance(state: ContourState, new_nodes: np.ndarray, dt: float) -> ContourSt
     return ContourState(nodes=new_nodes, time=state.time + dt, alpha=state.alpha)
 
 
-def step_rk4(state: ContourState, dt: float,
-             subtract: bool | None = None) -> ContourState:
-    """One classical four-stage step of the contour equation.
+def _rk4(state: ContourState, dt: float, velocity) -> ContourState:
+    """One classical four-stage step of dz/dt = velocity(state).
 
-    Enforces dt * max speed < node spacing / 4 before committing the step.
+    Enforces dt * max node speed < node spacing / 4 before committing the step.
     """
     z = state.nodes
-    k1 = velocity_contour(state, subtract)
-    spacing = float(np.mean(np.abs(np.roll(z, -1) - z)))
+    k1 = velocity(state)
+    spacing = _mean_spacing(z)
     if dt * float(np.max(np.abs(k1))) >= spacing / 4.0:
         raise ContourError(f"dt = {dt:.3e} violates the quarter-spacing bound "
                            f"{spacing / (4.0 * float(np.max(np.abs(k1)))):.3e}")
-    k2 = velocity_contour(_advance(state, z + 0.5 * dt * k1, 0.5 * dt), subtract)
-    k3 = velocity_contour(_advance(state, z + 0.5 * dt * k2, 0.5 * dt), subtract)
-    k4 = velocity_contour(_advance(state, z + dt * k3, dt), subtract)
+    k2 = velocity(_advance(state, z + 0.5 * dt * k1, 0.5 * dt))
+    k3 = velocity(_advance(state, z + 0.5 * dt * k2, 0.5 * dt))
+    k4 = velocity(_advance(state, z + dt * k3, dt))
     return _advance(state, z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt)
+
+
+def step_rk4(state: ContourState, dt: float,
+             subtract: bool | None = None) -> ContourState:
+    """One RK4 step with the nodes moving at the full (Lagrangian) velocity."""
+    return _rk4(state, dt, lambda st: velocity_contour(st, subtract))
+
+
+def normal_node_velocity(state: ContourState, subtract: bool | None = None) -> np.ndarray:
+    """Node velocity U_n n + T t of the equal-arclength formulation, filtered.
+
+    U_n is the normal component of `velocity_contour` (the same for either
+    kernel); n is the outward normal and t the unit tangent.  T is the
+    zero-mean solution of dT/dsigma = <kappa U_n |z_sigma|> - kappa U_n |z_sigma|,
+    which makes d|z_sigma|/dt the same at every node, so equal spacing stays
+    equal.  The velocity passes through the fixed spectral filter
+    exp(-36 (|k|/(N/2))^36).
+    """
+    z = state.nodes
+    zs = _spectral_tangent(z)
+    speed = np.abs(zs)
+    tangent = zs / speed
+    normal = -1j * tangent
+    un = (velocity_contour(state, subtract) * np.conj(normal)).real
+    # kappa |z_sigma| = Im(conj(z_sigma) z_sigma_sigma) / |z_sigma|^2
+    stretch = un * (np.conj(zs) * _spectral_tangent(zs)).imag / speed ** 2
+    tang = _spectral_antiderivative(stretch.mean() - stretch)
+    vel = un * normal + tang * tangent
+    return np.fft.ifft(np.fft.fft(vel) * _velocity_filter(state.size))
+
+
+def step_normal(state: ContourState, dt: float,
+                subtract: bool | None = None) -> ContourState:
+    """One RK4 step with the nodes moving at `normal_node_velocity`."""
+    return _rk4(state, dt, lambda st: normal_node_velocity(st, subtract))
+
+
+def stability_step(state: ContourState) -> float:
+    """RK4 stability bound on the step of `step_normal`.
+
+    On a disc of radius R the normal-velocity mode k turns at the rate
+    k Omega_k(alpha) R^(-alpha); the top mode k = N/2 of N equally spaced
+    nodes (spacing ds = 2 pi R / N) is stable while that rate times dt stays
+    inside RK4's reach 2 sqrt 2 on the imaginary axis:
+    dt = 0.8 * 2 sqrt 2 ds / (pi Omega_{N/2} R^(1-alpha)), R = sqrt(area / pi).
+    Under z -> lambda z the bound scales as lambda^alpha, like the clock.
+    """
+    area, _ = conserved_diagnostics(state)
+    radius = math.sqrt(area / math.pi)
+    top = omega_dispersion(state.alpha, state.size // 2)
+    return (_STABILITY_SAFETY * 2.0 * math.sqrt(2.0) * _mean_spacing(state.nodes)
+            / (math.pi * top * radius ** (1.0 - state.alpha)))
 
 
 def redistribute(state: ContourState) -> ContourState:
@@ -239,13 +337,17 @@ def redistribute(state: ContourState) -> ContourState:
                         alpha=state.alpha)
 
 
-def evolve(state: ContourState, t_final: float, dt: float,
-           subtract: bool | None = None, redistribute_every: int = 20) -> ContourState:
-    """March to t_final in uniform steps, resampling periodically."""
+def _steps(t_final: float, dt: float) -> tuple[int, float]:
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError("need positive horizon and step")
     n_steps = max(1, int(round(t_final / dt)))
-    dt = t_final / n_steps
+    return n_steps, t_final / n_steps
+
+
+def evolve(state: ContourState, t_final: float, dt: float,
+           subtract: bool | None = None, redistribute_every: int = 20) -> ContourState:
+    """March to t_final in uniform Lagrangian steps, resampling periodically."""
+    n_steps, dt = _steps(t_final, dt)
     cur = state
     for k in range(1, n_steps + 1):
         cur = step_rk4(cur, dt, subtract)
@@ -254,28 +356,49 @@ def evolve(state: ContourState, t_final: float, dt: float,
     return cur
 
 
+def evolve_normal(state: ContourState, t_final: float, dt: float,
+                  subtract: bool | None = None) -> ContourState:
+    """March to t_final in uniform `step_normal` steps.
+
+    The motion keeps the node spacing as it finds it, so pass a
+    `redistribute`d state for equal arclength spacing.
+    """
+    n_steps, dt = _steps(t_final, dt)
+    cur = state
+    for _ in range(n_steps):
+        cur = step_normal(cur, dt, subtract)
+    return cur
+
+
 def conserved_diagnostics(state: ContourState) -> tuple[float, complex]:
-    """(area, centroid) of the node polygon via the shoelace formulas."""
+    """(area, centroid) of the trigonometric interpolant of the nodes.
+
+    area = 1/2 oint Im(conj(z) z') and the first moment
+    int z dA = 1/3 oint z Im(conj(z) z'), by the trapezoid rule with the
+    spectral z'.  Unlike the polygon (shoelace) values these do not move
+    when nodes only slide along the curve.
+    """
     z = state.nodes
-    x, y = z.real, z.imag
-    x1, y1 = np.roll(x, -1), np.roll(y, -1)
-    cross = x * y1 - x1 * y
-    area = 0.5 * float(np.sum(cross))
-    cx = float(np.sum((x + x1) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + y1) * cross)) / (6.0 * area)
-    return area, cx + 1j * cy
+    flux = (np.conj(z) * _spectral_tangent(z)).imag
+    total = float(np.sum(flux))
+    area = np.pi / state.size * total
+    return area, complex(2.0 / 3.0 * np.sum(z * flux) / total)
 
 
 def _trig_upsample(z: np.ndarray, factor: int) -> np.ndarray:
-    """Trigonometric interpolation of a periodic node sequence."""
+    """Trigonometric interpolation of a periodic node sequence.
+
+    For even length the Nyquist coefficient is split between +m/2 and -m/2;
+    odd lengths have no Nyquist mode.
+    """
     m = len(z)
     spec = np.fft.fft(z)
     big = np.zeros(m * factor, dtype=complex)
     half = m // 2
-    big[:half] = spec[:half]
-    big[-half + 1:] = spec[half + 1:]
-    big[half] = 0.5 * spec[half]
-    big[-half] = 0.5 * spec[half]
+    big[:m - half] = spec[:m - half]
+    big[-half:] = spec[m - half:]
+    if m % 2 == 0:
+        big[half] = big[-half] = 0.5 * spec[half]
     return np.fft.ifft(big) * factor
 
 

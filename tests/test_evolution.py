@@ -6,12 +6,20 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 import gsqg.evolution as ev
+from gsqg.continuation import solve_vstate
 from gsqg.evolution import (ContourError, ContourState, conserved_diagnostics,
-                            evolve, hausdorff_distance,
-                            normal_velocity_residual, redistribute, step_rk4,
+                            evolve, evolve_normal, hausdorff_distance,
+                            normal_node_velocity, normal_velocity_residual,
+                            redistribute, stability_step, step_normal, step_rk4,
                             velocity_contour)
 from gsqg.geometry import FourierBoundary, MFoldBoundary, embed_mfold
 from gsqg.specfun import theta_alpha
+
+
+def sampled_ellipse(m: int, a: float = 1.3) -> tuple[np.ndarray, np.ndarray]:
+    """m nodes of the ellipse a cos t + i sin t / a, and the exact dz/dt there."""
+    t = 2.0 * np.pi * np.arange(m) / m
+    return a * np.cos(t) + 1j * np.sin(t) / a, -a * np.sin(t) + 1j * np.cos(t) / a
 
 
 class TestVelocity:
@@ -154,6 +162,86 @@ class TestStepping:
         assert hausdorff_distance(big.nodes, 2.0 * small.nodes) < 1e-5
 
 
+class TestNormalStepping:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.97, 1.0])
+    def test_disc_is_a_fixed_point(self, alpha):
+        assert np.abs(normal_node_velocity(ContourState.disc(256, alpha))).max() <= 1e-13
+
+    def test_keeps_equal_spacing(self):
+        start = redistribute(ContourState.from_boundary(FourierBoundary.ellipse(0.3), 256, 0.5))
+        end = evolve_normal(start, 0.5, stability_step(start))
+        seg = np.abs(np.diff(np.append(end.nodes, end.nodes[0])))
+        assert seg.std() / seg.mean() < 1e-4
+
+    def test_agrees_with_lagrangian_on_ellipse(self):
+        # a non-steady shape: the two node motions trace the same curve; the
+        # measured gap is 2.3e-6, against 8.8e-7 between Lagrangian steps of
+        # 2e-3 and 1e-3
+        st0 = ContourState.from_boundary(FourierBoundary.ellipse(0.3), 256, 0.5)
+        lagrangian = evolve(st0, 0.5, 2e-3)
+        start = redistribute(st0)
+        normal = evolve_normal(start, 0.5, stability_step(start))
+        assert normal.time == pytest.approx(0.5)
+        assert hausdorff_distance(lagrangian.nodes, normal.nodes) < 1e-5
+
+    @pytest.mark.parametrize("lam", [0.3, 2.0])
+    def test_stability_step_follows_the_dilation_clock(self, lam):
+        # z -> lam z rescales time by lam^alpha (test_dilation_clock_rescaling)
+        a = 0.5
+        st = ContourState.from_boundary(FourierBoundary.ellipse(0.3), 256, a)
+        big = ContourState(nodes=lam * st.nodes, time=0.0, alpha=a)
+        assert stability_step(big) / stability_step(st) == pytest.approx(lam ** a, rel=1e-12)
+
+    def test_unstable_step_fails_typed(self, vstate_053):
+        # three times the rule's step: high modes grow until the step guard
+        # trips, before any node turns non-finite
+        start = redistribute(ContourState.from_boundary(vstate_053.full_boundary, 256, 0.5))
+        dt = 3.0 * stability_step(start)
+        cur = start
+        with pytest.raises(ContourError):
+            for _ in range(200):
+                cur = step_normal(cur, dt)
+                assert np.all(np.isfinite(cur.nodes))
+
+    def test_filter_holds_the_top_modes(self, vstate_053):
+        # unfiltered, the modes above 0.8 N/2 grow about 30x every 40 steps
+        # at the rule's step (1.4e-13 -> 6.7e-10 over 160); filtered they stay
+        # at rounding level
+        start = redistribute(ContourState.from_boundary(vstate_053.full_boundary, 256, 0.5))
+        dt = stability_step(start)
+        cur = start
+        for _ in range(160):
+            cur = step_normal(cur, dt)
+        top = np.abs(np.fft.fftfreq(256, d=1.0 / 256)) > 0.8 * 128
+        assert np.abs(np.fft.fft(cur.nodes) / 256)[top].max() < 1e-11
+
+    def test_shares_the_step_guard(self, monkeypatch):
+        st = ContourState.disc(64, 0.5)
+        monkeypatch.setattr(ev, "normal_node_velocity",
+                            lambda state, subtract=None: np.full(state.size, 10.0 + 0j))
+        with pytest.raises(ContourError, match="quarter-spacing"):
+            step_normal(st, 0.1)
+
+
+class TestOddNodeCounts:
+    @pytest.mark.parametrize("m", [7, 255])
+    def test_tangent_of_odd_ellipse(self, m):
+        z, dz = sampled_ellipse(m)
+        assert np.abs(ev._spectral_tangent(z) - dz).max() < 1e-12
+
+    def test_tangent_keeps_top_odd_mode(self):
+        # mode 3 is the top mode of 7 nodes, not a Nyquist mode
+        t = 2.0 * np.pi * np.arange(7) / 7
+        z = np.exp(1j * t) + 0.2 * np.exp(3j * t)
+        exact = 1j * np.exp(1j * t) + 0.6j * np.exp(3j * t)
+        assert np.abs(ev._spectral_tangent(z) - exact).max() < 1e-14
+
+    @pytest.mark.parametrize("m", [255, 257])
+    def test_hausdorff_odd_against_even(self, m):
+        # the same ellipse at m and 256 nodes; the gap left is chord sag, 3.7e-7
+        assert hausdorff_distance(sampled_ellipse(m)[0], sampled_ellipse(256)[0]) < 1e-6
+
+
 class TestDiagnostics:
     def test_unit_disc(self):
         area, cent = conserved_diagnostics(ContourState.disc(4096, 0.5))
@@ -166,6 +254,16 @@ class TestDiagnostics:
         nodes = 1.3 * np.cos(theta) + 1j * np.sin(theta) / 1.3
         area, _ = conserved_diagnostics(ContourState(nodes=nodes, time=0.0, alpha=0.5))
         assert area == pytest.approx(np.pi, rel=1e-5)
+
+    def test_area_ignores_redistribution(self):
+        # nodes that only slide along the curve keep the spectral area; the
+        # polygon area moved by 1.1e-5 here
+        sol = solve_vstate(0.5, 3, 0.2)
+        st = ContourState.from_boundary(sol.full_boundary, 512, 0.5)
+        a0, c0 = conserved_diagnostics(st)
+        a1, c1 = conserved_diagnostics(redistribute(st))
+        assert abs(a1 - a0) / a0 < 1e-8
+        assert abs(c1 - c0) < 1e-8
 
     def test_hausdorff_detects_radial_motion(self):
         z = ContourState.disc(256, 0.5).nodes

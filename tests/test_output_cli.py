@@ -172,6 +172,28 @@ class TestCli:
         assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--t-final", "0.1",
                        "--dt", "-1") == 2
 
+    def test_evolve_bad_nodes_exits_2(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--t-final", "0.1",
+                       "--dt", "0.01", "--nodes", "3") == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes", ["65", "0"])
+    def test_rigid_check_bad_nodes_exits_2(self, tmp_path, capsys, nodes):
+        assert run_cli(tmp_path, "rigid-check", "--alpha", "0.5", "--nodes", nodes) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_rigid_check_reports_its_step(self, tmp_path):
+        for sub in ("a", "b"):
+            assert run_cli(tmp_path / sub, "rigid-check", "--alpha", "0.5",
+                           "--nodes", "256") == 0
+        first = (tmp_path / "a" / "rigid_m3.json").read_bytes()
+        assert first == (tmp_path / "b" / "rigid_m3.json").read_bytes()
+        rep = json.loads(first)
+        bound = min(rep["dt_stability"], rep["dt_guard"])
+        assert rep["steps"] == math.ceil(rep["quarter_period"] / bound)
+        assert rep["dt"] == pytest.approx(rep["quarter_period"] / rep["steps"], rel=1e-15)
+        assert rep["dt"] <= bound
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GSQG_OUTPUT_DIR", str(tmp_path / "envdir"))
         assert main(["dispersion", "--alpha", "0.5", "--m-max", "3"]) == 0
