@@ -43,8 +43,8 @@ from .continuation import (BranchTable, FoldError, NonConvergenceError,
                            verify_dilation_law)
 from .evolution import (ContourError, ContourState, conserved_diagnostics,
                         evolve, evolve_normal, hausdorff_distance,
-                        normal_node_velocity, normal_velocity_residual,
-                        redistribute, stability_step, step_normal, step_rk4,
-                        velocity_contour)
+                        normal_node_velocity, normal_step_bounds,
+                        normal_velocity_residual, redistribute, stability_step,
+                        step_normal, step_rk4, velocity_contour)
 
 __version__ = "0.1.0"

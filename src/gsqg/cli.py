@@ -22,8 +22,8 @@ from . import oracles
 from .continuation import (FoldError, NonConvergenceError, continue_branch,
                            solve_vstate)
 from .evolution import (ContourError, ContourState, conserved_diagnostics, evolve,
-                        evolve_normal, hausdorff_distance, normal_node_velocity,
-                        normal_velocity_residual, redistribute, stability_step)
+                        evolve_normal, hausdorff_distance, normal_step_bounds,
+                        normal_velocity_residual, redistribute)
 from .geometry import FourierBoundary, UnitGrid, eval_map
 from .kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                       ellipse_moment_ratio, functional_G, singular_moment_I,
@@ -304,10 +304,7 @@ def cmd_rigid_check(args) -> int:
     # normal-velocity stepping from equal arclength; the step is the smaller
     # of the RK4 stability rule and 0.95 of the quarter-spacing guard
     start = redistribute(state0)
-    v0 = normal_node_velocity(start)
-    spacing = float(np.mean(np.abs(np.roll(start.nodes, -1) - start.nodes)))
-    dt_guard = 0.95 * spacing / (4.0 * float(np.max(np.abs(v0))))
-    dt_stability = stability_step(start)
+    dt_stability, dt_guard = normal_step_bounds(start)
     n_steps = int(np.ceil(t_quarter / min(dt_stability, dt_guard)))
     state1 = evolve_normal(start, t_quarter, t_quarter / n_steps)
     rotated = np.exp(1j * sol.omega * t_quarter) * state0.nodes

@@ -44,6 +44,9 @@ _FILTER_ORDER = 36
 # by `stability_step`: the disc-mode estimate of the top frequency ignores the
 # shape and the quadrature, so the step keeps a 20% margin
 _STABILITY_SAFETY = 0.8
+# share of the quarter-spacing bound taken by `normal_step_bounds`, so that
+# the first step clears the guard `_rk4` re-checks on the node velocity
+_GUARD_MARGIN = 0.95
 
 
 class ContourError(RuntimeError):
@@ -118,6 +121,13 @@ def _velocity_filter(m: int) -> np.ndarray:
 
 def _mean_spacing(z: np.ndarray) -> float:
     return float(np.mean(np.abs(np.roll(z, -1) - z)))
+
+
+def _guard_step(z: np.ndarray, velocity: np.ndarray) -> float:
+    """The quarter-spacing bound: the step at which the fastest node moves a
+    quarter of the mean spacing (inf for a field at rest)."""
+    top = float(np.max(np.abs(velocity)))
+    return _mean_spacing(z) / (4.0 * top) if top > 0.0 else math.inf
 
 
 @lru_cache(maxsize=32)
@@ -255,10 +265,9 @@ def _rk4(state: ContourState, dt: float, velocity) -> ContourState:
     """
     z = state.nodes
     k1 = velocity(state)
-    spacing = _mean_spacing(z)
-    if dt * float(np.max(np.abs(k1))) >= spacing / 4.0:
-        raise ContourError(f"dt = {dt:.3e} violates the quarter-spacing bound "
-                           f"{spacing / (4.0 * float(np.max(np.abs(k1)))):.3e}")
+    bound = _guard_step(z, k1)
+    if dt >= bound:
+        raise ContourError(f"dt = {dt:.3e} violates the quarter-spacing bound {bound:.3e}")
     k2 = velocity(_advance(state, z + 0.5 * dt * k1, 0.5 * dt))
     k3 = velocity(_advance(state, z + 0.5 * dt * k2, 0.5 * dt))
     k4 = velocity(_advance(state, z + dt * k3, dt))
@@ -271,13 +280,13 @@ def step_rk4(state: ContourState, dt: float,
     return _rk4(state, dt, lambda st: velocity_contour(st, subtract))
 
 
-def normal_node_velocity(state: ContourState, subtract: bool | None = None) -> np.ndarray:
+def normal_node_velocity(state: ContourState) -> np.ndarray:
     """Node velocity U_n n + T t of the equal-arclength formulation, filtered.
 
-    U_n is the normal component of `velocity_contour` (the same for either
-    kernel); n is the outward normal and t the unit tangent.  T is the
-    zero-mean solution of dT/dsigma = <kappa U_n |z_sigma|> - kappa U_n |z_sigma|,
-    which makes d|z_sigma|/dt the same at every node, so equal spacing stays
+    U_n is the normal component of `velocity_contour` with its default
+    kernel (U_n is the same for the plain and the subtracted one); n is the
+    outward normal and t the unit tangent.  T is the zero-mean solution of
+    dT/dsigma = <kappa U_n |z_sigma|> - kappa U_n |z_sigma|, which makes d|z_sigma|/dt the same at every node, so equal spacing stays
     equal.  The velocity passes through the fixed spectral filter
     exp(-36 (|k|/(N/2))^36).
     """
@@ -286,7 +295,7 @@ def normal_node_velocity(state: ContourState, subtract: bool | None = None) -> n
     speed = np.abs(zs)
     tangent = zs / speed
     normal = -1j * tangent
-    un = (velocity_contour(state, subtract) * np.conj(normal)).real
+    un = (velocity_contour(state) * np.conj(normal)).real
     # kappa |z_sigma| = Im(conj(z_sigma) z_sigma_sigma) / |z_sigma|^2
     stretch = un * (np.conj(zs) * _spectral_tangent(zs)).imag / speed ** 2
     tang = _spectral_antiderivative(stretch.mean() - stretch)
@@ -294,10 +303,9 @@ def normal_node_velocity(state: ContourState, subtract: bool | None = None) -> n
     return np.fft.ifft(np.fft.fft(vel) * _velocity_filter(state.size))
 
 
-def step_normal(state: ContourState, dt: float,
-                subtract: bool | None = None) -> ContourState:
+def step_normal(state: ContourState, dt: float) -> ContourState:
     """One RK4 step with the nodes moving at `normal_node_velocity`."""
-    return _rk4(state, dt, lambda st: normal_node_velocity(st, subtract))
+    return _rk4(state, dt, normal_node_velocity)
 
 
 def stability_step(state: ContourState) -> float:
@@ -315,6 +323,17 @@ def stability_step(state: ContourState) -> float:
     top = omega_dispersion(state.alpha, state.size // 2)
     return (_STABILITY_SAFETY * 2.0 * math.sqrt(2.0) * _mean_spacing(state.nodes)
             / (math.pi * top * radius ** (1.0 - state.alpha)))
+
+
+def normal_step_bounds(state: ContourState) -> tuple[float, float]:
+    """(dt_stability, dt_guard) for `step_normal` runs from `state`.
+
+    dt_stability is `stability_step`; dt_guard is 0.95 of the quarter-spacing
+    bound that `_rk4` enforces, on the node velocity at `state`.  A run steps
+    at the smaller of the two.
+    """
+    guard = _guard_step(state.nodes, normal_node_velocity(state))
+    return stability_step(state), _GUARD_MARGIN * guard
 
 
 def redistribute(state: ContourState) -> ContourState:
@@ -356,8 +375,7 @@ def evolve(state: ContourState, t_final: float, dt: float,
     return cur
 
 
-def evolve_normal(state: ContourState, t_final: float, dt: float,
-                  subtract: bool | None = None) -> ContourState:
+def evolve_normal(state: ContourState, t_final: float, dt: float) -> ContourState:
     """March to t_final in uniform `step_normal` steps.
 
     The motion keeps the node spacing as it finds it, so pass a
@@ -366,7 +384,7 @@ def evolve_normal(state: ContourState, t_final: float, dt: float,
     n_steps, dt = _steps(t_final, dt)
     cur = state
     for _ in range(n_steps):
-        cur = step_normal(cur, dt, subtract)
+        cur = step_normal(cur, dt)
     return cur
 
 

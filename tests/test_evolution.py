@@ -9,9 +9,9 @@ import gsqg.evolution as ev
 from gsqg.continuation import solve_vstate
 from gsqg.evolution import (ContourError, ContourState, conserved_diagnostics,
                             evolve, evolve_normal, hausdorff_distance,
-                            normal_node_velocity, normal_velocity_residual,
-                            redistribute, stability_step, step_normal, step_rk4,
-                            velocity_contour)
+                            normal_node_velocity, normal_step_bounds,
+                            normal_velocity_residual, redistribute, stability_step,
+                            step_normal, step_rk4, velocity_contour)
 from gsqg.geometry import FourierBoundary, MFoldBoundary, embed_mfold
 from gsqg.specfun import theta_alpha
 
@@ -215,10 +215,18 @@ class TestNormalStepping:
         top = np.abs(np.fft.fftfreq(256, d=1.0 / 256)) > 0.8 * 128
         assert np.abs(np.fft.fft(cur.nodes) / 256)[top].max() < 1e-11
 
+    def test_guard_bound_is_the_step_guard(self):
+        # dt_guard sits 5% inside the bound `step_normal` enforces
+        start = redistribute(ContourState.from_boundary(FourierBoundary.ellipse(0.3), 128, 0.5))
+        _, dt_guard = normal_step_bounds(start)
+        step_normal(start, dt_guard)
+        with pytest.raises(ContourError, match="quarter-spacing"):
+            step_normal(start, 1.001 * dt_guard / ev._GUARD_MARGIN)
+
     def test_shares_the_step_guard(self, monkeypatch):
         st = ContourState.disc(64, 0.5)
         monkeypatch.setattr(ev, "normal_node_velocity",
-                            lambda state, subtract=None: np.full(state.size, 10.0 + 0j))
+                            lambda state: np.full(state.size, 10.0 + 0j))
         with pytest.raises(ContourError, match="quarter-spacing"):
             step_normal(st, 0.1)
 
