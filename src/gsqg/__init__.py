@@ -24,12 +24,11 @@ from .specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
                       omega_sqg, pochhammer_ratio, rising_ratio_ladder,
                       theta_alpha, zeta_tail_constant)
 from .geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
-                       UnitGrid, coeffs_from_values, conj_deriv, default_grid,
-                       dilate, embed_mfold, eval_deriv, eval_deriv_at,
-                       eval_map, eval_map_at, project_mfold, univalence_margin)
+                       UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
+                       eval_deriv_at, eval_map, eval_map_at, univalence_margin)
 from .kernels import (ResidualField, SelfIntersectionError,
                       ellipse_fourth_coefficient, ellipse_moment_ratio,
-                      functional_G, functional_G_sqg, s_phi, s_phi_trapezoid,
+                      functional_G, functional_G_sqg, s_phi,
                       singular_moment_I, singular_moment_J, singular_moment_Z,
                       sqg_moment_1, sqg_moment_2)
 from .linearization import (BracketError, JacobianMatrix, MultiplierSpectrum,

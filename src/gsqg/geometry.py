@@ -175,16 +175,6 @@ def eval_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
     return eval_deriv_at(bnd, grid.nodes)
 
 
-def conj_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
-    """Derivative of conj(phi) via the real-coefficient identity.
-
-    For maps with real coefficients, d/dw of conj(phi) equals
-    -conj(phi'(w)) / w^2 on the circle.
-    """
-    w = grid.nodes
-    return -np.conj(eval_deriv(bnd, grid)) / (w * w)
-
-
 def univalence_margin(bnd: FourierBoundary, n_check: int = 4096) -> float:
     """min |phi'| over a fine grid; must stay positive for an embedded curve."""
     g = UnitGrid(n_check)
@@ -230,31 +220,3 @@ def embed_mfold(red: MFoldBoundary, n: int | None = None) -> FourierBoundary:
     for k in range(red.n_modes):
         coeffs[(k + 1) * red.m - 1] = red.reduced[k]
     return FourierBoundary(coeffs)
-
-
-def project_mfold(bnd: FourierBoundary, m: int,
-                  strict: bool = False) -> tuple[MFoldBoundary, float]:
-    """Keep the m-fold coefficient ladder; returns the discarded off-symmetry
-    energy (sup norm) alongside.  Raises if strict and that energy > 1e-12."""
-    n = bnd.order
-    keep = np.arange(m - 1, n + 1, m)
-    mask = np.zeros(n + 1, dtype=bool)
-    mask[keep] = True
-    discarded = float(np.max(np.abs(bnd.coeffs[~mask]))) if (~mask).any() else 0.0
-    if strict and discarded > 1e-12:
-        raise ValueError(f"boundary is not {m}-fold: off-symmetry energy {discarded:.3e}")
-    return MFoldBoundary(m=m, reduced=bnd.coeffs[keep].copy()), discarded
-
-
-def coeffs_from_values(values: np.ndarray, grid: UnitGrid, n: int) -> np.ndarray:
-    """Recover (b_0 .. b_n) from samples of phi on the grid.
-
-    Inverse of eval_map for lead = 1: the conj(w)^n coefficients sit at
-    negative frequencies of phi(w) - w.
-    """
-    k, c = grid.mode_coeffs(values - grid.nodes)
-    out = np.zeros(n + 1)
-    out[0] = c[0].real
-    for j in range(1, n + 1):
-        out[j] = c[-j].real
-    return out

@@ -26,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import (FourierBoundary, UnitGrid, default_grid, eval_deriv,
-                       eval_deriv_at, eval_map, eval_map_at)
+from .geometry import FourierBoundary, UnitGrid, default_grid, eval_deriv, eval_map
 from .specfun import (conv_constant, gamma_fn, odd_harmonic_ladder, pochhammer_ratio,
                       rising_ratio_ladder)
 
@@ -179,41 +178,6 @@ def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None) -> n
     h = _chord_ratio(phi, w, dphi, n_rows)
     sector = _contract(dphi[None, :] * h ** (-alpha), alpha)
     return conv_constant(alpha) * w * np.tile(sector, grid.size // n_rows)
-
-
-def s_phi_trapezoid(bnd: FourierBoundary, alpha: float, targets: np.ndarray,
-                    n_sources: int = 8192) -> np.ndarray:
-    """Reference evaluation of S(phi) at arbitrary unit-circle targets.
-
-    Midpoint-offset trapezoid with the constant mode of the singular weight
-    subtracted and restored through its exact integral, so only the smooth
-    remainder is sampled.  Deliberately independent of the spectral path.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("s_phi_trapezoid needs alpha in (0, 1)")
-    targets = np.asarray(targets, dtype=complex)
-    src = UnitGrid.half_offset(n_sources)
-    tau = src.nodes
-    phi_s = eval_map(bnd, src)
-    dphi_s = eval_deriv(bnd, src)
-    phi_t = eval_map_at(bnd, targets)
-    dphi_t = eval_deriv_at(bnd, targets)
-    theta_t = np.angle(targets)
-    out = np.empty(len(targets), dtype=complex)
-    r = _moment_prefactor(alpha)
-    h_step = 2.0 * np.pi / n_sources
-    for i, (wt, pt, dpt, th) in enumerate(zip(targets, phi_t, dphi_t, theta_t)):
-        chord = np.abs(pt - phi_s) / np.abs(wt - tau)
-        if chord.min() < _H_FLOOR:
-            raise SelfIntersectionError(f"chord ratio fell to {chord.min():.3e}")
-        g = dphi_s * tau * chord ** (-alpha)
-        g0 = dpt * wt * np.abs(dpt) ** (-alpha)
-        kern = np.abs(2.0 * np.sin((src.angles - th) / 2.0)) ** (-alpha)
-        if not np.all(np.isfinite(kern)):
-            raise ValueError("target coincides with a source node; use targets "
-                             "off the half-offset source grid")
-        out[i] = (h_step / (2.0 * np.pi)) * np.sum((g - g0) * kern) + g0 * r
-    return conv_constant(alpha) * out
 
 
 @dataclass(frozen=True)

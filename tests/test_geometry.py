@@ -4,9 +4,33 @@ import numpy as np
 import pytest
 
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
-                           UnitGrid, coeffs_from_values, conj_deriv, default_grid,
-                           dilate, embed_mfold, eval_deriv, eval_map,
-                           project_mfold, univalence_margin)
+                           UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
+                           eval_map, univalence_margin)
+
+
+def conj_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
+    """d/dw of conj(phi) on the circle: -conj(phi'(w)) / w^2 for real coefficients."""
+    w = grid.nodes
+    return -np.conj(eval_deriv(bnd, grid)) / (w * w)
+
+
+def project_mfold(bnd: FourierBoundary, m: int,
+                  strict: bool = False) -> tuple[MFoldBoundary, float]:
+    """The m-fold coefficient ladder of bnd and the discarded off-symmetry
+    energy (sup norm); raises if strict and that energy exceeds 1e-12."""
+    keep = np.zeros(bnd.order + 1, dtype=bool)
+    keep[m - 1::m] = True
+    discarded = float(np.max(np.abs(bnd.coeffs[~keep]), initial=0.0))
+    if strict and discarded > 1e-12:
+        raise ValueError(f"boundary is not {m}-fold: off-symmetry energy {discarded:.3e}")
+    return MFoldBoundary(m=m, reduced=bnd.coeffs[keep].copy()), discarded
+
+
+def coeffs_from_values(values: np.ndarray, grid: UnitGrid, n: int) -> np.ndarray:
+    """(b_0 .. b_n) from samples of phi (lead 1): the conj(w)^j coefficients
+    sit at the negative frequencies of phi(w) - w."""
+    _, c = grid.mode_coeffs(values - grid.nodes)
+    return np.array([c[0].real] + [c[-j].real for j in range(1, n + 1)])
 
 
 class TestEvalMap:

@@ -5,15 +5,37 @@ import pytest
 
 from gsqg import kernels, oracles
 from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid, embed_mfold,
-                           eval_deriv, eval_map)
+                           eval_deriv, eval_deriv_at, eval_map, eval_map_at)
 from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                           ellipse_moment_ratio, functional_G, functional_G_sqg,
-                          s_phi, s_phi_trapezoid, singular_moment_I,
-                          singular_moment_J, singular_moment_Z, sqg_moment_1,
-                          sqg_moment_2)
+                          s_phi, singular_moment_I, singular_moment_J,
+                          singular_moment_Z, sqg_moment_1, sqg_moment_2)
 from gsqg.specfun import conv_constant, gamma_fn, pochhammer_ratio, theta_alpha
 
 R_HALF = gamma_fn(0.5) / gamma_fn(0.75) ** 2   # moment prefactor at alpha = 1/2
+
+
+def s_phi_trapezoid(bnd: FourierBoundary, alpha: float, targets: np.ndarray,
+                    n_sources: int = 8192) -> np.ndarray:
+    """Reference S(phi) at unit-circle targets, independent of the spectral path.
+
+    Midpoint-offset trapezoid with the constant mode of the singular weight
+    subtracted and restored through its exact integral
+    gamma(1-a) / gamma^2(1-a/2), so only the smooth remainder is sampled.
+    """
+    src = UnitGrid.half_offset(n_sources)
+    tau = src.nodes
+    phi_s, dphi_s = eval_map(bnd, src), eval_deriv(bnd, src)
+    phi_t, dphi_t = eval_map_at(bnd, targets), eval_deriv_at(bnd, targets)
+    restore = gamma_fn(1.0 - alpha) / gamma_fn(1.0 - alpha / 2.0) ** 2
+    out = np.empty(len(targets), dtype=complex)
+    for i, (wt, pt, dpt) in enumerate(zip(targets, phi_t, dphi_t)):
+        chord = np.abs(pt - phi_s) / np.abs(wt - tau)
+        g = dphi_s * tau * chord ** (-alpha)
+        g0 = dpt * wt * np.abs(dpt) ** (-alpha)
+        kern = np.abs(wt - tau) ** (-alpha)
+        out[i] = np.mean((g - g0) * kern) + g0 * restore
+    return conv_constant(alpha) * out
 
 
 class TestMomentsClosedForm:
