@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.fft import fft, ifft, irfft, rfft
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -58,6 +59,9 @@ _TILT_CAP = 8.0
 # share of the quarter-spacing bound taken by `normal_step_bounds`, so that
 # the first step clears the guard `_rk4` re-checks on the node velocity
 _GUARD_MARGIN = 0.95
+# relative slack in the step count of a horizon: far above the rounding of
+# t_final / dt, far below one step in any run
+_STEP_SLACK = 1e-9
 
 
 class ContourError(RuntimeError):
@@ -87,12 +91,28 @@ class ContourState:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """FFT of the nodes, formed once per state."""
-        return np.fft.fft(self.nodes)
+        return fft(self.nodes)
 
     @cached_property
     def tangent(self) -> np.ndarray:
         """d(gamma)/d(sigma) at the nodes by spectral differentiation."""
-        return np.fft.ifft(1j * _wavenumbers(self.size) * self.spectrum)
+        return ifft(_derivative_factors(self.size)[1] * self.spectrum)
+
+    @cached_property
+    def second_derivative(self) -> np.ndarray:
+        """d^2(gamma)/d(sigma)^2 at the nodes by spectral differentiation."""
+        return ifft(_derivative_factors(self.size)[2] * self.spectrum)
+
+    @classmethod
+    def from_spectrum(cls, spectrum: np.ndarray, time: float,
+                      alpha: float) -> "ContourState":
+        """The state whose nodes have the FFT `spectrum`.  The nodes, the
+        tangent and the second derivative come from one stacked inverse
+        transform and fill the caches."""
+        nodes, tangent, second = ifft(_derivative_factors(len(spectrum)) * spectrum)
+        state = cls(nodes=nodes, time=time, alpha=alpha)
+        state.__dict__.update(spectrum=spectrum, tangent=tangent, second_derivative=second)
+        return state
 
     @classmethod
     def from_boundary(cls, bnd: FourierBoundary, n_nodes: int, alpha: float,
@@ -117,14 +137,24 @@ def _wavenumbers(m: int) -> np.ndarray:
     return k
 
 
-def _spectral_antiderivative(f: np.ndarray) -> np.ndarray:
-    """The zero-mean periodic antiderivative of the zero-mean real samples f."""
-    k = _wavenumbers(len(f))
-    spec = np.fft.fft(f)
-    inv = np.zeros_like(spec)
-    live = k != 0
-    inv[live] = spec[live] / (1j * k[live])
-    return np.fft.ifft(inv).real
+@lru_cache(maxsize=16)
+def _derivative_factors(m: int) -> np.ndarray:
+    """Rows 1, ik and -k^2: the spectral factors of gamma and its first two
+    sigma-derivatives."""
+    k = _wavenumbers(m)
+    factors = np.stack([np.ones(m), 1j * k, -k ** 2])
+    factors.flags.writeable = False
+    return factors
+
+
+@lru_cache(maxsize=16)
+def _antiderivative_factors(m: int) -> np.ndarray:
+    """1/(ik) on the rfft modes of m real samples, zero at k = 0 and at the
+    unmatched Nyquist mode: the zero-mean periodic antiderivative."""
+    k = _wavenumbers(m)[:m // 2 + 1]
+    inv = np.divide(1.0, 1j * k, out=np.zeros(len(k), dtype=complex), where=k != 0)
+    inv.flags.writeable = False
+    return inv
 
 
 @lru_cache(maxsize=16)
@@ -138,7 +168,7 @@ def _velocity_filter(m: int) -> np.ndarray:
 
 
 def _mean_spacing(z: np.ndarray) -> float:
-    return float(np.mean(np.abs(np.roll(z, -1) - z)))
+    return (float(np.sum(np.abs(np.diff(z)))) + abs(z[0] - z[-1])) / len(z)
 
 
 def _guard_step(z: np.ndarray, velocity: np.ndarray) -> float:
@@ -174,42 +204,84 @@ def _hat_weights(alpha: float, h: float, p: int) -> tuple:
     return tuple(2.0 * wi if d == 0 else wi for d, wi in enumerate(w))
 
 
+@lru_cache(maxsize=32)
+def _window_excess(alpha: float, m: int) -> np.ndarray:
+    """Per offset d = 1.._WINDOW, the factor on the pair kernel minus one
+    that swaps its trapezoid weight for product integration.
+
+    The window node at offset d contributes h (1 - frac_d) K (trapezoid,
+    the window-edge nodes keep half their weight) plus w_d (d h)^alpha K
+    (the hat weight against the smooth factor raw |dz|^alpha / (d h)^alpha,
+    with K = |dz|^(-alpha)), so its kernel entry scales by
+    1 - frac_d + w_d (d h)^alpha / h.
+    """
+    h = 2.0 * np.pi / m
+    d = np.arange(1, _WINDOW + 1)
+    frac = np.where(d == _WINDOW, 0.5, 1.0)
+    weights = np.array(_hat_weights(alpha, h, _WINDOW)[1:])
+    excess = weights * (d * h) ** alpha / h - frac
+    excess.flags.writeable = False
+    return excess
+
+
 @lru_cache(maxsize=64)
-def _off_band(m: int, i0: int) -> np.ndarray:
-    """Mask of the strip rows i0.. against columns j >= i0 that lie off the
-    band |i - j| <= _WINDOW (mod m)."""
-    gap = np.abs(np.arange(i0, min(i0 + _TILE, m))[:, None] - np.arange(i0, m)[None, :])
-    off = np.minimum(gap, m - gap) > _WINDOW
-    off.flags.writeable = False
-    return off
+def _band(m: int, i0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product-integration band of the strip rows i0.. against the
+    columns j >= i0.
+
+    Returns the flat strip indices of the entries with 1 <= |i - j| <=
+    _WINDOW (mod m), once each, and per entry how often each offset |d|
+    reaches it (more than once only when fewer than 2 _WINDOW + 1 nodes
+    let offsets alias, as the window sum did).
+    """
+    rows = np.arange(i0, min(i0 + _TILE, m))[:, None]
+    gaps = np.arange(1, _WINDOW + 1)
+    offsets = np.concatenate([gaps, -gaps])
+    cols = (rows + offsets) % m
+    keep = (cols >= i0) & (cols != rows)
+    flat = ((rows - i0) * (m - i0) + cols - i0)[keep]
+    gap = np.broadcast_to(np.abs(offsets), cols.shape)[keep]
+    index, entry = np.unique(flat, return_inverse=True)
+    counts = np.zeros((len(index), _WINDOW))
+    np.add.at(counts, (entry, gap - 1), 1.0)
+    for arr in (index, counts):
+        arr.flags.writeable = False
+    return index, counts
 
 
 def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.ndarray:
-    """K @ vec for the pair kernel K[i, j] = |z_i - z_j|^(-alpha), K[i, i] = 0.
+    """K @ vec for the windowed pair kernel, K[i, i] = 0.
 
-    K is symmetric, so it is built in strips of _TILE rows i0:i1 against the
+    K[i, j] = |z_i - z_j|^(-alpha), scaled on the product-integration band
+    1 <= |i - j| <= _WINDOW (mod m) by 1 + `_window_excess`.  K is
+    symmetric, so it is built in strips of _TILE rows i0:i1 against the
     columns j >= i0: one cdist of squared distances, then d^(-alpha) as
-    exp(-alpha/2 * log d^2) in place.
+    exp(-alpha/2 * log d^2) in place, then the band scaled in place.
     Each strip serves its own rows and, transposed, the rows below it; the
     working set is one strip buffer.  Raises ContourError if non-adjacent
-    nodes (outside the product-integration band) are closer than a quarter
-    of the mean node spacing.  The band can only lower a strip's plain
-    minimum, so the masked off-band minimum is taken only when the plain
-    one falls below that floor.
+    nodes (outside the band) are closer than a quarter of the mean node
+    spacing.  The band can only lower a strip's plain minimum, so the
+    off-band minimum is taken only when the plain one falls below that
+    floor.
     """
     m = len(z)
     pts = np.column_stack([z.real, z.imag])
     floor_sq = (_mean_spacing(z) / 4.0) ** 2
+    excess = _window_excess(alpha, m)
     out = np.zeros((m, vec.shape[1]))
     buf = np.empty(min(_TILE, m) * m)
     for i0 in range(0, m, _TILE):
         i1 = min(i0 + _TILE, m)
-        d2 = buf[:(i1 - i0) * (m - i0)].reshape(i1 - i0, m - i0)
+        size = (i1 - i0) * (m - i0)
+        d2 = buf[:size].reshape(i1 - i0, m - i0)
         cdist(pts[i0:i1], pts[i0:], "sqeuclidean", out=d2)
         np.fill_diagonal(d2, np.inf)
+        band, counts = _band(m, i0)
         nearest_sq = d2.min()
         if nearest_sq < floor_sq:
-            nearest_sq = d2.min(where=_off_band(m, i0), initial=np.inf)
+            off = buf[:size].copy()
+            off[band] = np.inf
+            nearest_sq = off.min()
             if nearest_sq < floor_sq:
                 raise ContourError(
                     f"non-adjacent nodes at distance {math.sqrt(nearest_sq):.3e} "
@@ -218,6 +290,7 @@ def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.nd
         np.log(d2, out=d2)
         d2 *= -0.5 * alpha
         kern = np.exp(d2, out=d2)
+        buf[band] *= 1.0 + counts @ excess
         out[i0:i1] += kern @ vec[i0:]
         out[i1:] += kern[:, i1 - i0:].T @ vec[i0:i1]
     return out
@@ -236,74 +309,67 @@ def velocity_contour(state: ContourState, subtract: bool | None = None) -> np.nd
         subtract = alpha >= 0.95
     if alpha == 1.0 and not subtract:
         raise ValueError("the unsubtracted kernel is not integrable at alpha = 1")
-    z = state.nodes
     m = state.size
     h = 2.0 * np.pi / m
     gp = state.tangent
-    rows = np.arange(m)
 
     # one pass over the pair-kernel strips gives the convolution with gamma'
-    # and the row sum
+    # and the row sum; the kernel's band already swaps the trapezoid weight
+    # of the window nodes for product integration of the singular weight
+    # against a linear interpolant of the smooth factor
     vec = np.column_stack([gp.real, gp.imag, np.ones(m)])
-    acc = _pair_kernel_products(z, alpha, vec)
+    acc = _pair_kernel_products(state.nodes, alpha, vec)
     conv = acc[:, 0] + 1j * acc[:, 1]
     if subtract:
-        # integrand (gamma'(s) - gamma'(sigma_i)) |gamma_i - gamma(s)|^(-alpha)
+        # integrand (gamma'(s) - gamma'(sigma_i)) |gamma_i - gamma(s)|^(-alpha);
+        # its smooth factor vanishes at the node itself
         total = h * (conv - gp * acc[:, 2])
     else:
-        total = h * conv
-
-    # swap the trapezoid contribution of the window nodes for product
-    # integration of the singular weight against a linear interpolant of the
-    # smooth factor; the window-edge nodes keep half their trapezoid weight
-    weights = _hat_weights(alpha, h, _WINDOW)
-    for d in range(-_WINDOW, _WINDOW + 1):
-        idx = (rows + d) % m
-        if d == 0:
-            smooth = np.zeros(m, dtype=complex) if subtract \
-                else gp * np.abs(gp) ** (-alpha)
-        else:
-            dd = np.abs(z[idx] - z)
-            raw = (gp[idx] - gp) if subtract else gp[idx]
-            smooth = raw * (abs(d) * h / dd) ** alpha
-            frac = 0.5 if abs(d) == _WINDOW else 1.0
-            total -= frac * h * raw * dd ** (-alpha)
-        total += weights[abs(d)] * smooth
+        # the node itself: hat weight w_0 against gamma' |gamma'|^(-alpha)
+        total = h * conv + _hat_weights(alpha, h, _WINDOW)[0] * gp * np.abs(gp) ** (-alpha)
     return conv_constant(alpha) / (2.0 * np.pi) * total
-
-
-def _advance(state: ContourState, new_nodes: np.ndarray, dt: float) -> ContourState:
-    return ContourState(nodes=new_nodes, time=state.time + dt, alpha=state.alpha)
 
 
 def _rk4(state: ContourState, dt: float, velocity, flow=None) -> ContourState:
     """One four-stage step of dz/dt = velocity(state).
 
-    With a `flow` (a `_DiscFlow`), the step is the integrating-factor
-    (Lawson) RK4: the flow's linear part L is integrated exactly by its
-    flow E(t), and the stages see only the rest, velocity - L z.  Without
-    one, E is the identity and the stages are classical RK4 in the same
-    arithmetic.  Enforces dt * max node speed < node spacing / 4 on the
-    full node velocity before committing the step.
+    Without a `flow`, the stages are classical RK4 on the nodes.  With one
+    (a `_DiscFlow`), the step is the integrating-factor (Lawson) RK4 on the
+    FFT of the nodes: `velocity` returns the FFT of the node velocity, the
+    flow's linear part L is integrated exactly by its flow E(t), the stages
+    see only the rest, velocity - L z, and each stage state is built from
+    its spectrum.  Both run the same stage sequence, with E the identity in
+    the first.  Enforces dt * max node speed < node spacing / 4 on the full
+    node velocity before committing the step.
     """
-    z = state.nodes
     k1 = velocity(state)
-    bound = _guard_step(z, k1)
+    if flow is None:
+        z, speed = state.nodes, k1
+        turn, rest = (lambda v: v), velocity
+
+        def build(nodes, t):
+            return ContourState(nodes=nodes, time=state.time + t, alpha=state.alpha)
+    else:
+        z, speed = state.spectrum, ifft(k1)
+        turn = flow.turn(0.5 * dt)
+
+        def rest(st):
+            return velocity(st) - flow.linear(st.spectrum)
+
+        def build(spec, t):
+            return ContourState.from_spectrum(spec, state.time + t, state.alpha)
+        k1 = k1 - flow.linear(z)
+    bound = _guard_step(state.nodes, speed)
     if dt >= bound:
         raise ContourError(f"dt = {dt:.3e} violates the quarter-spacing bound {bound:.3e}")
-    if flow is None:
-        turn, rest = (lambda t, v: v), velocity
-    else:
-        turn, rest = flow, (lambda st: velocity(st) - flow.linear(st.spectrum))
-        k1 = k1 - flow.linear(state.spectrum)
     # E is linear, so E(dt/2)(z + dt/2 k1) = E(dt/2) z + dt/2 E(dt/2) k1, and
     # E(dt) = E(dt/2) E(dt/2)
-    half, k1 = turn(0.5 * dt, np.stack([z, k1]))
-    k2 = rest(_advance(state, half + 0.5 * dt * k1, 0.5 * dt))
-    k3 = rest(_advance(state, half + 0.5 * dt * k2, 0.5 * dt))
-    k4 = rest(_advance(state, turn(0.5 * dt, half + dt * k3), dt))
-    z1, k1, k2, k3 = turn(0.5 * dt, np.stack([half, k1, k2, k3]))
-    return _advance(state, z1 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt)
+    half, k1 = turn(np.stack([z, k1]))
+    k2 = rest(build(half + 0.5 * dt * k1, 0.5 * dt))
+    k3 = rest(build(half + 0.5 * dt * k2, 0.5 * dt))
+    k4 = rest(build(turn(half + dt * k3), dt))
+    z1, k1, k2, k3 = turn(np.stack([half, k1, k2, k3]))
+    return build(z1 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt)
 
 
 def step_rk4(state: ContourState, dt: float,
@@ -344,7 +410,7 @@ class _DiscFlow:
     E(t) w_k = w_k + (exp(-i lam_k t) - 1)(1 - 1/k) r_k,
     with r_k = (w_k + conj(w_-k)) / 2.  Translations (|k| = 1) and the mean
     are neutral.  F is even in k, so it filters r and q alike and
-    commutes with E.
+    commutes with E.  Both act on FFTs, rows of a stack alike.
     """
 
     mirror: np.ndarray
@@ -354,21 +420,34 @@ class _DiscFlow:
     @classmethod
     def about(cls, state: ContourState) -> "_DiscFlow":
         mirror, rate, share = _disc_modes(state.alpha, state.size)
-        area, _ = conserved_diagnostics(state)
-        return cls(mirror, rate * (area / math.pi) ** (-0.5 * state.alpha), share)
+        return cls(mirror, rate * (_area(state) / math.pi) ** (-0.5 * state.alpha), share)
 
-    def _moving_part(self, spec: np.ndarray) -> np.ndarray:
-        """(1 - 1/k) r_k from the FFT of v; rows of a stack alike."""
-        return self.share * (spec + np.conj(spec[..., self.mirror]))
+    def _moving_part(self, spec: np.ndarray, gain: np.ndarray) -> np.ndarray:
+        """gain (1 - 1/k) r_k from the FFT of v."""
+        return gain * self.share * (spec + np.conj(spec[..., self.mirror]))
 
-    def __call__(self, t: float, v: np.ndarray) -> np.ndarray:
-        """E(t) v for nodes or velocities v."""
-        spec = np.fft.fft(v)
-        return np.fft.ifft(spec + np.expm1(-1j * t * self.rate) * self._moving_part(spec))
+    def turn(self, t: float):
+        """E(t) as a map of FFTs; its phases are formed once."""
+        gain = np.expm1(-1j * t * self.rate)
+        return lambda spec: spec + self._moving_part(spec, gain)
 
     def linear(self, spec: np.ndarray) -> np.ndarray:
-        """L v from the FFT of v."""
-        return np.fft.ifft(-1j * self.rate * self._moving_part(spec))
+        """The FFT of L v from the FFT of v."""
+        return self._moving_part(spec, -1j * self.rate)
+
+
+def _normal_velocity_spectrum(state: ContourState) -> np.ndarray:
+    """FFT of `normal_node_velocity`, the velocity `step_normal` takes."""
+    zs = state.tangent
+    speed = np.abs(zs)
+    tangent = zs / speed
+    # U_n = Re(u conj(n)) with n = -i t
+    un = (velocity_contour(state) * 1j * np.conj(tangent)).real
+    # kappa |z_sigma| = Im(conj(z_sigma) z_sigma_sigma) / |z_sigma|^2
+    stretch = un * (np.conj(zs) * state.second_derivative).imag / speed ** 2
+    # dT/dsigma = <stretch> - stretch; the antiderivative factors drop the mean
+    tang = -irfft(rfft(stretch) * _antiderivative_factors(state.size), n=state.size)
+    return fft((tang - 1j * un) * tangent) * _velocity_filter(state.size)
 
 
 def normal_node_velocity(state: ContourState) -> np.ndarray:
@@ -384,23 +463,13 @@ def normal_node_velocity(state: ContourState) -> np.ndarray:
     k of w is mode k + 1 of z, so that it filters the normal and the
     tangential displacement alike (see `_DiscFlow`).
     """
-    zs = state.tangent
-    zss = np.fft.ifft(-_wavenumbers(state.size) ** 2 * state.spectrum)
-    speed = np.abs(zs)
-    tangent = zs / speed
-    # U_n = Re(u conj(n)) with n = -i t
-    un = (velocity_contour(state) * 1j * np.conj(tangent)).real
-    # kappa |z_sigma| = Im(conj(z_sigma) z_sigma_sigma) / |z_sigma|^2
-    stretch = un * (np.conj(zs) * zss).imag / speed ** 2
-    tang = _spectral_antiderivative(stretch.mean() - stretch)
-    vel = (tang - 1j * un) * tangent
-    return np.fft.ifft(np.fft.fft(vel) * _velocity_filter(state.size))
+    return ifft(_normal_velocity_spectrum(state))
 
 
 def step_normal(state: ContourState, dt: float) -> ContourState:
     """One integrating-factor RK4 step with the nodes moving at
     `normal_node_velocity`; the disc's linear modes turn exactly."""
-    return _rk4(state, dt, normal_node_velocity, _DiscFlow.about(state))
+    return _rk4(state, dt, _normal_velocity_spectrum, _DiscFlow.about(state))
 
 
 def stability_step(state: ContourState) -> float:
@@ -419,8 +488,7 @@ def stability_step(state: ContourState) -> float:
     and under z -> lambda z it scales as lambda^alpha, like the clock.
     """
     m = state.size
-    area, _ = conserved_diagnostics(state)
-    radius = math.sqrt(area / math.pi)
+    radius = math.sqrt(_area(state) / math.pi)
     top = omega_dispersion(state.alpha, m // 2)
     base = (_STABILITY_SAFETY * 2.0 * math.sqrt(2.0) * _mean_spacing(state.nodes)
             / (math.pi * top * radius ** (1.0 - state.alpha)))
@@ -467,7 +535,9 @@ def redistribute(state: ContourState) -> ContourState:
 def _steps(t_final: float, dt: float) -> tuple[int, float]:
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError("need positive horizon and step")
-    n_steps = max(1, int(round(t_final / dt)))
+    # the fewest equal steps no longer than dt; the slack keeps a dt of
+    # t_final / n at n steps despite rounding in the ratio
+    n_steps = max(1, math.ceil(t_final / dt * (1.0 - _STEP_SLACK)))
     return n_steps, t_final / n_steps
 
 
@@ -496,6 +566,11 @@ def evolve_normal(state: ContourState, t_final: float, dt: float) -> ContourStat
     return cur
 
 
+def _area(state: ContourState) -> float:
+    """Area 1/2 oint Im(conj(z) z') of the trigonometric interpolant."""
+    return math.pi / state.size * float(np.vdot(state.nodes, state.tangent).imag)
+
+
 def conserved_diagnostics(state: ContourState) -> tuple[float, complex]:
     """(area, centroid) of the trigonometric interpolant of the nodes.
 
@@ -518,14 +593,14 @@ def _trig_upsample(z: np.ndarray, factor: int) -> np.ndarray:
     odd lengths have no Nyquist mode.
     """
     m = len(z)
-    spec = np.fft.fft(z)
+    spec = fft(z)
     big = np.zeros(m * factor, dtype=complex)
     half = m // 2
     big[:m - half] = spec[:m - half]
     big[-half:] = spec[m - half:]
     if m % 2 == 0:
         big[half] = big[-half] = 0.5 * spec[half]
-    return np.fft.ifft(big) * factor
+    return ifft(big) * factor
 
 
 def _to_polyline_gap(za: np.ndarray, zb: np.ndarray) -> float:

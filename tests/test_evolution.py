@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,37 @@ from gsqg.evolution import (ContourError, ContourState, conserved_diagnostics,
                             normal_velocity_residual, redistribute, stability_step,
                             step_normal, step_rk4, velocity_contour)
 from gsqg.geometry import FourierBoundary, MFoldBoundary, embed_mfold
-from gsqg.specfun import theta_alpha
+from gsqg.specfun import conv_constant, theta_alpha
 
 
 def sampled_ellipse(m: int, a: float = 1.3) -> tuple[np.ndarray, np.ndarray]:
     """m nodes of the ellipse a cos t + i sin t / a, and the exact dz/dt there."""
     t = 2.0 * np.pi * np.arange(m) / m
     return a * np.cos(t) + 1j * np.sin(t) / a, -a * np.sin(t) + 1j * np.cos(t) / a
+
+
+def dense_velocity(state: ContourState, subtract: bool) -> np.ndarray:
+    """`velocity_contour` from the dense pair kernel, with the window applied
+    offset by offset: the trapezoid sum over all nodes, then for each node at
+    offset 1 <= |d| <= 3 its trapezoid term (half of it at |d| = 3) swapped
+    for the hat weight against the smooth factor, and the node itself."""
+    alpha, z, m, gp = state.alpha, state.nodes, state.size, state.tangent
+    h = 2.0 * np.pi / m
+    kern = squareform(pdist(np.column_stack([z.real, z.imag])) ** (-alpha))
+    total = h * (kern @ gp - (gp * kern.sum(axis=1) if subtract else 0.0))
+    weights = ev._hat_weights(alpha, h, 3)
+    rows = np.arange(m)
+    for d in range(-3, 4):
+        if d == 0:
+            if not subtract:
+                total += weights[0] * gp * np.abs(gp) ** (-alpha)
+            continue
+        idx = (rows + d) % m
+        dd = np.abs(z[idx] - z)
+        raw = (gp[idx] - gp) if subtract else gp[idx]
+        frac = 0.5 if abs(d) == 3 else 1.0
+        total += raw * (weights[abs(d)] * (abs(d) * h / dd) ** alpha - frac * h * dd ** (-alpha))
+    return conv_constant(alpha) / (2.0 * np.pi) * total
 
 
 class TestVelocity:
@@ -89,18 +114,24 @@ class TestVelocity:
             velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
 
     @pytest.mark.parametrize("n_nodes", [64, 130, 200, 512, 1024])
-    def test_tiled_pair_kernel_matches_dense(self, n_nodes, monkeypatch):
+    def test_tiled_pair_kernel_matches_dense(self, n_nodes):
         # 130 and 200 are not multiples of the strip height; 130 leaves a
         # last strip of 2 rows
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
         for alpha, subtract in ((0.35, False), (0.5, False), (0.97, True), (1.0, True)):
             st = ContourState.from_boundary(bnd, n_nodes, alpha)
             tiled = velocity_contour(st, subtract)
-            with monkeypatch.context() as mp:
-                mp.setattr(ev, "_pair_kernel_products", lambda z, a, vec: squareform(
-                    pdist(np.column_stack([z.real, z.imag])) ** (-a)) @ vec)
-                dense = velocity_contour(st, subtract)
+            dense = dense_velocity(st, subtract)
             assert np.max(np.abs(tiled - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_aliased_window_offsets_add(self):
+        # at 6 nodes the window offsets 3 and -3 reach the same node, and the
+        # window corrections of both apply
+        for alpha, subtract in ((0.5, False), (1.0, True)):
+            st = ContourState(nodes=sampled_ellipse(6)[0], time=0.0, alpha=alpha)
+            dense = dense_velocity(st, subtract)
+            assert np.max(np.abs(velocity_contour(st, subtract) - dense)) <= \
+                1e-13 * np.max(np.abs(dense))
 
     def test_non_finite_nodes_rejected(self):
         nodes = ContourState.disc(64, 0.5).nodes
@@ -251,10 +282,36 @@ class TestNormalStepping:
 
     def test_shares_the_step_guard(self, monkeypatch):
         st = ContourState.disc(64, 0.5)
-        monkeypatch.setattr(ev, "normal_node_velocity",
-                            lambda state: np.full(state.size, 10.0 + 0j))
+        monkeypatch.setattr(ev, "_normal_velocity_spectrum",
+                            lambda state: np.fft.fft(np.full(state.size, 10.0 + 0j)))
         with pytest.raises(ContourError, match="quarter-spacing"):
             step_normal(st, 0.1)
+
+
+    def test_step_makes_four_velocity_passes_and_few_transforms(self, monkeypatch):
+        # work counts of one 512-node step from a state with no cached
+        # spectrum: four pair-kernel passes, and 20 transforms (3 for the
+        # fresh state's spectrum and derivatives, 3 per stage velocity, 1 for
+        # the guard's node velocity, 1 per stage state and for the result;
+        # 36 when E and L ran on the nodes)
+        start = redistribute(ContourState.from_boundary(FourierBoundary.ellipse(0.3), 512, 0.5))
+        dt = stability_step(start)
+        fresh = ContourState(nodes=start.nodes, time=0.0, alpha=0.5)
+        calls = Counter()
+
+        def counted(kind, fn):
+            def wrapped(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ev, "velocity_contour", counted("velocity", ev.velocity_contour))
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(ev, name, counted("transform", getattr(ev, name)))
+            monkeypatch.setattr(np.fft, name, counted("transform", getattr(np.fft, name)))
+        step_normal(fresh, dt)
+        assert calls["velocity"] == 4
+        assert calls["transform"] <= 20
 
 
 # (alpha, m, s) points behind `stability_step`'s constants; at 256 nodes the
@@ -286,21 +343,26 @@ def test_step_rule_passes_a_quarter_period(alpha, m, s):
 
 
 class TestDiscFlow:
-    """The linear part that `step_normal` integrates exactly."""
+    """The linear part that `step_normal` integrates exactly, on FFTs; the
+    gaps are measured on the nodes."""
 
     def test_is_a_one_parameter_group(self, vstate_053, rng):
         st = redistribute(ContourState.from_boundary(vstate_053.full_boundary, 256, 0.5))
         flow = ev._DiscFlow.about(st)
-        v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        assert np.abs(flow(0.0, v) - v).max() <= 1e-14
+        v = np.fft.fft(rng.standard_normal(256) + 1j * rng.standard_normal(256))
+
+        def gap(a, b):
+            return np.abs(np.fft.ifft(a - b)).max()
+
+        assert gap(flow.turn(0.0)(v), v) <= 1e-14
         # the phase rounding grows like |lam_top t| eps, so t stays near a step
         for t, u in ((0.01, 0.02), (0.05, -0.02), (0.3, 0.2)):
-            assert np.abs(flow(t, flow(u, v)) - flow(t + u, v)).max() <= 1e-14
+            assert gap(flow.turn(t)(flow.turn(u)(v)), flow.turn(t + u)(v)) <= 1e-14
         # and L generates it
         eps = 1e-6
-        rate = (flow(eps, v) - flow(-eps, v)) / (2.0 * eps)
-        lin = flow.linear(np.fft.fft(v))
-        assert np.abs(rate - lin).max() <= 1e-8 * np.abs(lin).max()
+        rate = (flow.turn(eps)(v) - flow.turn(-eps)(v)) / (2.0 * eps)
+        lin = flow.linear(v)
+        assert gap(rate, lin) <= 1e-8 * np.abs(np.fft.ifft(lin)).max()
 
     @pytest.mark.parametrize("alpha", [0.35, 0.97])
     def test_is_the_linearization_at_the_disc(self, alpha):
@@ -311,17 +373,49 @@ class TestDiscFlow:
         disc = ContourState.disc(512, alpha, radius=1.5)
         flow = ev._DiscFlow.about(disc)
         sigma = 2.0 * np.pi * np.arange(512) / 512
-        floor = np.abs(flow.linear(np.fft.fft(np.cos(2.0 * sigma) * np.exp(1j * sigma)))).max()
+
+        def linear(dz):
+            return np.fft.ifft(flow.linear(np.fft.fft(dz)))
+
+        floor = np.abs(linear(np.cos(2.0 * sigma) * np.exp(1j * sigma))).max()
         eps = 1e-6
         for k in range(11):
             normal = np.cos(k * sigma) * np.exp(1j * sigma)
-            scale = max(floor, np.abs(flow.linear(np.fft.fft(normal))).max())
+            scale = max(floor, np.abs(linear(normal)).max())
             for shape in (np.cos(k * sigma), 1j * np.sin(k * sigma)):
                 dz = shape * np.exp(1j * sigma)
                 plus = normal_node_velocity(ContourState(disc.nodes + eps * dz, 0.0, alpha))
                 minus = normal_node_velocity(ContourState(disc.nodes - eps * dz, 0.0, alpha))
-                gap = np.abs((plus - minus) / (2.0 * eps) - flow.linear(np.fft.fft(dz))).max()
+                gap = np.abs((plus - minus) / (2.0 * eps) - linear(dz)).max()
                 assert gap <= 5e-3 * scale
+
+
+class TestSpectralState:
+    def test_matches_the_state_of_its_nodes(self):
+        st = ContourState.from_boundary(FourierBoundary.ellipse(0.3), 512, 0.5)
+        built = ContourState.from_spectrum(st.spectrum.copy(), 0.0, 0.5)
+        for name in ("nodes", "spectrum", "tangent", "second_derivative"):
+            ref = getattr(st, name)
+            assert np.abs(getattr(built, name) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        spec = ContourState.disc(64, 0.5).spectrum.copy()
+        spec[3] = bad
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            ContourState.from_spectrum(spec, 0.0, 0.5)
+
+
+class TestStepCount:
+    def test_step_never_exceeds_the_request(self):
+        # rounding 2.5 took 2 steps of 0.5
+        n_steps, dt = ev._steps(1.0, 0.4)
+        assert n_steps == 3 and dt <= 0.4
+
+    @pytest.mark.parametrize("horizon", [1.0, np.pi / (2.0 * 0.2854), 3.7e-3])
+    def test_an_even_division_keeps_its_count(self, horizon):
+        for n in range(1, 3001):
+            assert ev._steps(horizon, horizon / n)[0] == n
 
 
 class TestOddNodeCounts:
