@@ -1,11 +1,13 @@
 """Does the computed patch actually rotate?  Ask a different discretization.
 
 The branch solver works spectrally on conformal coefficients.  Contour
-dynamics knows nothing about any of that: it moves Lagrangian nodes with
-the layer-potential velocity, trapezoid plus a local product rule at the
-singular node.  If the solver is right, the evolved boundary must coincide
-with a rigid rotation of the initial one, and area and centroid must stay
-put.  A quarter period at modest resolution settles it in a few seconds.
+dynamics knows nothing about any of that: it moves boundary nodes with the
+normal component of the layer-potential velocity (trapezoid plus a local
+product rule at the singular node) and a tangential velocity that keeps
+their spacing, taking the stiff disc modes exactly.  If the solver is
+right, the evolved boundary must coincide with a rigid rotation of the
+initial one, and area and centroid must stay put.  A quarter period at
+modest resolution settles it in a few seconds.
 """
 
 from pathlib import Path
@@ -13,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from gsqg import (ContourState, conserved_diagnostics, evolve,
-                  hausdorff_distance, normal_velocity_residual, solve_vstate,
-                  velocity_contour)
+                  hausdorff_distance, normal_step_bounds,
+                  normal_velocity_residual, solve_vstate)
 from gsqg.output import write_curves_svg
 
 print(__doc__)
@@ -28,10 +30,8 @@ print(f"normal velocity vs rigid rotation at 512 nodes: "
       f"{normal_velocity_residual(state0, sol.omega):.2e}")
 
 quarter = np.pi / (2.0 * sol.omega)
-speed = float(np.max(np.abs(velocity_contour(state0))))
-spacing = float(np.mean(np.abs(np.roll(state0.nodes, -1) - state0.nodes)))
-dt = 0.95 * spacing / (4.0 * speed)
-steps = int(np.ceil(quarter / dt))
+# the step: the stability rule of the top disc mode or the node-spacing guard
+steps = int(np.ceil(quarter / min(normal_step_bounds(state0))))
 print(f"marching a quarter period T = {quarter:.3f} in {steps} steps ...")
 state1 = evolve(state0, quarter, quarter / steps)
 

@@ -11,7 +11,7 @@ geometry       boundaries as exterior conformal-map Fourier coefficients
 kernels        exact circle moments and the nonlinear patch functional
 linearization  Fourier multipliers, discrete Jacobians, bifurcation scans
 continuation   Newton solver and amplitude continuation for m-fold branches
-evolution      contour dynamics, Lagrangian and normal-velocity stepping
+evolution      contour dynamics by integrating-factor normal-velocity stepping
                (independent of the spectral path)
 oracles        adaptive-quadrature references for the closed-form moments
 output         deterministic CSV / JSON / SVG emission
@@ -41,9 +41,9 @@ from .continuation import (BranchTable, FoldError, NonConvergenceError,
                            VStateSolution, continue_branch, solve_vstate,
                            verify_dilation_law)
 from .evolution import (ContourError, ContourState, conserved_diagnostics,
-                        evolve, evolve_normal, hausdorff_distance,
-                        normal_node_velocity, normal_step_bounds,
-                        normal_velocity_residual, redistribute, stability_step,
-                        step_normal, step_rk4, velocity_contour)
+                        evolve, hausdorff_distance, normal_node_velocity,
+                        normal_step_bounds, normal_velocity_residual,
+                        redistribute, stability_step, step_normal,
+                        velocity_contour)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from . import oracles
 from .continuation import (FoldError, NonConvergenceError, continue_branch,
                            solve_vstate)
 from .evolution import (ContourError, ContourState, conserved_diagnostics, evolve,
-                        evolve_normal, hausdorff_distance, normal_step_bounds,
+                        hausdorff_distance, normal_step_bounds,
                         normal_velocity_residual, redistribute)
 from .geometry import FourierBoundary, UnitGrid, eval_map
 from .kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
@@ -62,6 +62,13 @@ def _check_alpha(alpha: float, *, lo: float = 0.0, hi: float = 1.0,
         kind = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
         raise ConfigError(f"alpha = {alpha} outside {kind}")
     return alpha
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _check_nodes(nodes: int) -> None:
@@ -259,6 +266,14 @@ def _initial_contour(args, alpha: float) -> ContourState:
     raise ConfigError(f"unknown shape {args.shape!r}")
 
 
+def _normal_steps(start: ContourState, horizon: float,
+                  cap: float = np.inf) -> tuple[int, float, float]:
+    """(steps, dt_stability, dt_guard): the fewest equal `step_normal` steps
+    over horizon no longer than cap or either bound of `normal_step_bounds`."""
+    dt_stability, dt_guard = normal_step_bounds(start)
+    return int(np.ceil(horizon / min(cap, dt_stability, dt_guard))), dt_stability, dt_guard
+
+
 def cmd_evolve(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True)
     if args.t_final <= 0 or args.dt <= 0:
@@ -269,8 +284,12 @@ def cmd_evolve(args) -> int:
     area0, cent0 = conserved_diagnostics(state)
     frames = [state]
     n_chunks = max(1, args.frames - 1)
+    chunk = args.t_final / n_chunks
+    # --dt caps the step; the stability rule and the guard may take it lower
+    n_steps, dt_stability, dt_guard = _normal_steps(state, chunk, args.dt)
+    dt = chunk / n_steps
     for _ in range(n_chunks):
-        state = evolve(state, args.t_final / n_chunks, args.dt)
+        state = evolve(state, chunk, dt)
         frames.append(state)
     records = [{"time": st.time, "alpha": st.alpha,
                 "nodes_re": st.nodes.real, "nodes_im": st.nodes.imag}
@@ -283,9 +302,11 @@ def cmd_evolve(args) -> int:
     d_area = abs(area1 - area0) / abs(area0)
     d_cent = abs(cent1 - cent0)
     path = write_json(out / "evolve_report.json",
-                      {"alpha": alpha, "t_final": args.t_final, "dt": args.dt,
-                       "nodes": args.nodes, "area_drift": d_area,
-                       "centroid_drift": d_cent, "tolerance": 1e-5})
+                      {"alpha": alpha, "t_final": args.t_final, "nodes": args.nodes,
+                       "steps": n_chunks * n_steps, "dt": dt,
+                       "dt_stability": dt_stability, "dt_guard": dt_guard,
+                       "area_drift": d_area, "centroid_drift": d_cent,
+                       "tolerance": 1e-5})
     if d_area >= 1e-5 or d_cent >= 1e-5:
         return _fail(f"area_drift={d_area:.3e} centroid_drift={d_cent:.3e} report={path}")
     return _ok(f"area_drift={d_area:.3e} centroid_drift={d_cent:.3e} wrote {path}")
@@ -301,12 +322,10 @@ def cmd_rigid_check(args) -> int:
     state0 = ContourState.from_boundary(sol.full_boundary, args.nodes, alpha)
     normal_res = normal_velocity_residual(state0, sol.omega)
     t_quarter = np.pi / (2.0 * sol.omega)
-    # normal-velocity stepping from equal arclength; the step is the smaller
-    # of the RK4 stability rule and 0.95 of the quarter-spacing guard
+    # normal-velocity stepping from equal arclength
     start = redistribute(state0)
-    dt_stability, dt_guard = normal_step_bounds(start)
-    n_steps = int(np.ceil(t_quarter / min(dt_stability, dt_guard)))
-    state1 = evolve_normal(start, t_quarter, t_quarter / n_steps)
+    n_steps, dt_stability, dt_guard = _normal_steps(start, t_quarter)
+    state1 = evolve(start, t_quarter, t_quarter / n_steps)
     rotated = np.exp(1j * sol.omega * t_quarter) * state0.nodes
     dist = hausdorff_distance(state1.nodes, rotated)
     area0, cent0 = conserved_diagnostics(state0)
@@ -343,60 +362,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dispersion", help="tabulate bifurcation angular velocities")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--m-max", type=int, default=10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_dispersion)
 
     p = sub.add_parser("verify-integrals", help="closed-form moments vs quadrature")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--n-max", type=int, default=16)
     p.set_defaults(fn=cmd_verify_integrals)
 
     p = sub.add_parser("linearize", help="disc multipliers vs assembled Jacobian")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--omega", type=float, default=0.0)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--omega", type=_finite_float, default=0.0)
     p.add_argument("--n-modes", type=int, default=16)
     p.set_defaults(fn=cmd_linearize)
 
     p = sub.add_parser("scan", help="locate a bifurcation point spectrally")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--window", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--window", type=_finite_float, default=0.05)
+    p.add_argument("--tol", type=_finite_float, default=1e-7)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("solve-branch", help="continue an m-fold branch in amplitude")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s-max", type=float, required=True)
-    p.add_argument("--ds", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--s-max", type=_finite_float, required=True)
+    p.add_argument("--ds", type=_finite_float, required=True)
+    p.add_argument("--tol", type=_finite_float, default=1e-11)
     p.set_defaults(fn=cmd_solve_branch)
 
     p = sub.add_parser("ellipse-test", help="ellipses never rotate: mode-4 obstruction")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--Q", dest="q", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--Q", dest="q", type=_finite_float, required=True)
     p.add_argument("--omega-samples", type=int, default=21)
-    p.add_argument("--floor", type=float, default=0.0)
+    p.add_argument("--floor", type=_finite_float, default=0.0)
     p.set_defaults(fn=cmd_ellipse_test)
 
     p = sub.add_parser("evolve", help="contour-dynamics time integration")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--shape", choices=("disc", "ellipse", "vstate"), default="disc")
-    p.add_argument("--q", type=float, default=0.3)
+    p.add_argument("--q", type=_finite_float, default=0.3)
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--s", type=float, default=0.03)
-    p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--s", type=_finite_float, default=0.03)
+    p.add_argument("--t-final", type=_finite_float, required=True)
+    p.add_argument("--dt", type=_finite_float, required=True)
     p.add_argument("--nodes", type=int, default=512)
     p.add_argument("--frames", type=int, default=5)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("rigid-check", help="quarter-period rigid rotation round trip")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--s", type=float, default=0.03)
+    p.add_argument("--s", type=_finite_float, default=0.03)
     p.add_argument("--nodes", type=int, default=1024)
     p.set_defaults(fn=cmd_rigid_check)
 

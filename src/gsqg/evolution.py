@@ -8,15 +8,13 @@ integrable singularity handled by product integration of
 factor on a few cells around the target node.  Leading quadrature error is
 tangential, so shapes evolve more accurately than node positions.
 
-Two node motions share one RK4 step: Lagrangian (`step_rk4`, nodes move with
-the full velocity, classical RK4) and normal-velocity (`step_normal`, nodes
-move with the normal velocity plus a tangential velocity that keeps the
-arclength spacing equal, after Hou, Lowengrub & Shelley, JCP 1994).  Only
-the normal velocity moves the curve, and on a rotating patch it is far
-smaller than the node speed, so the second motion takes its step from
-stability instead.  Its stiff part, the motion linearized about the
-equal-area disc, turns each boundary mode k at the rate k Omega_k R^(-alpha)
-of the dispersion relation; `step_normal` integrates that part exactly
+Nodes move with the normal velocity plus a tangential velocity that keeps
+the arclength spacing equal (after Hou, Lowengrub & Shelley, JCP 1994).
+Only the normal velocity moves the curve, and on a rotating patch it is far
+smaller than the node speed, so the step comes from stability instead.  The
+stiff part of the motion, its linearization about the equal-area disc,
+turns each boundary mode k at the rate k Omega_k R^(-alpha) of the
+dispersion relation; `step_normal` integrates that part exactly
 (integrating-factor RK4) and leaves RK4 only the rest.
 
 States are immutable snapshots; stepping returns new states.
@@ -57,7 +55,7 @@ _STABILITY_SAFETY = 0.8
 _TILT_REACH = 0.19
 _TILT_CAP = 8.0
 # share of the quarter-spacing bound taken by `normal_step_bounds`, so that
-# the first step clears the guard `_rk4` re-checks on the node velocity
+# the first step clears the guard `step_normal` re-checks on the node velocity
 _GUARD_MARGIN = 0.95
 # relative slack in the step count of a horizon: far above the rounding of
 # t_final / dt, far below one step in any run
@@ -70,7 +68,7 @@ class ContourError(RuntimeError):
 
 @dataclass(frozen=True)
 class ContourState:
-    """Closed boundary as Lagrangian nodes, positively oriented."""
+    """Closed boundary as nodes z_j at sigma_j = 2 pi j / N, positively oriented."""
 
     nodes: np.ndarray
     time: float
@@ -330,54 +328,6 @@ def velocity_contour(state: ContourState, subtract: bool | None = None) -> np.nd
     return conv_constant(alpha) / (2.0 * np.pi) * total
 
 
-def _rk4(state: ContourState, dt: float, velocity, flow=None) -> ContourState:
-    """One four-stage step of dz/dt = velocity(state).
-
-    Without a `flow`, the stages are classical RK4 on the nodes.  With one
-    (a `_DiscFlow`), the step is the integrating-factor (Lawson) RK4 on the
-    FFT of the nodes: `velocity` returns the FFT of the node velocity, the
-    flow's linear part L is integrated exactly by its flow E(t), the stages
-    see only the rest, velocity - L z, and each stage state is built from
-    its spectrum.  Both run the same stage sequence, with E the identity in
-    the first.  Enforces dt * max node speed < node spacing / 4 on the full
-    node velocity before committing the step.
-    """
-    k1 = velocity(state)
-    if flow is None:
-        z, speed = state.nodes, k1
-        turn, rest = (lambda v: v), velocity
-
-        def build(nodes, t):
-            return ContourState(nodes=nodes, time=state.time + t, alpha=state.alpha)
-    else:
-        z, speed = state.spectrum, ifft(k1)
-        turn = flow.turn(0.5 * dt)
-
-        def rest(st):
-            return velocity(st) - flow.linear(st.spectrum)
-
-        def build(spec, t):
-            return ContourState.from_spectrum(spec, state.time + t, state.alpha)
-        k1 = k1 - flow.linear(z)
-    bound = _guard_step(state.nodes, speed)
-    if dt >= bound:
-        raise ContourError(f"dt = {dt:.3e} violates the quarter-spacing bound {bound:.3e}")
-    # E is linear, so E(dt/2)(z + dt/2 k1) = E(dt/2) z + dt/2 E(dt/2) k1, and
-    # E(dt) = E(dt/2) E(dt/2)
-    half, k1 = turn(np.stack([z, k1]))
-    k2 = rest(build(half + 0.5 * dt * k1, 0.5 * dt))
-    k3 = rest(build(half + 0.5 * dt * k2, 0.5 * dt))
-    k4 = rest(build(turn(half + dt * k3), dt))
-    z1, k1, k2, k3 = turn(np.stack([half, k1, k2, k3]))
-    return build(z1 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt)
-
-
-def step_rk4(state: ContourState, dt: float,
-             subtract: bool | None = None) -> ContourState:
-    """One RK4 step with the nodes moving at the full (Lagrangian) velocity."""
-    return _rk4(state, dt, lambda st: velocity_contour(st, subtract))
-
-
 @lru_cache(maxsize=16)
 def _disc_modes(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The disc's linear modes for m nodes, indexed like the FFT of z.
@@ -467,9 +417,35 @@ def normal_node_velocity(state: ContourState) -> np.ndarray:
 
 
 def step_normal(state: ContourState, dt: float) -> ContourState:
-    """One integrating-factor RK4 step with the nodes moving at
-    `normal_node_velocity`; the disc's linear modes turn exactly."""
-    return _rk4(state, dt, _normal_velocity_spectrum, _DiscFlow.about(state))
+    """One integrating-factor (Lawson) RK4 step with the nodes moving at
+    `normal_node_velocity`.
+
+    The stages run on the FFT of the nodes: the disc's linear part L
+    (`_DiscFlow`) is integrated exactly by its flow E(t), the stages see
+    only the rest, velocity - L z, and each stage state is built from its
+    spectrum.  Enforces dt * max node speed < node spacing / 4 before
+    committing the step.
+    """
+    flow = _DiscFlow.about(state)
+    turn = flow.turn(0.5 * dt)
+
+    def rest(spec, t):
+        stage = ContourState.from_spectrum(spec, state.time + t, state.alpha)
+        return _normal_velocity_spectrum(stage) - flow.linear(spec)
+
+    k1 = _normal_velocity_spectrum(state)
+    bound = _guard_step(state.nodes, ifft(k1))
+    if dt >= bound:
+        raise ContourError(f"dt = {dt:.3e} violates the quarter-spacing bound {bound:.3e}")
+    # E is linear, so E(dt/2)(z + dt/2 k1) = E(dt/2) z + dt/2 E(dt/2) k1, and
+    # E(dt) = E(dt/2) E(dt/2)
+    half, k1 = turn(np.stack([state.spectrum, k1 - flow.linear(state.spectrum)]))
+    k2 = rest(half + 0.5 * dt * k1, 0.5 * dt)
+    k3 = rest(half + 0.5 * dt * k2, 0.5 * dt)
+    k4 = rest(turn(half + dt * k3), dt)
+    z1, k1, k2, k3 = turn(np.stack([half, k1, k2, k3]))
+    return ContourState.from_spectrum(z1 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                                      state.time + dt, state.alpha)
 
 
 def stability_step(state: ContourState) -> float:
@@ -505,8 +481,8 @@ def normal_step_bounds(state: ContourState) -> tuple[float, float]:
     """(dt_stability, dt_guard) for `step_normal` runs from `state`.
 
     dt_stability is `stability_step`; dt_guard is 0.95 of the quarter-spacing
-    bound that `_rk4` enforces, on the node velocity at `state`.  A run steps
-    at the smaller of the two.
+    bound that `step_normal` enforces, on the node velocity at `state`.  A
+    run steps at the smaller of the two.
     """
     guard = _guard_step(state.nodes, normal_node_velocity(state))
     return stability_step(state), _GUARD_MARGIN * guard
@@ -515,8 +491,8 @@ def normal_step_bounds(state: ContourState) -> tuple[float, float]:
 def redistribute(state: ContourState) -> ContourState:
     """Resample the nodes to equal arclength through a periodic cubic spline.
 
-    Counters the tangential drift of the Lagrangian parametrization, which
-    otherwise clusters nodes; the curve itself moves only by the spline
+    `step_normal` keeps the node spacing as it finds it, so a run from equal
+    spacing starts here; the curve itself moves only by the spline
     interpolation error.
     """
     z = state.nodes
@@ -541,24 +517,9 @@ def _steps(t_final: float, dt: float) -> tuple[int, float]:
     return n_steps, t_final / n_steps
 
 
-def evolve(state: ContourState, t_final: float, dt: float,
-           subtract: bool | None = None, redistribute_every: int = 20) -> ContourState:
-    """March to t_final in uniform Lagrangian steps, resampling periodically."""
-    n_steps, dt = _steps(t_final, dt)
-    cur = state
-    for k in range(1, n_steps + 1):
-        cur = step_rk4(cur, dt, subtract)
-        if redistribute_every and k % redistribute_every == 0 and k < n_steps:
-            cur = redistribute(cur)
-    return cur
-
-
-def evolve_normal(state: ContourState, t_final: float, dt: float) -> ContourState:
-    """March to t_final in uniform `step_normal` steps.
-
-    The motion keeps the node spacing as it finds it, so pass a
-    `redistribute`d state for equal arclength spacing.
-    """
+def evolve(state: ContourState, t_final: float, dt: float) -> ContourState:
+    """March to t_final in the fewest equal `step_normal` steps no longer
+    than dt."""
     n_steps, dt = _steps(t_final, dt)
     cur = state
     for _ in range(n_steps):
@@ -636,14 +597,13 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray, upsample: int = 16) -> floa
     return max(_to_polyline_gap(za, zb), _to_polyline_gap(zb, za))
 
 
-def normal_velocity_residual(state: ContourState, omega: float,
-                             subtract: bool | None = None) -> float:
+def normal_velocity_residual(state: ContourState, omega: float) -> float:
     """Largest mismatch between the computed and rigid-rotation normal speeds.
 
     For a true rotating patch the boundary velocity agrees with i*omega*z in
     the normal direction; tangential components are parametrization slack.
     """
-    u = velocity_contour(state, subtract)
+    u = velocity_contour(state)
     tangent = state.tangent
     normal = -1j * tangent / np.abs(tangent)
     mismatch = (u - 1j * omega * state.nodes) * np.conj(normal)

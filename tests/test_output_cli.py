@@ -51,6 +51,21 @@ def run_cli(tmp_path, *args):
     return main(["--output-dir", str(tmp_path), *args])
 
 
+# one non-finite float per command line; each exited 3 with a traceback, and
+# `solve-branch --s-max nan` exited 1 with "no branch points solved"
+NON_FINITE_ARGS = [
+    ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "nan"),
+    ("evolve", "--alpha", "0.5", "--t-final", "inf", "--dt", "0.01"),
+    ("evolve", "--alpha", "nan", "--t-final", "0.1", "--dt", "0.01"),
+    ("dispersion", "--alpha", "nan"),
+    ("scan", "--alpha", "nan", "--m", "3"),
+    ("rigid-check", "--alpha", "nan"),
+    ("rigid-check", "--alpha", "0.5", "--s", "nan"),
+    ("rigid-check", "--alpha", "0.5", "--s", "inf"),
+    ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "nan", "--ds", "0.01"),
+]
+
+
 class TestCli:
     def test_dispersion_critical_rows(self, tmp_path):
         assert run_cli(tmp_path, "dispersion", "--alpha", "1", "--m-max", "5") == 0
@@ -167,6 +182,22 @@ class TestCli:
         rec = json.loads(lines[-1])
         assert rec["time"] == pytest.approx(0.2)
         assert len(rec["nodes_re"]) == 256
+
+    def test_evolve_reports_the_step_taken(self, tmp_path):
+        # --dt only caps the step; here the stability rule sets it
+        for sub in ("a", "b"):
+            assert run_cli(tmp_path / sub, "evolve", "--alpha", "0.5", "--shape", "ellipse",
+                           "--t-final", "0.2", "--dt", "1.0", "--nodes", "128") == 0
+        first = (tmp_path / "a" / "evolve_report.json").read_bytes()
+        assert first == (tmp_path / "b" / "evolve_report.json").read_bytes()
+        rep = json.loads(first)
+        assert rep["dt"] <= min(rep["dt_stability"], rep["dt_guard"])
+        assert rep["steps"] * rep["dt"] == pytest.approx(0.2, rel=1e-14)
+
+    @pytest.mark.parametrize("argv", NON_FINITE_ARGS, ids=" ".join)
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, *argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_evolve_bad_dt_exits_2(self, tmp_path):
         assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--t-final", "0.1",
