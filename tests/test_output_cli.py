@@ -51,8 +51,8 @@ def run_cli(tmp_path, *args):
     return main(["--output-dir", str(tmp_path), *args])
 
 
-# one non-finite float per command line; each exited 3 with a traceback, and
-# `solve-branch --s-max nan` exited 1 with "no branch points solved"
+# one non-finite float per command line; the parser rejects each as invalid
+# configuration, before any numerics can fail on it
 NON_FINITE_ARGS = [
     ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "nan"),
     ("evolve", "--alpha", "0.5", "--t-final", "inf", "--dt", "0.01"),
