@@ -9,7 +9,7 @@ analytic properties at desk scale:
 specfun        rising-factorial and odd-harmonic ladders, the dispersion relation
 geometry       boundaries as exterior conformal-map Fourier coefficients
 kernels        exact circle moments and the nonlinear patch functional
-linearization  Fourier multipliers, discrete Jacobians, bifurcation scans
+linearization  Fourier multipliers, analytic derivatives, bifurcation scans
 continuation   Newton solver and amplitude continuation for m-fold branches
 evolution      contour dynamics by integrating-factor normal-velocity stepping
                (independent of the spectral path)
@@ -31,12 +31,12 @@ from .kernels import (ResidualField, SelfIntersectionError,
                       functional_G, functional_G_sqg, s_phi,
                       singular_moment_I, singular_moment_J, singular_moment_Z,
                       sqg_moment_1, sqg_moment_2)
-from .linearization import (BracketError, JacobianMatrix, MultiplierSpectrum,
-                            bifurcation_scan, crosses_transversally,
+from .linearization import (BracketError, MultiplierSpectrum, bifurcation_scan,
+                            crosses_transversally, disc_jacobian,
                             gateaux_derivative, kernel_diagnostics,
                             mixed_omega_column, monomial_derivatives,
-                            multiplier_at_disc, numerical_jacobian,
-                            omega_slope, transversality_check)
+                            multiplier_at_disc, omega_slope,
+                            transversality_check)
 from .continuation import (BranchTable, FoldError, NonConvergenceError,
                            VStateSolution, continue_branch, solve_vstate,
                            verify_dilation_law)

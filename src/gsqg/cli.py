@@ -30,8 +30,7 @@ from .kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                       singular_moment_J, singular_moment_Z, sqg_moment_1,
                       sqg_moment_2)
 from .linearization import (BracketError, bifurcation_scan, crosses_transversally,
-                            kernel_diagnostics, multiplier_at_disc,
-                            numerical_jacobian)
+                            disc_jacobian, kernel_diagnostics, multiplier_at_disc)
 from .output import (write_csv, write_curves_svg, write_json, write_jsonl,
                      write_residual_csv, write_residual_json, write_xy_svg)
 from .specfun import (GammaPoleError, omega_asymptotic, omega_dispersion,
@@ -149,14 +148,12 @@ def cmd_verify_integrals(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    alpha = _check_alpha(args.alpha)
+    alpha = _check_alpha(args.alpha, open_lo=True)
     if args.n_modes < 2:
         raise ConfigError("n-modes must be >= 2")
     out = _outdir(args)
     spectrum = multiplier_at_disc(alpha, args.omega, args.n_modes)
-    jac = numerical_jacobian(FourierBoundary.identity(), args.omega, alpha,
-                             n_modes=args.n_modes, check_conditioning=False)
-    diag = np.diag(jac.entries)
+    diag = np.diag(disc_jacobian(alpha, args.omega, args.n_modes))
     agreement = float(np.max(np.abs(diag - spectrum.mult[:args.n_modes])))
     write_csv(out / "multipliers.csv", ["n", "multiplier"],
               [[n, spectrum.mult[n]] for n in range(args.n_modes)])

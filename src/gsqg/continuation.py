@@ -113,10 +113,8 @@ def solve_vstate(alpha: float, m: int, s: float,
 
     initial_guess is (omega, higher_coeffs) with k_modes - 1 higher rungs;
     by default the disc data (dispersion omega, zero rungs), which is inside
-    the Newton basin for small s.  The Newton Jacobian is analytic for
-    alpha in (0, 1); at alpha = 1 the subtracted kernel has no analytic
-    derivative yet, so the Jacobian there is built by central differences.
-    Raises NonConvergenceError, FoldError, or a self-intersection error from
+    the Newton basin for small s.  The Newton Jacobian is analytic at every
+    alpha in (0, 1], the subtracted kernel of alpha = 1 included.  Raises NonConvergenceError, FoldError, or a self-intersection error from
     the kernel layer.
     """
     if m < 2:
@@ -151,8 +149,6 @@ def solve_vstate(alpha: float, m: int, s: float,
         return _equations(x_vec[0], reduced_of(x_vec), alpha, m, grid, k_modes)
 
     def jac_of(x_vec: np.ndarray) -> np.ndarray:
-        if alpha == 1.0:
-            return _fd_jacobian(x_vec, res_of)
         return _mfold_jacobian(x_vec[0], reduced_of(x_vec), alpha, m, grid, k_modes)
 
     sol_x, norm, builds = _chord_newton(x, res_of, jac_of, tol, max_iter, s)
@@ -160,17 +156,6 @@ def solve_vstate(alpha: float, m: int, s: float,
     return VStateSolution(alpha=alpha, m=m, s=s, omega=float(sol_x[0]), boundary=bnd,
                           residual_norm=norm, grid_size=grid.size,
                           residual_evals=evals, jacobian_builds=builds)
-
-
-def _fd_jacobian(x: np.ndarray, res_of) -> np.ndarray:
-    n = len(x)
-    jac = np.empty((n, n))
-    for j in range(n):
-        step = 1e-6 * max(1.0, abs(x[j]))
-        xp = x.copy(); xp[j] += step
-        xm = x.copy(); xm[j] -= step
-        jac[:, j] = (res_of(xp) - res_of(xm)) / (2.0 * step)
-    return jac
 
 
 def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, max_iter: int,

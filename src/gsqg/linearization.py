@@ -3,10 +3,11 @@
 At the disc the derivative acts diagonally on Fourier modes: perturbing
 coefficient b_n moves only the sine mode n+1, with multiplier
 (n+1)(omega - omega_{n+1})/2 (and omega/2 for the translation mode b_0).
-Away from the disc the directional derivative is assembled from the same
-product quadrature as the nonlinear functional; finite differences of the
-functional provide a fully independent cross-check and the discrete
-Jacobian used for kernel and transversality diagnostics.
+Away from the disc, and at every alpha in (0, 1], the directional
+derivative is assembled from the same product quadrature as the nonlinear
+functional.  The disc Jacobian behind the kernel, transversality and
+bifurcation diagnostics is that analytic derivative; it rebuilds the
+multipliers from the quadrature pipeline rather than from their closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
                        eval_deriv, eval_map)
 from .kernels import (_H_FLOOR, SelfIntersectionError, _circulant_weights,
-                      _field_from_values, _sector_rows, functional_G)
+                      _field_from_values, _sector_rows)
 from .specfun import DispersionTable, conv_constant, omega_dispersion
 
 
@@ -98,11 +99,15 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     so the chord-difference integrals of all directions come from two
     products with the Vandermonde block [w_j^r] (and its conjugate) and a
     prefix sum over r; the layer-potential term is one more product with
-    the direction derivatives.  When the boundary and every direction are
-    f-fold symmetric, only size/f target rows are formed.
+    the direction derivatives.  At alpha = 1 the same pass differentiates
+    the subtracted kernel of functional_G_sqg: the numerators become
+    p = w phi' and q = w h', H^(-1) W loses its row sum so that it acts on
+    q_j - q_i, and the chord term weighs (p_j - p_i) H^(-3) W.  When the
+    boundary and every direction are f-fold symmetric, only size/f target
+    rows are formed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("analytic derivative implemented for alpha in (0, 1)")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("analytic derivative implemented for alpha in (0, 1]")
     modes = np.asarray(modes, dtype=int)
     if modes.size and modes.min() < -1:
         raise ValueError("directions are w^(-n) with n >= -1")
@@ -110,6 +115,7 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     if grid.size < 2 * (n_max + 1):
         warnings.warn(f"grid of size {grid.size} under-resolves the direction b_{n_max}",
                       AliasingWarning, stacklevel=2)
+    critical = alpha == 1.0
     w, theta = grid.nodes, grid.angles
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
@@ -118,6 +124,8 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     vand = np.exp(1j * np.outer(theta, np.arange(n_max + 1)))   # w_j^r, r = 0..n_max
     vand_conj = np.conj(vand)
     dirs = np.column_stack([dphi, dhv])
+    if critical:
+        dirs = w[:, None] * dirs                         # [p, q] = w [phi', h']
     weights = _circulant_weights(grid.size, alpha)
     n_rows = _sector_rows(bnd, grid.size, modes)
     sing = np.empty((n_rows, modes.size), dtype=complex)
@@ -128,8 +136,13 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
         if hmat.min() < _H_FLOOR:
             raise SelfIntersectionError(f"chord ratio fell to {hmat.min():.3e}")
         kern = hmat ** (-alpha) * weights[start:stop]
-        layer = kern @ dirs                     # [S / (C_a w), a-terms]
-        pw = kern * (dphi[None, :] / (hmat * hmat))
+        if critical:
+            numer = dirs[None, :, 0] - dirs[start:stop, None, 0]     # p_j - p_i
+            kern[np.arange(stop - start), np.arange(start, stop)] -= kern.sum(axis=1)
+        else:
+            numer = dphi[None, :]
+        layer = kern @ dirs     # [S / (C_a w), a-terms]; at alpha = 1 the sums of p, q
+        pw = kern * (numer / (hmat * hmat))
         # the two chord-difference integrals over w_i, summed: chord sums of
         # w_i^(-r) [(ratio pw) vand]_r and of w_i^r [(conj(ratio) pw) conj(vand)]_r,
         # turned by w_i^(n+1) and w_i^(-n-1)
@@ -137,13 +150,14 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
         sum_c = _chord_sums(vand[start:stop] * ((np.conj(ratio) * pw) @ vand_conj), modes)
         rows_inv = inv[start:stop]
         chord = -(np.conj(rows_inv) * sum_b + rows_inv * sum_c)
-        sing[start:stop] = (layer[:, :1] * np.conj(dhv[start:stop])
-                            + np.conj(dphi[start:stop, None])
+        sing[start:stop] = (layer[:, :1] * np.conj(dirs[start:stop, 1:])
+                            + np.conj(dirs[start:stop, :1])
                             * (layer[:, 1:] - 0.5 * alpha * chord))
     rows = slice(0, n_rows)
+    scale = -2.0 / np.pi if critical else conv_constant(alpha)
     vals = (omega * _mixed_slope(phi[rows, None], dphi[rows, None], w[rows, None],
                                  inv[rows], dhv[rows])
-            - conv_constant(alpha) * np.imag(sing))
+            - scale * np.imag(sing))
     return np.tile(vals, (grid.size // n_rows, 1)).T
 
 
@@ -167,32 +181,6 @@ def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
     return _field_from_values(amps @ fields, grid)
 
 
-@dataclass(frozen=True)
-class JacobianMatrix:
-    """Finite-difference Jacobian in the mode basis, rows = sine modes 1..K."""
-
-    entries: np.ndarray        # entries[k-1, n]: response of sine mode k to b_n
-    omega_column: np.ndarray   # mixed omega-derivative column (see builder)
-    alpha: float
-    omega: float
-    eps: float
-
-
-def _perturbed(bnd: FourierBoundary, mode: int, eps: float, width: int) -> FourierBoundary:
-    coeffs = np.zeros(max(bnd.order, width - 1, mode) + 1)
-    coeffs[:bnd.order + 1] = bnd.coeffs
-    coeffs[mode] += eps
-    return FourierBoundary(coeffs, lead=bnd.lead)
-
-
-def fd_column(bnd: FourierBoundary, mode: int, omega: float, alpha: float,
-              grid: UnitGrid, eps: float, n_rows: int) -> np.ndarray:
-    """Sine coefficients of the central difference in the direction b_mode."""
-    fp = functional_G(omega, _perturbed(bnd, mode, +eps, n_rows), alpha, grid)
-    fm = functional_G(omega, _perturbed(bnd, mode, -eps, n_rows), alpha, grid)
-    return (fp.sine_coeffs[:n_rows] - fm.sine_coeffs[:n_rows]) / (2.0 * eps)
-
-
 def mixed_omega_column(bnd: FourierBoundary, mode: int, grid: UnitGrid,
                        n_rows: int) -> np.ndarray:
     """Mixed derivative d/domega of the Jacobian column for b_mode.
@@ -207,34 +195,18 @@ def mixed_omega_column(bnd: FourierBoundary, mode: int, grid: UnitGrid,
     return grid.sine_coeffs(mixed)[:n_rows]
 
 
-def numerical_jacobian(bnd: FourierBoundary, omega: float, alpha: float,
-                       grid: UnitGrid | None = None, eps: float = 1e-6,
-                       n_modes: int = 16, mixed_mode: int | None = None,
-                       check_conditioning: bool = True) -> JacobianMatrix:
-    """Central-difference Jacobian over the modes b_0 .. b_{n_modes-1}.
+def disc_jacobian(alpha: float, omega: float, n_modes: int,
+                  grid: UnitGrid | None = None) -> np.ndarray:
+    """Analytic Jacobian at the disc over the modes b_0 .. b_{n_modes-1}.
 
-    Square by construction: sine modes 1..n_modes as rows, so at the disc
-    the matrix is diagonal with entry (n+1)(omega - omega_{n+1})/2 at
-    position (n, n).  omega_column carries the mixed omega-derivative in the
-    direction b_{mixed_mode} (default: the last mode, n_modes - 1).
+    Square: entries[k-1, n] is the response of sine mode k to b_n, from one
+    monomial_derivatives pass, so the matrix is diagonal with entry
+    (n+1)(omega - omega_{n+1})/2 at (n, n) up to quadrature rounding.
     """
-    if not 1e-8 <= eps <= 1e-4:
-        raise ValueError("finite-difference step outside [1e-8, 1e-4]")
     grid = default_grid(n_modes + 1) if grid is None else grid
-    cols = [fd_column(bnd, n, omega, alpha, grid, eps, n_modes)
-            for n in range(n_modes)]
-    entries = np.column_stack(cols)
-    if check_conditioning:
-        probe = n_modes // 2
-        again = fd_column(bnd, probe, omega, alpha, grid, eps / 2.0, n_modes)
-        drift = float(np.max(np.abs(again - entries[:, probe])))
-        if drift > 1e-5:
-            warnings.warn(f"finite-difference columns drift by {drift:.2e} "
-                          "under step halving", RuntimeWarning, stacklevel=2)
-    mode = n_modes - 1 if mixed_mode is None else mixed_mode
-    omega_col = mixed_omega_column(bnd, mode, grid, n_modes)
-    return JacobianMatrix(entries=entries, omega_column=omega_col,
-                          alpha=alpha, omega=omega, eps=eps)
+    fields = monomial_derivatives(FourierBoundary.identity(), range(n_modes), omega,
+                                  alpha, grid)
+    return grid.sine_coeffs(fields, n_modes).T
 
 
 class BracketError(ValueError):
@@ -242,43 +214,29 @@ class BracketError(ValueError):
 
 
 def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float],
-                     grid: UnitGrid | None = None, tol: float = 1e-10,
-                     eps: float = 1e-6) -> float:
+                     grid: UnitGrid | None = None) -> float:
     """Locate the angular velocity where the mode-(m-1) column vanishes.
 
-    Bisection on the (m, m-1) entry of the quadrature-assembled disc
-    Jacobian; the result must land on the closed-form dispersion value, and
-    doing so checks the whole product-quadrature pipeline at once.
+    The functional is affine in omega, so the (m, m-1) entry of the
+    quadrature-assembled disc Jacobian is e(omega) = A + omega B, with A
+    from one monomial_derivatives column at omega = 0 and B from
+    mixed_omega_column; its root -A/B must land on the closed-form
+    dispersion value, and doing so checks the whole product-quadrature
+    pipeline at once.  BracketError when e keeps its sign over the window.
     """
     grid = default_grid(m + 1) if grid is None else grid
     disc = FourierBoundary.identity()
-
-    def entry(om: float) -> float:
-        return fd_column(disc, m - 1, om, alpha, grid, eps, m)[m - 1]
-
+    entry_0 = grid.sine_coeffs(monomial_derivatives(disc, [m - 1], 0.0, alpha, grid),
+                               m)[0, m - 1]
+    slope = mixed_omega_column(disc, m - 1, grid, m)[m - 1]
     lo, hi = omega_window
-    f_lo, f_hi = entry(lo), entry(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
+    if (entry_0 + lo * slope) * (entry_0 + hi * slope) > 0.0:
         raise BracketError(f"no sign change of mode-{m - 1} multiplier in {omega_window}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = entry(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return float(-entry_0 / slope)
 
 
 def kernel_diagnostics(alpha: float, m: int, omega: float,
-                       grid: UnitGrid | None = None, n_modes: int = 16,
-                       eps: float = 1e-6) -> dict:
+                       grid: UnitGrid | None = None, n_modes: int = 16) -> dict:
     """Singular-value picture of the disc Jacobian at a candidate bifurcation.
 
     Reports the number of near-zero singular values, the mass the critical
@@ -287,20 +245,18 @@ def kernel_diagnostics(alpha: float, m: int, omega: float,
     """
     n_modes = max(n_modes, m + 4)
     grid = default_grid(n_modes + 1) if grid is None else grid
-    jac = numerical_jacobian(FourierBoundary.identity(), omega, alpha, grid,
-                             eps=eps, n_modes=n_modes, mixed_mode=m - 1,
-                             check_conditioning=False)
-    u_mat, sv, vt = np.linalg.svd(jac.entries)
+    entries = disc_jacobian(alpha, omega, n_modes, grid)
+    u_mat, sv, vt = np.linalg.svd(entries)
     scale = sv[0]
     n_small = int(np.sum(sv < 1e-9 * scale))
     v_min = vt[-1]
     mass = float(v_min[m - 1] ** 2 / np.dot(v_min, v_min))
     keep = [n for n in range(n_modes) if n != m - 1]
-    rows = [k for k in range(n_modes) if k != m - 1]
-    reduced = jac.entries[np.ix_(rows, keep)]
+    reduced = entries[np.ix_(keep, keep)]
     cond = float(np.linalg.cond(reduced))
+    omega_col = mixed_omega_column(FourierBoundary.identity(), m - 1, grid, n_modes)
     return {"singular_values": sv, "n_small": n_small, "kernel_mass": mass,
-            "cokernel": u_mat[:, -1], "omega_column": jac.omega_column,
+            "cokernel": u_mat[:, -1], "omega_column": omega_col,
             "reduced_condition": cond}
 
 

@@ -8,6 +8,8 @@ from gsqg.geometry import MFoldBoundary, UnitGrid, default_grid, embed_mfold
 from gsqg.kernels import functional_G
 from gsqg.specfun import omega_dispersion
 
+from fd_oracle import fd_jacobian
+
 
 class TestSolve:
     def test_zero_amplitude_is_disc(self):
@@ -51,14 +53,21 @@ class TestSolve:
             solve_vstate(0.5, 3, 0.01, initial_guess=(0.3, np.zeros(3)), k_modes=8)
 
     def test_records_solver_work(self):
-        # the analytic Jacobian costs no residual evaluation; central
-        # differences at alpha = 1 cost two per unknown
+        # the analytic Jacobian costs no residual evaluation, at alpha = 1 too;
+        # central differences would cost two per unknown
         sol = solve_vstate(0.5, 3, 0.02, k_modes=8)
         assert sol.jacobian_builds >= 1
         assert 2 <= sol.residual_evals < 2 * 8
         with pytest.warns(RuntimeWarning, match="experimental"):
             crit = solve_vstate(1.0, 3, 1e-3, k_modes=6)
-        assert crit.residual_evals >= 2 * 6 * crit.jacobian_builds
+        assert crit.jacobian_builds >= 1
+        assert 2 <= crit.residual_evals < 2 * 6
+
+    def test_critical_solve_is_analytic(self):
+        with pytest.warns(RuntimeWarning, match="experimental"):
+            sol = solve_vstate(1.0, 3, 0.03)
+        assert sol.residual_norm < 1e-11
+        assert sol.residual_evals <= 6
 
 
 class TestJacobian:
@@ -72,10 +81,20 @@ class TestJacobian:
         disc_guess[0] = omega_dispersion(alpha, m)
         for x in (converged, disc_guess):
             reduced = np.concatenate([[s], x[1:]])
-            fd = cont._fd_jacobian(x, lambda v: cont._equations(
+            fd = fd_jacobian(x, lambda v: cont._equations(
                 v[0], np.concatenate([[s], v[1:]]), alpha, m, grid, k_modes))
             jac = cont._mfold_jacobian(x[0], reduced, alpha, m, grid, k_modes)
             assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(fd))
+
+    def test_critical_analytic_matches_finite_differences(self):
+        m, k_modes = 3, 8
+        grid = default_grid(k_modes * m)
+        x = np.array([0.33, 1e-3, -2e-4, 1e-5, 0.0, 0.0, 0.0, 0.0])
+        reduced = np.concatenate([[0.03], x[1:]])
+        fd = fd_jacobian(x, lambda v: cont._equations(
+            v[0], np.concatenate([[0.03], v[1:]]), 1.0, m, grid, k_modes))
+        jac = cont._mfold_jacobian(x[0], reduced, 1.0, m, grid, k_modes)
+        assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(fd))
 
 
 class TestChordNewton:

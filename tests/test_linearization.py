@@ -5,12 +5,13 @@ import gsqg.linearization as lin
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary, UnitGrid,
                            embed_mfold, eval_deriv, eval_map)
 from gsqg.kernels import _chord_ratio, _contract, _field_from_values, functional_G
-from gsqg.linearization import (BracketError, bifurcation_scan, fd_column,
+from gsqg.linearization import (BracketError, bifurcation_scan, disc_jacobian,
                                 gateaux_derivative, kernel_diagnostics,
                                 mixed_omega_column, monomial_derivatives,
-                                multiplier_at_disc, numerical_jacobian,
-                                transversality_check)
+                                multiplier_at_disc, transversality_check)
 from gsqg.specfun import conv_constant, omega_dispersion, omega_sqg, theta_alpha
+
+from fd_oracle import fd_column, fd_jacobian_matrix
 
 
 def direction(mode: int, amp: float = 1.0) -> FourierBoundary:
@@ -191,37 +192,51 @@ class TestGateaux:
                                UnitGrid(64))
 
     def test_alpha_domain(self):
+        # alpha = 1 is the subtracted kernel; alpha <= 0 and alpha > 1 have no functional
+        disc = FourierBoundary.identity()
+        assert monomial_derivatives(disc, [1], 0.3, 1.0, UnitGrid(64)).shape == (1, 64)
+        for alpha in (0.0, -0.5, 1.0 + 1e-12, 1.5):
+            with pytest.raises(ValueError):
+                monomial_derivatives(disc, [1], 0.3, alpha, UnitGrid(64))
         with pytest.raises(ValueError):
-            monomial_derivatives(FourierBoundary.identity(), [1], 0.3, 1.0, UnitGrid(64))
-        with pytest.raises(ValueError):
-            monomial_derivatives(FourierBoundary.identity(), [-2], 0.3, 0.5, UnitGrid(64))
+            monomial_derivatives(disc, [-2], 0.3, 0.5, UnitGrid(64))
+
+    @pytest.mark.parametrize("coeffs", [[0.0], [0.0, 0.04, -0.01, 0.005, 0.002, -0.001]],
+                             ids=["disc", "perturbed"])
+    def test_critical_matches_finite_differences(self, coeffs):
+        # alpha = 1: the derivative of the subtracted kernel against central
+        # differences of functional_G_sqg, leading coefficient included
+        bnd, grid, modes = FourierBoundary(np.array(coeffs)), UnitGrid(128), [-1, 0, 1, 2, 4]
+        got = grid.sine_coeffs(monomial_derivatives(bnd, modes, 0.3, 1.0, grid), 12)
+        for row, mode in zip(got, modes):
+            assert np.max(np.abs(row - fd_column(bnd, mode, 0.3, 1.0, grid, 1e-6, 12))) < 1e-10
 
 
 class TestJacobian:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_disc_diagonal_matches_multipliers(self, alpha):
+        grid = UnitGrid(208)
         for om in (0.0, omega_dispersion(alpha, 2), 0.9 * theta_alpha(alpha)):
-            jac = numerical_jacobian(FourierBoundary.identity(), om, alpha,
-                                     n_modes=12, check_conditioning=False)
+            jac = disc_jacobian(alpha, om, 12, grid)
             spec = multiplier_at_disc(alpha, om, 12)
-            assert np.max(np.abs(np.diag(jac.entries) - spec.mult[:12])) < 1e-7
-            off = jac.entries - np.diag(np.diag(jac.entries))
-            assert np.max(np.abs(off)) < 1e-7
+            assert np.max(np.abs(jac - np.diag(spec.mult[:12]))) < 1e-12
+            fd = fd_jacobian_matrix(FourierBoundary.identity(), om, alpha, grid, 12)
+            assert np.max(np.abs(jac - fd)) < 1e-7
 
     def test_wide_truncation_agreement(self):
         # same agreement holds out to 32 modes
         alpha, om = 0.5, omega_dispersion(0.5, 2)
-        jac = numerical_jacobian(FourierBoundary.identity(), om, alpha,
-                                 n_modes=32, check_conditioning=False)
+        jac = disc_jacobian(alpha, om, 32)
         spec = multiplier_at_disc(alpha, om, 32)
-        assert np.max(np.abs(np.diag(jac.entries) - spec.mult[:32])) < 1e-7
+        assert np.max(np.abs(np.diag(jac) - spec.mult[:32])) < 1e-11
 
     def test_critical_diagonal_matches_multipliers(self):
-        om = omega_sqg(2)
-        jac = numerical_jacobian(FourierBoundary.identity(), om, 1.0,
-                                 n_modes=8, check_conditioning=False)
+        om, grid = omega_sqg(2), UnitGrid(144)
+        jac = disc_jacobian(1.0, om, 8, grid)
         spec = multiplier_at_disc(1.0, om, 8)
-        assert np.max(np.abs(np.diag(jac.entries) - spec.mult[:8])) < 1e-7
+        assert np.max(np.abs(jac - np.diag(spec.mult[:8]))) < 1e-12
+        fd = fd_jacobian_matrix(FourierBoundary.identity(), om, 1.0, grid, 8)
+        assert np.max(np.abs(jac - fd)) < 1e-7
 
     def test_mixed_omega_column_at_disc(self):
         # direction b_{m-1} responds in sine mode m with weight m/2
@@ -245,33 +260,30 @@ class TestJacobian:
                 assert np.max(np.abs(col - fd)) < 1e-9
 
     def test_mfold_rows_decouple(self):
-        m = 3
+        m, grid = 3, UnitGrid(208)
         bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array([0.04, 0.001])), 11)
-        jac = numerical_jacobian(bnd, 0.3, 0.5, n_modes=12,
-                                 check_conditioning=False)
+        jac = grid.sine_coeffs(monomial_derivatives(bnd, range(12), 0.3, 0.5, grid), 12).T
+        assert np.max(np.abs(jac - fd_jacobian_matrix(bnd, 0.3, 0.5, grid, 12))) < 1e-7
         for col in range(12):
             if (col + 1) % m == 0:
                 continue   # symmetric directions may hit symmetric rows
             for row_mode in (m, 2 * m, 3 * m):
-                assert abs(jac.entries[row_mode - 1, col]) < 1e-10
-
-    def test_step_domain(self):
-        with pytest.raises(ValueError):
-            numerical_jacobian(FourierBoundary.identity(), 0.3, 0.5, eps=1e-2)
+                assert abs(jac[row_mode - 1, col]) < 1e-10
 
 
 class TestBifurcationScan:
     def test_locates_dispersion_value(self):
-        a, m = 0.5, 2
-        om = omega_dispersion(a, m)
-        found = bifurcation_scan(a, m, (om - 0.05, om + 0.05))
-        assert abs(found - om) < 1e-8
+        # the root of the affine entry lands on the closed form to rounding
+        for a, m in ((0.5, 2), (0.5, 3), (0.5, 4), (0.5, 5), (1.0, 3)):
+            om = omega_dispersion(a, m)
+            found = bifurcation_scan(a, m, (om - 0.05, om + 0.05))
+            assert abs(found - om) < 1e-14
 
     def test_high_alpha_mode5(self):
         a, m = 0.9, 5
         om = omega_dispersion(a, m)
         found = bifurcation_scan(a, m, (om - 0.03, om + 0.03))
-        assert abs(found - om) < 1e-7
+        assert abs(found - om) < 1e-13
 
     def test_no_bracket(self):
         with pytest.raises(BracketError):

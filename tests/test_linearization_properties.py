@@ -1,0 +1,38 @@
+"""Property tests of the analytic disc Jacobian over random inputs (needs hypothesis)."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from gsqg.geometry import FourierBoundary, default_grid  # noqa: E402
+from gsqg.linearization import (disc_jacobian, mixed_omega_column,  # noqa: E402
+                                monomial_derivatives, multiplier_at_disc)
+
+SETTINGS = settings(max_examples=40, deadline=None)
+# the subtracted kernel at alpha = 1 and the plain one below it; the plain
+# quadrature loses digits like 1e-16 / (1 - alpha) as alpha -> 1 and like
+# 1e-16 / alpha as alpha -> 0, so its range stops 1e-3 short of either end
+alphas = st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=0.999))
+omegas = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@SETTINGS
+@given(alpha=alphas, omega=omegas, n_modes=st.integers(min_value=2, max_value=12))
+def test_disc_jacobian_is_the_multiplier_diagonal(alpha, omega, n_modes):
+    jac = disc_jacobian(alpha, omega, n_modes)
+    mult = multiplier_at_disc(alpha, omega, n_modes).mult[:n_modes]
+    assert np.max(np.abs(jac - np.diag(mult))) < 1e-10
+
+
+@SETTINGS
+@given(alpha=alphas, omega=omegas, mode=st.integers(min_value=0, max_value=11))
+def test_disc_column_is_affine_in_omega(alpha, omega, mode):
+    # e(omega) = e(0) + omega * mixed_omega_column: the identity bifurcation_scan solves
+    disc, grid = FourierBoundary.identity(), default_grid(13)
+    column = [grid.sine_coeffs(monomial_derivatives(disc, [mode], om, alpha, grid), 12)[0]
+              for om in (omega, 0.0)]
+    slope = mixed_omega_column(disc, mode, grid, 12)
+    assert np.max(np.abs(column[0] - column[1] - omega * slope)) < 1e-12

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import gsqg.cli as cli
+import gsqg.continuation as continuation
+import gsqg.kernels as kernels
 import gsqg.linearization as lin
 from gsqg.cli import main
 from gsqg.continuation import NonConvergenceError
@@ -116,22 +118,41 @@ class TestCli:
         assert report["transversal"] is True
 
     def test_scan_builds_one_disc_jacobian(self, tmp_path, monkeypatch):
-        calls = {"fd_column": 0, "numerical_jacobian": 0}
+        calls = {"functional_G": 0, "functional_G_sqg": 0, "monomial_derivatives": 0}
 
-        def counting(name):
-            original = getattr(lin, name)
+        def counting(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
-            monkeypatch.setattr(lin, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counting("fd_column")
-        counting("numerical_jacobian")
-        assert run_cli(tmp_path, "scan", "--alpha", "0.5", "--m", "3") == 0
-        # 2 bracket ends + 30 bisection steps, then the 16 columns of one
-        # Jacobian; the mixed omega column is closed-form
-        assert calls == {"fd_column": 48, "numerical_jacobian": 1}
+        for module in (kernels, cli, continuation):
+            for name in ("functional_G", "functional_G_sqg"):
+                if hasattr(module, name):
+                    counting(module, name)
+        counting(lin, "monomial_derivatives")
+        for alpha in ("0.5", "1"):
+            calls.update(dict.fromkeys(calls, 0))
+            assert run_cli(tmp_path / alpha, "scan", "--alpha", alpha, "--m", "3") == 0
+            # one column at omega = 0 for the affine entry, then the 16 columns
+            # of one disc Jacobian in a single pass; no residual is evaluated
+            assert calls == {"functional_G": 0, "functional_G_sqg": 0,
+                             "monomial_derivatives": 2}
+            report = json.loads((tmp_path / alpha / "scan_m3.json").read_text())
+            assert report["gap"] < 1e-14
+
+    def test_linearize_critical(self, tmp_path):
+        assert run_cli(tmp_path, "linearize", "--alpha", "1", "--omega", "0.3",
+                       "--n-modes", "8") == 0
+        report = json.loads((tmp_path / "linearize.json").read_text())
+        assert report["max_diagonal_gap"] < 1e-12
+
+    @pytest.mark.parametrize("alpha", ["0", "-0.1", "1.5"])
+    def test_linearize_bad_alpha_exits_2(self, tmp_path, capsys, alpha):
+        assert run_cli(tmp_path, "linearize", "--alpha", alpha, "--omega", "0.3") == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_ellipse_test(self, tmp_path):
         assert run_cli(tmp_path, "ellipse-test", "--alpha", "0.5", "--Q", "0.3",
