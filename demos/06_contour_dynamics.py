@@ -2,8 +2,8 @@
 
 The branch solver works spectrally on conformal coefficients.  Contour
 dynamics knows nothing about any of that: it moves boundary nodes with the
-normal component of the layer-potential velocity (trapezoid plus a local
-product rule at the singular node) and a tangential velocity that keeps
+normal component of the layer-potential velocity (trapezoid plus two
+zeta-function terms at the singular node) and a tangential velocity that keeps
 their spacing, taking the stiff disc modes exactly.  If the solver is
 right, the evolved boundary must coincide with a rigid rotation of the
 initial one, and area and centroid must stay put.  A quarter period at

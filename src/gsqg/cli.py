@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--s", type=_finite_float, default=0.03)
-    p.add_argument("--nodes", type=int, default=1024)
+    p.add_argument("--nodes", type=int, default=256)
     p.set_defaults(fn=cmd_rigid_check)
 
     return parser

@@ -2,11 +2,10 @@
 
 The boundary velocity is the power-law layer integral of the tangent
 vector.  Discretization is deliberately independent of the spectral
-machinery used by the solver: plain trapezoid over the nodes, with the
-integrable singularity handled by product integration of
-|s - sigma|^(-alpha) against a piecewise-linear interpolant of the smooth
-factor on a few cells around the target node.  Leading quadrature error is
-tangential, so shapes evolve more accurately than node positions.
+machinery used by the solver: the trapezoid rule over every node but the
+target, plus two local zeta-function terms at the target node that account
+for the integrable singularity |s - sigma|^(-alpha) (Navot's generalized
+Euler-Maclaurin formula), which makes the rule converge like h^(5-alpha).
 
 Nodes move with the normal velocity plus a tangential velocity that keeps
 the arclength spacing equal (after Hou, Lowengrub & Shelley, JCP 1994).
@@ -31,11 +30,12 @@ from scipy.fft import fft, ifft, irfft, rfft
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
+from scipy.special import zeta
 
 from .geometry import FourierBoundary, UnitGrid, eval_map
 from .specfun import DispersionTable, conv_constant, omega_dispersion
 
-_WINDOW = 3  # cells on each side of the singular node handled by product integration
+_WINDOW = 3  # neighbours on each side of a node that the near-approach guard ignores
 _TILE = 128  # rows per pair-kernel strip; 64 ties at 512 nodes, 256 is ~10% slower
 # normal-velocity filter exp(-_FILTER_DECAY (|k|/(N/2))^_FILTER_ORDER): the
 # decay takes the Nyquist mode to e^-36 ~ 2e-16, machine precision; the
@@ -49,9 +49,11 @@ _FILTER_ORDER = 36
 _STABILITY_SAFETY = 0.8
 # `stability_step` grows that step by _TILT_REACH / max|sin theta|, between 1
 # and _TILT_CAP.  Over alpha 0.35, 0.97, m 2-4, s 0.03-0.1 at 256 and 512
-# nodes the first failure came at 0.30-0.76 / max|sin theta| times the plain
-# RK4 step, and at s = 0.01 none came below 16 times; both constants keep
-# 1.5x from the first failure
+# nodes the first unstable step came at 0.37-0.82 / max|sin theta| times the
+# plain RK4 step, 1.67-4.3 times the rule's; at alpha = 0.35 with s = 0.03 or
+# (m, s) = (4, 0.1) the quarter-spacing guard came first, and at
+# (0.97, 2, 0.03) and at s = 0.01 nothing but the guard failed below 21
+# times; both constants keep 1.5x from the first unstable step
 _TILT_REACH = 0.19
 _TILT_CAP = 8.0
 # share of the quarter-spacing bound taken by `normal_step_bounds`, so that
@@ -92,24 +94,30 @@ class ContourState:
         return fft(self.nodes)
 
     @cached_property
-    def tangent(self) -> np.ndarray:
-        """d(gamma)/d(sigma) at the nodes by spectral differentiation."""
-        return ifft(_derivative_factors(self.size)[1] * self.spectrum)
+    def derivatives(self) -> np.ndarray:
+        """d^k(gamma)/d(sigma)^k at the nodes for k = 1, 2, 3, rows of one
+        stacked inverse transform by spectral differentiation."""
+        return ifft(_derivative_factors(self.size)[1:] * self.spectrum)
 
-    @cached_property
+    @property
+    def tangent(self) -> np.ndarray:
+        """d(gamma)/d(sigma) at the nodes."""
+        return self.derivatives[0]
+
+    @property
     def second_derivative(self) -> np.ndarray:
-        """d^2(gamma)/d(sigma)^2 at the nodes by spectral differentiation."""
-        return ifft(_derivative_factors(self.size)[2] * self.spectrum)
+        """d^2(gamma)/d(sigma)^2 at the nodes."""
+        return self.derivatives[1]
 
     @classmethod
     def from_spectrum(cls, spectrum: np.ndarray, time: float,
                       alpha: float) -> "ContourState":
-        """The state whose nodes have the FFT `spectrum`.  The nodes, the
-        tangent and the second derivative come from one stacked inverse
-        transform and fill the caches."""
-        nodes, tangent, second = ifft(_derivative_factors(len(spectrum)) * spectrum)
-        state = cls(nodes=nodes, time=time, alpha=alpha)
-        state.__dict__.update(spectrum=spectrum, tangent=tangent, second_derivative=second)
+        """The state whose nodes have the FFT `spectrum`.  The nodes and
+        their derivatives come from one stacked inverse transform and fill
+        the caches."""
+        rows = ifft(_derivative_factors(len(spectrum)) * spectrum)
+        state = cls(nodes=rows[0], time=time, alpha=alpha)
+        state.__dict__.update(spectrum=spectrum, derivatives=rows[1:])
         return state
 
     @classmethod
@@ -137,10 +145,10 @@ def _wavenumbers(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _derivative_factors(m: int) -> np.ndarray:
-    """Rows 1, ik and -k^2: the spectral factors of gamma and its first two
-    sigma-derivatives."""
+    """Rows 1, ik, -k^2 and -ik^3: the spectral factors of gamma and its
+    first three sigma-derivatives."""
     k = _wavenumbers(m)
-    factors = np.stack([np.ones(m), 1j * k, -k ** 2])
+    factors = np.stack([np.ones(m), 1j * k, -k ** 2, -1j * k ** 3])
     factors.flags.writeable = False
     return factors
 
@@ -176,96 +184,42 @@ def _guard_step(z: np.ndarray, velocity: np.ndarray) -> float:
     return _mean_spacing(z) / (4.0 * top) if top > 0.0 else math.inf
 
 
-@lru_cache(maxsize=32)
-def _hat_weights(alpha: float, h: float, p: int) -> tuple:
-    """Product-integration weights of |s|^(-alpha) against hat functions.
-
-    Returns w[0..p]; w[d] multiplies the smooth-factor sample at parameter
-    offset d*h (weights are symmetric in d).  At alpha = 1 the center weight
-    is dropped: it only ever multiplies a sample that vanishes there.
-    """
-    w = np.zeros(p + 1)
-    for k in range(p):
-        a_lo, a_hi = k * h, (k + 1) * h
-        if alpha == 1.0:
-            full = math.log((k + 1) / k) if k else math.inf
-            lin = 1.0 - k * full if k else 1.0
-        else:
-            full = (a_hi ** (1.0 - alpha) - a_lo ** (1.0 - alpha)) / (1.0 - alpha)
-            lin = ((a_hi ** (2.0 - alpha) - a_lo ** (2.0 - alpha)) / (2.0 - alpha)
-                   - a_lo * full) / h
-        if k == 0 and alpha == 1.0:
-            w[1] += lin        # center sample is zero; only the linear part acts
-        else:
-            w[k] += full - lin
-            w[k + 1] += lin
-    return tuple(2.0 * wi if d == 0 else wi for d, wi in enumerate(w))
-
-
-@lru_cache(maxsize=32)
-def _window_excess(alpha: float, m: int) -> np.ndarray:
-    """Per offset d = 1.._WINDOW, the factor on the pair kernel minus one
-    that swaps its trapezoid weight for product integration.
-
-    The window node at offset d contributes h (1 - frac_d) K (trapezoid,
-    the window-edge nodes keep half their weight) plus w_d (d h)^alpha K
-    (the hat weight against the smooth factor raw |dz|^alpha / (d h)^alpha,
-    with K = |dz|^(-alpha)), so its kernel entry scales by
-    1 - frac_d + w_d (d h)^alpha / h.
-    """
-    h = 2.0 * np.pi / m
-    d = np.arange(1, _WINDOW + 1)
-    frac = np.where(d == _WINDOW, 0.5, 1.0)
-    weights = np.array(_hat_weights(alpha, h, _WINDOW)[1:])
-    excess = weights * (d * h) ** alpha / h - frac
-    excess.flags.writeable = False
-    return excess
-
-
 @lru_cache(maxsize=64)
-def _band(m: int, i0: int) -> tuple[np.ndarray, np.ndarray]:
-    """The product-integration band of the strip rows i0.. against the
-    columns j >= i0.
-
-    Returns the flat strip indices of the entries with 1 <= |i - j| <=
-    _WINDOW (mod m), once each, and per entry how often each offset |d|
-    reaches it (more than once only when fewer than 2 _WINDOW + 1 nodes
-    let offsets alias, as the window sum did).
-    """
+def _band(m: int, i0: int) -> np.ndarray:
+    """The flat strip indices of the entries with 1 <= |i - j| <= _WINDOW
+    (mod m) of the strip rows i0.. against the columns j >= i0: the
+    neighbours the near-approach guard ignores."""
     rows = np.arange(i0, min(i0 + _TILE, m))[:, None]
     gaps = np.arange(1, _WINDOW + 1)
-    offsets = np.concatenate([gaps, -gaps])
-    cols = (rows + offsets) % m
+    cols = (rows + np.concatenate([gaps, -gaps])) % m
     keep = (cols >= i0) & (cols != rows)
-    flat = ((rows - i0) * (m - i0) + cols - i0)[keep]
-    gap = np.broadcast_to(np.abs(offsets), cols.shape)[keep]
-    index, entry = np.unique(flat, return_inverse=True)
-    counts = np.zeros((len(index), _WINDOW))
-    np.add.at(counts, (entry, gap - 1), 1.0)
-    for arr in (index, counts):
-        arr.flags.writeable = False
-    return index, counts
+    index = np.unique(((rows - i0) * (m - i0) + cols - i0)[keep])
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=32)
+def _zeta_pair(alpha: float) -> tuple[float, float]:
+    """(zeta(alpha), zeta(alpha - 2)), the weights of the node corrections
+    of `velocity_contour`; zeta(1) is its pole, inf."""
+    return float(zeta(alpha)), float(zeta(alpha - 2.0))
 
 
 def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.ndarray:
-    """K @ vec for the windowed pair kernel, K[i, i] = 0.
+    """K @ vec for the pair kernel K[i, j] = |z_i - z_j|^(-alpha), K[i, i] = 0.
 
-    K[i, j] = |z_i - z_j|^(-alpha), scaled on the product-integration band
-    1 <= |i - j| <= _WINDOW (mod m) by 1 + `_window_excess`.  K is
-    symmetric, so it is built in strips of _TILE rows i0:i1 against the
-    columns j >= i0: one cdist of squared distances, then d^(-alpha) as
-    exp(-alpha/2 * log d^2) in place, then the band scaled in place.
-    Each strip serves its own rows and, transposed, the rows below it; the
-    working set is one strip buffer.  Raises ContourError if non-adjacent
-    nodes (outside the band) are closer than a quarter of the mean node
-    spacing.  The band can only lower a strip's plain minimum, so the
-    off-band minimum is taken only when the plain one falls below that
-    floor.
+    K is symmetric, so it is built in strips of _TILE rows i0:i1 against
+    the columns j >= i0: one cdist of squared distances, then d^(-alpha) as
+    exp(-alpha/2 * log d^2) in place.  Each strip serves its own rows and,
+    transposed, the rows below it; the working set is one strip buffer.
+    Raises ContourError if non-adjacent nodes (more than _WINDOW apart) are
+    closer than a quarter of the mean node spacing.  The neighbours can
+    only lower a strip's plain minimum, so the minimum without them is taken
+    only when the plain one falls below that floor.
     """
     m = len(z)
     pts = np.column_stack([z.real, z.imag])
     floor_sq = (_mean_spacing(z) / 4.0) ** 2
-    excess = _window_excess(alpha, m)
     out = np.zeros((m, vec.shape[1]))
     buf = np.empty(min(_TILE, m) * m)
     for i0 in range(0, m, _TILE):
@@ -274,11 +228,10 @@ def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.nd
         d2 = buf[:size].reshape(i1 - i0, m - i0)
         cdist(pts[i0:i1], pts[i0:], "sqeuclidean", out=d2)
         np.fill_diagonal(d2, np.inf)
-        band, counts = _band(m, i0)
         nearest_sq = d2.min()
         if nearest_sq < floor_sq:
             off = buf[:size].copy()
-            off[band] = np.inf
+            off[_band(m, i0)] = np.inf
             nearest_sq = off.min()
             if nearest_sq < floor_sq:
                 raise ContourError(
@@ -288,7 +241,6 @@ def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.nd
         np.log(d2, out=d2)
         d2 *= -0.5 * alpha
         kern = np.exp(d2, out=d2)
-        buf[band] *= 1.0 + counts @ excess
         out[i0:i1] += kern @ vec[i0:]
         out[i1:] += kern[:, i1 - i0:].T @ vec[i0:i1]
     return out
@@ -297,10 +249,21 @@ def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.nd
 def velocity_contour(state: ContourState, subtract: bool | None = None) -> np.ndarray:
     """Boundary velocity at every node.
 
+    At node i the layer integral is int |x|^(-alpha) f_i(x) dx over a
+    period, with the smooth factor f_i(x) = g(sigma_i + x) (|gamma(sigma_i
+    + x) - gamma_i| / |x|)^(-alpha), where g is gamma' for the plain kernel
+    and gamma' - gamma'_i for the subtracted one.  The punctured trapezoid
+    sum over the nodes j != i exceeds it by 2 zeta(alpha) h^(1-alpha)
+    f_i(0) + zeta(alpha-2) h^(3-alpha) f_i''(0) + O(h^(5-alpha)) (Navot's
+    generalized Euler-Maclaurin formula; a periodic f leaves no end terms,
+    Sidi & Israeli 1988), and both terms are closed-form in the first three
+    sigma-derivatives of gamma at the node.  The subtracted f_i(0) is zero.
+
     subtract=None picks the plain kernel for alpha < 0.95 and the
     tangentially subtracted one (mandatory at alpha = 1, harmless
-    elsewhere) beyond that.  Raises ContourError if non-adjacent nodes
-    approach within a quarter of the node spacing.
+    elsewhere) beyond that; the two differ only along the tangent.  Raises
+    ContourError if non-adjacent nodes approach within a quarter of the
+    node spacing.
     """
     alpha = state.alpha
     if subtract is None:
@@ -309,22 +272,31 @@ def velocity_contour(state: ContourState, subtract: bool | None = None) -> np.nd
         raise ValueError("the unsubtracted kernel is not integrable at alpha = 1")
     m = state.size
     h = 2.0 * np.pi / m
-    gp = state.tangent
+    gp, gpp, gppp = state.derivatives
 
     # one pass over the pair-kernel strips gives the convolution with gamma'
-    # and the row sum; the kernel's band already swaps the trapezoid weight
-    # of the window nodes for product integration of the singular weight
-    # against a linear interpolant of the smooth factor
+    # and the row sum
     vec = np.column_stack([gp.real, gp.imag, np.ones(m)])
     acc = _pair_kernel_products(state.nodes, alpha, vec)
     conv = acc[:, 0] + 1j * acc[:, 1]
+    # |gamma(sigma_i + x) - gamma_i|^2 / x^2 = a (1 + b x + c x^2 + ...), so
+    # its power -alpha/2 is a^(-alpha/2) (1 + p1 x + p2 x^2 + ...) with
+    # p1 = -alpha b / 2, p2 = -alpha c / 2 + alpha (alpha + 2) b^2 / 8, and
+    # f_i''(0) / 2 = a^(-alpha/2) (gamma'''/2 + p1 gamma'' + p2 gamma'), whose
+    # last term only the plain kernel has
+    a = gp.real ** 2 + gp.imag ** 2
+    b = (gp.real * gpp.real + gp.imag * gpp.imag) / a
+    scale = a ** (-0.5 * alpha)
+    half_bend = 0.5 * gppp - (0.5 * alpha) * b * gpp
+    zeta_0, zeta_2 = _zeta_pair(alpha)
     if subtract:
-        # integrand (gamma'(s) - gamma'(sigma_i)) |gamma_i - gamma(s)|^(-alpha);
-        # its smooth factor vanishes at the node itself
         total = h * (conv - gp * acc[:, 2])
     else:
-        # the node itself: hat weight w_0 against gamma' |gamma'|^(-alpha)
-        total = h * conv + _hat_weights(alpha, h, _WINDOW)[0] * gp * np.abs(gp) ** (-alpha)
+        c = (0.25 * (gpp.real ** 2 + gpp.imag ** 2)
+             + (gp.real * gppp.real + gp.imag * gppp.imag) / 3.0) / a
+        half_bend += (alpha * (alpha + 2.0) / 8.0 * b ** 2 - 0.5 * alpha * c) * gp
+        total = h * conv - (2.0 * zeta_0 * h ** (1.0 - alpha)) * scale * gp
+    total -= (2.0 * zeta_2 * h ** (3.0 - alpha)) * scale * half_bend
     return conv_constant(alpha) / (2.0 * np.pi) * total
 
 
@@ -391,8 +363,9 @@ def _normal_velocity_spectrum(state: ContourState) -> np.ndarray:
     zs = state.tangent
     speed = np.abs(zs)
     tangent = zs / speed
-    # U_n = Re(u conj(n)) with n = -i t
-    un = (velocity_contour(state) * 1j * np.conj(tangent)).real
+    # U_n = Re(u conj(n)) with n = -i t; the subtracted kernel gives the
+    # plain kernel's U_n at every alpha and keeps clear of zeta's pole at 1
+    un = (velocity_contour(state, subtract=True) * 1j * np.conj(tangent)).real
     # kappa |z_sigma| = Im(conj(z_sigma) z_sigma_sigma) / |z_sigma|^2
     stretch = un * (np.conj(zs) * state.second_derivative).imag / speed ** 2
     # dT/dsigma = <stretch> - stretch; the antiderivative factors drop the mean
@@ -403,7 +376,7 @@ def _normal_velocity_spectrum(state: ContourState) -> np.ndarray:
 def normal_node_velocity(state: ContourState) -> np.ndarray:
     """Node velocity U_n n + T t of the equal-arclength formulation, filtered.
 
-    U_n is the normal component of `velocity_contour` with its default
+    U_n is the normal component of `velocity_contour` with the subtracted
     kernel (U_n is the same for the plain and the subtracted one); n is the
     outward normal and t the unit tangent.  T is the zero-mean solution of
     dT/dsigma = <kappa U_n |z_sigma|> - kappa U_n |z_sigma|, which makes

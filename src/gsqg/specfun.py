@@ -2,12 +2,13 @@
 
 Every rising-factorial ratio (a)_p / (b)_p and every odd-harmonic sum
 sigma_p = sum_{k<p} 1/(2k+1) in the package is a rung of one of two
-ladders defined here, one cumulative product and one cumulative sum; the
-gamma function is math.gamma with its poles typed, and the Riemann zeta
-values come from scipy.special.  On top of them sit the kernel
-normalization constant and the angular velocities ``omega_m`` at which
-nontrivial m-fold patch branches bifurcate from the disc, together with
-their large-m asymptotics.
+ladders defined here, one cumulative product and one cumulative sum (one
+minus the dispersion ratio takes the product's log1p form, which keeps its
+digits near alpha = 1); the gamma function is math.gamma with its poles
+typed, and the Riemann zeta values come from scipy.special.  On top of them
+sit the kernel normalization constant and the angular velocities
+``omega_m`` at which nontrivial m-fold patch branches bifurcate from the
+disc, together with their large-m asymptotics.
 
 All functions are pure and safe for concurrent use.
 """
@@ -68,6 +69,18 @@ def odd_harmonic_ladder(n: int) -> np.ndarray:
     out = np.zeros(n + 1)
     np.cumsum(1.0 / (2.0 * np.arange(n) + 1.0), out=out[1:])
     return out
+
+
+def _dispersion_gap_ladder(alpha: float, n: int) -> np.ndarray:
+    """1 - (1 + alpha/2)_p / (2 - alpha/2)_p for p = 1..n.
+
+    Each factor of the ratio is 1 + (alpha - 1) / (2 - alpha/2 + k), so the
+    ratio is exp of a cumulative sum of log1p and one minus it is -expm1 of
+    that sum: it keeps its relative digits as alpha -> 1, where it vanishes
+    like 1 - alpha and the prefactor Gamma(1 - alpha) diverges.
+    """
+    k = np.arange(n, dtype=float)
+    return -np.expm1(np.cumsum(np.log1p((alpha - 1.0) / (2.0 - alpha / 2.0 + k))))
 
 
 def pochhammer_ratio(a: float, b: float, n: int) -> float:
@@ -139,8 +152,7 @@ def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
         return pref * (head - tail)
     if form != "pochhammer":
         raise ValueError(f"unknown form {form!r}")
-    ratio = pochhammer_ratio(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m - 1)
-    return theta_alpha(alpha) * (1.0 - ratio)
+    return theta_alpha(alpha) * float(_dispersion_gap_ladder(alpha, m - 1)[-1])
 
 
 def zeta_tail_constant(alpha: float) -> float:
@@ -194,8 +206,7 @@ class DispersionTable:
         else:
             # at alpha = 0 the ratio is 1/m and theta is 1/2: (m-1)/(2m)
             th = 0.5 if alpha == 0.0 else theta_alpha(alpha)
-            ladder = rising_ratio_ladder(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m_max - 1)
-            vals = th * (1.0 - ladder[1:])
+            vals = th * _dispersion_gap_ladder(alpha, m_max - 1)
         return cls(alpha=alpha, values=dict(zip(m.tolist(), vals.tolist())))
 
     def check_invariants(self) -> None:

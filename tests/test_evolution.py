@@ -1,10 +1,12 @@
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
+from scipy.special import zeta
 
 import gsqg.evolution as ev
 from gsqg.continuation import solve_vstate
@@ -23,16 +25,86 @@ def sampled_ellipse(m: int, a: float = 1.3) -> tuple[np.ndarray, np.ndarray]:
     return a * np.cos(t) + 1j * np.sin(t) / a, -a * np.sin(t) + 1j * np.cos(t) / a
 
 
+def normal_part(state: ContourState, u: np.ndarray) -> np.ndarray:
+    """The outward normal component of a field u at the nodes."""
+    return (u * 1j * np.conj(state.tangent)).real / np.abs(state.tangent)
+
+
+def node_terms(state: ContourState, subtract: bool) -> np.ndarray:
+    """-2 zeta(alpha) h^(1-alpha) f(0) - zeta(alpha-2) h^(3-alpha) f''(0) at
+    every node, with the smooth factor f(x) = g(x) q(x)^(-alpha/2), where
+    q(x) = |gamma(sigma+x) - gamma(sigma)|^2 / x^2 and g is gamma' (plain)
+    or gamma' - gamma'(sigma) (subtracted), differentiated by the chain rule
+    from q(0) = |g1|^2, q'(0) = Re(g1 conj g2), q''(0) = |g2|^2/2 +
+    2 Re(g1 conj g3)/3."""
+    alpha, m = state.alpha, state.size
+    h = 2.0 * np.pi / m
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    if m % 2 == 0:
+        k[m // 2] = 0.0
+    g1, g2, g3 = (np.fft.ifft((1j * k) ** p * np.fft.fft(state.nodes)) for p in (1, 2, 3))
+    q0 = np.abs(g1) ** 2
+    q1 = (g1 * np.conj(g2)).real
+    q2 = 0.5 * np.abs(g2) ** 2 + 2.0 / 3.0 * (g1 * np.conj(g3)).real
+    e = -0.5 * alpha
+    w0 = q0 ** e
+    w1 = e * q0 ** (e - 1.0) * q1
+    w2 = e * (e - 1.0) * q0 ** (e - 2.0) * q1 ** 2 + e * q0 ** (e - 1.0) * q2
+    f2 = g3 * w0 + 2.0 * g2 * w1
+    terms = -zeta(alpha - 2.0) * h ** (3.0 - alpha) * (f2 if subtract else f2 + g1 * w2)
+    if not subtract:
+        terms -= 2.0 * zeta(alpha) * h ** (1.0 - alpha) * g1 * w0
+    return terms
+
+
+def dense_trapezoid(state: ContourState, subtract: bool) -> np.ndarray:
+    """The trapezoid sum over every node but the target, from the dense
+    pair kernel."""
+    z, gp = state.nodes, state.tangent
+    kern = squareform(pdist(np.column_stack([z.real, z.imag])) ** (-state.alpha))
+    return 2.0 * np.pi / state.size * (kern @ gp - (gp * kern.sum(axis=1) if subtract else 0.0))
+
+
 def dense_velocity(state: ContourState, subtract: bool) -> np.ndarray:
-    """`velocity_contour` from the dense pair kernel, with the window applied
-    offset by offset: the trapezoid sum over all nodes, then for each node at
-    offset 1 <= |d| <= 3 its trapezoid term (half of it at |d| = 3) swapped
-    for the hat weight against the smooth factor, and the node itself."""
+    """`velocity_contour` as `dense_trapezoid` plus `node_terms`."""
+    total = dense_trapezoid(state, subtract) + node_terms(state, subtract)
+    return conv_constant(state.alpha) / (2.0 * np.pi) * total
+
+
+def hat_weights(alpha: float, h: float, p: int) -> tuple:
+    """Product-integration weights of |s|^(-alpha) against hat functions.
+
+    Returns w[0..p]; w[d] multiplies the smooth-factor sample at parameter
+    offset d*h (weights are symmetric in d).  At alpha = 1 the center weight
+    is dropped: it only ever multiplies a sample that vanishes there.
+    """
+    w = np.zeros(p + 1)
+    for k in range(p):
+        a_lo, a_hi = k * h, (k + 1) * h
+        if alpha == 1.0:
+            full = math.log((k + 1) / k) if k else math.inf
+            lin = 1.0 - k * full if k else 1.0
+        else:
+            full = (a_hi ** (1.0 - alpha) - a_lo ** (1.0 - alpha)) / (1.0 - alpha)
+            lin = ((a_hi ** (2.0 - alpha) - a_lo ** (2.0 - alpha)) / (2.0 - alpha)
+                   - a_lo * full) / h
+        if k == 0 and alpha == 1.0:
+            w[1] += lin        # center sample is zero; only the linear part acts
+        else:
+            w[k] += full - lin
+            w[k + 1] += lin
+    return tuple(2.0 * wi if d == 0 else wi for d, wi in enumerate(w))
+
+
+def hat_window_velocity(state: ContourState, subtract: bool) -> np.ndarray:
+    """The product-integration rule, converging like h^2 in U_n:
+    `dense_trapezoid`, then for each node at offset 1 <= |d| <= 3 its
+    trapezoid term (half of it at |d| = 3) swapped for the hat weight against
+    the smooth factor, and the node itself."""
     alpha, z, m, gp = state.alpha, state.nodes, state.size, state.tangent
     h = 2.0 * np.pi / m
-    kern = squareform(pdist(np.column_stack([z.real, z.imag])) ** (-alpha))
-    total = h * (kern @ gp - (gp * kern.sum(axis=1) if subtract else 0.0))
-    weights = ev._hat_weights(alpha, h, 3)
+    total = dense_trapezoid(state, subtract)
+    weights = hat_weights(alpha, h, 3)
     rows = np.arange(m)
     for d in range(-3, 4):
         if d == 0:
@@ -51,7 +123,7 @@ def lagrangian_evolve(state: ContourState, t_final: float, dt: float) -> Contour
     """The Lagrangian motion: classical RK4 with the nodes at the full
     `velocity_contour`, in the fewest equal steps no longer than dt, with a
     `redistribute` every 20 steps against the clustering of the nodes
-    (without it the ellipse test below measures 2.0e-5 instead of 2.3e-6)."""
+    (without it the ellipse test below measures 8.1e-7 instead of 5.5e-7)."""
     n_steps, dt = ev._steps(t_final, dt)
     cur = state
 
@@ -80,23 +152,24 @@ class TestVelocity:
             assert radial.max() < 1e-8
 
     def test_disc_rotation_rate(self):
-        # the disc parametrization spins at theta_alpha; quadrature error is
-        # tangential and of order (spacing)^(1-alpha)
+        # the disc parametrization spins at theta_alpha: measured 2.4e-13 off,
+        # where the product-integration band missed by 5.9e-4
         st = ContourState.disc(512, 0.5)
         u = velocity_contour(st)
         tang = (u * np.conj(1j * st.nodes)).real
-        assert np.abs(tang - theta_alpha(0.5)).max() < 5e-3
+        assert np.abs(tang - theta_alpha(0.5)).max() < 5e-12
 
     def test_resolution_convergence_order(self):
-        # self-convergence on an ellipse at the singularity-limited order
+        # the U_n error against a 2048-node reference on an ellipse falls like
+        # h^(5 - alpha): measured 15.9-24.8 per doubling from 64 to 256
+        # nodes, where the product-integration band gave 3.9-5.6
         bnd = FourierBoundary.ellipse(0.3)
-        diffs = []
-        for m in (128, 256, 512):
-            u_m = velocity_contour(ContourState.from_boundary(bnd, m, 0.5))
-            u_2m = velocity_contour(ContourState.from_boundary(bnd, 2 * m, 0.5))
-            diffs.append(np.abs(u_2m[::2] - u_m).max())
-        orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
-        assert np.all(orders > 0.25) and np.all(orders < 1.0)
+        for alpha in (0.35, 0.5, 0.97, 1.0):
+            states = [ContourState.from_boundary(bnd, m, alpha) for m in (64, 128, 256, 2048)]
+            speeds = [normal_part(st, velocity_contour(st)) for st in states]
+            errors = np.array([np.abs(u - speeds[-1][::2048 // len(u)]).max()
+                               for u in speeds[:-1]])
+            assert np.all(errors[:-1] / errors[1:] >= 2.0 ** 3.5)
 
     def test_subtracted_kernel_changes_only_tangent(self):
         st = ContourState.from_boundary(FourierBoundary.ellipse(0.2), 512, 0.5)
@@ -105,7 +178,7 @@ class TestVelocity:
         tangent = st.tangent
         normal = -1j * tangent / np.abs(tangent)
         gap = (plain - sub) * np.conj(normal)
-        assert np.abs(gap.real).max() < 1e-4
+        assert np.abs(gap.real).max() < 1e-12
         assert np.abs(plain - sub).max() > 1e-2   # tangential parts do differ
 
     def test_critical_case_needs_subtraction(self):
@@ -123,8 +196,8 @@ class TestVelocity:
             velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
 
     def test_adjacent_cluster_inside_band_passes(self):
-        # adjacent nodes closer than the floor lie in the product-integration
-        # band, which the near-approach guard ignores
+        # adjacent nodes closer than the floor lie in the band of neighbours
+        # that the near-approach guard ignores
         nodes = ContourState.disc(256, 0.5).nodes
         nodes[5] = nodes[4] + 0.05 * (nodes[5] - nodes[4])
         u = velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
@@ -148,9 +221,9 @@ class TestVelocity:
             dense = dense_velocity(st, subtract)
             assert np.max(np.abs(tiled - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    def test_aliased_window_offsets_add(self):
-        # at 6 nodes the window offsets 3 and -3 reach the same node, and the
-        # window corrections of both apply
+    def test_six_nodes_match_dense(self):
+        # at 6 nodes the guard's neighbours at offsets 3 and -3 are the same
+        # node, and every other node is one of them
         for alpha, subtract in ((0.5, False), (1.0, True)):
             st = ContourState(nodes=sampled_ellipse(6)[0], time=0.0, alpha=alpha)
             dense = dense_velocity(st, subtract)
@@ -164,10 +237,36 @@ class TestVelocity:
             ContourState(nodes=nodes, time=0.0, alpha=0.5)
 
     def test_vstate_normal_velocity(self, vstate_053):
-        st = ContourState.from_boundary(vstate_053.full_boundary, 1024, 0.5)
-        assert normal_velocity_residual(st, vstate_053.omega) < 1e-4
-        st2 = ContourState.from_boundary(vstate_053.full_boundary, 2048, 0.5)
-        assert normal_velocity_residual(st2, vstate_053.omega) < 1e-5
+        # measured 1.2e-11 at 256 nodes and 4.7e-12 at 512, where the Newton
+        # solve's own floor is 4.4e-12
+        st = ContourState.from_boundary(vstate_053.full_boundary, 256, 0.5)
+        assert normal_velocity_residual(st, vstate_053.omega) < 6e-11
+        st2 = ContourState.from_boundary(vstate_053.full_boundary, 512, 0.5)
+        assert normal_velocity_residual(st2, vstate_053.omega) < 2.5e-11
+
+    def test_agrees_with_the_hat_window_rule(self):
+        # the product-integration band this rule replaced, at its own error:
+        # on this shape the gap at 512 nodes is at most 1.4e-5 in U_n and
+        # 6.2e-4 in the full velocity, and the U_n gap falls 4.1-6.3 times
+        # from 256 nodes, like that rule's error
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
+        for alpha, subtract in ((0.35, False), (0.5, False), (0.97, True), (1.0, True)):
+            gaps = []
+            for n_nodes in (256, 512):
+                st = ContourState.from_boundary(bnd, n_nodes, alpha)
+                gap = velocity_contour(st, subtract) - hat_window_velocity(st, subtract)
+                gaps.append(np.abs(normal_part(st, gap)).max())
+            assert np.abs(gap).max() < 2e-3
+            assert gaps[1] < 5e-5 and gaps[0] > 3.0 * gaps[1]
+
+    def test_zeta_values(self):
+        # scipy's zeta against mpmath on both sides of zeta's pole at 1
+        mpmath = pytest.importorskip("mpmath")
+        for alpha in (0.05, 0.35, 0.5, 0.97, 0.999):
+            zeta_0, zeta_2 = ev._zeta_pair(alpha)
+            assert zeta_0 == pytest.approx(float(mpmath.zeta(alpha)), rel=1e-13)
+            assert zeta_2 == pytest.approx(float(mpmath.zeta(alpha - 2.0)), rel=1e-13)
+        assert ev._zeta_pair(1.0)[1] == pytest.approx(-1.0 / 12.0, rel=1e-14)
 
 
 class TestStepping:
@@ -231,7 +330,7 @@ class TestNormalStepping:
 
     def test_agrees_with_lagrangian_on_ellipse(self):
         # a non-steady shape: the two node motions trace the same curve; the
-        # measured gap is 2.3e-6, against 8.8e-7 between Lagrangian steps of
+        # measured gap is 5.5e-7, against 5.1e-9 between Lagrangian steps of
         # 2e-3 and 1e-3
         st0 = ContourState.from_boundary(FourierBoundary.ellipse(0.3), 256, 0.5)
         lagrangian = lagrangian_evolve(st0, 0.5, 2e-3)
@@ -241,8 +340,8 @@ class TestNormalStepping:
         assert hausdorff_distance(lagrangian.nodes, normal.nodes) < 1e-5
 
     def test_converges_at_the_critical_exponent(self):
-        # alpha = 1 runs the subtracted kernel; the 512-node run lands 4.1e-6
-        # from the 1024-node one (the Lagrangian motion's 512-node run 1.9e-5)
+        # alpha = 1 runs the subtracted kernel; the 512-node run lands 1.0e-7
+        # from the 1024-node one
         bnd = FourierBoundary.ellipse(0.3)
         coarse, fine = (evolve(ContourState.from_boundary(bnd, n, 1.0), 0.3, 2e-3)
                         for n in (512, 1024))
@@ -258,8 +357,8 @@ class TestNormalStepping:
 
     def test_unstable_step_fails_typed(self):
         # three times the rule's step on the (0.97, 2, 0.1) V-state, where the
-        # first failure is at 1.8 times the rule and the guard at 8.9 times:
-        # high modes grow until the step guard trips (step 80), before any
+        # first failure is at 2.0 times the rule and the guard at 8.9 times:
+        # high modes grow until the step guard trips (step 100), before any
         # node turns non-finite.  (At the (0.5, 3, 0.03) V-state the stepper
         # is stable up to the guard, which would trip on the first step.)
         sol = solve_vstate(0.97, 2, 0.1)
@@ -272,8 +371,8 @@ class TestNormalStepping:
                 assert np.all(np.isfinite(cur.nodes))
 
     def test_filter_holds_the_top_modes(self, vstate_053):
-        # unfiltered, the modes above 0.8 N/2 grow from 1.4e-13 to 2.3e-8 over
-        # 160 steps at the rule's step; filtered they end at 3.5e-13
+        # unfiltered, the modes above 0.8 N/2 grow from 1.4e-13 to 8.9e-9 over
+        # 160 steps at the rule's step; filtered they end at 3.3e-13
         start = redistribute(ContourState.from_boundary(vstate_053.full_boundary, 256, 0.5))
         dt = stability_step(start)
         cur = start
@@ -309,7 +408,7 @@ class TestNormalStepping:
 
     def test_step_makes_four_velocity_passes_and_few_transforms(self, monkeypatch):
         # work counts of one 512-node step from a state with no cached
-        # spectrum: four pair-kernel passes, and 20 transforms (3 for the
+        # spectrum: four pair-kernel passes, and 19 transforms (2 for the
         # fresh state's spectrum and derivatives, 3 per stage velocity, 1 for
         # the guard's node velocity, 1 per stage state and for the result;
         # 36 when E and L ran on the nodes)
@@ -413,7 +512,7 @@ class TestSpectralState:
     def test_matches_the_state_of_its_nodes(self):
         st = ContourState.from_boundary(FourierBoundary.ellipse(0.3), 512, 0.5)
         built = ContourState.from_spectrum(st.spectrum.copy(), 0.0, 0.5)
-        for name in ("nodes", "spectrum", "tangent", "second_derivative"):
+        for name in ("nodes", "spectrum", "derivatives"):
             ref = getattr(st, name)
             assert np.abs(getattr(built, name) - ref).max() <= 1e-15 * np.abs(ref).max()
 

@@ -137,6 +137,21 @@ class TestDispersion:
         for m in (2, 17, 50):
             assert tab.values[m] == pytest.approx(omega_dispersion(0.37, m), rel=1e-14)
 
+    @pytest.mark.parametrize("alpha", [0.97, 1.0 - 1e-4, 1.0 - 1e-7])
+    def test_near_the_critical_exponent(self, alpha):
+        # the 40-digit gamma form; 1 - ratio formed as a difference lost
+        # digits like 1e-16 / (1 - alpha): 1.6e-9 to 7.3e-9 at 1 - 1e-7
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            pref = mpmath.gamma(1 - a) / (2 ** (1 - a) * mpmath.gamma(1 - a / 2) ** 2)
+            head = mpmath.gamma(1 + a / 2) / mpmath.gamma(2 - a / 2)
+            tab = DispersionTable.build(alpha, 64)
+            for m in (2, 4, 64):
+                exact = pref * (head - mpmath.gamma(m + a / 2) / mpmath.gamma(m + 1 - a / 2))
+                for value in (omega_dispersion(alpha, m), tab.values[m]):
+                    assert abs(value - exact) <= 2e-15 * abs(exact)
+
 
 class TestTheta:
     def test_limit_alpha_zero(self):
