@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles
+# `oracles` (scipy.integrate) is imported inside the two commands that call
+# it, so that the other commands do not load it
+
 from .continuation import (FoldError, NonConvergenceError, continue_branch,
                            solve_vstate)
 from .evolution import (ContourError, ContourState, conserved_diagnostics, evolve,
@@ -122,6 +124,7 @@ def cmd_verify_integrals(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True, open_hi=True)
     if args.n_max < 1:
         raise ConfigError("n-max must be >= 1")
+    from . import oracles
     out = _outdir(args)
     worst = {"I": 0.0, "J": 0.0, "Z": 0.0, "sqg1": 0.0, "sqg2": 0.0}
     for n in range(args.n_max + 1):
@@ -172,6 +175,8 @@ def cmd_scan(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True)
     if args.m < 2:
         raise ConfigError("m must be >= 2")
+    if args.window <= 0 or args.tol <= 0:
+        raise ConfigError("need positive --window and --tol")
     out = _outdir(args)
     closed = omega_dispersion(alpha, args.m)
     window = (closed - args.window, closed + args.window)
@@ -197,6 +202,8 @@ def cmd_solve_branch(args) -> int:
         raise ConfigError("m must be >= 2")
     if args.ds <= 0 or args.s_max < args.ds:
         raise ConfigError("need 0 < ds <= s-max")
+    if args.tol <= 0:
+        raise ConfigError("need a positive --tol")
     out = _outdir(args)
     table = continue_branch(alpha, args.m, args.s_max, args.ds, tol=args.tol)
     rows = [[sol.s, sol.omega, sol.residual_norm,
@@ -230,6 +237,9 @@ def cmd_ellipse_test(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True, open_hi=True)
     if not 0.0 < args.q < 1.0:
         raise ConfigError("Q must lie in (0, 1)")
+    if args.omega_samples < 1:
+        raise ConfigError("omega-samples must be >= 1")
+    from . import oracles
     out = _outdir(args)
     omegas = np.linspace(-1.0, 1.0, args.omega_samples)
     g4 = [ellipse_fourth_coefficient(om, args.q, alpha) for om in omegas]
@@ -258,6 +268,8 @@ def _initial_contour(args, alpha: float) -> ContourState:
         return ContourState.from_boundary(FourierBoundary.ellipse(args.q),
                                           args.nodes, alpha)
     if args.shape == "vstate":
+        if args.m < 2:
+            raise ConfigError("m must be >= 2")
         sol = solve_vstate(alpha, args.m, args.s)
         return ContourState.from_boundary(sol.full_boundary, args.nodes, alpha)
     raise ConfigError(f"unknown shape {args.shape!r}")
@@ -275,12 +287,14 @@ def cmd_evolve(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True)
     if args.t_final <= 0 or args.dt <= 0:
         raise ConfigError("need positive --t-final and --dt")
+    if args.frames < 2:
+        raise ConfigError("need --frames >= 2: the start and the end")
     _check_nodes(args.nodes)
     out = _outdir(args)
     state = _initial_contour(args, alpha)
     area0, cent0 = conserved_diagnostics(state)
     frames = [state]
-    n_chunks = max(1, args.frames - 1)
+    n_chunks = args.frames - 1
     chunk = args.t_final / n_chunks
     # --dt caps the step; the stability rule and the guard may take it lower
     n_steps, dt_stability, dt_guard = _normal_steps(state, chunk, args.dt)

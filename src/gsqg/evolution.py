@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, rfft
-from scipy.interpolate import CubicSpline
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
-from scipy.special import zeta
+from numpy.fft import fft, ifft, irfft, rfft
+
+# the scipy functions are imported inside the one function that calls each,
+# so that `import gsqg` and the commands that never step a contour load none
 
 from .geometry import FourierBoundary, UnitGrid, eval_map
 from .specfun import DispersionTable, conv_constant, omega_dispersion
@@ -202,6 +201,7 @@ def _band(m: int, i0: int) -> np.ndarray:
 def _zeta_pair(alpha: float) -> tuple[float, float]:
     """(zeta(alpha), zeta(alpha - 2)), the weights of the node corrections
     of `velocity_contour`; zeta(1) is its pole, inf."""
+    from scipy.special import zeta
     return float(zeta(alpha)), float(zeta(alpha - 2.0))
 
 
@@ -217,6 +217,7 @@ def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.nd
     only lower a strip's plain minimum, so the minimum without them is taken
     only when the plain one falls below that floor.
     """
+    from scipy.spatial.distance import cdist
     m = len(z)
     pts = np.column_stack([z.real, z.imag])
     floor_sq = (_mean_spacing(z) / 4.0) ** 2
@@ -468,6 +469,7 @@ def redistribute(state: ContourState) -> ContourState:
     spacing starts here; the curve itself moves only by the spline
     interpolation error.
     """
+    from scipy.interpolate import CubicSpline
     z = state.nodes
     m = state.size
     closed = np.append(z, z[0])
@@ -539,6 +541,7 @@ def _trig_upsample(z: np.ndarray, factor: int) -> np.ndarray:
 
 def _to_polyline_gap(za: np.ndarray, zb: np.ndarray) -> float:
     """max over points of za of the distance to the closed polyline zb."""
+    from scipy.spatial import cKDTree
     pa = np.column_stack([za.real, za.imag])
     pb = np.column_stack([zb.real, zb.imag])
     nearest = cKDTree(pb).query(pa)[1]

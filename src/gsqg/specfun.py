@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
+
+# scipy.special is imported inside zeta_tail_constant, its one caller, so
+# that `import gsqg` does not load it
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -167,6 +169,7 @@ def zeta_tail_constant(alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("zeta_tail_constant needs alpha in [0, 1]")
+    from scipy.special import zeta
     p = 2.0 * np.arange(1, 61) + 1.0
     terms = 2.0 * zeta(p) * (alpha / 2.0) ** p / p
     return float(np.sum(terms))

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,35 @@ NON_FINITE_ARGS = [
     ("rigid-check", "--alpha", "0.5", "--s", "inf"),
     ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "nan", "--ds", "0.01"),
 ]
+
+# one invalid configuration per command line: each exits 2 before any numerics
+BAD_CONFIG_ARGS = [
+    ("evolve", "--alpha", "0.5", "--shape", "vstate", "--m", "1",
+     "--t-final", "0.1", "--dt", "0.01"),
+    ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "0.01", "--frames", "1"),
+    ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "0.01", "--frames", "-3"),
+    ("ellipse-test", "--alpha", "0.5", "--Q", "0.5", "--omega-samples", "0"),
+    ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.01",
+     "--tol", "0"),
+    ("scan", "--alpha", "0.5", "--m", "3", "--tol", "0"),
+    ("scan", "--alpha", "0.5", "--m", "3", "--window", "-1"),
+    ("scan", "--alpha", "0.5", "--m", "3", "--window", "0"),
+]
+
+ROOT = Path(__file__).resolve().parents[1]
+SCIPY_SUBMODULES = ("scipy.fft", "scipy.special", "scipy.spatial", "scipy.interpolate",
+                    "scipy.integrate")
+# a fresh interpreter imports gsqg, runs the command line given to it, if
+# any, and prints the exit code and which of SCIPY_SUBMODULES it has loaded
+FOOTPRINT_SCRIPT = f"""
+import sys
+import gsqg
+code = 0
+if len(sys.argv) > 1:
+    from gsqg.cli import main
+    code = main(sys.argv[1:])
+print(code, *sorted(set({SCIPY_SUBMODULES!r}) & set(sys.modules)))
+"""
 
 
 class TestCli:
@@ -220,6 +253,11 @@ class TestCli:
         assert run_cli(tmp_path, *argv) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", BAD_CONFIG_ARGS, ids=" ".join)
+    def test_bad_configuration_exits_2(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, *argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_evolve_bad_dt_exits_2(self, tmp_path):
         assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--t-final", "0.1",
                        "--dt", "-1") == 2
@@ -266,3 +304,24 @@ class TestCli:
         monkeypatch.setattr(cli, "cmd_dispersion", diverges)
         assert run_cli(tmp_path, "dispersion", "--alpha", "0.5") == 1
         assert capsys.readouterr().out.startswith("FAIL NonConvergenceError")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), []),
+    (("scan", "--alpha", "0.5", "--m", "3"), []),
+    (("scan", "--alpha", "1", "--m", "3"), []),
+    (("linearize", "--alpha", "0.5", "--omega", "0.3", "--n-modes", "8"), []),
+    (("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.01"), []),
+    (("dispersion", "--alpha", "0.5"), ["scipy.special"]),
+    (("evolve", "--alpha", "0.5", "--t-final", "0.01", "--dt", "0.01", "--nodes", "64"),
+     ["scipy.spatial", "scipy.special"]),
+], ids=["import", "scan", "scan-alpha1", "linearize", "solve-branch", "dispersion", "evolve"])
+def test_commands_load_only_the_scipy_modules_they_call(tmp_path, argv, loaded):
+    if argv:
+        argv = ("--output-dir", str(tmp_path), *argv)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, *argv], cwd=tmp_path,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].split() == ["0", *loaded]
