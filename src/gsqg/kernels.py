@@ -98,21 +98,14 @@ def sqg_moment_2(n: int) -> float:
 # product-quadrature machinery
 
 
-def _chord_ratio(phi: np.ndarray, w: np.ndarray, dphi: np.ndarray,
-                 n_rows: int | None = None) -> np.ndarray:
-    """H[i, j] = |phi(w_i)-phi(w_j)| / |w_i-w_j| with the diagonal limit |phi'|.
+_ROW_BLOCK = 64   # target rows per pass; bounds every temporary at 64 x size
 
-    Only the first n_rows target rows (default: all) are formed.
-    """
-    n_rows = len(w) if n_rows is None else n_rows
-    num = np.abs(phi[:n_rows, None] - phi[None, :])
-    den = np.abs(w[:n_rows, None] - w[None, :])
-    np.fill_diagonal(num, np.abs(dphi[:n_rows]))
-    np.fill_diagonal(den, 1.0)
-    h = num / den
-    if h.min() < _H_FLOOR:
-        raise SelfIntersectionError(f"chord ratio fell to {h.min():.3e}")
-    return h
+
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Read-only view C[i, j] = row[(i - j) mod size], reading 2*size-1 values."""
+    # ext[u] = row[(size-1-u) mod size], so row i of C is ext[size-1-i : 2*size-1-i]
+    ext = np.concatenate([row[::-1], row[:0:-1]])
+    return sliding_window_view(ext, len(row))[::-1]
 
 
 @lru_cache(maxsize=32)
@@ -124,8 +117,7 @@ def _circulant_weights(size: int, alpha: float) -> np.ndarray:
     Contracting a grid-sampled smooth factor f[i, :] against row i of W
     gives sum_k c_k mu_k w_i^k, with c_k the tau-Fourier coefficients of
     f[i, :]: the product-integration sum without a per-row expansion, for
-    any grid shift.  The view reads a 2*size-1 vector; no size x size
-    matrix is stored.
+    any grid shift.
     """
     k = np.fft.fftfreq(size, d=1.0 / size)
     if alpha == 1.0:
@@ -134,16 +126,25 @@ def _circulant_weights(size: int, alpha: float) -> np.ndarray:
         p = np.abs(k + 1.0).astype(int)
         ladder = rising_ratio_ladder(alpha / 2.0, 1.0 - alpha / 2.0, int(p.max()))
         mu = _moment_prefactor(alpha) * ladder[p]
-    row = np.fft.ifft(mu)
-    # ext[u] = K[(size-1-u) mod size], so row i of W is ext[size-1-i : 2*size-1-i]
-    ext = np.concatenate([row[::-1], row[:0:-1]])
-    return sliding_window_view(ext, size)[::-1]
+    return _circulant(np.fft.ifft(mu))
 
 
-def _contract(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-dot of the first len(values) target rows against the circulant weights."""
-    weights = _circulant_weights(values.shape[1], alpha)[:len(values)]
-    return np.einsum("ij,ij->i", values, weights)
+@lru_cache(maxsize=32)
+def _inverse_chord_sq(size: int) -> np.ndarray:
+    """Read-only view |w_i - w_j|^(-2) = 1 / (4 sin^2(pi (i-j) / size)), 1 on the diagonal."""
+    row = np.ones(size)
+    row[1:] = 0.25 / np.sin(np.pi * np.arange(1, size) / size) ** 2
+    return _circulant(row)
+
+
+def _weighted_kernel(h2: np.ndarray, alpha: float, weights: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """H^(-a) W for a block h2 = H^2, overwritten with exp(-a/2 log H^2); floor checked first."""
+    if (low := h2.min()) < _H_FLOOR ** 2:
+        raise SelfIntersectionError(f"chord ratio fell to {math.sqrt(low):.3e}")
+    np.log(h2, out=h2)
+    h2 *= -0.5 * alpha
+    return np.multiply(np.exp(h2, out=h2), weights, out=out)
 
 
 def _sector_rows(bnd: FourierBoundary, size: int, directions=()) -> int:
@@ -161,23 +162,56 @@ def _sector_rows(bnd: FourierBoundary, size: int, directions=()) -> int:
     return size // math.gcd(size, *orders.tolist(), *(int(n) + 1 for n in directions))
 
 
-def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None) -> np.ndarray:
+def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float,
+                     n_rows: int) -> np.ndarray:
+    """S(phi) on every node; at alpha = 1 the subtracted potential of functional_G_sqg.
+
+    Blocks of _ROW_BLOCK rows of H^(-a) W, with H^2 = |phi_i - phi_j|^2 |w_i - w_j|^(-2)
+    from real differences, reuse three buffers and are contracted with phi' (at
+    alpha = 1 with p = w phi' and 1: kern @ p - p_i rowsum is the row-dot with
+    p_j - p_i) in one real GEMM each.  A one-column complex product (zgemv) took
+    ~8 ms per 64 x 64 block with two OpenBLAS threads on a 2-vCPU Xeon, 5 us with one.
+    """
+    x, y = phi.real.copy(), phi.imag.copy()
+    weights, inv_sq = _circulant_weights(len(w), alpha), _inverse_chord_sq(len(w))
+    p = w * dphi
+    cols = dphi[:, None] if alpha < 1.0 else np.column_stack([p, np.ones_like(p)])
+    r, i = cols.real, cols.imag   # kern.view(float) @ real_form = (kern @ cols).view(float)
+    real_form = np.stack([np.stack([r, i], -1), np.stack([-i, r], -1)], 1).reshape(2 * len(w), -1)
+    sums = np.empty((n_rows, cols.shape[1]), dtype=complex)
+    h2_buf, dy_buf = np.empty((2, min(_ROW_BLOCK, n_rows), len(w)))
+    kern_buf = np.empty(h2_buf.shape, dtype=complex)
+    for start in range(0, n_rows, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n_rows)
+        h2, dy, kern = h2_buf[:stop - start], dy_buf[:stop - start], kern_buf[:stop - start]
+        np.square(np.subtract(x[start:stop, None], x, out=h2), out=h2)
+        h2 += np.square(np.subtract(y[start:stop, None], y, out=dy), out=dy)
+        h2 *= inv_sq[start:stop]
+        h2.reshape(-1)[start::len(w) + 1] = np.abs(dphi[start:stop]) ** 2   # the diagonal
+        _weighted_kernel(h2, alpha, weights[start:stop], out=kern)
+        sums[start:stop] = (kern.view(float) @ real_form).view(complex)
+    if alpha < 1.0:
+        sector = conv_constant(alpha) * sums[:, 0]
+    else:
+        # p(w) turns with w under the symmetry, so the sector repeats as t / w
+        sector = -(2.0 / math.pi) * np.conj(w[:n_rows]) * (sums[:, 0] - p[:n_rows] * sums[:, 1])
+    return w * np.tile(sector, len(w) // n_rows)
+
+
+def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None,
+          phi: np.ndarray | None = None, dphi: np.ndarray | None = None) -> np.ndarray:
     """Layer potential S(phi)(w_j) = C_a * mean of phi'(tau) / |phi(w)-phi(tau)|^a.
 
     Product quadrature: smooth factor phi'(tau) H^(-a) sampled per target,
     contracted against exact moments.  For the identity map this returns
-    theta_alpha * w exactly (to rounding).
+    theta_alpha * w exactly (to rounding).  phi, dphi: the map's samples on grid, if known.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("s_phi needs alpha in (0, 1); the critical case has its own form")
     grid = default_grid(bnd.order + 1) if grid is None else grid
-    w = grid.nodes
-    phi = eval_map(bnd, grid)
-    dphi = eval_deriv(bnd, grid)
-    n_rows = _sector_rows(bnd, grid.size)
-    h = _chord_ratio(phi, w, dphi, n_rows)
-    sector = _contract(dphi[None, :] * h ** (-alpha), alpha)
-    return conv_constant(alpha) * w * np.tile(sector, grid.size // n_rows)
+    phi = eval_map(bnd, grid) if phi is None else phi
+    dphi = eval_deriv(bnd, grid) if dphi is None else dphi
+    return _layer_potential(phi, dphi, grid.nodes, alpha, _sector_rows(bnd, grid.size))
 
 
 @dataclass(frozen=True)
@@ -214,14 +248,13 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
     m-fold solution drives every sine coefficient below the solver tolerance.
     At the critical exponent alpha = 1 this is functional_G_sqg.
     """
-    if alpha == 1.0:
-        return functional_G_sqg(omega, bnd, grid)
     grid = default_grid(bnd.order + 1) if grid is None else grid
     w = grid.nodes
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
-    s_vals = s_phi(bnd, alpha, grid)
-    vals = np.imag((omega * phi - s_vals) * np.conj(w) * np.conj(dphi))
+    layer = (_layer_potential(phi, dphi, w, 1.0, _sector_rows(bnd, grid.size)) if alpha == 1.0
+             else s_phi(bnd, alpha, grid, phi, dphi))
+    vals = np.imag((omega * phi - layer) * np.conj(w) * np.conj(dphi))
     return _field_from_values(vals, grid)
 
 
@@ -233,19 +266,7 @@ def functional_G_sqg(omega: float, bnd: FourierBoundary,
     diagonal, so the smooth expansion has zero mean against the divergent
     constant mode and the subtracted odd-harmonic moments apply directly.
     """
-    grid = default_grid(bnd.order + 1) if grid is None else grid
-    w = grid.nodes
-    phi = eval_map(bnd, grid)
-    dphi = eval_deriv(bnd, grid)
-    n_rows = _sector_rows(bnd, grid.size)
-    h = _chord_ratio(phi, w, dphi, n_rows)
-    p = w * dphi
-    numer = (p[None, :] - p[:n_rows, None]) / h
-    # p(w) turns with w under the symmetry, so the sector repeats as t / w
-    sector = np.conj(w[:n_rows]) * _contract(numer, 1.0)
-    t_vals = -(2.0 / math.pi) * w * np.tile(sector, grid.size // n_rows)
-    vals = np.imag((omega * phi - t_vals) * np.conj(w) * np.conj(dphi))
-    return _field_from_values(vals, grid)
+    return functional_G(omega, bnd, 1.0, grid)
 
 
 def ellipse_fourth_coefficient(omega: float, q: float, alpha: float,

@@ -19,8 +19,8 @@ import numpy as np
 
 from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
                        eval_deriv, eval_map)
-from .kernels import (_H_FLOOR, SelfIntersectionError, _circulant_weights,
-                      _field_from_values, _sector_rows)
+from .kernels import (_ROW_BLOCK, _circulant_weights, _field_from_values, _sector_rows,
+                      _weighted_kernel)
 from .specfun import DispersionTable, conv_constant, omega_dispersion
 
 
@@ -45,9 +45,6 @@ def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> MultiplierSpec
     n = np.arange(1, n_max + 1)
     mult = np.concatenate([[omega / 2.0], (n + 1) * (omega - omegas) / 2.0])
     return MultiplierSpectrum(alpha=alpha, omega=omega, N=n_max, mult=mult)
-
-
-_ROW_BLOCK = 64   # target rows per pass; bounds every temporary at 64 x M
 
 
 def _chord_rows(vals: np.ndarray, w: np.ndarray, diag: np.ndarray,
@@ -132,17 +129,16 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     for start in range(0, n_rows, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n_rows)
         ratio = _chord_rows(phi, w, dphi, start, stop)
-        hmat = np.abs(ratio)
-        if hmat.min() < _H_FLOOR:
-            raise SelfIntersectionError(f"chord ratio fell to {hmat.min():.3e}")
-        kern = hmat ** (-alpha) * weights[start:stop]
+        h2 = ratio.real ** 2 + ratio.imag ** 2          # H^2
+        kern = _weighted_kernel(h2.copy(), alpha, weights[start:stop])   # pw needs H^2
         if critical:
             numer = dirs[None, :, 0] - dirs[start:stop, None, 0]     # p_j - p_i
             kern[np.arange(stop - start), np.arange(start, stop)] -= kern.sum(axis=1)
         else:
             numer = dphi[None, :]
         layer = kern @ dirs     # [S / (C_a w), a-terms]; at alpha = 1 the sums of p, q
-        pw = kern * (numer / (hmat * hmat))
+        pw = kern * numer
+        pw /= h2
         # the two chord-difference integrals over w_i, summed: chord sums of
         # w_i^(-r) [(ratio pw) vand]_r and of w_i^r [(conj(ratio) pw) conj(vand)]_r,
         # turned by w_i^(n+1) and w_i^(-n-1)

@@ -84,27 +84,20 @@ def write_jsonl(path: Path, records, sig: int = JSON_SIG) -> Path:
 # SVG
 
 
-def _fmt_pt(x: float) -> str:
-    return f"{x:.4f}"
+_SEGMENT = "C {:.4f} {:.4f} {:.4f} {:.4f} {:.4f} {:.4f}".format
 
 
 def _bezier_path(points: np.ndarray) -> str:
     """Closed cubic-segment path through the sample points (Catmull-Rom)."""
     z = np.asarray(points, dtype=complex)
-    n = len(z)
     prev = np.roll(z, 1)
     nxt = np.roll(z, -1)
     nxt2 = np.roll(z, -2)
     c1 = z + (nxt - prev) / 6.0
     c2 = nxt - (nxt2 - z) / 6.0
-    parts = [f"M {_fmt_pt(z[0].real)} {_fmt_pt(z[0].imag)}"]
-    for i in range(n):
-        parts.append(
-            f"C {_fmt_pt(c1[i].real)} {_fmt_pt(c1[i].imag)} "
-            f"{_fmt_pt(c2[i].real)} {_fmt_pt(c2[i].imag)} "
-            f"{_fmt_pt(nxt[i].real)} {_fmt_pt(nxt[i].imag)}")
-    parts.append("Z")
-    return " ".join(parts)
+    rows = np.column_stack([c1.real, c1.imag, c2.real, c2.imag, nxt.real, nxt.imag])
+    return " ".join([f"M {z[0].real:.4f} {z[0].imag:.4f}",
+                     *(_SEGMENT(*row) for row in rows.tolist()), "Z"])
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -151,7 +144,7 @@ def write_xy_svg(path: Path, x: np.ndarray, y: np.ndarray,
     span_y = np.ptp(y) or 1.0
     px = pad + (x - x.min()) / span_x * (size - 2 * pad)
     py = size - pad - (y - y.min()) / span_y * (size - 2 * pad)
-    pts = " ".join(f"{_fmt_pt(a)},{_fmt_pt(b)}" for a, b in zip(px, py))
+    pts = " ".join(f"{a:.4f},{b:.4f}" for a, b in zip(px.tolist(), py.tolist()))
     ticks = (f'  <text x="{pad}" y="{size - pad + 20}" font-size="12" '
              f'font-family="monospace">{format_float(float(x.min()), 6)}</text>\n'
              f'  <text x="{size - pad - 40}" y="{size - pad + 20}" font-size="12" '

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,10 @@ from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                           ellipse_moment_ratio, functional_G, functional_G_sqg,
                           s_phi, singular_moment_I, singular_moment_J,
                           singular_moment_Z, sqg_moment_1, sqg_moment_2)
+from gsqg.linearization import monomial_derivatives
 from gsqg.specfun import conv_constant, gamma_fn, pochhammer_ratio, theta_alpha
+
+from dense_oracle import functional_G_sqg_dense, s_phi_dense, sqg_layer_dense
 
 R_HALF = gamma_fn(0.5) / gamma_fn(0.75) ** 2   # moment prefactor at alpha = 1/2
 
@@ -174,6 +178,20 @@ class TestLayerPotential:
         with pytest.raises(SelfIntersectionError):
             s_phi(bnd, 0.5, UnitGrid(64))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("consumer", ["functional_G", "monomial_derivatives"])
+    def test_near_self_intersection_is_typed_before_any_log(self, consumer, alpha):
+        # a log(0) or overflow warning would surface as an error, not a NaN
+        bnd = FourierBoundary.ellipse(1.0 - 2e-9)
+        grid = UnitGrid(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SelfIntersectionError, match="chord ratio fell to"):
+                if consumer == "functional_G":
+                    functional_G(0.3, bnd, alpha, grid)
+                else:
+                    monomial_derivatives(bnd, [1, 3], 0.3, alpha, grid)
+
 
 class TestFunctional:
     def test_disc_annihilation(self):
@@ -325,3 +343,43 @@ class TestCirculantQuadrature:
         grid = UnitGrid(256)
         assert kernels._sector_rows(bnd, grid.size) == grid.size
         assert np.max(np.abs(s_phi(bnd, 0.5, grid) - oracle_s_phi(bnd, 0.5, grid))) <= 1e-13
+
+
+class TestBlockedPass:
+    """The 64-row blocked pass against the whole-matrix formulas of dense_oracle."""
+
+    # grid 200 runs 200 (asym) or 50 (m = 4) rows: no row count is a multiple of 64
+    @pytest.mark.parametrize("grid", [UnitGrid(200), UnitGrid.half_offset(256), UnitGrid(512)],
+                             ids=["200", "256-offset", "512"])
+    @pytest.mark.parametrize("kind", ["asym", 4])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.97, 1.0])
+    def test_matches_dense_reference(self, alpha, kind, grid, rng):
+        bnd = _oracle_boundary(kind, rng)
+        if alpha == 1.0:
+            layer = sqg_layer_dense(bnd, grid)
+            got = functional_G_sqg(0.3, bnd, grid).values
+            ref = functional_G_sqg_dense(0.3, bnd, grid)
+        else:
+            layer = got = s_phi(bnd, alpha, grid)
+            ref = s_phi_dense(bnd, alpha, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(layer))
+
+    def test_row_count_off_the_block_size(self):
+        bnd = _oracle_boundary("asym", np.random.default_rng(1))
+        assert kernels._sector_rows(bnd, 200) == 200
+        assert kernels._sector_rows(_oracle_boundary(4, None), 200) == 50
+        assert 200 % kernels._ROW_BLOCK and 50 % kernels._ROW_BLOCK
+
+    def test_traced_peak_stays_blocked(self):
+        # the whole-matrix pass peaked at 8.75 MB here; 64-row blocks stay near 2.5 MB
+        bnd = _oracle_boundary(4, None)
+        grid = UnitGrid(1024)
+        assert kernels._sector_rows(bnd, grid.size) == 256
+        functional_G(0.3, bnd, 0.5, grid)       # fill the cached weight views
+        tracemalloc.start()
+        try:
+            functional_G(0.3, bnd, 0.5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

@@ -4,13 +4,14 @@ import pytest
 import gsqg.linearization as lin
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary, UnitGrid,
                            embed_mfold, eval_deriv, eval_map)
-from gsqg.kernels import _chord_ratio, _contract, _field_from_values, functional_G
+from gsqg.kernels import _field_from_values, functional_G
 from gsqg.linearization import (BracketError, bifurcation_scan, disc_jacobian,
                                 gateaux_derivative, kernel_diagnostics,
                                 mixed_omega_column, monomial_derivatives,
                                 multiplier_at_disc, transversality_check)
 from gsqg.specfun import conv_constant, omega_dispersion, omega_sqg, theta_alpha
 
+from dense_oracle import chord_ratio, contract
 from fd_oracle import fd_column, fd_jacobian_matrix
 
 
@@ -36,15 +37,15 @@ def gateaux_dense(bnd, h, omega, alpha, grid):
     dphi = eval_deriv(bnd, grid)
     hv = eval_map(h, grid) - w
     dhv = eval_deriv(h, grid) - 1.0
-    hmat = _chord_ratio(phi, w, dphi)
+    hmat = chord_ratio(phi, w, dphi)
     kern = hmat ** (-alpha)
-    s_bare = w * _contract(dphi[None, :] * kern, alpha)
-    a_vals = w * _contract(dhv[None, :] * kern, alpha)
+    s_bare = w * contract(dphi[None, :] * kern, alpha)
+    a_vals = w * contract(dhv[None, :] * kern, alpha)
     phi_ratio = _ratio_matrix(phi, w, dphi)
     h_ratio = _ratio_matrix(hv, w, dhv)
     hpow = hmat ** (-(alpha + 2.0))
-    b_vals = w * _contract(phi_ratio * np.conj(h_ratio) * dphi[None, :] * hpow, alpha)
-    c_vals = w * _contract(np.conj(phi_ratio) * h_ratio * dphi[None, :] * hpow, alpha)
+    b_vals = w * contract(phi_ratio * np.conj(h_ratio) * dphi[None, :] * hpow, alpha)
+    c_vals = w * contract(np.conj(phi_ratio) * h_ratio * dphi[None, :] * hpow, alpha)
     wb = np.conj(w)
     quad_part = omega * (phi * wb * np.conj(dhv) + hv * wb * np.conj(dphi))
     sing_part = conv_constant(alpha) * (

@@ -15,7 +15,7 @@ import gsqg.kernels as kernels
 import gsqg.linearization as lin
 from gsqg.cli import main
 from gsqg.continuation import NonConvergenceError
-from gsqg.output import format_float, json_dumps, write_csv, write_curves_svg
+from gsqg.output import _bezier_path, format_float, json_dumps, write_csv, write_curves_svg
 
 
 class TestFormatting:
@@ -44,6 +44,32 @@ class TestFormatting:
         lines = p.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[2] == "2,0.333333333333"
+
+    @staticmethod
+    def _bezier_path_per_coordinate(points):
+        """Reference path string: one f-string call per coordinate, six per segment."""
+        fmt = lambda x: f"{x:.4f}"
+        z = np.asarray(points, dtype=complex)
+        prev, nxt, nxt2 = np.roll(z, 1), np.roll(z, -1), np.roll(z, -2)
+        c1 = z + (nxt - prev) / 6.0
+        c2 = nxt - (nxt2 - z) / 6.0
+        parts = [f"M {fmt(z[0].real)} {fmt(z[0].imag)}"]
+        for i in range(len(z)):
+            parts.append(f"C {fmt(c1[i].real)} {fmt(c1[i].imag)} "
+                         f"{fmt(c2[i].real)} {fmt(c2[i].imag)} "
+                         f"{fmt(nxt[i].real)} {fmt(nxt[i].imag)}")
+        parts.append("Z")
+        return " ".join(parts)
+
+    @pytest.mark.parametrize("n", [3, 64, 1000])
+    def test_svg_path_matches_per_coordinate_format(self, n, rng):
+        # coordinates within rounding of +-5e-5 exercise "-0.0000" and the half-way cases
+        near = lambda: 5e-5 * rng.choice([-1.0, 1.0], n) * (1.0 + 0.3 * rng.uniform(-1, 1, n))
+        curves = [near() + 1j * near(),
+                  640.0 * rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)]
+        for z in curves:
+            assert _bezier_path(z) == self._bezier_path_per_coordinate(z)
+        assert "-0.0000" in _bezier_path(curves[0])
 
     def test_svg_is_valid_xml(self, tmp_path):
         theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
