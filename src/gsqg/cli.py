@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -430,6 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=256)
     p.set_defaults(fn=cmd_rigid_check)
 
+    # a value such as "-1e-7" is a number, not an option (argparse knows only "-1", "-.5")
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -61,6 +61,10 @@ _GUARD_MARGIN = 0.95
 # relative slack in the step count of a horizon: far above the rounding of
 # t_final / dt, far below one step in any run
 _STEP_SLACK = 1e-9
+# fine-grid factor and Newton steps of `redistribute` and `hausdorff_distance`
+_FINE = 16
+_NEWTON_STEPS = 3
+_GAUSS = 0.5 + np.array([[-0.5], [0.5]]) / math.sqrt(3.0)  # two-point Gauss nodes on [0, 1]
 
 
 class ContourError(RuntimeError):
@@ -463,24 +467,27 @@ def normal_step_bounds(state: ContourState) -> tuple[float, float]:
 
 
 def redistribute(state: ContourState) -> ContourState:
-    """Resample the nodes to equal arclength through a periodic cubic spline.
+    """Resample the nodes to equal arclength on their trigonometric interpolant.
 
     `step_normal` keeps the node spacing as it finds it, so a run from equal
-    spacing starts here; the curve itself moves only by the spline
-    interpolation error.
+    spacing starts here.  Each node takes Newton steps on the arclength past
+    the fine point below it (two-point Gauss on the Taylor polynomial there),
+    so the curve moves only by that polynomial's error.
     """
-    from scipy.interpolate import CubicSpline
-    z = state.nodes
-    m = state.size
-    closed = np.append(z, z[0])
-    seg = np.abs(np.diff(closed))
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    spline = CubicSpline(cum, np.column_stack([closed.real, closed.imag]),
-                         bc_type="periodic")
-    targets = cum[-1] * np.arange(m) / m
-    xy = spline(targets)
-    return ContourState(nodes=xy[:, 0] + 1j * xy[:, 1], time=state.time,
-                        alpha=state.alpha)
+    fine = _fine_curve(state.nodes)
+    speed = np.abs(fine[1])
+    n, total = len(speed), 2.0 * np.pi * speed.mean()
+    # arclength at the fine points, offset by its value at sigma = 0: the mean
+    # speed's share plus the spectral zero-mean antiderivative of the rest
+    arc = total * np.arange(n) / n + irfft(rfft(speed) * _antiderivative_factors(n), n=n)
+    target = arc[0] + total * np.arange(state.size) / state.size
+    j = np.searchsorted(arc, target, side="right") - 1
+    rest = target - arc[j]
+    t = rest / speed[j]
+    for _ in range(_NEWTON_STEPS):
+        length = 0.5 * t * np.abs(_taylor(fine, j, _GAUSS * t)[1]).sum(axis=0)
+        t -= (length - rest) / np.abs(_taylor(fine, j, t)[1])
+    return ContourState(nodes=_taylor(fine, j, t)[0], time=state.time, alpha=state.alpha)
 
 
 def _steps(t_final: float, dt: float) -> tuple[int, float]:
@@ -522,55 +529,49 @@ def conserved_diagnostics(state: ContourState) -> tuple[float, complex]:
     return area, complex(2.0 / 3.0 * np.sum(z * flux) / total)
 
 
-def _trig_upsample(z: np.ndarray, factor: int) -> np.ndarray:
-    """Trigonometric interpolation of a periodic node sequence.
-
-    For even length the Nyquist coefficient is split between +m/2 and -m/2;
-    odd lengths have no Nyquist mode.
-    """
-    m = len(z)
-    spec = fft(z)
-    big = np.zeros(m * factor, dtype=complex)
-    half = m // 2
-    big[:m - half] = spec[:m - half]
-    big[-half:] = spec[m - half:]
+def _fine_curve(z: np.ndarray) -> np.ndarray:
+    """gamma and its first three sigma-derivatives on the _FINE-times finer
+    grid: one stacked zero-padded transform of the nodes' trigonometric
+    interpolant, with an even count's Nyquist mode split between +-m/2."""
+    m, half = len(z), len(z) // 2
+    big = np.zeros((4, _FINE * m), dtype=complex)
+    big[:, np.fft.fftfreq(m, 1.0 / m).astype(int)] = _derivative_factors(m) * fft(z)
     if m % 2 == 0:
-        big[half] = big[-half] = 0.5 * spec[half]
-    return ifft(big) * factor
+        big[:, half] = big[:, -half] = 0.5 * big[:, -half]
+    return ifft(big) * _FINE
 
 
-def _to_polyline_gap(za: np.ndarray, zb: np.ndarray) -> float:
-    """max over points of za of the distance to the closed polyline zb."""
+def _taylor(fine: np.ndarray, j: np.ndarray, t: np.ndarray):
+    """gamma, gamma' and gamma'' at sigma_j + t from the cubic Taylor
+    polynomial of the fine curve at its points j."""
+    g0, g1, g2, g3 = fine[:, j]
+    return (g0 + t * (g1 + t * (0.5 * g2 + t / 6.0 * g3)),
+            g1 + t * (g2 + 0.5 * t * g3), g2 + t * g3)
+
+
+def _foot_gap(points: np.ndarray, fine: np.ndarray) -> float:
+    """max over `points` of the distance to their foot points on the fine
+    curve: Newton on the Taylor polynomial at the nearest fine point."""
     from scipy.spatial import cKDTree
-    pa = np.column_stack([za.real, za.imag])
-    pb = np.column_stack([zb.real, zb.imag])
-    nearest = cKDTree(pb).query(pa)[1]
-    m = len(zb)
-    best = np.full(len(za), np.inf)
-    for off in (-1, 0):
-        i0 = (nearest + off) % m
-        i1 = (i0 + 1) % m
-        p0, p1 = pb[i0], pb[i1]
-        seg = p1 - p0
-        seg_len2 = np.einsum("ij,ij->i", seg, seg)
-        t = np.einsum("ij,ij->i", pa - p0, seg) / np.where(seg_len2 > 0, seg_len2, 1.0)
-        t = np.clip(t, 0.0, 1.0)
-        foot = p0 + t[:, None] * seg
-        best = np.minimum(best, np.linalg.norm(pa - foot, axis=1))
-    return float(best.max())
+    j = cKDTree(np.column_stack([fine[0].real, fine[0].imag])).query(
+        np.column_stack([points.real, points.imag]))[1]
+    t = np.zeros(len(points))
+    for _ in range(_NEWTON_STEPS):
+        p, dp, ddp = _taylor(fine, j, t)
+        gap = np.conj(p - points)
+        t -= (gap * dp).real / ((gap * ddp).real + np.abs(dp) ** 2)
+    return float(np.abs(_taylor(fine, j, t)[0] - points).max())
 
 
-def hausdorff_distance(a: np.ndarray, b: np.ndarray, upsample: int = 16) -> float:
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two closed node curves.
 
-    Both sequences are trig-interpolated and compared point-to-polyline, so
-    purely tangential reparametrization (which moves nodes along the curve
-    without moving the curve) does not register; the residual measurement
-    bias is the chord sag of the upsampled polyline.
+    Each curve is its nodes' trigonometric interpolant: its samples at 16
+    times the nodes are measured to their foot points on the other curve, so
+    a reparametrization or a second sampling of one curve reads rounding.
     """
-    za = _trig_upsample(np.asarray(a, dtype=complex), upsample)
-    zb = _trig_upsample(np.asarray(b, dtype=complex), upsample)
-    return max(_to_polyline_gap(za, zb), _to_polyline_gap(zb, za))
+    fa, fb = _fine_curve(a), _fine_curve(b)
+    return max(_foot_gap(fa[0], fb), _foot_gap(fb[0], fa))
 
 
 def normal_velocity_residual(state: ContourState, omega: float) -> float:

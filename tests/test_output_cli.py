@@ -109,6 +109,7 @@ BAD_CONFIG_ARGS = [
     ("scan", "--alpha", "0.5", "--m", "3", "--tol", "0"),
     ("scan", "--alpha", "0.5", "--m", "3", "--window", "-1"),
     ("scan", "--alpha", "0.5", "--m", "3", "--window", "0"),
+    ("scan", "--alpha", "0.5", "--m", "3", "--tol", "-1e-7"),
 ]
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -282,7 +283,11 @@ class TestCli:
     @pytest.mark.parametrize("argv", BAD_CONFIG_ARGS, ids=" ".join)
     def test_bad_configuration_exits_2(self, tmp_path, capsys, argv):
         assert run_cli(tmp_path, *argv) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("CONFIG")
+
+    def test_negative_exponent_notation_is_a_number(self):
+        args = cli.build_parser().parse_args(["rigid-check", "--alpha", "0.5", "--s", "-1e-2"])
+        assert args.fn is cli.cmd_rigid_check and args.s == -0.01
 
     def test_evolve_bad_dt_exits_2(self, tmp_path):
         assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--t-final", "0.1",
@@ -341,7 +346,9 @@ class TestCli:
     (("dispersion", "--alpha", "0.5"), ["scipy.special"]),
     (("evolve", "--alpha", "0.5", "--t-final", "0.01", "--dt", "0.01", "--nodes", "64"),
      ["scipy.spatial", "scipy.special"]),
-], ids=["import", "scan", "scan-alpha1", "linearize", "solve-branch", "dispersion", "evolve"])
+    (("rigid-check", "--alpha", "0.5", "--nodes", "128"), ["scipy.spatial", "scipy.special"]),
+], ids=["import", "scan", "scan-alpha1", "linearize", "solve-branch", "dispersion", "evolve",
+        "rigid-check"])
 def test_commands_load_only_the_scipy_modules_they_call(tmp_path, argv, loaded):
     if argv:
         argv = ("--output-dir", str(tmp_path), *argv)
