@@ -42,7 +42,9 @@ class VStateSolution:
     residual_norm: float
     grid_size: int
     residual_evals: int = 0      # residual evaluations the solve made
-    jacobian_builds: int = 0     # Newton Jacobians it assembled
+    jacobian_builds: int = 0     # Jacobians it built; 0 when the carried one was enough
+    # the last chord Jacobian, which seeds the next point of a branch
+    jacobian: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def full_boundary(self) -> FourierBoundary:
@@ -82,39 +84,57 @@ class BranchTable:
         return float((s2 ** 2 * o1 - s1 ** 2 * o2) / (s2 ** 2 - s1 ** 2))
 
 
+def _sine_rows(m: int, k_modes: int) -> np.ndarray:
+    """Rows of the sine modes m, 2m, ..., Km in a sine_coeffs vector."""
+    return m * np.arange(1, k_modes + 1) - 1
+
+
 def _equations(omega: float, reduced: np.ndarray, alpha: float, m: int,
                grid: UnitGrid, k_modes: int) -> np.ndarray:
     fld = functional_G(omega, embed_mfold(MFoldBoundary(m=m, reduced=reduced)), alpha, grid)
-    rows = m * np.arange(1, k_modes + 1) - 1   # sine modes m, 2m, ..., Km
-    return fld.sine_coeffs[rows]
+    return fld.sine_coeffs[_sine_rows(m, k_modes)]
+
+
+def _omega_column(bnd: FourierBoundary, m: int, grid: UnitGrid, k_modes: int) -> np.ndarray:
+    """Omega column of the reduced Jacobian at bnd.
+
+    The functional is affine in omega, so the column is the sine expansion
+    of its slope (omega_slope) and depends on the boundary only.
+    """
+    return grid.sine_coeffs(omega_slope(bnd, grid))[_sine_rows(m, k_modes)]
 
 
 def _mfold_jacobian(omega: float, reduced: np.ndarray, alpha: float, m: int,
                     grid: UnitGrid, k_modes: int) -> np.ndarray:
     """Analytic Jacobian of _equations in (omega, a_{2m-1}, ..., a_{Km-1}).
 
-    The functional is affine in omega, so its omega column is the sine
-    expansion of its slope (omega_slope); the rung columns are the
-    Gateaux derivatives along b_{2m-1}, ..., b_{Km-1}, all from one pass.
+    Column 0 is _omega_column; the rung columns are the Gateaux derivatives
+    along b_{2m-1}, ..., b_{Km-1}, all from one pass.  Coefficient b_{km-1}
+    and sine mode km share the index km - 1, so the rungs are rows[1:].
     """
     bnd = embed_mfold(MFoldBoundary(m=m, reduced=reduced))
-    d_omega = omega_slope(bnd, grid)
-    rungs = m * np.arange(2, k_modes + 1) - 1
-    fields = np.vstack([d_omega, monomial_derivatives(bnd, rungs, omega, alpha, grid)])
-    rows = m * np.arange(1, k_modes + 1) - 1   # sine modes m, 2m, ..., Km
-    return grid.sine_coeffs(fields)[:, rows].T
+    rows = _sine_rows(m, k_modes)
+    fields = monomial_derivatives(bnd, rows[1:], omega, alpha, grid)
+    return np.column_stack([_omega_column(bnd, m, grid, k_modes),
+                            grid.sine_coeffs(fields)[:, rows].T])
 
 
 def solve_vstate(alpha: float, m: int, s: float,
                  initial_guess: tuple[float, np.ndarray] | None = None,
                  tol: float = 1e-11, max_iter: int = 30, k_modes: int = 16,
-                 grid: UnitGrid | None = None) -> VStateSolution:
+                 grid: UnitGrid | None = None,
+                 jacobian: np.ndarray | None = None) -> VStateSolution:
     """Newton-solve the m-fold branch point at pinned amplitude s.
 
     initial_guess is (omega, higher_coeffs) with k_modes - 1 higher rungs;
     by default the disc data (dispersion omega, zero rungs), which is inside
-    the Newton basin for small s.  The Newton Jacobian is analytic at every
-    alpha in (0, 1], the subtracted kernel of alpha = 1 included.  Raises NonConvergenceError, FoldError, or a self-intersection error from
+    the Newton basin for small s.  jacobian is an optional k_modes x k_modes
+    chord Jacobian to start from, such as a neighbouring point's
+    VStateSolution.jacobian; its omega column is replaced by the exact one
+    at the starting iterate, and it is rebuilt when the chord stalls.  By
+    default the first step builds one.  The Newton Jacobian is analytic at
+    every alpha in (0, 1], the subtracted kernel of alpha = 1 included.
+    Raises NonConvergenceError, FoldError, or a self-intersection error from
     the kernel layer.
     """
     if m < 2:
@@ -141,6 +161,15 @@ def solve_vstate(alpha: float, m: int, s: float,
     def reduced_of(x_vec: np.ndarray) -> np.ndarray:
         return np.concatenate([[s], x_vec[1:]])
 
+    if jacobian is not None:
+        jacobian = np.array(jacobian, dtype=float)
+        if jacobian.shape != (k_modes, k_modes):
+            raise ValueError("jacobian shape does not match k_modes")
+        # the omega column is zero at the disc and O(s) along the branch, so
+        # it is always refreshed; the rung columns move by O(ds) only
+        start = embed_mfold(MFoldBoundary(m=m, reduced=reduced_of(x)))
+        jacobian[:, 0] = _omega_column(start, m, grid, k_modes)
+
     evals = 0
 
     def res_of(x_vec: np.ndarray) -> np.ndarray:
@@ -151,36 +180,43 @@ def solve_vstate(alpha: float, m: int, s: float,
     def jac_of(x_vec: np.ndarray) -> np.ndarray:
         return _mfold_jacobian(x_vec[0], reduced_of(x_vec), alpha, m, grid, k_modes)
 
-    sol_x, norm, builds = _chord_newton(x, res_of, jac_of, tol, max_iter, s)
+    sol_x, norm, jac, builds = _chord_newton(x, res_of, jac_of, tol, max_iter, s, jacobian)
     bnd = MFoldBoundary(m=m, reduced=reduced_of(sol_x))
     return VStateSolution(alpha=alpha, m=m, s=s, omega=float(sol_x[0]), boundary=bnd,
                           residual_norm=norm, grid_size=grid.size,
-                          residual_evals=evals, jacobian_builds=builds)
+                          residual_evals=evals, jacobian_builds=builds, jacobian=jac)
 
 
 def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, max_iter: int,
-                  s: float) -> tuple[np.ndarray, float, int]:
-    """Damped Newton with Jacobian reuse; returns (x, residual norm, builds).
+                  s: float, jac: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, float, np.ndarray | None, int]:
+    """Damped Newton with Jacobian reuse; returns (x, residual norm, Jacobian, builds).
 
     The Jacobian is kept across steps (a chord iteration) and rebuilt at the
     current iterate when a chord step stalls under damping or contracts
     slowly.  A Jacobian counts as fresh only for the step taken right after
-    it was built.
+    it was built, so a start matrix passed as jac is stale from the first
+    step on; without one the first step builds.  The returned Jacobian is
+    the last one stepped with (None if x already met tol).
     """
     res = res_of(x)
     res_norm = float(np.max(np.abs(res)))
-    jac = None
+    rebuild = jac is None
     builds = 0
     for _ in range(max_iter):
         if res_norm < tol:
             break
-        fresh = jac is None
+        fresh = rebuild
         if fresh:
             jac = jac_of(x)
             builds += 1
+            rebuild = False
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
+            if not fresh:
+                rebuild = True      # a singular start matrix says nothing of x
+                continue
             raise FoldError(f"singular reduced Jacobian at s={s}") from exc
         lam = 1.0
         accepted = False
@@ -194,17 +230,17 @@ def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, max_iter: int,
             lam *= 0.5
         if not accepted:
             if not fresh:
-                jac = None      # stale chord Jacobian; rebuild and retry
+                rebuild = True      # stale chord Jacobian; rebuild and retry
                 continue
             raise NonConvergenceError(f"damping stalled at s={s}, residual {res_norm:.3e}")
         # slow linear contraction also signals a stale Jacobian
         if not fresh and norm_new > 0.3 * res_norm:
-            jac = None
+            rebuild = True
         x, res, res_norm = x_new, res_new, norm_new
     if res_norm >= tol:
         raise NonConvergenceError(f"no convergence at s={s}: residual {res_norm:.3e} "
                                   f"after {max_iter} iterations")
-    return x, res_norm, builds
+    return x, res_norm, jac, builds
 
 
 def continue_branch(alpha: float, m: int, s_max: float, ds: float,
@@ -212,24 +248,27 @@ def continue_branch(alpha: float, m: int, s_max: float, ds: float,
                     grid: UnitGrid | None = None) -> BranchTable:
     """March the branch in amplitude steps, seeding each solve with the last.
 
-    Stops cleanly at the first failed step and records why; everything
-    already converged stays in the table.
+    Each solve starts from the previous point's coefficients and its last
+    chord Jacobian (omega column refreshed), so a leg of small steps builds
+    about one Jacobian; a solve rebuilds only when the carried matrix stalls
+    or contracts slowly.  Stops cleanly at the first failed step and records
+    why; everything already converged stays in the table.
     """
     if ds <= 0.0 or s_max < ds:
         raise ValueError("need 0 < ds <= s_max")
     table = BranchTable(alpha=alpha, m=m)
-    guess = None
+    guess, jac = None, None
     k = 1
     while k * ds <= s_max * (1.0 + 1e-12):
         s = k * ds   # not accumulated, so the k-th amplitude is exactly k * ds
         try:
             sol = solve_vstate(alpha, m, s, initial_guess=guess, tol=tol,
-                               k_modes=k_modes, grid=grid)
+                               k_modes=k_modes, grid=grid, jacobian=jac)
         except (NonConvergenceError, FoldError, SelfIntersectionError) as exc:
             table.failure = f"s={s:.6g}: {type(exc).__name__}: {exc}"
             break
         table.solutions.append(sol)
-        guess = (sol.omega, sol.boundary.reduced[1:])
+        guess, jac = (sol.omega, sol.boundary.reduced[1:]), sol.jacobian
         k += 1
     return table
 

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 import gsqg.continuation as cont
-from gsqg.continuation import (BranchTable, NonConvergenceError, VStateSolution,
+from gsqg.continuation import (BranchTable, FoldError, NonConvergenceError, VStateSolution,
                                continue_branch, solve_vstate, verify_dilation_law)
 from gsqg.geometry import MFoldBoundary, UnitGrid, default_grid, embed_mfold
-from gsqg.kernels import functional_G
+from gsqg.kernels import SelfIntersectionError, functional_G
 from gsqg.specfun import omega_dispersion
 
 from fd_oracle import fd_jacobian
@@ -51,6 +53,30 @@ class TestSolve:
     def test_guess_size_mismatch(self):
         with pytest.raises(ValueError):
             solve_vstate(0.5, 3, 0.01, initial_guess=(0.3, np.zeros(3)), k_modes=8)
+
+    def test_jacobian_shape_mismatch(self):
+        with pytest.raises(ValueError, match="jacobian shape"):
+            solve_vstate(0.5, 3, 0.01, jacobian=np.eye(7), k_modes=8)
+
+    def test_carried_jacobian_gets_exact_omega_column(self, monkeypatch):
+        # the rung columns of the carried matrix are kept, its omega column
+        # is the exact one at the starting iterate
+        k_modes, grid = 8, default_grid(8 * 3)
+        first = solve_vstate(0.5, 3, 0.01, k_modes=k_modes)
+        guess = (first.omega, first.boundary.reduced[1:])
+        seen = []
+
+        def record(x, res_of, jac_of, tol, max_iter, s, jac=None):
+            seen.append(jac)
+            return x, 0.0, jac, 0
+        start = np.concatenate([[0.02], first.boundary.reduced[1:]])
+        exact = cont._mfold_jacobian(first.omega, start, 0.5, 3, grid, k_modes)
+        monkeypatch.setattr(cont, "_chord_newton", record)
+        solve_vstate(0.5, 3, 0.02, initial_guess=guess, k_modes=k_modes,
+                     jacobian=first.jacobian)
+        assert np.array_equal(seen[0][:, 0], exact[:, 0])
+        assert np.array_equal(seen[0][:, 1:], first.jacobian[:, 1:])
+        assert first.jacobian[0, 0] != exact[0, 0]
 
     def test_records_solver_work(self):
         # the analytic Jacobian costs no residual evaluation, at alpha = 1 too;
@@ -98,17 +124,25 @@ class TestJacobian:
 
 
 class TestChordNewton:
-    @pytest.mark.parametrize("res_of, jac_of, x0", [
+    @pytest.mark.parametrize("res_of, jac_of, x0, start", [
         # chord steps with the x = 2 slope contract by 12/13 near the root
-        (lambda x: x ** 3 + x, lambda x: np.diag(3 * x ** 2 + 1), 2.0),
+        (lambda x: x ** 3 + x, lambda x: np.diag(3 * x ** 2 + 1), 2.0, None),
         # the first step crosses the fold at x = -1, so the old slope points uphill
-        (lambda x: x ** 3 - 3 * x - 1.9, lambda x: np.diag(3 * x ** 2 - 3), 0.6),
-    ], ids=["slow-contraction", "damping-stall"])
-    def test_rebuilds_stale_jacobian(self, res_of, jac_of, x0):
-        x, norm, builds = cont._chord_newton(np.array([x0]), res_of, jac_of,
-                                             1e-11, 30, 0.1)
+        (lambda x: x ** 3 - 3 * x - 1.9, lambda x: np.diag(3 * x ** 2 - 3), 0.6, None),
+        # a start matrix carried from x = -1.5: its slope has the wrong sign at x = 0.6
+        (lambda x: x ** 3 - 3 * x - 1.9, lambda x: np.diag(3 * x ** 2 - 3), 0.6,
+         np.array([[3.75]])),
+        # a singular start matrix says nothing of the iterate
+        (lambda x: x ** 3 - 3 * x - 1.9, lambda x: np.diag(3 * x ** 2 - 3), 0.6,
+         np.zeros((1, 1))),
+    ], ids=["slow-contraction", "damping-stall", "stale-start", "singular-start"])
+    def test_rebuilds_stale_jacobian(self, res_of, jac_of, x0, start):
+        x, norm, jac, builds = cont._chord_newton(np.array([x0]), res_of, jac_of,
+                                                  1e-11, 30, 0.1, start)
         assert norm < 1e-11 and abs(res_of(x)[0]) < 1e-11
-        assert builds >= 2
+        # at least one rebuild after the first matrix, built or passed in
+        assert builds >= (2 if start is None else 1)
+        assert jac is not start
 
     def test_fresh_jacobian_stall_raises(self):
         # a Newton direction that is uphill at a fresh Jacobian is a real failure
@@ -170,6 +204,57 @@ class TestBranch:
     def test_bad_steps(self):
         with pytest.raises(ValueError):
             continue_branch(0.5, 2, 0.01, -0.01)
+
+
+def fresh_jacobian_branch(alpha, m, s_max, ds):
+    """Reference continuation in which every solve builds its own Jacobian.
+
+    Returns the solutions and the typed failure that stopped it, or None.
+    """
+    sols, guess = [], None
+    for k in range(1, int(round(s_max / ds)) + 1):
+        try:
+            sol = solve_vstate(alpha, m, k * ds, initial_guess=guess)
+        except (NonConvergenceError, FoldError, SelfIntersectionError) as exc:
+            return sols, exc
+        sols.append(sol)
+        guess = (sol.omega, sol.boundary.reduced[1:])
+    return sols, None
+
+
+class TestCarriedJacobian:
+    # the legs of the branch benchmark round
+    @pytest.mark.parametrize("m, s_max, ds", [
+        (2, 0.03, 0.01), (3, 0.03, 0.01), (4, 0.03, 0.01), (3, 0.2, 0.05)])
+    def test_matches_fresh_jacobian_solves(self, m, s_max, ds):
+        table = continue_branch(0.5, m, s_max, ds)
+        ref, failure = fresh_jacobian_branch(0.5, m, s_max, ds)
+        assert table.failure is None and failure is None
+        assert table.amplitudes.tolist() == [sol.s for sol in ref]
+        for sol, want in zip(table.solutions, ref):
+            assert abs(sol.omega - want.omega) <= 1e-10 * abs(want.omega)
+            assert np.max(np.abs(sol.boundary.reduced - want.boundary.reduced)) <= 1e-10
+        builds = [sol.jacobian_builds for sol in table.solutions]
+        assert builds[0] >= 1
+        if ds == 0.01:
+            # one Jacobian for the leg; fresh solves build one per point
+            assert sum(builds) == 1
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_long_branch_matches_fresh_jacobian_solves(self, m):
+        s_max, ds = 0.6, 0.01
+        table = continue_branch(0.5, m, s_max, ds)
+        ref, _ = fresh_jacobian_branch(0.5, m, s_max, ds)
+        # the under-resolved tail may move the stop by one step
+        assert abs(len(table.solutions) - len(ref)) <= 1
+        for sol, want in zip(table.solutions, ref):
+            assert abs(sol.omega - want.omega) <= 1e-9 * abs(want.omega)
+        if table.failure is None:
+            assert table.amplitudes[-1] == pytest.approx(s_max)
+        else:
+            assert re.search(r": (NonConvergenceError|FoldError|SelfIntersectionError): ",
+                             table.failure)
 
 
 class TestDilation:
