@@ -32,5 +32,6 @@ for n in (1, 2, 4):
     print(f"  n={n}:  {c1:+.12f} (gap {abs(c1 - q1):.1e})   "
           f"{c2:+.12f} (gap {abs(c2 - q2):.1e})")
 
-print("\nEverything agrees to ~1e-10, which is the quadrature's own limit"
-      "\nnear the endpoint singularity, not the closed forms'.")
+print("\nEverything agrees to ~1e-15 here.  Near alpha = 1 the gap grows to"
+      "\n~6e-12 (alpha = 0.999): that is the quadrature's endpoint extrapolation,"
+      "\nsince the closed forms stay within 3e-15 of a 30-digit reference.")

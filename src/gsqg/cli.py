@@ -11,6 +11,7 @@ reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -366,6 +367,7 @@ def cmd_rigid_check(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsqg",
@@ -445,7 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # looked up by name: the cached parser holds the functions of its first build
+        return globals()[args.fn.__name__](args)
     except ConfigError as exc:
         print(f"CONFIG {exc}", file=sys.stderr)
         return 2

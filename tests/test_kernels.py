@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -132,10 +133,9 @@ class TestMomentOracles:
             assert len(calls) == 1
 
     @pytest.mark.parametrize("alpha, n", [(0.25, 1), (0.4321, 5), (0.75, 16)])
-    def test_values_match_complex_form(self, monkeypatch, alpha, n):
-        # the imaginary part the oracles no longer integrate is rounding, and
-        # the real part comes out bit for bit as before
-        real_only = {name: oracle(alpha, n) for name, oracle in MOMENT_ORACLES.items()}
+    def test_imaginary_part_is_rounding(self, monkeypatch, alpha, n):
+        # the half period relies on every moment being real: over the full
+        # period the imaginary part integrates to rounding
         imag = []
 
         def complex_form(fn):
@@ -143,9 +143,104 @@ class TestMomentOracles:
             imag.append(val.imag)
             return val.real
         monkeypatch.setattr(oracles, "_mean_integral", complex_form)
-        for name, oracle in MOMENT_ORACLES.items():
-            assert oracle(alpha, n) == real_only[name]
+        for oracle in MOMENT_ORACLES.values():
+            oracle(alpha, n)
+        assert len(imag) == len(MOMENT_ORACLES)
         assert max(map(abs, imag)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_quadpack_raises_no_warning(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            _run_every_oracle(alpha)
+
+    @pytest.mark.parametrize("alpha", [0.99, 0.999])
+    def test_warnings_near_one_are_extrapolation_roundoff(self, alpha):
+        # the bisection sums toward t = 0 converge by 2^(alpha - 1) per level,
+        # so the epsilon extrapolation meets rounding near the 1e-12 request;
+        # QUADPACK then says so (ier = 4), and never runs out of subdivisions
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", IntegrationWarning)
+            _run_every_oracle(alpha)
+        for w in caught:
+            assert issubclass(w.category, IntegrationWarning)
+            assert "Roundoff error is detected\n  in the extrapolation table" in str(w.message)
+
+
+def _run_every_oracle(alpha: float) -> None:
+    """Every oracle at every n <= 16 it is defined for (n >= 1 at alpha = 1)."""
+    for name, oracle in MOMENT_ORACLES.items():
+        for n in range(0 if name in ("I", "J", "Z") else 1, 17):
+            oracle(alpha, n)
+
+
+MPMATH_ALPHAS = [0.05, 0.3, 0.5, 0.7, 0.95, 0.999]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_node(alpha: float, u):
+    """exp(it), 2 sin(t/2) and the weight (2 sin(t/2))^(-alpha) dt/du at t = pi u^p."""
+    mp = pytest.importorskip("mpmath")
+    a = mp.mpf(alpha)
+    p = 1 / (1 - a)
+    t = mp.pi * u ** p
+    chord = 2 * mp.sin(t / 2)
+    return mp.expj(t), chord, chord ** -a * p * u ** (p - 1)
+
+
+def mpmath_moment(name: str, alpha: float, n: int):
+    """30-digit contour mean of the defining integrand of oracle `name`.
+
+    The mean is (1/pi) * integral over (0, pi) of the real part.  For I, J
+    and Z the substitution t = pi u^(1/(1-alpha)) absorbs the t^(-alpha)
+    endpoint singularity into a smooth integrand in u; a plain tanh-sinh
+    pass over (0, pi) is 2.1e-2 off for I at alpha = 0.95.  The critical
+    integrands are bounded and need no substitution.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        if name in ("sqg1", "sqg2"):
+            def f(t):
+                z, chord = mp.expj(t), 2 * mp.sin(t / 2)
+                if name == "sqg1":
+                    return mp.re((z ** n - 1) / chord)
+                return mp.re((z - 1) ** 2 * (z ** n - 1) / chord ** 3)
+            return mp.quad(f, [0, mp.pi]) / mp.pi
+
+        def g(u):
+            z, chord, weight = _mp_node(alpha, u)
+            if name == "I":
+                val = z ** (n + 1)
+            elif name == "J":
+                val = (1 - z) * (1 - z ** n) * z / chord ** 2
+            else:
+                zc = mp.conj(z)
+                val = (1 - zc) * (1 - zc ** n) * z / chord ** 2
+            return mp.re(val) * weight
+        return mp.quad(g, [0, 1])
+
+
+@pytest.mark.slow
+class TestMomentOraclesVsMpmath:
+    """Each oracle against a second, 30-digit evaluation of the same integral (~3 s)."""
+
+    @pytest.mark.parametrize("alpha", MPMATH_ALPHAS)
+    def test_power_and_chord_moments(self, alpha):
+        # QAGS's extrapolation floor rises near alpha = 1 (see the warning
+        # test above): over every n <= 16 the oracles read up to 5.9e-12 at
+        # alpha = 0.999 (Z, n = 6), against 2.4e-13 at alpha = 0.95
+        tol = 1e-12 if alpha <= 0.95 else 1e-11
+        for name in ("I", "J", "Z"):
+            for n in (0, 1, 3, 16):
+                ref = mpmath_moment(name, alpha, n)
+                got = MOMENT_ORACLES[name](alpha, n)
+                assert abs(got - ref) <= tol * abs(ref), (name, n)
+
+    def test_critical_moments(self):
+        for name in ("sqg1", "sqg2"):
+            for n in (1, 3, 16):
+                ref = mpmath_moment(name, 1.0, n)
+                assert abs(MOMENT_ORACLES[name](1.0, n) - ref) <= 1e-12 * abs(ref), (name, n)
 
 
 class TestLayerPotential:

@@ -13,6 +13,7 @@ import gsqg.cli as cli
 import gsqg.continuation as continuation
 import gsqg.kernels as kernels
 import gsqg.linearization as lin
+import gsqg.oracles as oracles
 from gsqg.cli import main
 from gsqg.continuation import NonConvergenceError
 from gsqg.geometry import default_grid
@@ -166,6 +167,34 @@ class TestCli:
         report = json.loads((tmp_path / "verify_integrals.json").read_text())
         assert max(report["max_relative_error"].values()) < 1e-8
 
+    def test_verify_integrals_near_one(self, tmp_path):
+        # the oracle's own error must stay far below the 1e-8 gate near alpha = 1
+        assert run_cli(tmp_path, "verify-integrals", "--alpha", "0.999") == 0
+        report = json.loads((tmp_path / "verify_integrals.json").read_text())
+        assert max(report["max_relative_error"].values()) < 1e-10
+
+    def test_verify_integrals_work(self, tmp_path, monkeypatch):
+        evals = []
+        original = oracles._mean_integral
+
+        def counting(fn):
+            return original(lambda t: evals.append(1) or fn(t))
+        monkeypatch.setattr(oracles, "_mean_integral", counting)
+        assert run_cli(tmp_path, "verify-integrals", "--alpha", "0.5", "--n-max", "16") == 0
+        # 26 481 integrand evaluations: one half-period pass per value
+        assert 0 < len(evals) <= 30_000
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ("verify-integrals", "--alpha", "0.3", "--n-max", "4")
+        for sub in ("a", "b"):
+            assert run_cli(tmp_path / sub, *argv) == 0
+        first = (tmp_path / "a" / "verify_integrals.json").read_bytes()
+        assert first == (tmp_path / "b" / "verify_integrals.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "verify-integrals", "--alpha", "0.3", "--n-max", "0") == 2
+        assert capsys.readouterr().err.startswith("CONFIG")
+
     def test_linearize(self, tmp_path):
         assert run_cli(tmp_path, "linearize", "--alpha", "0.5", "--omega", "0.3",
                        "--n-modes", "8") == 0
@@ -226,6 +255,14 @@ class TestCli:
         assert abs(resid["sine_coeffs"][3]) > 0.002
         lines = (tmp_path / "ellipse_residual.csv").read_text().splitlines()
         assert lines[0] == "angle,residual" and len(lines) == 257
+
+    @pytest.mark.parametrize("alpha", ["0.99", "0.999"])
+    def test_ellipse_test_near_one(self, tmp_path, alpha):
+        # near alpha = 1 the quadrature ratio meets the closed form well inside the 1e-10 gate
+        assert run_cli(tmp_path, "ellipse-test", "--alpha", alpha, "--Q", "0.3",
+                       "--omega-samples", "5") == 0
+        report = json.loads((tmp_path / "ellipse_test.json").read_text())
+        assert report["moment_ratio_gap"] < 1e-11
 
     def test_ellipse_bad_q_exits_2(self, tmp_path):
         assert run_cli(tmp_path, "ellipse-test", "--alpha", "0.5", "--Q", "1.2") == 2
