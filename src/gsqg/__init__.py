@@ -6,7 +6,7 @@ m-fold symmetric branch leaves the unit disc at each angular velocity of the
 dispersion relation.  The subpackages compute these objects and verify their
 analytic properties at desk scale:
 
-specfun        rising-factorial and odd-harmonic ladders, the dispersion relation
+specfun        rising-factorial, gap and odd-harmonic ladders, the dispersion relation
 geometry       boundaries as exterior conformal-map Fourier coefficients
 kernels        exact circle moments and the nonlinear patch functional
 linearization  Fourier multipliers, analytic derivatives, bifurcation scans
@@ -19,10 +19,10 @@ cli            command-line drivers (also exposed as `python -m gsqg`)
 """
 
 from .specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
-                      GammaPoleError, conv_constant, gamma_fn, harmonic_odd,
-                      odd_harmonic_ladder, omega_asymptotic, omega_dispersion,
-                      omega_sqg, pochhammer_ratio, rising_ratio_ladder,
-                      theta_alpha, zeta_tail_constant)
+                      GammaPoleError, conv_constant, gamma_fn, gap_ladder,
+                      harmonic_odd, odd_harmonic_ladder, omega_asymptotic,
+                      omega_dispersion, omega_sqg, pochhammer_ratio,
+                      rising_ratio_ladder, theta_alpha, zeta_tail_constant)
 from .geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
                        UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
                        eval_deriv_at, eval_map, eval_map_at, univalence_margin)

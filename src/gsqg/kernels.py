@@ -12,9 +12,11 @@ tau, and each mode is contracted against the exact circle moments of
 |w-tau|^(-a).  The singular factor is therefore integrated exactly; the only
 error is truncation of the smooth expansion.
 
-The critical case a = 1 uses the subtracted numerator tau*phi'(tau) -
-w*phi'(w), which vanishes on the diagonal, together with exact subtracted
-moments, so no divergent constant ever appears.
+One real weight row serves every a in (0, 1]: the moment gaps
+C_a (mu_|k| - mu_0), a gap ladder contracted against p = w phi', which tend
+to the critical moments -(2/pi) sigma_|k| as a -> 1 while mu_0 diverges.  A
+constant shift of the row moves only its diagonal, whose share of G is a
+real multiple of |p|^2; s_phi adds the diagonal term back.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import FourierBoundary, UnitGrid, default_grid, eval_deriv, eval_map
-from .specfun import (conv_constant, gamma_fn, odd_harmonic_ladder, pochhammer_ratio,
-                      rising_ratio_ladder)
+from .specfun import conv_constant, gap_ladder, gamma_fn, odd_harmonic_ladder, pochhammer_ratio
 
 _H_FLOOR = 1e-8
 
@@ -63,7 +64,8 @@ def singular_moment_J(alpha: float, n: int) -> float:
     """Factor of the chord-difference moment; the full integral is factor * w^(n+2)."""
     _check_moment_args(alpha, n)
     pref = (1.0 + alpha / 2.0) * _moment_prefactor(alpha) / (2.0 - alpha)
-    return pref * (1.0 - pochhammer_ratio(2.0 + alpha / 2.0, 2.0 - alpha / 2.0, n))
+    # 1 - (2 + a/2)_n / (2 - a/2)_n = -a L_n, with no cancellation as a -> 0
+    return -alpha * pref * float(gap_ladder(2.0 + alpha / 2.0, 2.0 - alpha / 2.0, n)[-1])
 
 
 def singular_moment_Z(alpha: float, n: int) -> float:
@@ -109,24 +111,22 @@ def _circulant(row: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _circulant_weights(size: int, alpha: float) -> np.ndarray:
-    """Read-only view W[i, j] = K[(i - j) mod size] of one product-quadrature row.
+def _circulant_weights(size: int, alpha: float) -> tuple[np.ndarray, float]:
+    """Read-only view W[i, j] = K[(i - j) mod size] of the one weight row, and K[0].
 
-    K = ifft(mu) in fftfreq layout, with mu_k the exact |w-tau|^(-a) moment
-    attached to the tau^k mode (the odd-harmonic sigma_|k| ladder at a = 1).
-    Contracting a grid-sampled smooth factor f[i, :] against row i of W
-    gives sum_k c_k mu_k w_i^k, with c_k the tau-Fourier coefficients of
-    f[i, :]: the product-integration sum without a per-row expansion, for
-    any grid shift.
+    K = ifft(C_a (mu_|k| - mu_0)) is real and even, with mu_k the exact
+    |w-tau|^(-a) moment of the tau^k mode; the gaps are
+    -C_a gamma(2-a) / gamma^2(1-a/2) L_|k|(a/2, 1-a/2), -(2/pi) sigma_|k| at a = 1.
+    Row i of W against a grid-sampled smooth factor f[i, :] gives
+    C_a sum_k c_k (mu_|k| - mu_0) w_i^k - K[0] f[i, i], c_k the tau-Fourier
+    coefficients of f[i, :], for any grid shift.  W is zero on its diagonal:
+    K[0] (about -2/a as a -> 0) would put its rounding into G, which sees only
+    a real multiple of |p_i|^2 there.
     """
-    k = np.fft.fftfreq(size, d=1.0 / size)
-    if alpha == 1.0:
-        mu = odd_harmonic_ladder(size // 2)[np.abs(k).astype(int)]
-    else:
-        p = np.abs(k + 1.0).astype(int)
-        ladder = rising_ratio_ladder(alpha / 2.0, 1.0 - alpha / 2.0, int(p.max()))
-        mu = _moment_prefactor(alpha) * ladder[p]
-    return _circulant(np.fft.ifft(mu))
+    scale = conv_constant(alpha) * gamma_fn(2.0 - alpha) / gamma_fn(1.0 - alpha / 2.0) ** 2
+    row = np.fft.irfft(-scale * gap_ladder(alpha / 2.0, 1.0 - alpha / 2.0, size // 2), size)
+    diagonal, row[0] = row[0], 0.0
+    return _circulant(row), float(diagonal)
 
 
 @lru_cache(maxsize=32)
@@ -137,14 +137,13 @@ def _inverse_chord_sq(size: int) -> np.ndarray:
     return _circulant(row)
 
 
-def _weighted_kernel(h2: np.ndarray, alpha: float, weights: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """H^(-a) W for a block h2 = H^2, overwritten with exp(-a/2 log H^2); floor checked first."""
+def _weighted_kernel(h2: np.ndarray, alpha: float, weights: np.ndarray) -> np.ndarray:
+    """H^(-a) W for a block h2 = H^2, formed in place through log/exp; floor checked first."""
     if (low := h2.min()) < _H_FLOOR ** 2:
         raise SelfIntersectionError(f"chord ratio fell to {math.sqrt(low):.3e}")
     np.log(h2, out=h2)
     h2 *= -0.5 * alpha
-    return np.multiply(np.exp(h2, out=h2), weights, out=out)
+    return np.multiply(np.exp(h2, out=h2), weights, out=h2)
 
 
 def _sector_rows(bnd: FourierBoundary, size: int, directions=()) -> int:
@@ -164,54 +163,49 @@ def _sector_rows(bnd: FourierBoundary, size: int, directions=()) -> int:
 
 def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float,
                      n_rows: int) -> np.ndarray:
-    """S(phi) on every node; at alpha = 1 the subtracted potential of functional_G_sqg.
+    """sum_j W[i, j] H_ij^(-a) p_j with p = w phi' on every node: S(phi) less its diagonal term.
 
     Blocks of _ROW_BLOCK rows of H^(-a) W, with H^2 = |phi_i - phi_j|^2 |w_i - w_j|^(-2)
-    from real differences, reuse three buffers and are contracted with phi' (at
-    alpha = 1 with p = w phi' and 1: kern @ p - p_i rowsum is the row-dot with
-    p_j - p_i) in one real GEMM each.  A one-column complex product (zgemv) took
-    ~8 ms per 64 x 64 block with two OpenBLAS threads on a 2-vCPU Xeon, 5 us with one.
+    from real differences, reuse two buffers and are contracted with [Re p, Im p]
+    in one real GEMM each.
     """
     x, y = phi.real.copy(), phi.imag.copy()
-    weights, inv_sq = _circulant_weights(len(w), alpha), _inverse_chord_sq(len(w))
-    p = w * dphi
-    cols = dphi[:, None] if alpha < 1.0 else np.column_stack([p, np.ones_like(p)])
-    r, i = cols.real, cols.imag   # kern.view(float) @ real_form = (kern @ cols).view(float)
-    real_form = np.stack([np.stack([r, i], -1), np.stack([-i, r], -1)], 1).reshape(2 * len(w), -1)
-    sums = np.empty((n_rows, cols.shape[1]), dtype=complex)
+    weights, inv_sq = _circulant_weights(len(w), alpha)[0], _inverse_chord_sq(len(w))
+    p_pair = (w * dphi).view(float).reshape(-1, 2)     # columns Re p, Im p
+    sums = np.empty(n_rows, dtype=complex)
     h2_buf, dy_buf = np.empty((2, min(_ROW_BLOCK, n_rows), len(w)))
-    kern_buf = np.empty(h2_buf.shape, dtype=complex)
     for start in range(0, n_rows, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n_rows)
-        h2, dy, kern = h2_buf[:stop - start], dy_buf[:stop - start], kern_buf[:stop - start]
+        h2, dy = h2_buf[:stop - start], dy_buf[:stop - start]
         np.square(np.subtract(x[start:stop, None], x, out=h2), out=h2)
         h2 += np.square(np.subtract(y[start:stop, None], y, out=dy), out=dy)
         h2 *= inv_sq[start:stop]
         h2.reshape(-1)[start::len(w) + 1] = np.abs(dphi[start:stop]) ** 2   # the diagonal
-        _weighted_kernel(h2, alpha, weights[start:stop], out=kern)
-        sums[start:stop] = (kern.view(float) @ real_form).view(complex)
-    if alpha < 1.0:
-        sector = conv_constant(alpha) * sums[:, 0]
-    else:
-        # p(w) turns with w under the symmetry, so the sector repeats as t / w
-        sector = -(2.0 / math.pi) * np.conj(w[:n_rows]) * (sums[:, 0] - p[:n_rows] * sums[:, 1])
-    return w * np.tile(sector, len(w) // n_rows)
+        kern = _weighted_kernel(h2, alpha, weights[start:stop])
+        sums[start:stop] = (kern @ p_pair).view(complex)[:, 0]
+    # p turns with w under the symmetry, so the sector repeats as sums / w
+    return w * np.tile(np.conj(w[:n_rows]) * sums, len(w) // n_rows)
 
 
 def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None,
           phi: np.ndarray | None = None, dphi: np.ndarray | None = None) -> np.ndarray:
     """Layer potential S(phi)(w_j) = C_a * mean of phi'(tau) / |phi(w)-phi(tau)|^a.
 
-    Product quadrature: smooth factor phi'(tau) H^(-a) sampled per target,
-    contracted against exact moments.  For the identity map this returns
+    Product quadrature: the smooth factor w phi'(tau) H^(-a) sampled per target,
+    contracted against the weight rows, plus the diagonal term they leave out,
+    which diverges at alpha = 1.  For the identity map this returns
     theta_alpha * w exactly (to rounding).  phi, dphi: the map's samples on grid, if known.
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError("s_phi needs alpha in (0, 1); the critical case has its own form")
+        raise ValueError("s_phi needs alpha in (0, 1); mu_0 diverges at alpha = 1")
     grid = default_grid(bnd.order + 1) if grid is None else grid
     phi = eval_map(bnd, grid) if phi is None else phi
     dphi = eval_deriv(bnd, grid) if dphi is None else dphi
-    return _layer_potential(phi, dphi, grid.nodes, alpha, _sector_rows(bnd, grid.size))
+    layer = _layer_potential(phi, dphi, grid.nodes, alpha, _sector_rows(bnd, grid.size))
+    # the diagonal term the weight rows leave out: (C_a mu_0 + K[0]) H_ii^(-a) p_i
+    diagonal = (conv_constant(alpha) * _moment_prefactor(alpha)
+                + _circulant_weights(grid.size, alpha)[1])
+    return layer + diagonal * np.abs(dphi) ** -alpha * grid.nodes * dphi
 
 
 @dataclass(frozen=True)
@@ -260,11 +254,11 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
 
 def functional_G_sqg(omega: float, bnd: FourierBoundary,
                      grid: UnitGrid | None = None) -> ResidualField:
-    """Critical-case residual with the tangentially subtracted kernel.
+    """Critical-case residual from the subtracted odd-harmonic moments.
 
-    The integrand's numerator tau*phi'(tau) - w*phi'(w) vanishes on the
-    diagonal, so the smooth expansion has zero mean against the divergent
-    constant mode and the subtracted odd-harmonic moments apply directly.
+    The weight row holds the moments less the divergent constant mode, which
+    would only add a real multiple of |w phi'(w)|^2 to the imaginary part:
+    as if the numerator tau*phi'(tau) - w*phi'(w) vanished on the diagonal.
     """
     return functional_G(omega, bnd, 1.0, grid)
 

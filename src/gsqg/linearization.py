@@ -21,7 +21,7 @@ from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
                        eval_deriv, eval_map)
 from .kernels import (_ROW_BLOCK, _circulant_weights, _field_from_values, _sector_rows,
                       _weighted_kernel)
-from .specfun import DispersionTable, conv_constant, omega_dispersion
+from .specfun import DispersionTable, omega_dispersion
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,21 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     Row k holds the grid values of dG(omega, phi)[w^(-modes[k])]: n >= 1 is
     the coefficient b_n, n = 0 the translation b_0 and n = -1 the leading
     coefficient (h = w).  Every direction shares one pass over the target
-    rows: per block of rows the chord ratio, H^(-a) W and phi' H^(-a-2) W
-    are formed once, with W the circulant weight rows.  On the circle
+    rows: per block of rows the chord ratio, H^(-a) W and p H^(-a-2) W are
+    formed once, with W the circulant weight rows and p = w phi'.  On the
+    circle
 
         (w_i^(-n) - w_j^(-n)) / (w_i - w_j) = -sum_{q<n} w_i^(-q-1) w_j^(q-n),
 
     so the chord-difference integrals of all directions come from two
     products with the Vandermonde block [w_j^r] (and its conjugate) and a
-    prefix sum over r; the layer-potential term is one more product with
-    the direction derivatives.  At alpha = 1 the same pass differentiates
-    the subtracted kernel of functional_G_sqg: the numerators become
-    p = w phi' and q = w h', H^(-1) W loses its row sum so that it acts on
-    q_j - q_i, and the chord term weighs (p_j - p_i) H^(-3) W.  When the
-    boundary and every direction are f-fold symmetric, only size/f target
-    rows are formed.
+    prefix sum over r; the layer-potential term is one real product of
+    H^(-a) W with [p, q], q = w h', split into real and imaginary parts.
+    The weight row carries C_a and its sign for every alpha in (0, 1], so
+    alpha = 1 is the same pass; the diagonal term it leaves out adds a real
+    multiple of |p|^2 to G and nothing to the derivative.  When the boundary
+    and every direction are f-fold symmetric, only size/f target rows are
+    formed.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("analytic derivative implemented for alpha in (0, 1]")
@@ -112,7 +113,6 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     if grid.size < 2 * (n_max + 1):
         warnings.warn(f"grid of size {grid.size} under-resolves the direction b_{n_max}",
                       AliasingWarning, stacklevel=2)
-    critical = alpha == 1.0
     w, theta = grid.nodes, grid.angles
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
@@ -120,10 +120,9 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     dhv = -modes * inv                                   # h' = -n w^(-n-1)
     vand = np.exp(1j * np.outer(theta, np.arange(n_max + 1)))   # w_j^r, r = 0..n_max
     vand_conj = np.conj(vand)
-    dirs = np.column_stack([dphi, dhv])
-    if critical:
-        dirs = w[:, None] * dirs                         # [p, q] = w [phi', h']
-    weights = _circulant_weights(grid.size, alpha)
+    dirs = w[:, None] * np.column_stack([dphi, dhv])     # [p, q] = w [phi', h']
+    dirs_pair = dirs.view(float)                         # Re and Im of each column
+    weights = _circulant_weights(grid.size, alpha)[0]
     n_rows = _sector_rows(bnd, grid.size, modes)
     sing = np.empty((n_rows, modes.size), dtype=complex)
     for start in range(0, n_rows, _ROW_BLOCK):
@@ -131,13 +130,8 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
         ratio = _chord_rows(phi, w, dphi, start, stop)
         h2 = ratio.real ** 2 + ratio.imag ** 2          # H^2
         kern = _weighted_kernel(h2.copy(), alpha, weights[start:stop])   # pw needs H^2
-        if critical:
-            numer = dirs[None, :, 0] - dirs[start:stop, None, 0]     # p_j - p_i
-            kern[np.arange(stop - start), np.arange(start, stop)] -= kern.sum(axis=1)
-        else:
-            numer = dphi[None, :]
-        layer = kern @ dirs     # [S / (C_a w), a-terms]; at alpha = 1 the sums of p, q
-        pw = kern * numer
+        layer = (kern @ dirs_pair).view(complex)        # the row sums of p and q
+        pw = kern * dirs[:, 0]
         pw /= h2
         # the two chord-difference integrals over w_i, summed: chord sums of
         # w_i^(-r) [(ratio pw) vand]_r and of w_i^r [(conj(ratio) pw) conj(vand)]_r,
@@ -150,10 +144,9 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
                             + np.conj(dirs[start:stop, :1])
                             * (layer[:, 1:] - 0.5 * alpha * chord))
     rows = slice(0, n_rows)
-    scale = -2.0 / np.pi if critical else conv_constant(alpha)
     vals = (omega * _mixed_slope(phi[rows, None], dphi[rows, None], w[rows, None],
                                  inv[rows], dhv[rows])
-            - scale * np.imag(sing))
+            - np.imag(sing))
     return np.tile(vals, (grid.size // n_rows, 1)).T
 
 

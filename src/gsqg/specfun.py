@@ -1,14 +1,15 @@
 """Closed-form constants and the dispersion relation of the rotating-patch problem.
 
 Every rising-factorial ratio (a)_p / (b)_p and every odd-harmonic sum
-sigma_p = sum_{k<p} 1/(2k+1) in the package is a rung of one of two
-ladders defined here, one cumulative product and one cumulative sum (one
-minus the dispersion ratio takes the product's log1p form, which keeps its
-digits near alpha = 1); the gamma function is math.gamma with its poles
-typed, and the Riemann zeta values come from scipy.special.  On top of them
-sit the kernel normalization constant and the angular velocities
-``omega_m`` at which nontrivial m-fold patch branches bifurcate from the
-disc, together with their large-m asymptotics.
+sigma_p = sum_{k<p} 1/(2k+1) in the package is a rung of a ladder defined
+here.  One minus a ratio is the gap ladder (b - a) L_p(a, b), a sum of
+positive terms that keeps its digits however close a is to b and is a
+harmonic-type sum at a = b: the dispersion relation and the
+product-quadrature weights of every alpha in [0, 1] are gap ladders, with
+no endpoint branch.  The gamma function is math.gamma with its poles typed,
+and the Riemann zeta values come from scipy.special.  On top of them sit the
+kernel normalization constant, the angular velocities ``omega_m`` at which
+m-fold patch branches bifurcate from the disc, and their large-m asymptotics.
 
 All functions are pure and safe for concurrent use.
 """
@@ -73,16 +74,32 @@ def odd_harmonic_ladder(n: int) -> np.ndarray:
     return out
 
 
-def _dispersion_gap_ladder(alpha: float, n: int) -> np.ndarray:
-    """1 - (1 + alpha/2)_p / (2 - alpha/2)_p for p = 1..n.
+def gap_ladder(a: float, b: float, n: int) -> np.ndarray:
+    """L_p(a, b) = sum_{j<p} [(a)_j / (b)_j] / (b + j) for p = 0..n.
 
-    Each factor of the ratio is 1 + (alpha - 1) / (2 - alpha/2 + k), so the
-    ratio is exp of a cumulative sum of log1p and one minus it is -expm1 of
-    that sum: it keeps its relative digits as alpha -> 1, where it vanishes
-    like 1 - alpha and the prefactor Gamma(1 - alpha) diverges.
+    Equals (1 - (a)_p / (b)_p) / (b - a) for a != b and tends to
+    sum_{j<p} 1/(b + j) as a -> b.  For positive a and b every term is
+    positive, so nothing cancels on either side of a = b.  The ratios are
+    exp of a cumulative sum of log1p((a - b) / (b + k)), which keeps their
+    digits as a -> b, where every factor tends to 1.
     """
+    if n < 0:
+        raise ValueError("gap_ladder needs n >= 0")
     k = np.arange(n, dtype=float)
-    return -np.expm1(np.cumsum(np.log1p((alpha - 1.0) / (2.0 - alpha / 2.0 + k))))
+    log_ratio = np.zeros(n)
+    np.cumsum(np.log1p((a - b) / (b + k[:-1])), out=log_ratio[1:])
+    out = np.zeros(n + 1)
+    np.cumsum(np.exp(log_ratio) / (b + k), out=out[1:])
+    return out
+
+
+def _dispersion_scale(alpha: float) -> float:
+    """theta_alpha (1 - alpha), finite on [0, 1]: 1/2 at alpha = 0 and 1/pi at alpha = 1.
+
+    2^alpha gamma(1+alpha/2) gamma(2-alpha) / ((2-alpha) gamma^3(1-alpha/2)).
+    """
+    num = 2.0 ** alpha * gamma_fn(1.0 + alpha / 2.0) * gamma_fn(2.0 - alpha)
+    return num / ((2.0 - alpha) * gamma_fn(1.0 - alpha / 2.0) ** 3)
 
 
 def pochhammer_ratio(a: float, b: float, n: int) -> float:
@@ -109,9 +126,7 @@ def theta_alpha(alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("theta_alpha needs alpha in (0, 1)")
-    num = 2.0 ** alpha * gamma_fn(1.0 + alpha / 2.0) * gamma_fn(1.0 - alpha)
-    den = (2.0 - alpha) * gamma_fn(1.0 - alpha / 2.0) ** 3
-    return num / den
+    return _dispersion_scale(alpha) / (1.0 - alpha)
 
 
 def harmonic_odd(m: int) -> float:
@@ -129,32 +144,30 @@ def omega_sqg(m: int) -> float:
 def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
     """Angular velocity omega_m at which the m-fold branch leaves the disc.
 
-    For alpha in (0, 1) two algebraically equivalent evaluations are exposed:
-
-    * ``form="pochhammer"`` (default): theta_alpha * (1 - ratio of rising
-      factorials), numerically stable for any m.
-    * ``form="gamma"``: the direct gamma-function expression; raises
-      GammaOverflowError for m beyond ~170 and is kept as an independent cross-check.
-
-    The endpoints use their own closed forms: (m-1)/(2m) at alpha = 0 and
-    the odd harmonic sum at alpha = 1.
+    * ``form="pochhammer"`` (default): theta_alpha (1 - alpha) times the gap
+      ladder L_{m-1}(1 + alpha/2, 2 - alpha/2), one expression on [0, 1]
+      that is (m-1)/(2m) at alpha = 0 and the odd harmonic sum at alpha = 1.
+    * ``form="gamma"``: the direct gamma-function expression, and the closed
+      forms at the endpoints; raises GammaOverflowError for m beyond ~170 and
+      is kept as an independent cross-check.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("omega_dispersion needs alpha in [0, 1]")
     if m < 2:
         raise ValueError("omega_dispersion needs mode m >= 2")
+    if form == "pochhammer":
+        ladder = gap_ladder(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m - 1)
+        return _dispersion_scale(alpha) * float(ladder[-1])
+    if form != "gamma":
+        raise ValueError(f"unknown form {form!r}")
     if alpha == 0.0:
         return (m - 1.0) / (2.0 * m)
     if alpha == 1.0:
         return omega_sqg(m)
-    if form == "gamma":
-        pref = gamma_fn(1.0 - alpha) / (2.0 ** (1.0 - alpha) * gamma_fn(1.0 - alpha / 2.0) ** 2)
-        head = gamma_fn(1.0 + alpha / 2.0) / gamma_fn(2.0 - alpha / 2.0)
-        tail = gamma_fn(m + alpha / 2.0) / gamma_fn(m + 1.0 - alpha / 2.0)
-        return pref * (head - tail)
-    if form != "pochhammer":
-        raise ValueError(f"unknown form {form!r}")
-    return theta_alpha(alpha) * float(_dispersion_gap_ladder(alpha, m - 1)[-1])
+    pref = gamma_fn(1.0 - alpha) / (2.0 ** (1.0 - alpha) * gamma_fn(1.0 - alpha / 2.0) ** 2)
+    head = gamma_fn(1.0 + alpha / 2.0) / gamma_fn(2.0 - alpha / 2.0)
+    tail = gamma_fn(m + alpha / 2.0) / gamma_fn(m + 1.0 - alpha / 2.0)
+    return pref * (head - tail)
 
 
 def zeta_tail_constant(alpha: float) -> float:
@@ -203,13 +216,8 @@ class DispersionTable:
         if m_max < 2:
             raise ValueError("m_max must be >= 2")
         m = np.arange(2, m_max + 1)
-        if alpha == 1.0:
-            sig = odd_harmonic_ladder(m_max)
-            vals = (2.0 / math.pi) * (sig[2:] - sig[1])
-        else:
-            # at alpha = 0 the ratio is 1/m and theta is 1/2: (m-1)/(2m)
-            th = 0.5 if alpha == 0.0 else theta_alpha(alpha)
-            vals = th * _dispersion_gap_ladder(alpha, m_max - 1)
+        ladder = gap_ladder(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m_max - 1)
+        vals = _dispersion_scale(alpha) * ladder[1:]
         return cls(alpha=alpha, values=dict(zip(m.tolist(), vals.tolist())))
 
     def check_invariants(self) -> None:

@@ -2,9 +2,14 @@
 
 Every target row is formed at once, as a full N x N factor: the chord ratio
 from complex differences and two absolute values, H^(-a) as a power, and
-the row contraction as one einsum against the circulant weights.  The
-blocked pass forms H^2 from real differences and H^(-a) through log/exp,
-one block of rows at a time, so the two share only the weights.
+the row contraction as one einsum against whole-matrix circulant weights.
+The weights are built here, in the form the package used before its one
+gap-ladder row: the shifted moments mu_|k+1| = gamma(1-a) / gamma^2(1-a/2)
+(a/2)_p / (1-a/2)_p, p = |k+1|, attached to phi' for a < 1, and the
+odd-harmonic sums sigma_|k| at a = 1, attached to the subtracted numerator.
+The blocked pass forms H^2 from real differences and H^(-a) through log/exp,
+one block of rows at a time, from the gap-ladder row; the two share no
+quadrature code.
 """
 
 import math
@@ -12,8 +17,28 @@ import math
 import numpy as np
 
 from gsqg.geometry import FourierBoundary, UnitGrid, eval_deriv, eval_map
-from gsqg.kernels import _H_FLOOR, SelfIntersectionError, _circulant_weights
-from gsqg.specfun import conv_constant
+from gsqg.kernels import _H_FLOOR, SelfIntersectionError
+
+
+def conv_constant(alpha: float) -> float:
+    """gamma(a/2) / (2^(1-a) gamma(1 - a/2))."""
+    return math.gamma(alpha / 2.0) / (2.0 ** (1.0 - alpha) * math.gamma(1.0 - alpha / 2.0))
+
+
+def weights(size: int, alpha: float) -> np.ndarray:
+    """W[i, j] = ifft(mu)[(i - j) mod size], mu in fftfreq layout."""
+    k = np.fft.fftfreq(size, d=1.0 / size)
+    if alpha == 1.0:
+        sigma = np.concatenate([[0.0], np.cumsum(1.0 / (2.0 * np.arange(size // 2) + 1.0))])
+        mu = sigma[np.abs(k).astype(int)]
+    else:
+        p = np.abs(k + 1.0).astype(int)
+        j = np.arange(p.max())
+        ratios = np.concatenate([[1.0], np.cumprod((alpha / 2.0 + j) / (1.0 - alpha / 2.0 + j))])
+        mu = math.gamma(1.0 - alpha) / math.gamma(1.0 - alpha / 2.0) ** 2 * ratios[p]
+    row = np.fft.ifft(mu)
+    i = np.arange(size)
+    return row[(i[:, None] - i[None, :]) % size]
 
 
 def chord_ratio(phi: np.ndarray, w: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -30,7 +55,7 @@ def chord_ratio(phi: np.ndarray, w: np.ndarray, dphi: np.ndarray) -> np.ndarray:
 
 def contract(values: np.ndarray, alpha: float) -> np.ndarray:
     """Row-dot of every target row of values against the circulant weights."""
-    return np.einsum("ij,ij->i", values, _circulant_weights(values.shape[1], alpha))
+    return np.einsum("ij,ij->i", values, weights(values.shape[1], alpha))
 
 
 def s_phi_dense(bnd: FourierBoundary, alpha: float, grid: UnitGrid) -> np.ndarray:

@@ -73,6 +73,20 @@ class TestMomentsClosedForm:
             assert singular_moment_Z(a, 1) == pytest.approx(-pref, rel=1e-14)
 
 
+class TestMomentsVsMpmath:
+    # J's gap 1 - (2 + a/2)_n / (2 - a/2)_n is -a L_n, a sum of positive terms;
+    # formed as a difference it read 8.6e-14 at alpha = 0.01 and 4.0e-12 at 1e-4
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-3, 0.01, 0.05, 0.5, 0.999])
+    def test_chord_moment_keeps_its_digits(self, alpha):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            pref = (1 + a / 2) * mp.gamma(1 - a) / (mp.gamma(1 - a / 2) ** 2 * (2 - a))
+            for n in range(1, 17):
+                exact = pref * (1 - mp.rf(2 + a / 2, n) / mp.rf(2 - a / 2, n))
+                assert abs(singular_moment_J(alpha, n) - exact) <= 2e-15 * abs(exact), n
+
+
 class TestMomentsVsQuadrature:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_power_moments(self, alpha):
@@ -295,6 +309,14 @@ class TestFunctional:
         for a in np.linspace(0.1, 0.9, 9):
             for om in (-1.0, -0.3, 0.0, 0.4, 1.0):
                 assert functional_G(om, disc, float(a), g).sup_norm < 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
+    def test_disc_annihilation_near_the_euler_end(self, alpha):
+        # the weight row's diagonal is about -2/alpha; left in the row sums its
+        # rounding read 9.5e-12 at alpha = 1e-6 (5.2e-14 with it held apart)
+        g = UnitGrid(128)
+        for om in (-0.5, 0.3):
+            assert functional_G(om, FourierBoundary.identity(), alpha, g).sup_norm < 1e-12
 
     def test_residual_is_pure_sine(self, rng):
         bnd = FourierBoundary(0.03 * rng.standard_normal(6))

@@ -9,9 +9,9 @@ from gsqg.linearization import (BracketError, bifurcation_scan, disc_jacobian,
                                 gateaux_derivative, kernel_diagnostics,
                                 mixed_omega_column, monomial_derivatives,
                                 multiplier_at_disc, transversality_check)
-from gsqg.specfun import conv_constant, omega_dispersion, omega_sqg, theta_alpha
+from gsqg.specfun import omega_dispersion, omega_sqg, theta_alpha
 
-from dense_oracle import chord_ratio, contract
+from dense_oracle import chord_ratio, contract, conv_constant
 from fd_oracle import fd_column, fd_jacobian_matrix
 
 
@@ -223,6 +223,26 @@ class TestJacobian:
             assert np.max(np.abs(jac - np.diag(spec.mult[:12]))) < 1e-12
             fd = fd_jacobian_matrix(FourierBoundary.identity(), om, alpha, grid, 12)
             assert np.max(np.abs(jac - fd)) < 1e-7
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-5, 1.0 - 1e-6, 1.0 - 1e-7])
+    def test_disc_diagonal_near_the_critical_exponent(self, alpha):
+        # moments formed as differences lost digits like 1e-16 / (1 - alpha):
+        # 1.0e-8 off at 1 - 1e-7
+        jac = disc_jacobian(alpha, 0.3, 8)
+        assert np.max(np.abs(jac - np.diag(multiplier_at_disc(alpha, 0.3, 8).mult[:8]))) <= 1e-14
+
+    def test_derivative_tends_to_the_critical_one_linearly(self):
+        # (D(1 - eps) - D(1)) / eps is one slope down to eps = 1e-11: alpha = 1
+        # is the limit of the same pass, not a branch
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, -0.004, 3e-4])))
+        grid = UnitGrid(256)
+        at_one = monomial_derivatives(bnd, [2, 5], 0.3, 1.0, grid)
+        slopes = [(monomial_derivatives(bnd, [2, 5], 0.3, 1.0 - eps, grid) - at_one) / eps
+                  for eps in (1e-5, 1e-7, 1e-9, 1e-11)]
+        scale = np.max(np.abs(slopes[0]))
+        assert scale > 0.1
+        for slope in slopes[1:]:
+            assert np.max(np.abs(slope - slopes[0])) <= 0.01 * scale
 
     def test_wide_truncation_agreement(self):
         # same agreement holds out to 32 modes

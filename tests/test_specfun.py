@@ -6,7 +6,8 @@ import pytest
 from scipy.special import digamma
 
 from gsqg.specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
-                          GammaPoleError, conv_constant, gamma_fn, harmonic_odd,
+                          GammaPoleError, conv_constant, gamma_fn, gap_ladder,
+                          harmonic_odd,
                           odd_harmonic_ladder, omega_asymptotic,
                           omega_dispersion, omega_sqg, pochhammer_ratio,
                           rising_ratio_ladder, theta_alpha, zeta_tail_constant)
@@ -223,6 +224,52 @@ class TestZeta:
         for a in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 zeta_tail_constant(a)
+
+
+class TestGapLadder:
+    def test_is_one_minus_the_ratio(self):
+        for a, b in ((0.3, 0.7), (1.25, 1.75), (2.1, 2.0), (0.05, 0.95)):
+            ratios = rising_ratio_ladder(a, b, 40)
+            assert gap_ladder(a, b, 40) == pytest.approx((1.0 - ratios) / (b - a),
+                                                         rel=1e-13, abs=1e-15)
+
+    def test_equal_bases_give_the_harmonic_sum(self):
+        assert np.array_equal(gap_ladder(0.5, 0.5, 50), 2.0 * odd_harmonic_ladder(50))
+        assert gap_ladder(2.0, 2.0, 3) == pytest.approx([0.0, 0.5, 0.5 + 1 / 3, 0.5 + 1 / 3 + 0.25])
+
+    def test_continuous_at_equal_bases(self):
+        near = gap_ladder(1.5 + 1e-9, 1.5, 100)
+        assert near == pytest.approx(gap_ladder(1.5, 1.5, 100), rel=1e-8)
+
+    def test_empty_and_domain(self):
+        assert np.array_equal(gap_ladder(0.3, 0.7, 0), [0.0])
+        with pytest.raises(ValueError):
+            gap_ladder(0.3, 0.7, -1)
+
+    def test_table_endpoints_are_values_of_the_ladder(self):
+        euler = DispersionTable.build(0.0, 40).values
+        sqg = DispersionTable.build(1.0, 40).values
+        for m in range(2, 41):
+            assert euler[m] == pytest.approx((m - 1) / (2.0 * m), rel=1e-15)
+            assert sqg[m] == pytest.approx(omega_sqg(m), rel=1e-14)
+            assert omega_dispersion(1.0, m) == pytest.approx(omega_dispersion(1.0, m, "gamma"),
+                                                             rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-2, 0.3, 0.7, 0.99, 1.0 - 1e-7, 1.0])
+    def test_table_against_mpmath(self, alpha):
+        # measured <= 2.3e-15 over these alphas and m <= 512
+        mp = pytest.importorskip("mpmath")
+        tab = DispersionTable.build(alpha, 512).values
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            for m in (2, 3, 7, 64, 200, 512):
+                if alpha == 1.0:
+                    exact = 2 / mp.pi * mp.fsum(mp.mpf(1) / (2 * k + 1) for k in range(1, m))
+                else:
+                    pref = mp.gamma(1 - a) / (2 ** (1 - a) * mp.gamma(1 - a / 2) ** 2)
+                    exact = pref * (mp.gamma(1 + a / 2) / mp.gamma(2 - a / 2)
+                                    - mp.gamma(m + a / 2) / mp.gamma(m + 1 - a / 2))
+                assert abs(tab[m] - exact) <= 4e-15 * exact, m
 
 
 class TestDigamma:
