@@ -15,12 +15,18 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 
 class AliasingWarning(UserWarning):
     """Grid too small for the boundary's coefficient count."""
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -43,13 +49,15 @@ class UnitGrid:
     def is_offset(self) -> bool:
         return self.shift != 0.0
 
-    @property
+    @cached_property
     def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.size) / self.size + self.shift
+        """Node angles, formed once per grid; read-only."""
+        return _read_only(2.0 * np.pi * np.arange(self.size) / self.size + self.shift)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.exp(1j * self.angles)
+        """Nodes exp(i angles), formed once per grid; read-only."""
+        return _read_only(np.exp(1j * self.angles))
 
     def mode_coeffs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fourier coefficients c_k of values = sum_k c_k e^(i k theta).
@@ -163,16 +171,29 @@ def eval_deriv_at(bnd: FourierBoundary, w: np.ndarray) -> np.ndarray:
     return bnd.lead - acc * wb
 
 
+def _conj_power_series(coeffs: np.ndarray, grid: UnitGrid) -> np.ndarray:
+    """sum_n c_n conj(w_j)^n on the grid as one FFT of c_n e^(-i n shift).
+
+    conj(w_j)^n = e^(-i n shift) e^(-2 pi i n j / size), so orders n >= size
+    fold onto n mod size.
+    """
+    c = coeffs * np.exp(-1j * grid.shift * np.arange(len(coeffs)))
+    folded = np.zeros(-(-len(c) // grid.size) * grid.size, dtype=complex)
+    folded[:len(c)] = c
+    return np.fft.fft(folded.reshape(-1, grid.size).sum(axis=0))
+
+
 def eval_map(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
-    """phi(w_j) on the grid."""
+    """phi(w_j) on the grid: lead w_j + fft(b_n e^(-i n shift))_j."""
     _check_alias(bnd, grid)
-    return eval_map_at(bnd, grid.nodes)
+    return bnd.lead * grid.nodes + _conj_power_series(bnd.coeffs, grid)
 
 
 def eval_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
-    """phi'(w_j) on the grid."""
+    """phi'(w_j) on the grid: lead - conj(w_j) fft(n b_n e^(-i n shift))_j."""
     _check_alias(bnd, grid)
-    return eval_deriv_at(bnd, grid.nodes)
+    series = _conj_power_series(np.arange(bnd.order + 1) * bnd.coeffs, grid)
+    return bnd.lead - np.conj(grid.nodes) * series
 
 
 def univalence_margin(bnd: FourierBoundary, n_check: int = 4096) -> float:

@@ -17,6 +17,12 @@ C_a (mu_|k| - mu_0), a gap ladder contracted against p = w phi', which tend
 to the critical moments -(2/pi) sigma_|k| as a -> 1 while mu_0 diverges.  A
 constant shift of the row moves only its diagonal, whose share of G is a
 real multiple of |p|^2; s_phi adds the diagonal term back.
+
+Every boundary has real coefficients, so it is symmetric about the real
+axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
+forms the target rows of half the m-fold sector and unfolds the rest: the
+rotation repeats each row, and on the plain and half-offset grids the
+reflection w -> conj(w) maps a row to the conjugate of its mirror row.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -138,7 +145,12 @@ def _inverse_chord_sq(size: int) -> np.ndarray:
 
 
 def _weighted_kernel(h2: np.ndarray, alpha: float, weights: np.ndarray) -> np.ndarray:
-    """H^(-a) W for a block h2 = H^2, formed in place through log/exp; floor checked first."""
+    """H^(-a) W for a block h2 = H^2, formed in place through log/exp; floor checked first.
+
+    The check over the formed rows covers every row: H is invariant under
+    the sector's joint index shift and under the joint mirror of (i, j)
+    that _formed_rows unfolds.
+    """
     if (low := h2.min()) < _H_FLOOR ** 2:
         raise SelfIntersectionError(f"chord ratio fell to {math.sqrt(low):.3e}")
     np.log(h2, out=h2)
@@ -147,31 +159,71 @@ def _weighted_kernel(h2: np.ndarray, alpha: float, weights: np.ndarray) -> np.nd
 
 
 def _sector_rows(bnd: FourierBoundary, size: int, directions=()) -> int:
-    """Target rows that determine every other row of an equivariant boundary.
+    """Period of the target rows of an equivariant boundary: the m-fold sector.
 
     With f = gcd(size, n+1 over every nonzero b_n), rotating the grid by
     2*pi/f maps the boundary onto itself, so the chord ratio H and
     phi'(tau) are invariant under the joint index shift (i, j) -> (i + size/f,
-    j + size/f); every contraction row repeats with period size/f.  The
-    self-intersection check over those rows covers all rows for the same
-    reason.  A derivative along directions w^(-n) keeps that period only
-    when each n+1 is a multiple of f too, so those n join the gcd.
+    j + size/f); every contraction row repeats with period size/f.  A
+    derivative along directions w^(-n) keeps that period only when each n+1
+    is a multiple of f too, so those n join the gcd.  _formed_rows halves
+    the period again by the mirror symmetry.
     """
     orders = np.flatnonzero(bnd.coeffs) + 1
     return size // math.gcd(size, *orders.tolist(), *(int(n) + 1 for n in directions))
 
 
+class _FormedRows(NamedTuple):
+    """Target rows 0..count-1 that a pass forms, and how every grid row follows.
+
+    Grid row i repeats formed row source[i]; where mirrored[i], it is that
+    row conjugated and multiplied by the field's parity under the mirror.
+    """
+
+    count: int
+    source: np.ndarray
+    mirrored: np.ndarray
+
+    def unfold(self, formed: np.ndarray, parity: int) -> np.ndarray:
+        """All grid rows of a field from its formed rows (leading axis)."""
+        out = formed[self.source]
+        out[self.mirrored] = parity * np.conj(out[self.mirrored])
+        return out
+
+
+def _formed_rows(bnd: FourierBoundary, grid: UnitGrid, directions=()) -> _FormedRows:
+    """The rows a product-quadrature pass forms over the sector of period P.
+
+    Real coefficients make w -> conj(w) map phi to its conjugate.  When the
+    grid holds conj(w_i) as the node w_(-i-k), k = shift*size/pi an integer,
+    row i and row (-i - k) mod P are mirror images: q = conj(w) * (row sums)
+    is conjugated (parity +1), and G and its derivative along a real
+    direction change sign (parity -1).  The plain grid (k = 0) forms rows
+    0..P/2 and the half-offset grid (k = 1) rows 0..P/2 - 1; any other
+    shift forms the whole period.
+    """
+    period = _sector_rows(bnd, grid.size, directions)
+    rows = np.arange(grid.size) % period
+    k = 0 if grid.shift == 0.0 else 1 if grid.shift == np.pi / grid.size else None
+    if k is None:
+        return _FormedRows(period, rows, np.zeros(grid.size, dtype=bool))
+    count = (period - k) // 2 + 1
+    mirrored = rows >= count
+    return _FormedRows(count, np.where(mirrored, (-rows - k) % period, rows), mirrored)
+
+
 def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float,
-                     n_rows: int) -> np.ndarray:
+                     rows: _FormedRows) -> np.ndarray:
     """sum_j W[i, j] H_ij^(-a) p_j with p = w phi' on every node: S(phi) less its diagonal term.
 
-    Blocks of _ROW_BLOCK rows of H^(-a) W, with H^2 = |phi_i - phi_j|^2 |w_i - w_j|^(-2)
-    from real differences, reuse two buffers and are contracted with [Re p, Im p]
-    in one real GEMM each.
+    Blocks of _ROW_BLOCK of the formed rows of H^(-a) W, with H^2 = |phi_i - phi_j|^2
+    |w_i - w_j|^(-2) from real differences, reuse two buffers and are
+    contracted with [Re p, Im p] in one real GEMM each.
     """
     x, y = phi.real.copy(), phi.imag.copy()
     weights, inv_sq = _circulant_weights(len(w), alpha)[0], _inverse_chord_sq(len(w))
     p_pair = (w * dphi).view(float).reshape(-1, 2)     # columns Re p, Im p
+    n_rows = rows.count
     sums = np.empty(n_rows, dtype=complex)
     h2_buf, dy_buf = np.empty((2, min(_ROW_BLOCK, n_rows), len(w)))
     for start in range(0, n_rows, _ROW_BLOCK):
@@ -183,8 +235,8 @@ def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: fl
         h2.reshape(-1)[start::len(w) + 1] = np.abs(dphi[start:stop]) ** 2   # the diagonal
         kern = _weighted_kernel(h2, alpha, weights[start:stop])
         sums[start:stop] = (kern @ p_pair).view(complex)[:, 0]
-    # p turns with w under the symmetry, so the sector repeats as sums / w
-    return w * np.tile(np.conj(w[:n_rows]) * sums, len(w) // n_rows)
+    # p turns with w under the rotation, so the rows unfold as sums / w
+    return w * rows.unfold(np.conj(w[:n_rows]) * sums, 1)
 
 
 def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None,
@@ -201,7 +253,7 @@ def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None,
     grid = default_grid(bnd.order + 1) if grid is None else grid
     phi = eval_map(bnd, grid) if phi is None else phi
     dphi = eval_deriv(bnd, grid) if dphi is None else dphi
-    layer = _layer_potential(phi, dphi, grid.nodes, alpha, _sector_rows(bnd, grid.size))
+    layer = _layer_potential(phi, dphi, grid.nodes, alpha, _formed_rows(bnd, grid))
     # the diagonal term the weight rows leave out: (C_a mu_0 + K[0]) H_ii^(-a) p_i
     diagonal = (conv_constant(alpha) * _moment_prefactor(alpha)
                 + _circulant_weights(grid.size, alpha)[1])
@@ -215,7 +267,9 @@ class ResidualField:
     grid: UnitGrid
     values: np.ndarray       # real samples at the grid nodes
     sine_coeffs: np.ndarray  # g_n of i*sum g_n (w^n - conj(w)^n), n = 1..len
-    cosine_residue: float    # largest even-mode leak, ~0 for admissible data
+    # largest even-mode leak; on the plain and half-offset grids G is odd by
+    # construction, so it reads rounding there and measures no quadrature
+    cosine_residue: float
 
     @property
     def sup_norm(self) -> float:
@@ -246,7 +300,7 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
     w = grid.nodes
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
-    layer = (_layer_potential(phi, dphi, w, 1.0, _sector_rows(bnd, grid.size)) if alpha == 1.0
+    layer = (_layer_potential(phi, dphi, w, 1.0, _formed_rows(bnd, grid)) if alpha == 1.0
              else s_phi(bnd, alpha, grid, phi, dphi))
     vals = np.imag((omega * phi - layer) * np.conj(w) * np.conj(dphi))
     return _field_from_values(vals, grid)

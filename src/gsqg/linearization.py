@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
                        eval_deriv, eval_map)
-from .kernels import (_ROW_BLOCK, _circulant_weights, _field_from_values, _sector_rows,
+from .kernels import (_ROW_BLOCK, _circulant_weights, _field_from_values, _formed_rows,
                       _weighted_kernel)
 from .specfun import DispersionTable, omega_dispersion
 
@@ -101,8 +101,8 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     The weight row carries C_a and its sign for every alpha in (0, 1], so
     alpha = 1 is the same pass; the diagonal term it leaves out adds a real
     multiple of |p|^2 to G and nothing to the derivative.  When the boundary
-    and every direction are f-fold symmetric, only size/f target rows are
-    formed.
+    and every direction are f-fold symmetric, only the target rows of half
+    of size/f are formed; the real directions keep G's odd mirror parity.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("analytic derivative implemented for alpha in (0, 1]")
@@ -123,7 +123,8 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     dirs = w[:, None] * np.column_stack([dphi, dhv])     # [p, q] = w [phi', h']
     dirs_pair = dirs.view(float)                         # Re and Im of each column
     weights = _circulant_weights(grid.size, alpha)[0]
-    n_rows = _sector_rows(bnd, grid.size, modes)
+    formed = _formed_rows(bnd, grid, modes)
+    n_rows = formed.count
     sing = np.empty((n_rows, modes.size), dtype=complex)
     for start in range(0, n_rows, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n_rows)
@@ -147,7 +148,7 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     vals = (omega * _mixed_slope(phi[rows, None], dphi[rows, None], w[rows, None],
                                  inv[rows], dhv[rows])
             - np.imag(sing))
-    return np.tile(vals, (grid.size // n_rows, 1)).T
+    return formed.unfold(vals, -1).T
 
 
 def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,

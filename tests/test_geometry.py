@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
                            UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
-                           eval_map, univalence_margin)
+                           eval_deriv_at, eval_map, eval_map_at, univalence_margin)
 
 
 def conj_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
@@ -60,6 +61,32 @@ class TestEvalMap:
         bnd = FourierBoundary(np.zeros(40))
         with pytest.warns(AliasingWarning):
             eval_map(bnd, UnitGrid(64))
+
+    @pytest.mark.parametrize("order", [7, 40, 80], ids=["resolved", "aliased", "folded"])
+    @pytest.mark.parametrize("grid", [UnitGrid(64), UnitGrid.half_offset(64),
+                                      UnitGrid(64, shift=2.0 * np.pi / 3)],
+                             ids=["plain", "half-offset", "shifted"])
+    def test_grid_fft_matches_point_horner(self, order, grid, rng):
+        # 80 > 64 folds orders n >= size onto n mod size in the grid path
+        n = np.arange(order + 1)
+        bnd = FourierBoundary(0.05 * 0.6 ** n * rng.uniform(-1.0, 1.0, order + 1), lead=1.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasingWarning)
+            phi, dphi = eval_map(bnd, grid), eval_deriv(bnd, grid)
+        assert np.max(np.abs(phi - eval_map_at(bnd, grid.nodes))) <= 1e-15
+        assert np.max(np.abs(dphi - eval_deriv_at(bnd, grid.nodes))) <= 1e-15
+
+
+class TestUnitGrid:
+    def test_nodes_and_angles_are_cached_and_read_only(self):
+        g = UnitGrid(64, shift=0.1)
+        assert g.nodes is g.nodes and g.angles is g.angles
+        assert np.array_equal(g.nodes, np.exp(1j * (2.0 * np.pi * np.arange(64) / 64 + 0.1)))
+        for arr in (g.nodes, g.angles):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # the cache is not part of the value
+        assert g == UnitGrid(64, shift=0.1) and hash(g) == hash(UnitGrid(64, shift=0.1))
 
 
 class TestEvalDeriv:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from gsqg import kernels, oracles
+from gsqg import continuation, kernels, linearization, oracles
 from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid, embed_mfold,
                            eval_deriv, eval_deriv_at, eval_map, eval_map_at)
 from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
@@ -274,12 +274,13 @@ class TestLayerPotential:
         assert np.max(np.abs(fallback - spectral[pick])) < 1e-6
 
     def test_real_fourier_coefficients(self, rng):
-        # coefficients of conj(w) * S(phi) are real for real-coefficient maps
+        # coefficients of conj(w) * S(phi) are real for real-coefficient maps;
+        # the shifted grid forms every row, so the mirror does not impose it
         bnd = FourierBoundary(0.03 * rng.standard_normal(5))
-        g = UnitGrid(256)
-        vals = np.conj(g.nodes) * s_phi(bnd, 0.5, g)
-        _, coeffs = g.mode_coeffs(vals)
-        assert np.max(np.abs(coeffs.imag)) < 1e-12
+        for g in (UnitGrid(256), UnitGrid(256, shift=0.1)):
+            vals = np.conj(g.nodes) * s_phi(bnd, 0.5, g)
+            _, coeffs = g.mode_coeffs(vals)
+            assert np.max(np.abs(coeffs.imag)) < 1e-12
 
     def test_near_self_intersection_raises(self):
         # a nearly degenerate ellipse collapses the chord ratio across the slit
@@ -319,14 +320,17 @@ class TestFunctional:
             assert functional_G(om, FourierBoundary.identity(), alpha, g).sup_norm < 1e-12
 
     def test_residual_is_pure_sine(self, rng):
+        # on the plain grid G is odd by construction; the shifted grid forms
+        # every row, so there the symmetry is the quadrature's own
         bnd = FourierBoundary(0.03 * rng.standard_normal(6))
-        fld = functional_G(0.4, bnd, 0.5, UnitGrid(256))
-        assert fld.cosine_residue < 1e-12
-        # sine expansion reproduces the sampled values
-        theta = fld.grid.angles
-        rebuilt = sum(-2.0 * gn * np.sin((k + 1) * theta)
-                      for k, gn in enumerate(fld.sine_coeffs))
-        assert np.max(np.abs(rebuilt - fld.values)) < 1e-12
+        for grid in (UnitGrid(256), UnitGrid(256, shift=0.1)):
+            fld = functional_G(0.4, bnd, 0.5, grid)
+            assert fld.cosine_residue < 1e-12
+            # sine expansion reproduces the sampled values
+            theta = fld.grid.angles
+            rebuilt = sum(-2.0 * gn * np.sin((k + 1) * theta)
+                          for k, gn in enumerate(fld.sine_coeffs))
+            assert np.max(np.abs(rebuilt - fld.values)) < 1e-12
 
     def test_ellipse_mode4_obstruction(self):
         g = UnitGrid(256)
@@ -369,10 +373,10 @@ class TestCriticalFunctional:
         assert np.ptp(vals) < 1e-13
         assert min(abs(v) for v in vals) > 1e-3
 
-    def test_residual_is_pure_sine(self, rng):
+    def test_residual_is_pure_sine(self):
         bnd = embed_mfold(MFoldBoundary(m=2, reduced=np.array([0.05, 0.002])))
-        fld = functional_G_sqg(0.3, bnd, UnitGrid(256))
-        assert fld.cosine_residue < 1e-12
+        for grid in (UnitGrid(256), UnitGrid(256, shift=0.1)):
+            assert functional_G_sqg(0.3, bnd, grid).cosine_residue < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +469,11 @@ class TestCirculantQuadrature:
 class TestBlockedPass:
     """The 64-row blocked pass against the whole-matrix formulas of dense_oracle."""
 
-    # grid 200 runs 200 (asym) or 50 (m = 4) rows: no row count is a multiple of 64
-    @pytest.mark.parametrize("grid", [UnitGrid(200), UnitGrid.half_offset(256), UnitGrid(512)],
-                             ids=["200", "256-offset", "512"])
+    # grid 200 forms 101 (asym) or 26 (m = 4) rows, off the block size; the
+    # shifted grid forms the whole period, 256 or 64 rows, with no mirror
+    @pytest.mark.parametrize("grid", [UnitGrid(200), UnitGrid.half_offset(256), UnitGrid(512),
+                                      UnitGrid(256, shift=0.1)],
+                             ids=["200", "256-offset", "512", "256-shifted"])
     @pytest.mark.parametrize("kind", ["asym", 4])
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.97, 1.0])
     def test_matches_dense_reference(self, alpha, kind, grid, rng):
@@ -485,7 +491,9 @@ class TestBlockedPass:
         bnd = _oracle_boundary("asym", np.random.default_rng(1))
         assert kernels._sector_rows(bnd, 200) == 200
         assert kernels._sector_rows(_oracle_boundary(4, None), 200) == 50
-        assert 200 % kernels._ROW_BLOCK and 50 % kernels._ROW_BLOCK
+        assert kernels._formed_rows(bnd, UnitGrid(200)).count == 101
+        assert kernels._formed_rows(_oracle_boundary(4, None), UnitGrid(200)).count == 26
+        assert 101 % kernels._ROW_BLOCK and 26 % kernels._ROW_BLOCK
 
     def test_traced_peak_stays_blocked(self):
         # the whole-matrix pass peaked at 8.75 MB here; 64-row blocks stay near 2.5 MB
@@ -500,3 +508,59 @@ class TestBlockedPass:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestMirroredRows:
+    """The mirrored sector: the rows handed to the floor-checked kernel, the
+    identity that unfolds the rest, and a sector of odd period."""
+
+    @pytest.fixture
+    def formed_rows(self, monkeypatch):
+        counts = []
+        weighted = kernels._weighted_kernel
+
+        def counting(h2, alpha, weights):
+            counts.append(len(h2))
+            return weighted(h2, alpha, weights)
+
+        monkeypatch.setattr(kernels, "_weighted_kernel", counting)
+        monkeypatch.setattr(linearization, "_weighted_kernel", counting)
+        return counts
+
+    # the branch workload's grids: default_grid(16 m) holds a sector of 256 rows
+    @pytest.mark.parametrize("m, size", [(2, 512), (3, 768), (4, 1024)])
+    def test_residual_and_jacobian_form_half_the_sector(self, m, size, formed_rows):
+        reduced = np.array([0.03, 1e-3, 1e-4])
+        for grid, rows in ((UnitGrid(size), 129), (UnitGrid.half_offset(size), 128),
+                           (UnitGrid(size, shift=0.1), 256)):
+            formed_rows.clear()
+            continuation._equations(0.3, reduced, 0.5, m, grid, 16)
+            assert sum(formed_rows) == rows
+            formed_rows.clear()
+            continuation._mfold_jacobian(0.3, reduced, 0.5, m, grid, 16)
+            assert sum(formed_rows) == rows
+
+    @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
+    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid.half_offset(256)],
+                             ids=["plain", "half-offset"])
+    def test_unfolded_rows_are_mirror_images(self, grid, kind, rng):
+        # row i and row (-i - k) mod size, k = shift * size / pi, of the dense
+        # reference: q = conj(w) S is conjugated and G changes sign
+        bnd = _oracle_boundary(kind, rng)
+        k = round(grid.shift * grid.size / math.pi)
+        mirror = (-np.arange(grid.size) - k) % grid.size
+        w, layer = grid.nodes, s_phi_dense(bnd, 0.5, grid)
+        q = np.conj(w) * layer
+        g = np.imag((0.3 * eval_map(bnd, grid) - layer) * np.conj(w * eval_deriv(bnd, grid)))
+        assert np.max(np.abs(q[mirror] - np.conj(q))) <= 1e-14
+        assert np.max(np.abs(g[mirror] + g)) <= 1e-15
+
+    @pytest.mark.parametrize("grid", [UnitGrid(202), UnitGrid.half_offset(202)],
+                             ids=["plain", "half-offset"])
+    def test_odd_period_matches_dense(self, grid):
+        # m = 2 on 202 nodes: a sector of 101 rows, with one self-mirror row
+        # on either grid (row 0 on the plain one, row 50 on the half-offset one)
+        bnd = _oracle_boundary(2, None)
+        assert kernels._formed_rows(bnd, grid).count == 51
+        ref = s_phi_dense(bnd, 0.5, grid)
+        assert np.max(np.abs(s_phi(bnd, 0.5, grid) - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gsqg.linearization as lin
+from gsqg import kernels
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary, UnitGrid,
                            embed_mfold, eval_deriv, eval_map)
 from gsqg.kernels import _field_from_values, functional_G
@@ -138,11 +139,12 @@ class TestGateaux:
 
 
     def test_matches_dense_oracle(self, rng):
-        # single and mixed directions, b_0, a non-unit lead, plain and offset grids
+        # single and mixed directions, b_0, a non-unit lead; plain and offset
+        # grids unfold half the rows by the mirror, the shifted grid forms all
         directions = [direction(3), direction(0), FourierBoundary(rng.uniform(-1, 1, 5)),
                       FourierBoundary(np.array([0.0, 0.4]), lead=1.3),
                       FourierBoundary.identity(2)]
-        for grid in (UnitGrid(128), UnitGrid.half_offset(128)):
+        for grid in (UnitGrid(128), UnitGrid.half_offset(128), UnitGrid(128, shift=0.1)):
             for alpha in (0.3, 0.5, 0.9):
                 bnd = _random_boundary(rng)
                 for h in directions:
@@ -175,17 +177,21 @@ class TestGateaux:
         # 3-fold boundary and 3-fold directions: 768 / 3 target rows suffice
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, 0.004, -0.001])))
         modes = [-1, 2, 5, 8, 11]
+        # and the mirror halves them again
         grid = UnitGrid(768)
-        assert lin._sector_rows(bnd, grid.size, modes) == 256
+        assert kernels._sector_rows(bnd, grid.size, modes) == 256
+        assert kernels._formed_rows(bnd, grid, modes).count == 129
         reduced = monomial_derivatives(bnd, modes, 0.34, 0.5, grid)
-        monkeypatch.setattr(lin, "_sector_rows", lambda bnd, size, directions: size)
+        every_row = kernels._FormedRows(grid.size, np.arange(grid.size),
+                                        np.zeros(grid.size, dtype=bool))
+        monkeypatch.setattr(lin, "_formed_rows", lambda bnd, grid, directions: every_row)
         full = monomial_derivatives(bnd, modes, 0.34, 0.5, grid)
         assert np.max(np.abs(reduced - full)) <= 1e-13 * np.max(np.abs(full))
 
     def test_off_ladder_direction_uses_all_rows(self):
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05])))
-        assert lin._sector_rows(bnd, 768, [1]) == 768
-        assert lin._sector_rows(bnd, 768, [0]) == 768
+        assert kernels._sector_rows(bnd, 768, [1]) == 768
+        assert kernels._sector_rows(bnd, 768, [0]) == 768
 
     def test_unresolved_direction_warns(self):
         with pytest.warns(AliasingWarning):

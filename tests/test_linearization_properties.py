@@ -7,7 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gsqg.geometry import FourierBoundary, default_grid  # noqa: E402
+from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid,  # noqa: E402
+                           default_grid, embed_mfold)
 from gsqg.linearization import (disc_jacobian, mixed_omega_column,  # noqa: E402
                                 monomial_derivatives, multiplier_at_disc)
 
@@ -36,3 +37,22 @@ def test_disc_column_is_affine_in_omega(alpha, omega, mode):
               for om in (omega, 0.0)]
     slope = mixed_omega_column(disc, mode, grid, 12)
     assert np.max(np.abs(column[0] - column[1] - omega * slope)) < 1e-12
+
+
+@SETTINGS
+@given(alpha=alphas, omega=omegas, m=st.integers(min_value=2, max_value=5),
+       reduced=st.lists(st.floats(min_value=-0.03, max_value=0.03), min_size=1, max_size=3),
+       amps=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8))
+def test_monomial_derivatives_linear_in_direction(alpha, omega, m, reduced, amps):
+    # directions w^(-n), n = -1 (the lead) .. 6: one pass over all of them
+    # against a pass per direction, whose sector period and mirror differ
+    bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced)))
+    grid, amps = UnitGrid(128), np.array(amps)
+    modes = np.arange(len(amps)) - 1
+    joint = amps @ monomial_derivatives(bnd, modes, omega, alpha, grid)
+    apart = sum(a * monomial_derivatives(bnd, [n], omega, alpha, grid)[0]
+                for a, n in zip(amps, modes))
+    # the C_a ~ 2/a terms cancel to O(1) as alpha -> 0: measured up to 1.9e-12
+    # at alpha = 1e-3 and 3e-14 from alpha = 0.05 to 1
+    tol = 1e-13 + 1e-14 / alpha
+    assert np.max(np.abs(joint - apart)) <= tol * max(np.max(np.abs(apart)), 1.0)
