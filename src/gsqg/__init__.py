@@ -25,7 +25,7 @@ from .specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
                       rising_ratio_ladder, theta_alpha, zeta_tail_constant)
 from .geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
                        UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
-                       eval_deriv_at, eval_map, eval_map_at, univalence_margin)
+                       eval_map, univalence_margin)
 from .kernels import (ResidualField, SelfIntersectionError,
                       ellipse_fourth_coefficient, ellipse_moment_ratio,
                       functional_G, functional_G_sqg, s_phi,

@@ -251,30 +251,24 @@ def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.nd
     return out
 
 
-def velocity_contour(state: ContourState, subtract: bool | None = None) -> np.ndarray:
-    """Boundary velocity at every node.
+def _subtracted_layer(state: ContourState) -> tuple[np.ndarray, ...]:
+    """(S, K 1, s(0), b) from one pass over the pair-kernel strips.
 
-    At node i the layer integral is int |x|^(-alpha) f_i(x) dx over a
-    period, with the smooth factor f_i(x) = g(sigma_i + x) (|gamma(sigma_i
-    + x) - gamma_i| / |x|)^(-alpha), where g is gamma' for the plain kernel
-    and gamma' - gamma'_i for the subtracted one.  The punctured trapezoid
-    sum over the nodes j != i exceeds it by 2 zeta(alpha) h^(1-alpha)
-    f_i(0) + zeta(alpha-2) h^(3-alpha) f_i''(0) + O(h^(5-alpha)) (Navot's
-    generalized Euler-Maclaurin formula; a periodic f leaves no end terms,
-    Sidi & Israeli 1988), and both terms are closed-form in the first three
-    sigma-derivatives of gamma at the node.  The subtracted f_i(0) is zero.
-
-    subtract=None picks the plain kernel for alpha < 0.95 and the
-    tangentially subtracted one (mandatory at alpha = 1, harmless
-    elsewhere) beyond that; the two differ only along the tangent.  Raises
-    ContourError if non-adjacent nodes approach within a quarter of the
-    node spacing.
+    At node i the tangentially subtracted layer integral is
+    int |x|^(-alpha) f_i(x) dx over a period, with the smooth factor
+    f_i(x) = (gamma'(sigma_i + x) - gamma'_i) s_i(x) and
+    s_i(x) = (|gamma(sigma_i + x) - gamma_i| / |x|)^(-alpha).  The punctured
+    trapezoid sum over the nodes j != i exceeds it by 2 zeta(alpha)
+    h^(1-alpha) f_i(0) + zeta(alpha-2) h^(3-alpha) f_i''(0) + O(h^(5-alpha))
+    (Navot's generalized Euler-Maclaurin formula; a periodic f leaves no end
+    terms, Sidi & Israeli 1988), and both terms are closed-form in the first
+    three sigma-derivatives of gamma at the node.  f_i(0) is zero, so S, the
+    sum less the zeta(alpha-2) term, is finite on (0, 1].  K 1 holds the row
+    sums of K[i, j] = |gamma_j - gamma_i|^(-alpha), and s(0) and b are the
+    node expansion's terms below.  Raises ContourError if non-adjacent nodes
+    approach within a quarter of the node spacing.
     """
     alpha = state.alpha
-    if subtract is None:
-        subtract = alpha >= 0.95
-    if alpha == 1.0 and not subtract:
-        raise ValueError("the unsubtracted kernel is not integrable at alpha = 1")
     m = state.size
     h = 2.0 * np.pi / m
     gp, gpp, gppp = state.derivatives
@@ -285,24 +279,53 @@ def velocity_contour(state: ContourState, subtract: bool | None = None) -> np.nd
     acc = _pair_kernel_products(state.nodes, alpha, vec)
     conv = acc[:, 0] + 1j * acc[:, 1]
     # |gamma(sigma_i + x) - gamma_i|^2 / x^2 = a (1 + b x + c x^2 + ...), so
-    # its power -alpha/2 is a^(-alpha/2) (1 + p1 x + p2 x^2 + ...) with
-    # p1 = -alpha b / 2, p2 = -alpha c / 2 + alpha (alpha + 2) b^2 / 8, and
-    # f_i''(0) / 2 = a^(-alpha/2) (gamma'''/2 + p1 gamma'' + p2 gamma'), whose
-    # last term only the plain kernel has
+    # s_i(x) = a^(-alpha/2) (1 + p1 x + p2 x^2 + ...) with p1 = -alpha b / 2,
+    # and f_i''(0) / 2 = a^(-alpha/2) (gamma'''/2 + p1 gamma'')
     a = gp.real ** 2 + gp.imag ** 2
     b = (gp.real * gpp.real + gp.imag * gpp.imag) / a
     scale = a ** (-0.5 * alpha)
     half_bend = 0.5 * gppp - (0.5 * alpha) * b * gpp
-    zeta_0, zeta_2 = _zeta_pair(alpha)
-    if subtract:
-        total = h * (conv - gp * acc[:, 2])
-    else:
+    total = h * (conv - gp * acc[:, 2])
+    total -= (2.0 * _zeta_pair(alpha)[1] * h ** (3.0 - alpha)) * scale * half_bend
+    return total, acc[:, 2], scale, b
+
+
+def velocity_contour(state: ContourState) -> np.ndarray:
+    """Boundary velocity C_alpha/(2 pi) (S + R gamma') at every node.
+
+    The layer integral of gamma' is S (`_subtracted_layer`) plus gamma'_i
+    times R_i = int |x|^(-alpha) s_i(x) dx, taken by the same rule: the
+    punctured sum h sum_(j != i) |gamma_j - gamma_i|^(-alpha) less
+    2 zeta(alpha) h^(1-alpha) s_i(0) + zeta(alpha-2) h^(3-alpha) s_i''(0).
+    R gamma' is tangential.  At alpha = 1, R diverges (zeta(1) is a pole)
+    and the velocity is C_alpha/(2 pi) S, with the same normal part.
+    Raises ContourError if non-adjacent nodes approach within a quarter of
+    the node spacing.
+    """
+    alpha = state.alpha
+    total, rows, scale, b = _subtracted_layer(state)
+    if alpha < 1.0:
+        h = 2.0 * np.pi / state.size
+        gp, gpp, gppp = state.derivatives
+        # s_i''(0) / 2 = a^(-alpha/2) p2, p2 = -alpha c / 2 + alpha (alpha + 2) b^2 / 8
+        a = gp.real ** 2 + gp.imag ** 2
         c = (0.25 * (gpp.real ** 2 + gpp.imag ** 2)
              + (gp.real * gppp.real + gp.imag * gppp.imag) / 3.0) / a
-        half_bend += (alpha * (alpha + 2.0) / 8.0 * b ** 2 - 0.5 * alpha * c) * gp
-        total = h * conv - (2.0 * zeta_0 * h ** (1.0 - alpha)) * scale * gp
-    total -= (2.0 * zeta_2 * h ** (3.0 - alpha)) * scale * half_bend
+        p2 = alpha * (alpha + 2.0) / 8.0 * b ** 2 - 0.5 * alpha * c
+        zeta_0, zeta_2 = _zeta_pair(alpha)
+        node = 2.0 * zeta_0 * h ** (1.0 - alpha) + 2.0 * zeta_2 * h ** (3.0 - alpha) * p2
+        total += gp * (h * rows - node * scale)
     return conv_constant(alpha) / (2.0 * np.pi) * total
+
+
+def _normal_speed(state: ContourState, tangent: np.ndarray) -> np.ndarray:
+    """U_n = Re(u conj(n)) at the nodes, n = -i t for the unit tangent t.
+
+    U_n comes from S alone: R gamma' of `velocity_contour` is tangential,
+    and forming it would only add rounding that grows like 1/(1 - alpha).
+    """
+    total = _subtracted_layer(state)[0]
+    return (conv_constant(state.alpha) / (2.0 * np.pi) * total * 1j * np.conj(tangent)).real
 
 
 @lru_cache(maxsize=16)
@@ -368,9 +391,7 @@ def _normal_velocity_spectrum(state: ContourState) -> np.ndarray:
     zs = state.tangent
     speed = np.abs(zs)
     tangent = zs / speed
-    # U_n = Re(u conj(n)) with n = -i t; the subtracted kernel gives the
-    # plain kernel's U_n at every alpha and keeps clear of zeta's pole at 1
-    un = (velocity_contour(state, subtract=True) * 1j * np.conj(tangent)).real
+    un = _normal_speed(state, tangent)
     # kappa |z_sigma| = Im(conj(z_sigma) z_sigma_sigma) / |z_sigma|^2
     stretch = un * (np.conj(zs) * state.second_derivative).imag / speed ** 2
     # dT/dsigma = <stretch> - stretch; the antiderivative factors drop the mean
@@ -381,11 +402,11 @@ def _normal_velocity_spectrum(state: ContourState) -> np.ndarray:
 def normal_node_velocity(state: ContourState) -> np.ndarray:
     """Node velocity U_n n + T t of the equal-arclength formulation, filtered.
 
-    U_n is the normal component of `velocity_contour` with the subtracted
-    kernel (U_n is the same for the plain and the subtracted one); n is the
-    outward normal and t the unit tangent.  T is the zero-mean solution of
-    dT/dsigma = <kappa U_n |z_sigma|> - kappa U_n |z_sigma|, which makes
-    d|z_sigma|/dt the same at every node, so equal spacing stays equal.
+    U_n is the normal component of `velocity_contour` (`_normal_speed`); n
+    is the outward normal and t the unit tangent.  T is the zero-mean
+    solution of dT/dsigma = <kappa U_n |z_sigma|> - kappa U_n |z_sigma|,
+    which makes d|z_sigma|/dt the same at every node, so equal spacing
+    stays equal.
     The velocity passes through the fixed spectral filter
     exp(-36 (|k|/(N/2))^36) in the basis of w = z e^(-i sigma), where mode
     k of w is mode k + 1 of z, so that it filters the normal and the
@@ -580,8 +601,7 @@ def normal_velocity_residual(state: ContourState, omega: float) -> float:
     For a true rotating patch the boundary velocity agrees with i*omega*z in
     the normal direction; tangential components are parametrization slack.
     """
-    u = velocity_contour(state)
-    tangent = state.tangent
-    normal = -1j * tangent / np.abs(tangent)
-    mismatch = (u - 1j * omega * state.nodes) * np.conj(normal)
-    return float(np.max(np.abs(mismatch.real)))
+    tangent = state.tangent / np.abs(state.tangent)
+    # the normal speed of i omega z, with conj(n) = i conj(t)
+    rigid = -omega * (state.nodes * np.conj(tangent)).real
+    return float(np.max(np.abs(_normal_speed(state, tangent) - rigid)))

@@ -12,7 +12,6 @@ over the grid nodes.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,10 +43,6 @@ class UnitGrid:
     def half_offset(cls, size: int) -> "UnitGrid":
         """Nodes halfway between the default ones; keeps kernels off targets."""
         return cls(size=size, shift=np.pi / size)
-
-    @property
-    def is_offset(self) -> bool:
-        return self.shift != 0.0
 
     @cached_property
     def angles(self) -> np.ndarray:
@@ -122,26 +117,6 @@ class FourierBoundary:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def to_json_dict(self) -> dict:
-        d = {"alpha_independent": True, "N": self.order,
-             "coeffs": [float(c) for c in self.coeffs]}
-        if self.lead != 1.0:
-            d["lead"] = float(self.lead)
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FourierBoundary":
-        coeffs = np.asarray(d["coeffs"], dtype=float)
-        if len(coeffs) != d["N"] + 1:
-            raise ValueError("coefficient count does not match N")
-        return cls(coeffs, lead=float(d.get("lead", 1.0)))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierBoundary":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _check_alias(bnd: FourierBoundary, grid: UnitGrid) -> None:
@@ -149,26 +124,6 @@ def _check_alias(bnd: FourierBoundary, grid: UnitGrid) -> None:
         warnings.warn(
             f"grid of size {grid.size} under-resolves {bnd.order + 1} coefficients",
             AliasingWarning, stacklevel=3)
-
-
-def eval_map_at(bnd: FourierBoundary, w: np.ndarray) -> np.ndarray:
-    """phi at arbitrary unit-circle points, by Horner recurrence in conj(w)."""
-    w = np.asarray(w, dtype=complex)
-    wb = np.conj(w)
-    acc = np.zeros_like(w)
-    for b in bnd.coeffs[::-1]:
-        acc = acc * wb + b
-    return bnd.lead * w + acc
-
-
-def eval_deriv_at(bnd: FourierBoundary, w: np.ndarray) -> np.ndarray:
-    """phi'(w) = lead - sum_n n b_n conj(w)^(n+1) at arbitrary points."""
-    w = np.asarray(w, dtype=complex)
-    wb = np.conj(w)
-    acc = np.zeros_like(w)
-    for k in range(bnd.order, 0, -1):
-        acc = (acc + k * bnd.coeffs[k]) * wb
-    return bnd.lead - acc * wb
 
 
 def _conj_power_series(coeffs: np.ndarray, grid: UnitGrid) -> np.ndarray:

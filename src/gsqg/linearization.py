@@ -33,9 +33,6 @@ class MultiplierSpectrum:
     N: int
     mult: np.ndarray
 
-    def zero_modes(self, atol: float = 1e-12) -> list[int]:
-        return [n for n in range(1, self.N + 1) if abs(self.mult[n]) < atol]
-
 
 def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> MultiplierSpectrum:
     """Exact multipliers: mult[0] = omega/2, mult[n] = (n+1)(omega - omega_{n+1})/2."""

@@ -66,12 +66,8 @@ def rising_ratio_ladder(a: float, b: float, n: int) -> np.ndarray:
 
 
 def odd_harmonic_ladder(n: int) -> np.ndarray:
-    """sigma_p = sum_{k<p} 1/(2k+1) for p = 0..n: one cumulative sum."""
-    if n < 0:
-        raise ValueError("odd_harmonic_ladder needs n >= 0")
-    out = np.zeros(n + 1)
-    np.cumsum(1.0 / (2.0 * np.arange(n) + 1.0), out=out[1:])
-    return out
+    """sigma_p = sum_{k<p} 1/(2k+1) for p = 0..n: L_p(1/2, 1/2) / 2."""
+    return 0.5 * gap_ladder(0.5, 0.5, n)
 
 
 def gap_ladder(a: float, b: float, n: int) -> np.ndarray:

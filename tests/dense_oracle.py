@@ -9,7 +9,8 @@ gap-ladder row: the shifted moments mu_|k+1| = gamma(1-a) / gamma^2(1-a/2)
 odd-harmonic sums sigma_|k| at a = 1, attached to the subtracted numerator.
 The blocked pass forms H^2 from real differences and H^(-a) through log/exp,
 one block of rows at a time, from the gap-ladder row; the two share no
-quadrature code.
+quadrature code.  `eval_map_at` and `eval_deriv_at` are the point-evaluation
+reference for the grid's FFT path: Horner recurrences in conj(w).
 """
 
 import math
@@ -18,6 +19,26 @@ import numpy as np
 
 from gsqg.geometry import FourierBoundary, UnitGrid, eval_deriv, eval_map
 from gsqg.kernels import _H_FLOOR, SelfIntersectionError
+
+
+def eval_map_at(bnd: FourierBoundary, w: np.ndarray) -> np.ndarray:
+    """phi at arbitrary unit-circle points, by Horner recurrence in conj(w)."""
+    w = np.asarray(w, dtype=complex)
+    wb = np.conj(w)
+    acc = np.zeros_like(w)
+    for b in bnd.coeffs[::-1]:
+        acc = acc * wb + b
+    return bnd.lead * w + acc
+
+
+def eval_deriv_at(bnd: FourierBoundary, w: np.ndarray) -> np.ndarray:
+    """phi'(w) = lead - sum_n n b_n conj(w)^(n+1) at arbitrary points."""
+    w = np.asarray(w, dtype=complex)
+    wb = np.conj(w)
+    acc = np.zeros_like(w)
+    for k in range(bnd.order, 0, -1):
+        acc = (acc + k * bnd.coeffs[k]) * wb
+    return bnd.lead - acc * wb
 
 
 def conv_constant(alpha: float) -> float:

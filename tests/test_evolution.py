@@ -30,6 +30,11 @@ def normal_part(state: ContourState, u: np.ndarray) -> np.ndarray:
     return (u * 1j * np.conj(state.tangent)).real / np.abs(state.tangent)
 
 
+def integrator_speed(state: ContourState) -> np.ndarray:
+    """U_n as the integrator takes it, from the subtracted sum alone."""
+    return ev._normal_speed(state, state.tangent / np.abs(state.tangent))
+
+
 def node_terms(state: ContourState, subtract: bool) -> np.ndarray:
     """-2 zeta(alpha) h^(1-alpha) f(0) - zeta(alpha-2) h^(3-alpha) f''(0) at
     every node, with the smooth factor f(x) = g(x) q(x)^(-alpha/2), where
@@ -172,20 +177,16 @@ class TestVelocity:
             assert np.all(errors[:-1] / errors[1:] >= 2.0 ** 3.5)
 
     def test_subtracted_kernel_changes_only_tangent(self):
+        # the integrator's U_n comes from S alone; the velocity adds R gamma'
         st = ContourState.from_boundary(FourierBoundary.ellipse(0.2), 512, 0.5)
-        plain = velocity_contour(st, subtract=False)
-        sub = velocity_contour(st, subtract=True)
-        tangent = st.tangent
-        normal = -1j * tangent / np.abs(tangent)
-        gap = (plain - sub) * np.conj(normal)
-        assert np.abs(gap.real).max() < 1e-12
-        assert np.abs(plain - sub).max() > 1e-2   # tangential parts do differ
+        u = velocity_contour(st)
+        sub = conv_constant(0.5) / (2.0 * np.pi) * ev._subtracted_layer(st)[0]
+        assert np.abs(normal_part(st, u) - integrator_speed(st)).max() < 1e-12
+        assert np.abs(u - sub).max() > 1e-2   # tangential parts do differ
 
     def test_critical_case_needs_subtraction(self):
         st = ContourState.disc(128, 1.0)
-        with pytest.raises(ValueError):
-            velocity_contour(st, subtract=False)
-        u = velocity_contour(st)   # auto-subtracted
+        u = velocity_contour(st)
         assert np.abs((u * np.conj(st.nodes)).real).max() < 1e-8
 
     def test_near_contact_raises(self):
@@ -215,20 +216,34 @@ class TestVelocity:
         # 130 and 200 are not multiples of the strip height; 130 leaves a
         # last strip of 2 rows
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
-        for alpha, subtract in ((0.35, False), (0.5, False), (0.97, True), (1.0, True)):
+        for alpha in (0.35, 0.5, 0.97, 1.0):
             st = ContourState.from_boundary(bnd, n_nodes, alpha)
-            tiled = velocity_contour(st, subtract)
-            dense = dense_velocity(st, subtract)
-            assert np.max(np.abs(tiled - dense)) <= 1e-13 * np.max(np.abs(dense))
+            dense = dense_velocity(st, subtract=alpha == 1.0)
+            assert np.max(np.abs(velocity_contour(st) - dense)) <= 1e-13 * np.max(np.abs(dense))
+            sub = dense_velocity(st, subtract=True)
+            assert np.max(np.abs(integrator_speed(st) - normal_part(st, sub))) <= \
+                1e-13 * np.max(np.abs(sub))
 
     def test_six_nodes_match_dense(self):
         # at 6 nodes the guard's neighbours at offsets 3 and -3 are the same
         # node, and every other node is one of them
-        for alpha, subtract in ((0.5, False), (1.0, True)):
+        for alpha in (0.5, 1.0):
             st = ContourState(nodes=sampled_ellipse(6)[0], time=0.0, alpha=alpha)
-            dense = dense_velocity(st, subtract)
-            assert np.max(np.abs(velocity_contour(st, subtract) - dense)) <= \
+            dense = dense_velocity(st, subtract=alpha == 1.0)
+            assert np.max(np.abs(velocity_contour(st) - dense)) <= \
                 1e-13 * np.max(np.abs(dense))
+            sub = dense_velocity(st, subtract=True)
+            assert np.max(np.abs(integrator_speed(st) - normal_part(st, sub))) <= \
+                1e-13 * np.max(np.abs(sub))
+
+    @pytest.mark.parametrize("alpha", [0.95, 0.97, 0.999])
+    def test_physical_velocity_near_the_critical_exponent(self, alpha):
+        # below alpha = 1 the velocity carries its whole tangential part,
+        # which grows like 1 / (1 - alpha)
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
+        st = ContourState.from_boundary(bnd, 256, alpha)
+        dense = dense_velocity(st, subtract=False)
+        assert np.max(np.abs(velocity_contour(st) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_non_finite_nodes_rejected(self):
         nodes = ContourState.disc(64, 0.5).nodes
@@ -248,15 +263,17 @@ class TestVelocity:
         # the product-integration band this rule replaced, at its own error:
         # on this shape the gap at 512 nodes is at most 1.4e-5 in U_n and
         # 6.2e-4 in the full velocity, and the U_n gap falls 4.1-6.3 times
-        # from 256 nodes, like that rule's error
+        # from 256 nodes, like that rule's error.  At 0.97 the rule takes the
+        # subtracted form, so only the normal parts compare
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
         for alpha, subtract in ((0.35, False), (0.5, False), (0.97, True), (1.0, True)):
             gaps = []
             for n_nodes in (256, 512):
                 st = ContourState.from_boundary(bnd, n_nodes, alpha)
-                gap = velocity_contour(st, subtract) - hat_window_velocity(st, subtract)
+                gap = velocity_contour(st) - hat_window_velocity(st, subtract)
                 gaps.append(np.abs(normal_part(st, gap)).max())
-            assert np.abs(gap).max() < 2e-3
+            if subtract == (alpha == 1.0):
+                assert np.abs(gap).max() < 2e-3
             assert gaps[1] < 5e-5 and gaps[0] > 3.0 * gaps[1]
 
     def test_zeta_values(self):
@@ -274,9 +291,15 @@ class TestStepping:
         # the disc's modes are neutral under the linear part, so with the
         # field at rest only the clock moves; the FFT round trip leaves rounding
         st = ContourState.disc(64, 0.5)
-        monkeypatch.setattr(ev, "velocity_contour",
-                            lambda state, subtract=None: np.zeros(state.size, complex))
+        calls = Counter()
+
+        def at_rest(state, tangent):
+            calls["speed"] += 1
+            return np.zeros(state.size)
+
+        monkeypatch.setattr(ev, "_normal_speed", at_rest)
         out = step_normal(st, 0.1)
+        assert calls["speed"] == 4
         assert np.abs(out.nodes - st.nodes).max() <= 1e-15
         assert out.time == pytest.approx(0.1)
 
@@ -438,7 +461,7 @@ class TestNormalStepping:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(ev, "velocity_contour", counted("velocity", ev.velocity_contour))
+        monkeypatch.setattr(ev, "_subtracted_layer", counted("velocity", ev._subtracted_layer))
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(ev, name, counted("transform", getattr(ev, name)))
             monkeypatch.setattr(np.fft, name, counted("transform", getattr(np.fft, name)))

@@ -22,21 +22,20 @@ REL = 1e-12
 
 @st.composite
 def contours(draw):
-    """(nodes, alpha, subtract) for a smooth star-shaped patch."""
+    """(nodes, alpha) for a smooth star-shaped patch."""
     m = draw(st.integers(min_value=32, max_value=300))
     alpha = draw(st.floats(min_value=0.05, max_value=1.0))
-    subtract = draw(st.booleans()) or alpha == 1.0
     amps = draw(st.lists(st.floats(min_value=-0.05, max_value=0.05), min_size=1, max_size=4))
     phases = draw(st.lists(st.floats(min_value=0.0, max_value=2.0 * np.pi),
                            min_size=len(amps), max_size=len(amps)))
     theta = 2.0 * np.pi * np.arange(m) / m
     radius = 1.0 + sum(a * np.cos((k + 2) * theta + p)
                        for k, (a, p) in enumerate(zip(amps, phases)))
-    return radius * np.exp(1j * theta), alpha, subtract
+    return radius * np.exp(1j * theta), alpha
 
 
-def _velocity(nodes, alpha, subtract):
-    return velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=alpha), subtract)
+def _velocity(nodes, alpha):
+    return velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=alpha))
 
 
 def _close(a, b):
@@ -46,24 +45,24 @@ def _close(a, b):
 @SETTINGS
 @given(c=contours(), angle=st.floats(min_value=-np.pi, max_value=np.pi))
 def test_rotation_equivariance(c, angle):
-    nodes, alpha, subtract = c
+    nodes, alpha = c
     turn = np.exp(1j * angle)
-    assert _close(_velocity(turn * nodes, alpha, subtract),
-                  turn * _velocity(nodes, alpha, subtract))
+    assert _close(_velocity(turn * nodes, alpha),
+                  turn * _velocity(nodes, alpha))
 
 
 @SETTINGS
 @given(c=contours(), shift=st.integers(min_value=1, max_value=299))
 def test_cyclic_shift_equivariance(c, shift):
-    nodes, alpha, subtract = c
-    assert _close(_velocity(np.roll(nodes, shift), alpha, subtract),
-                  np.roll(_velocity(nodes, alpha, subtract), shift))
+    nodes, alpha = c
+    assert _close(_velocity(np.roll(nodes, shift), alpha),
+                  np.roll(_velocity(nodes, alpha), shift))
 
 
 @SETTINGS
 @given(c=contours(), scale=st.floats(min_value=0.1, max_value=10.0))
 def test_dilation_law(c, scale):
     # the kernel is homogeneous of degree -alpha, the tangent of degree 1
-    nodes, alpha, subtract = c
-    assert _close(_velocity(scale * nodes, alpha, subtract),
-                  scale ** (1.0 - alpha) * _velocity(nodes, alpha, subtract))
+    nodes, alpha = c
+    assert _close(_velocity(scale * nodes, alpha),
+                  scale ** (1.0 - alpha) * _velocity(nodes, alpha))

@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -6,7 +5,9 @@ import pytest
 
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
                            UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
-                           eval_deriv_at, eval_map, eval_map_at, univalence_margin)
+                           eval_map, univalence_margin)
+
+from dense_oracle import eval_deriv_at, eval_map_at
 
 
 def conj_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
@@ -202,16 +203,3 @@ class TestTransforms:
     def test_default_grid_size(self):
         g = default_grid(10)
         assert g.size == 160 and g.size % 2 == 0
-
-
-class TestSerialization:
-    def test_json_round_trip(self, rng):
-        bnd = FourierBoundary(rng.standard_normal(7))
-        clone = FourierBoundary.from_json(bnd.to_json())
-        assert np.array_equal(clone.coeffs, bnd.coeffs)
-
-    def test_schema_keys(self):
-        d = json.loads(FourierBoundary.ellipse(0.3).to_json())
-        assert d["alpha_independent"] is True
-        assert d["N"] == 1
-        assert d["coeffs"] == [0.0, 0.3]

@@ -9,7 +9,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from gsqg import continuation, kernels, linearization, oracles
 from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid, embed_mfold,
-                           eval_deriv, eval_deriv_at, eval_map, eval_map_at)
+                           eval_deriv, eval_map)
 from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                           ellipse_moment_ratio, functional_G, functional_G_sqg,
                           s_phi, singular_moment_I, singular_moment_J,
@@ -17,7 +17,8 @@ from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
 from gsqg.linearization import monomial_derivatives
 from gsqg.specfun import conv_constant, gamma_fn, pochhammer_ratio, theta_alpha
 
-from dense_oracle import functional_G_sqg_dense, s_phi_dense, sqg_layer_dense
+from dense_oracle import (eval_deriv_at, eval_map_at, functional_G_sqg_dense, s_phi_dense,
+                          sqg_layer_dense)
 
 R_HALF = gamma_fn(0.5) / gamma_fn(0.75) ** 2   # moment prefactor at alpha = 1/2
 
