@@ -11,7 +11,7 @@ every exponent a except a = 1.
 import numpy as np
 
 from gsqg import (FourierBoundary, UnitGrid, ellipse_fourth_coefficient,
-                  ellipse_moment_ratio, functional_G, functional_G_sqg)
+                  ellipse_moment_ratio, functional_G)
 
 print(__doc__)
 
@@ -34,7 +34,7 @@ for a in (0.25, 0.5, 0.75, 1.0):
 
 print("\nthe critical-case functional still obstructs the ellipse:")
 for om in (-0.5, 0.5):
-    fld = functional_G_sqg(om, FourierBoundary.ellipse(q), grid)
+    fld = functional_G(om, FourierBoundary.ellipse(q), 1.0, grid)
     print(f"  omega={om:+.1f}:  g4 = {fld.sine_coeff(4):+.10f}")
 print("\n(the ratio degenerates at alpha = 1, but higher-order terms keep the"
       "\nfourth coefficient nonzero there too)")

@@ -19,13 +19,13 @@ print(__doc__)
 alpha, m = 0.5, 3
 omega = omega_dispersion(alpha, m)
 print(f"multipliers at omega = omega_{m} = {omega:.10f} (alpha = {alpha}):")
-spec = multiplier_at_disc(alpha, omega, 8)
+mult = multiplier_at_disc(alpha, omega, 8)
 jac = disc_jacobian(alpha, omega, 8)
 diag = np.diag(jac)
 print(f"{'n':>3} {'analytic':>15} {'quadrature':>15} {'gap':>9}")
 for n in range(8):
-    print(f"{n:3d} {spec.mult[n]:15.10f} {diag[n]:15.10f} "
-          f"{abs(spec.mult[n] - diag[n]):9.1e}")
+    print(f"{n:3d} {mult[n]:15.10f} {diag[n]:15.10f} "
+          f"{abs(mult[n] - diag[n]):9.1e}")
 print(f"  -> mode {m - 1} sits on the kernel; everything else is invertible")
 
 off = np.max(np.abs(jac - np.diag(diag)))

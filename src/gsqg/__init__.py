@@ -6,7 +6,7 @@ m-fold symmetric branch leaves the unit disc at each angular velocity of the
 dispersion relation.  The subpackages compute these objects and verify their
 analytic properties at desk scale:
 
-specfun        rising-factorial, gap and odd-harmonic ladders, the dispersion relation
+specfun        the ratio, gap and odd-harmonic ladders, the dispersion relation
 geometry       boundaries as exterior conformal-map Fourier coefficients
 kernels        exact circle moments and the nonlinear patch functional
 linearization  Fourier multipliers, analytic derivatives, bifurcation scans
@@ -20,18 +20,18 @@ cli            command-line drivers (also exposed as `python -m gsqg`)
 
 from .specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
                       GammaPoleError, conv_constant, gamma_fn, gap_ladder,
-                      harmonic_odd, odd_harmonic_ladder, omega_asymptotic,
-                      omega_dispersion, omega_sqg, pochhammer_ratio,
-                      rising_ratio_ladder, theta_alpha, zeta_tail_constant)
+                      odd_harmonic_ladder, omega_asymptotic, omega_dispersion,
+                      omega_sqg, pochhammer_ratio, theta_alpha,
+                      zeta_tail_constant)
 from .geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
                        UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
                        eval_map, univalence_margin)
 from .kernels import (ResidualField, SelfIntersectionError,
                       ellipse_fourth_coefficient, ellipse_moment_ratio,
-                      functional_G, functional_G_sqg, s_phi,
+                      functional_G, s_phi,
                       singular_moment_I, singular_moment_J, singular_moment_Z,
                       sqg_moment_1, sqg_moment_2)
-from .linearization import (BracketError, MultiplierSpectrum, bifurcation_scan,
+from .linearization import (BracketError, bifurcation_scan,
                             crosses_transversally, disc_jacobian,
                             gateaux_derivative, kernel_diagnostics,
                             mixed_omega_column, monomial_derivatives,

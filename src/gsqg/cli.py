@@ -157,11 +157,11 @@ def cmd_linearize(args) -> int:
     if args.n_modes < 2:
         raise ConfigError("n-modes must be >= 2")
     out = _outdir(args)
-    spectrum = multiplier_at_disc(alpha, args.omega, args.n_modes)
+    mult = multiplier_at_disc(alpha, args.omega, args.n_modes)
     diag = np.diag(disc_jacobian(alpha, args.omega, args.n_modes))
-    agreement = float(np.max(np.abs(diag - spectrum.mult[:args.n_modes])))
+    agreement = float(np.max(np.abs(diag - mult[:args.n_modes])))
     write_csv(out / "multipliers.csv", ["n", "multiplier"],
-              [[n, spectrum.mult[n]] for n in range(args.n_modes)])
+              [[n, mult[n]] for n in range(args.n_modes)])
     path = write_json(out / "linearize.json",
                       {"alpha": alpha, "omega": args.omega,
                        "n_modes": args.n_modes,

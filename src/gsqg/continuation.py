@@ -22,6 +22,9 @@ from .linearization import monomial_derivatives, omega_slope
 from .specfun import omega_dispersion
 
 
+_MAX_ITER = 30      # Newton steps per solve
+
+
 class NonConvergenceError(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
@@ -49,9 +52,6 @@ class VStateSolution:
     @property
     def full_boundary(self) -> FourierBoundary:
         return embed_mfold(self.boundary)
-
-    def coefficients(self) -> np.ndarray:
-        return self.boundary.reduced.copy()
 
 
 @dataclass
@@ -121,7 +121,7 @@ def _mfold_jacobian(omega: float, reduced: np.ndarray, alpha: float, m: int,
 
 def solve_vstate(alpha: float, m: int, s: float,
                  initial_guess: tuple[float, np.ndarray] | None = None,
-                 tol: float = 1e-11, max_iter: int = 30, k_modes: int = 16,
+                 tol: float = 1e-11, k_modes: int = 16,
                  grid: UnitGrid | None = None,
                  jacobian: np.ndarray | None = None) -> VStateSolution:
     """Newton-solve the m-fold branch point at pinned amplitude s.
@@ -180,15 +180,15 @@ def solve_vstate(alpha: float, m: int, s: float,
     def jac_of(x_vec: np.ndarray) -> np.ndarray:
         return _mfold_jacobian(x_vec[0], reduced_of(x_vec), alpha, m, grid, k_modes)
 
-    sol_x, norm, jac, builds = _chord_newton(x, res_of, jac_of, tol, max_iter, s, jacobian)
+    sol_x, norm, jac, builds = _chord_newton(x, res_of, jac_of, tol, s, jacobian)
     bnd = MFoldBoundary(m=m, reduced=reduced_of(sol_x))
     return VStateSolution(alpha=alpha, m=m, s=s, omega=float(sol_x[0]), boundary=bnd,
                           residual_norm=norm, grid_size=grid.size,
                           residual_evals=evals, jacobian_builds=builds, jacobian=jac)
 
 
-def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, max_iter: int,
-                  s: float, jac: np.ndarray | None = None
+def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, s: float,
+                  jac: np.ndarray | None = None
                   ) -> tuple[np.ndarray, float, np.ndarray | None, int]:
     """Damped Newton with Jacobian reuse; returns (x, residual norm, Jacobian, builds).
 
@@ -203,7 +203,7 @@ def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, max_iter: int,
     res_norm = float(np.max(np.abs(res)))
     rebuild = jac is None
     builds = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if res_norm < tol:
             break
         fresh = rebuild
@@ -239,7 +239,7 @@ def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, max_iter: int,
         x, res, res_norm = x_new, res_new, norm_new
     if res_norm >= tol:
         raise NonConvergenceError(f"no convergence at s={s}: residual {res_norm:.3e} "
-                                  f"after {max_iter} iterations")
+                                  f"after {_MAX_ITER} iterations")
     return x, res_norm, jac, builds
 
 

@@ -124,10 +124,9 @@ class ContourState:
         return state
 
     @classmethod
-    def from_boundary(cls, bnd: FourierBoundary, n_nodes: int, alpha: float,
-                      time: float = 0.0) -> "ContourState":
-        grid = UnitGrid(n_nodes)
-        return cls(nodes=eval_map(bnd, grid), time=time, alpha=alpha)
+    def from_boundary(cls, bnd: FourierBoundary, n_nodes: int,
+                      alpha: float) -> "ContourState":
+        return cls(nodes=eval_map(bnd, UnitGrid(n_nodes)), time=0.0, alpha=alpha)
 
     @classmethod
     def disc(cls, n_nodes: int, alpha: float, radius: float = 1.0) -> "ContourState":

@@ -76,17 +76,14 @@ class UnitGrid:
 
     def cosine_residue(self, values: np.ndarray) -> float:
         """Largest even-part coefficient; vanishes for pure sine fields."""
-        k, c = self.mode_coeffs(values)
+        c = self.mode_coeffs(values)[1]
         half = self.size // 2
         return float(max(np.max(np.abs(c[:half].real)), abs(c[0])))
 
 
-def default_grid(n_coeffs: int, factor: int = 16) -> UnitGrid:
-    """Over-resolved grid for a boundary with n_coeffs coefficients."""
-    size = max(factor * n_coeffs, 64)
-    if size % 2:
-        size += 1
-    return UnitGrid(size)
+def default_grid(n_coeffs: int) -> UnitGrid:
+    """Over-resolved grid for n_coeffs coefficients: 16 nodes each, at least 64."""
+    return UnitGrid(max(16 * n_coeffs, 64))
 
 
 @dataclass(frozen=True)
@@ -107,11 +104,9 @@ class FourierBoundary:
         return cls(np.zeros(n + 1))
 
     @classmethod
-    def ellipse(cls, q: float, n: int = 1) -> "FourierBoundary":
+    def ellipse(cls, q: float) -> "FourierBoundary":
         """Map w + q * conj(w); q = (a-b)/(a+b) for semi-axes a >= b."""
-        c = np.zeros(max(n, 1) + 1)
-        c[1] = q
-        return cls(c)
+        return cls(np.array([0.0, q]))
 
     @property
     def order(self) -> int:
@@ -151,10 +146,9 @@ def eval_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
     return bnd.lead - np.conj(grid.nodes) * series
 
 
-def univalence_margin(bnd: FourierBoundary, n_check: int = 4096) -> float:
-    """min |phi'| over a fine grid; must stay positive for an embedded curve."""
-    g = UnitGrid(n_check)
-    return float(np.min(np.abs(eval_deriv(bnd, g))))
+def univalence_margin(bnd: FourierBoundary) -> float:
+    """min |phi'| over a 4096-node grid; must stay positive for an embedded curve."""
+    return float(np.min(np.abs(eval_deriv(bnd, UnitGrid(4096)))))
 
 
 def dilate(bnd: FourierBoundary, lam: float, alpha: float) -> tuple[FourierBoundary, float]:

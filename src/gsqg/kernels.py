@@ -10,7 +10,9 @@ here are evaluated by product quadrature: the kernel is split as
 bounded below, the smooth part is expanded in a discrete Fourier series in
 tau, and each mode is contracted against the exact circle moments of
 |w-tau|^(-a).  The singular factor is therefore integrated exactly; the only
-error is truncation of the smooth expansion.
+error is truncation of the smooth expansion.  The circle moments are rungs
+of the ladders in specfun: the power and conjugate moments I and Z read the
+ratio ladder, the chord moment J and the weight row the gap ladder.
 
 One real weight row serves every a in (0, 1]: the moment gaps
 C_a (mu_|k| - mu_0), a gap ladder contracted against p = w phi', which tend
@@ -294,7 +296,10 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
 
     Identically zero (to rounding) for the disc at any omega; a converged
     m-fold solution drives every sine coefficient below the solver tolerance.
-    At the critical exponent alpha = 1 this is functional_G_sqg.
+    At the critical exponent alpha = 1 the weight row holds the
+    odd-harmonic moments less the divergent constant mode, which would only
+    add a real multiple of |w phi'(w)|^2 to the imaginary part: as if the
+    numerator tau*phi'(tau) - w*phi'(w) vanished on the diagonal.
     """
     grid = default_grid(bnd.order + 1) if grid is None else grid
     w = grid.nodes
@@ -304,17 +309,6 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
              else s_phi(bnd, alpha, grid, phi, dphi))
     vals = np.imag((omega * phi - layer) * np.conj(w) * np.conj(dphi))
     return _field_from_values(vals, grid)
-
-
-def functional_G_sqg(omega: float, bnd: FourierBoundary,
-                     grid: UnitGrid | None = None) -> ResidualField:
-    """Critical-case residual from the subtracted odd-harmonic moments.
-
-    The weight row holds the moments less the divergent constant mode, which
-    would only add a real multiple of |w phi'(w)|^2 to the imaginary part:
-    as if the numerator tau*phi'(tau) - w*phi'(w) vanished on the diagonal.
-    """
-    return functional_G(omega, bnd, 1.0, grid)
 
 
 def ellipse_fourth_coefficient(omega: float, q: float, alpha: float,

@@ -13,7 +13,6 @@ multipliers from the quadrature pipeline rather than from their closed form.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,24 +23,14 @@ from .kernels import (_ROW_BLOCK, _circulant_weights, _field_from_values, _forme
 from .specfun import DispersionTable, omega_dispersion
 
 
-@dataclass(frozen=True)
-class MultiplierSpectrum:
-    """Fourier multipliers of the disc linearization, modes 0..N."""
-
-    alpha: float
-    omega: float
-    N: int
-    mult: np.ndarray
-
-
-def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> MultiplierSpectrum:
-    """Exact multipliers: mult[0] = omega/2, mult[n] = (n+1)(omega - omega_{n+1})/2."""
+def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> np.ndarray:
+    """Exact multipliers of the disc linearization, modes 0..n_max:
+    mult[0] = omega/2, mult[n] = (n+1)(omega - omega_{n+1})/2."""
     if n_max < 2:
         raise ValueError("need at least modes up to n = 2")
     omegas = np.fromiter(DispersionTable.build(alpha, n_max + 1).values.values(), float)
     n = np.arange(1, n_max + 1)
-    mult = np.concatenate([[omega / 2.0], (n + 1) * (omega - omegas) / 2.0])
-    return MultiplierSpectrum(alpha=alpha, omega=omega, N=n_max, mult=mult)
+    return np.concatenate([[omega / 2.0], (n + 1) * (omega - omegas) / 2.0])
 
 
 def _chord_rows(vals: np.ndarray, w: np.ndarray, diag: np.ndarray,
@@ -247,26 +236,21 @@ def kernel_diagnostics(alpha: float, m: int, omega: float,
             "reduced_condition": cond}
 
 
-def transversality_check(alpha: float, m: int, grid: UnitGrid | None = None,
-                         tol: float = 1e-3, column: np.ndarray | None = None) -> bool:
+def transversality_check(alpha: float, m: int) -> bool:
     """True when the mixed omega-derivative column leaves the range of the disc
     Jacobian at the closed-form omega_m (see crosses_transversally)."""
-    omega = omega_dispersion(alpha, m)
-    return crosses_transversally(kernel_diagnostics(alpha, m, omega, grid=grid),
-                                 tol, column)
+    return crosses_transversally(kernel_diagnostics(alpha, m, omega_dispersion(alpha, m)))
 
 
-def crosses_transversally(diag: dict, tol: float = 1e-3,
-                          column: np.ndarray | None = None) -> bool:
+def crosses_transversally(diag: dict) -> bool:
     """Transversality from one kernel_diagnostics result.
 
-    Projects the mixed omega-derivative column (or a caller-supplied
-    replacement, for negative controls) onto the numerically computed
+    Projects the mixed omega-derivative column onto the numerically computed
     cokernel of the disc Jacobian; crossing with nonzero speed means a
-    nonzero projection.
+    projection above 1e-3 of the column's norm.
     """
-    col = diag["omega_column"] if column is None else np.asarray(column, dtype=float)
+    col = diag["omega_column"]
     norm = np.linalg.norm(col)
     if norm == 0.0:
         return False
-    return bool(abs(np.dot(diag["cokernel"], col)) / norm > tol)
+    return bool(abs(np.dot(diag["cokernel"], col)) / norm > 1e-3)

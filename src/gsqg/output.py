@@ -15,6 +15,7 @@ import numpy as np
 
 JSON_SIG = 17
 CSV_SIG = 12
+SVG_SIZE = 640     # square canvas side, in pixels
 
 
 def format_float(x: float, sig: int) -> str:
@@ -23,7 +24,7 @@ def format_float(x: float, sig: int) -> str:
     return f"{x:.{sig}g}"
 
 
-def _json_token(obj, sig: int) -> str:
+def _json_token(obj) -> str:
     if obj is None:
         return "null"
     if obj is True:
@@ -31,7 +32,7 @@ def _json_token(obj, sig: int) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, (np.floating, float)):
-        return format_float(float(obj), sig)
+        return format_float(float(obj), JSON_SIG)
     if isinstance(obj, (np.integer, int)):
         return str(int(obj))
     if isinstance(obj, str):
@@ -40,32 +41,32 @@ def _json_token(obj, sig: int) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_token(v, sig) for v in obj) + "]"
+        return "[" + ", ".join(_json_token(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = (f'{_json_token(str(k), sig)}: {_json_token(v, sig)}'
+        items = (f'{_json_token(str(k))}: {_json_token(v)}'
                  for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def json_dumps(obj, sig: int = JSON_SIG) -> str:
-    return _json_token(obj, sig)
+def json_dumps(obj) -> str:
+    return _json_token(obj)
 
 
-def write_json(path: Path, obj, sig: int = JSON_SIG) -> Path:
+def write_json(path: Path, obj) -> Path:
     path = Path(path)
-    path.write_text(json_dumps(obj, sig) + "\n", encoding="utf-8")
+    path.write_text(json_dumps(obj) + "\n", encoding="utf-8")
     return path
 
 
-def write_csv(path: Path, header: list[str], rows, sig: int = CSV_SIG) -> Path:
+def write_csv(path: Path, header: list[str], rows) -> Path:
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for cell in row:
             if isinstance(cell, (float, np.floating)):
-                cells.append(format_float(float(cell), sig))
+                cells.append(format_float(float(cell), CSV_SIG))
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
@@ -73,9 +74,9 @@ def write_csv(path: Path, header: list[str], rows, sig: int = CSV_SIG) -> Path:
     return path
 
 
-def write_jsonl(path: Path, records, sig: int = JSON_SIG) -> Path:
+def write_jsonl(path: Path, records) -> Path:
     path = Path(path)
-    path.write_text("".join(json_dumps(r, sig) + "\n" for r in records),
+    path.write_text("".join(json_dumps(r) + "\n" for r in records),
                     encoding="utf-8")
     return path
 
@@ -105,9 +106,9 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def write_curves_svg(path: Path, curves: list[np.ndarray],
-                     labels: list[str] | None = None, size: int = 640) -> Path:
+                     labels: list[str] | None = None) -> Path:
     """Closed curves (complex sample arrays) on a common square canvas."""
-    path = Path(path)
+    path, size = Path(path), SVG_SIZE
     allpts = np.concatenate([np.asarray(c) for c in curves])
     span = max(np.ptp(allpts.real), np.ptp(allpts.imag)) * 1.15
     cx = (allpts.real.max() + allpts.real.min()) / 2.0
@@ -134,9 +135,9 @@ def write_curves_svg(path: Path, curves: list[np.ndarray],
 
 
 def write_xy_svg(path: Path, x: np.ndarray, y: np.ndarray,
-                 xlabel: str, ylabel: str, size: int = 640) -> Path:
+                 xlabel: str, ylabel: str) -> Path:
     """One polyline with framed axes; enough for branch diagrams."""
-    path = Path(path)
+    path, size = Path(path), SVG_SIZE
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pad = 60

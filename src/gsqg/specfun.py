@@ -1,15 +1,16 @@
 """Closed-form constants and the dispersion relation of the rotating-patch problem.
 
-Every rising-factorial ratio (a)_p / (b)_p and every odd-harmonic sum
-sigma_p = sum_{k<p} 1/(2k+1) in the package is a rung of a ladder defined
-here.  One minus a ratio is the gap ladder (b - a) L_p(a, b), a sum of
-positive terms that keeps its digits however close a is to b and is a
-harmonic-type sum at a = b: the dispersion relation and the
-product-quadrature weights of every alpha in [0, 1] are gap ladders, with
-no endpoint branch.  The gamma function is math.gamma with its poles typed,
-and the Riemann zeta values come from scipy.special.  On top of them sit the
-kernel normalization constant, the angular velocities ``omega_m`` at which
-m-fold patch branches bifurcate from the disc, and their large-m asymptotics.
+Every rising-factorial ratio (a)_p / (b)_p in the package is a rung of the
+one ratio ladder defined here, and every odd-harmonic sum
+sigma_p = sum_{k<p} 1/(2k+1) a rung of the odd-harmonic ladder.  One minus a
+ratio is the gap ladder (b - a) L_p(a, b), a sum of positive terms that
+keeps its digits however close a is to b and is a harmonic-type sum at
+a = b: the dispersion relation and the product-quadrature weights of every
+alpha in [0, 1] are gap ladders, with no endpoint branch.  The gamma
+function is math.gamma with its poles typed, and the Riemann zeta values
+come from scipy.special.  On top of them sit the kernel normalization
+constant, the angular velocities ``omega_m`` at which m-fold patch branches
+bifurcate from the disc, and their large-m asymptotics.
 
 All functions are pure and safe for concurrent use.
 """
@@ -24,7 +25,7 @@ import numpy as np
 # scipy.special is imported inside zeta_tail_constant, its one caller, so
 # that `import gsqg` does not load it
 
-EULER_GAMMA = 0.5772156649015328606
+EULER_GAMMA = np.euler_gamma
 
 
 class GammaPoleError(ValueError):
@@ -51,17 +52,24 @@ def gamma_fn(x: float) -> float:
         raise GammaOverflowError(f"gamma overflows at x={x!r}") from None
 
 
-def rising_ratio_ladder(a: float, b: float, n: int) -> np.ndarray:
-    """(a)_p / (b)_p for p = 0..n: one cumulative product of (a+k)/(b+k).
+def _ratio_ladder(a: float, b: float, n: int) -> np.ndarray:
+    """(a)_p / (b)_p for p = 0..n, factor by factor, so the rungs stay finite
+    for n in the thousands, where the rising factorials would overflow.
 
-    Factor by factor, so the rungs stay finite for n in the thousands, where
-    the rising factorials themselves would overflow.
+    A factor (a+k)/(b+k) = 1 + x with x = (a-b)/(b+k) >= -1/2 enters as
+    log1p(x) in a cumulative sum, which keeps its digits as a -> b, where
+    every factor tends to 1.  A factor with x < -1/2 enters as the quotient
+    in a cumulative product: log1p loses digits as x -> -1 (the first factor
+    (a/2)/(1 - a/2) of the power moments as a -> 0).
     """
     if n < 0:
-        raise ValueError("rising_ratio_ladder needs n >= 0")
+        raise ValueError("a ladder needs n >= 0")
     k = np.arange(n, dtype=float)
+    x = (a - b) / (b + k)
+    direct = x < -0.5
     out = np.ones(n + 1)
-    np.cumprod((a + k) / (b + k), out=out[1:])
+    np.cumprod(np.where(direct, (a + k) / (b + k), 1.0), out=out[1:])
+    out[1:] *= np.exp(np.cumsum(np.log1p(np.where(direct, 0.0, x))))
     return out
 
 
@@ -75,17 +83,10 @@ def gap_ladder(a: float, b: float, n: int) -> np.ndarray:
 
     Equals (1 - (a)_p / (b)_p) / (b - a) for a != b and tends to
     sum_{j<p} 1/(b + j) as a -> b.  For positive a and b every term is
-    positive, so nothing cancels on either side of a = b.  The ratios are
-    exp of a cumulative sum of log1p((a - b) / (b + k)), which keeps their
-    digits as a -> b, where every factor tends to 1.
+    positive, so nothing cancels on either side of a = b.
     """
-    if n < 0:
-        raise ValueError("gap_ladder needs n >= 0")
-    k = np.arange(n, dtype=float)
-    log_ratio = np.zeros(n)
-    np.cumsum(np.log1p((a - b) / (b + k[:-1])), out=log_ratio[1:])
     out = np.zeros(n + 1)
-    np.cumsum(np.exp(log_ratio) / (b + k), out=out[1:])
+    np.cumsum(_ratio_ladder(a, b, n)[:-1] / (b + np.arange(n, dtype=float)), out=out[1:])
     return out
 
 
@@ -99,8 +100,8 @@ def _dispersion_scale(alpha: float) -> float:
 
 
 def pochhammer_ratio(a: float, b: float, n: int) -> float:
-    """(a)_n / (b)_n, the top rung of rising_ratio_ladder."""
-    return float(rising_ratio_ladder(a, b, n)[-1])
+    """(a)_n / (b)_n, the top rung of the ratio ladder."""
+    return float(_ratio_ladder(a, b, n)[-1])
 
 
 def conv_constant(alpha: float) -> float:
@@ -125,16 +126,16 @@ def theta_alpha(alpha: float) -> float:
     return _dispersion_scale(alpha) / (1.0 - alpha)
 
 
-def harmonic_odd(m: int) -> float:
-    """Sum of 1/(2k+1) for k = 1..m-1 (empty for m = 1), i.e. sigma_m - 1."""
-    if m < 1:
-        raise ValueError("harmonic_odd needs m >= 1")
-    return float(odd_harmonic_ladder(m)[m]) - 1.0
-
-
 def omega_sqg(m: int) -> float:
     """Critical-case (alpha = 1) angular velocity: (2/pi) sum_{k=1}^{m-1} 1/(2k+1)."""
-    return (2.0 / math.pi) * harmonic_odd(m)
+    if m < 1:
+        raise ValueError("omega_sqg needs m >= 1")
+    return (2.0 / math.pi) * (float(odd_harmonic_ladder(m)[m]) - 1.0)
+
+
+def _check_dispersion_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:     # NaN fails too
+        raise ValueError("the dispersion relation needs alpha in [0, 1]")
 
 
 def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
@@ -147,8 +148,7 @@ def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
       forms at the endpoints; raises GammaOverflowError for m beyond ~170 and
       is kept as an independent cross-check.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("omega_dispersion needs alpha in [0, 1]")
+    _check_dispersion_alpha(alpha)
     if m < 2:
         raise ValueError("omega_dispersion needs mode m >= 2")
     if form == "pochhammer":
@@ -209,6 +209,7 @@ class DispersionTable:
     @classmethod
     def build(cls, alpha: float, m_max: int) -> "DispersionTable":
         """Tabulate omega_m for m = 2..m_max from one ladder pass."""
+        _check_dispersion_alpha(alpha)
         if m_max < 2:
             raise ValueError("m_max must be >= 2")
         m = np.arange(2, m_max + 1)

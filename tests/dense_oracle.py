@@ -94,8 +94,8 @@ def sqg_layer_dense(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
     return -(2.0 / math.pi) * w * np.conj(w) * contract(numer, 1.0)
 
 
-def functional_G_sqg_dense(omega: float, bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
-    """Residual samples of functional_G_sqg from the whole-matrix potential."""
+def critical_residual_dense(omega: float, bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
+    """Residual samples of functional_G at alpha = 1 from the whole-matrix potential."""
     w, phi, dphi = grid.nodes, eval_map(bnd, grid), eval_deriv(bnd, grid)
     t_vals = sqg_layer_dense(bnd, grid)
     return np.imag((omega * phi - t_vals) * np.conj(w) * np.conj(dphi))

@@ -66,7 +66,7 @@ class TestSolve:
         guess = (first.omega, first.boundary.reduced[1:])
         seen = []
 
-        def record(x, res_of, jac_of, tol, max_iter, s, jac=None):
+        def record(x, res_of, jac_of, tol, s, jac=None):
             seen.append(jac)
             return x, 0.0, jac, 0
         start = np.concatenate([[0.02], first.boundary.reduced[1:]])
@@ -138,7 +138,7 @@ class TestChordNewton:
     ], ids=["slow-contraction", "damping-stall", "stale-start", "singular-start"])
     def test_rebuilds_stale_jacobian(self, res_of, jac_of, x0, start):
         x, norm, jac, builds = cont._chord_newton(np.array([x0]), res_of, jac_of,
-                                                  1e-11, 30, 0.1, start)
+                                                  1e-11, 0.1, start)
         assert norm < 1e-11 and abs(res_of(x)[0]) < 1e-11
         # at least one rebuild after the first matrix, built or passed in
         assert builds >= (2 if start is None else 1)
@@ -148,7 +148,7 @@ class TestChordNewton:
         # a Newton direction that is uphill at a fresh Jacobian is a real failure
         with pytest.raises(NonConvergenceError, match="damping stalled"):
             cont._chord_newton(np.array([1.0]), lambda x: x ** 2 + 1.0,
-                               lambda x: -np.diag(2 * x), 1e-11, 30, 0.1)
+                               lambda x: -np.diag(2 * x), 1e-11, 0.1)
 
 
 @pytest.fixture(scope="module")

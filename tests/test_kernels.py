@@ -11,13 +11,13 @@ from gsqg import continuation, kernels, linearization, oracles
 from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid, embed_mfold,
                            eval_deriv, eval_map)
 from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
-                          ellipse_moment_ratio, functional_G, functional_G_sqg,
-                          s_phi, singular_moment_I, singular_moment_J,
-                          singular_moment_Z, sqg_moment_1, sqg_moment_2)
+                          ellipse_moment_ratio, functional_G, s_phi,
+                          singular_moment_I, singular_moment_J, singular_moment_Z,
+                          sqg_moment_1, sqg_moment_2)
 from gsqg.linearization import monomial_derivatives
 from gsqg.specfun import conv_constant, gamma_fn, pochhammer_ratio, theta_alpha
 
-from dense_oracle import (eval_deriv_at, eval_map_at, functional_G_sqg_dense, s_phi_dense,
+from dense_oracle import (critical_residual_dense, eval_deriv_at, eval_map_at, s_phi_dense,
                           sqg_layer_dense)
 
 R_HALF = gamma_fn(0.5) / gamma_fn(0.75) ** 2   # moment prefactor at alpha = 1/2
@@ -76,15 +76,24 @@ class TestMomentsClosedForm:
 
 class TestMomentsVsMpmath:
     # J's gap 1 - (2 + a/2)_n / (2 - a/2)_n is -a L_n, a sum of positive terms;
-    # formed as a difference it read 8.6e-14 at alpha = 0.01 and 4.0e-12 at 1e-4
-    @pytest.mark.parametrize("alpha", [1e-4, 1e-3, 0.01, 0.05, 0.5, 0.999])
+    # formed as a difference it read 8.6e-14 at alpha = 0.01 and 4.0e-12 at 1e-4.
+    # I's first ratio factor (a/2)/(1 - a/2) tends to 0 with a: as exp(log1p)
+    # it read 3.8e-11 off at a = 1e-6, as a direct quotient 1.8e-15
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.5, 0.999])
     def test_chord_moment_keeps_its_digits(self, alpha):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             a = mp.mpf(alpha)
-            pref = (1 + a / 2) * mp.gamma(1 - a) / (mp.gamma(1 - a / 2) ** 2 * (2 - a))
-            for n in range(1, 17):
-                exact = pref * (1 - mp.rf(2 + a / 2, n) / mp.rf(2 - a / 2, n))
+            pref = mp.gamma(1 - a) / mp.gamma(1 - a / 2) ** 2
+            for n in range(17):
+                exact = pref * mp.rf(a / 2, n + 1) / mp.rf(1 - a / 2, n + 1)
+                assert abs(singular_moment_I(alpha, n) - exact) <= 4e-15 * abs(exact), n
+                if n == 0:
+                    continue
+                exact = -pref / 2 * (1 - mp.rf(a / 2, n) / mp.rf(-a / 2, n))
+                assert abs(singular_moment_Z(alpha, n) - exact) <= 4e-15 * abs(exact), n
+                exact = (pref * (1 + a / 2) / (2 - a)
+                         * (1 - mp.rf(2 + a / 2, n) / mp.rf(2 - a / 2, n)))
                 assert abs(singular_moment_J(alpha, n) - exact) <= 2e-15 * abs(exact), n
 
 
@@ -365,11 +374,11 @@ class TestCriticalFunctional:
     def test_disc_annihilation(self):
         g = UnitGrid(128)
         for om in (-0.5, 0.0, 0.7):
-            assert functional_G_sqg(om, FourierBoundary.identity(), g).sup_norm < 1e-13
+            assert functional_G(om, FourierBoundary.identity(), 1.0, g).sup_norm < 1e-13
 
     def test_ellipse_mode4_obstruction(self):
         g = UnitGrid(256)
-        vals = [functional_G_sqg(om, FourierBoundary.ellipse(0.3), g).sine_coeff(4)
+        vals = [functional_G(om, FourierBoundary.ellipse(0.3), 1.0, g).sine_coeff(4)
                 for om in np.linspace(-1.0, 1.0, 9)]
         assert np.ptp(vals) < 1e-13
         assert min(abs(v) for v in vals) > 1e-3
@@ -377,7 +386,7 @@ class TestCriticalFunctional:
     def test_residual_is_pure_sine(self):
         bnd = embed_mfold(MFoldBoundary(m=2, reduced=np.array([0.05, 0.002])))
         for grid in (UnitGrid(256), UnitGrid(256, shift=0.1)):
-            assert functional_G_sqg(0.3, bnd, grid).cosine_residue < 1e-12
+            assert functional_G(0.3, bnd, 1.0, grid).cosine_residue < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +425,7 @@ def oracle_s_phi(bnd, alpha, grid):
 
 
 def oracle_residual(omega, bnd, alpha, grid):
-    """Residual samples of functional_G (alpha < 1) or functional_G_sqg (alpha = 1)."""
+    """Residual samples of functional_G: plain moments (alpha < 1) or subtracted (alpha = 1)."""
     w, phi, dphi, h = _oracle_chord(bnd, grid)
     if alpha == 1.0:
         p = w * dphi
@@ -443,8 +452,7 @@ class TestCirculantQuadrature:
         for grid in (UnitGrid(size), UnitGrid.half_offset(size)):
             for alpha in (0.3, 0.5, 0.9, 1.0):
                 ref = oracle_residual(0.3, bnd, alpha, grid)
-                fld = (functional_G_sqg(0.3, bnd, grid) if alpha == 1.0
-                       else functional_G(0.3, bnd, alpha, grid))
+                fld = functional_G(0.3, bnd, alpha, grid)
                 assert np.max(np.abs(fld.sine_coeffs - grid.sine_coeffs(ref))) <= 1e-13
                 assert abs(fld.cosine_residue - grid.cosine_residue(ref)) <= 1e-13
                 if alpha < 1.0:
@@ -481,8 +489,8 @@ class TestBlockedPass:
         bnd = _oracle_boundary(kind, rng)
         if alpha == 1.0:
             layer = sqg_layer_dense(bnd, grid)
-            got = functional_G_sqg(0.3, bnd, grid).values
-            ref = functional_G_sqg_dense(0.3, bnd, grid)
+            got = functional_G(0.3, bnd, 1.0, grid).values
+            ref = critical_residual_dense(0.3, bnd, grid)
         else:
             layer = got = s_phi(bnd, alpha, grid)
             ref = s_phi_dense(bnd, alpha, grid)

@@ -6,8 +6,8 @@ from gsqg import kernels
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary, UnitGrid,
                            embed_mfold, eval_deriv, eval_map)
 from gsqg.kernels import _field_from_values, functional_G
-from gsqg.linearization import (BracketError, bifurcation_scan, disc_jacobian,
-                                gateaux_derivative, kernel_diagnostics,
+from gsqg.linearization import (BracketError, bifurcation_scan, crosses_transversally,
+                                disc_jacobian, gateaux_derivative, kernel_diagnostics,
                                 mixed_omega_column, monomial_derivatives,
                                 multiplier_at_disc, transversality_check)
 from gsqg.specfun import omega_dispersion, omega_sqg, theta_alpha
@@ -63,26 +63,26 @@ def _random_boundary(rng, n=6, norm=0.05):
 class TestMultipliers:
     def test_zero_mode_locations(self):
         a = 0.5
-        spec = multiplier_at_disc(a, omega_dispersion(a, 3), 16)
-        assert abs(spec.mult[2]) < 1e-12
-        assert all(abs(spec.mult[n]) > 1e-4 for n in range(1, 17) if n != 2)
+        mult = multiplier_at_disc(a, omega_dispersion(a, 3), 16)
+        assert abs(mult[2]) < 1e-12
+        assert all(abs(mult[n]) > 1e-4 for n in range(1, 17) if n != 2)
 
     def test_critical_case(self):
-        spec = multiplier_at_disc(1.0, 2.0 / (3.0 * np.pi), 8)
-        assert abs(spec.mult[1]) < 1e-15
+        mult = multiplier_at_disc(1.0, 2.0 / (3.0 * np.pi), 8)
+        assert abs(mult[1]) < 1e-15
 
     def test_omega_zero_all_negative(self):
-        spec = multiplier_at_disc(0.5, 0.0, 12)
-        assert all(spec.mult[n] < 0 for n in range(1, 13))
-        assert spec.mult[0] == 0.0
+        mult = multiplier_at_disc(0.5, 0.0, 12)
+        assert all(mult[n] < 0 for n in range(1, 13))
+        assert mult[0] == 0.0
 
     def test_asymptotic_slope(self):
         # mult[n]/(n+1) -> (omega - theta)/2, approached like n^(alpha-1)
         a, om = 0.5, 0.2
-        spec = multiplier_at_disc(a, om, 4000)
+        mult = multiplier_at_disc(a, om, 4000)
         limit = (om - theta_alpha(a)) / 2.0
-        err1 = abs(spec.mult[999] / 1000.0 - limit)
-        err4 = abs(spec.mult[3999] / 4000.0 - limit)
+        err1 = abs(mult[999] / 1000.0 - limit)
+        err4 = abs(mult[3999] / 4000.0 - limit)
         assert err4 < 0.01
         assert err4 / err1 == pytest.approx(0.5, rel=0.1)
 
@@ -212,7 +212,7 @@ class TestGateaux:
                              ids=["disc", "perturbed"])
     def test_critical_matches_finite_differences(self, coeffs):
         # alpha = 1: the derivative of the subtracted kernel against central
-        # differences of functional_G_sqg, leading coefficient included
+        # differences of functional_G, leading coefficient included
         bnd, grid, modes = FourierBoundary(np.array(coeffs)), UnitGrid(128), [-1, 0, 1, 2, 4]
         got = grid.sine_coeffs(monomial_derivatives(bnd, modes, 0.3, 1.0, grid), 12)
         for row, mode in zip(got, modes):
@@ -225,8 +225,8 @@ class TestJacobian:
         grid = UnitGrid(208)
         for om in (0.0, omega_dispersion(alpha, 2), 0.9 * theta_alpha(alpha)):
             jac = disc_jacobian(alpha, om, 12, grid)
-            spec = multiplier_at_disc(alpha, om, 12)
-            assert np.max(np.abs(jac - np.diag(spec.mult[:12]))) < 1e-12
+            mult = multiplier_at_disc(alpha, om, 12)
+            assert np.max(np.abs(jac - np.diag(mult[:12]))) < 1e-12
             fd = fd_jacobian_matrix(FourierBoundary.identity(), om, alpha, grid, 12)
             assert np.max(np.abs(jac - fd)) < 1e-7
 
@@ -235,7 +235,7 @@ class TestJacobian:
         # moments formed as differences lost digits like 1e-16 / (1 - alpha):
         # 1.0e-8 off at 1 - 1e-7
         jac = disc_jacobian(alpha, 0.3, 8)
-        assert np.max(np.abs(jac - np.diag(multiplier_at_disc(alpha, 0.3, 8).mult[:8]))) <= 1e-14
+        assert np.max(np.abs(jac - np.diag(multiplier_at_disc(alpha, 0.3, 8)[:8]))) <= 1e-14
 
     def test_derivative_tends_to_the_critical_one_linearly(self):
         # (D(1 - eps) - D(1)) / eps is one slope down to eps = 1e-11: alpha = 1
@@ -254,14 +254,14 @@ class TestJacobian:
         # same agreement holds out to 32 modes
         alpha, om = 0.5, omega_dispersion(0.5, 2)
         jac = disc_jacobian(alpha, om, 32)
-        spec = multiplier_at_disc(alpha, om, 32)
-        assert np.max(np.abs(np.diag(jac) - spec.mult[:32])) < 1e-11
+        mult = multiplier_at_disc(alpha, om, 32)
+        assert np.max(np.abs(np.diag(jac) - mult[:32])) < 1e-11
 
     def test_critical_diagonal_matches_multipliers(self):
         om, grid = omega_sqg(2), UnitGrid(144)
         jac = disc_jacobian(1.0, om, 8, grid)
-        spec = multiplier_at_disc(1.0, om, 8)
-        assert np.max(np.abs(jac - np.diag(spec.mult[:8]))) < 1e-12
+        mult = multiplier_at_disc(1.0, om, 8)
+        assert np.max(np.abs(jac - np.diag(mult[:8]))) < 1e-12
         fd = fd_jacobian_matrix(FourierBoundary.identity(), om, 1.0, grid, 8)
         assert np.max(np.abs(jac - fd)) < 1e-7
 
@@ -337,4 +337,6 @@ class TestTransversality:
         # a vector supported on a non-critical sine mode lies in the range
         fake = np.zeros(16)
         fake[0] = 1.0
-        assert transversality_check(0.5, 3, column=fake) is False
+        diag = kernel_diagnostics(0.5, 3, omega_dispersion(0.5, 3))
+        assert crosses_transversally(diag) is True
+        assert crosses_transversally({**diag, "omega_column": fake}) is False

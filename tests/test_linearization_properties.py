@@ -24,7 +24,7 @@ omegas = st.floats(min_value=-1.0, max_value=1.0)
 @given(alpha=alphas, omega=omegas, n_modes=st.integers(min_value=2, max_value=12))
 def test_disc_jacobian_is_the_multiplier_diagonal(alpha, omega, n_modes):
     jac = disc_jacobian(alpha, omega, n_modes)
-    mult = multiplier_at_disc(alpha, omega, n_modes).mult[:n_modes]
+    mult = multiplier_at_disc(alpha, omega, n_modes)[:n_modes]
     assert np.max(np.abs(jac - np.diag(mult))) < 1e-10
 
 

@@ -208,7 +208,7 @@ class TestCli:
         assert report["transversal"] is True
 
     def test_scan_builds_one_disc_jacobian(self, tmp_path, monkeypatch):
-        calls = {"functional_G": 0, "functional_G_sqg": 0, "monomial_derivatives": 0}
+        calls = {"functional_G": 0, "monomial_derivatives": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -219,17 +219,15 @@ class TestCli:
             monkeypatch.setattr(module, name, wrapper)
 
         for module in (kernels, cli, continuation):
-            for name in ("functional_G", "functional_G_sqg"):
-                if hasattr(module, name):
-                    counting(module, name)
+            if hasattr(module, "functional_G"):
+                counting(module, "functional_G")
         counting(lin, "monomial_derivatives")
         for alpha in ("0.5", "1"):
             calls.update(dict.fromkeys(calls, 0))
             assert run_cli(tmp_path / alpha, "scan", "--alpha", alpha, "--m", "3") == 0
             # one column at omega = 0 for the affine entry, then the 16 columns
             # of one disc Jacobian in a single pass; no residual is evaluated
-            assert calls == {"functional_G": 0, "functional_G_sqg": 0,
-                             "monomial_derivatives": 2}
+            assert calls == {"functional_G": 0, "monomial_derivatives": 2}
             report = json.loads((tmp_path / alpha / "scan_m3.json").read_text())
             assert report["gap"] < 1e-14
 

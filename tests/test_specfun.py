@@ -5,12 +5,12 @@ import pytest
 
 from scipy.special import digamma
 
+from gsqg.linearization import multiplier_at_disc
 from gsqg.specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
                           GammaPoleError, conv_constant, gamma_fn, gap_ladder,
-                          harmonic_odd,
                           odd_harmonic_ladder, omega_asymptotic,
                           omega_dispersion, omega_sqg, pochhammer_ratio,
-                          rising_ratio_ladder, theta_alpha, zeta_tail_constant)
+                          theta_alpha, zeta_tail_constant)
 
 SQRT_PI = 1.7724538509055159
 
@@ -53,12 +53,13 @@ class TestGamma:
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer_ratio(3.7, 1.2, 0) == 1.0
-        assert np.array_equal(rising_ratio_ladder(3.7, 1.2, 0), [1.0])
+        with pytest.raises(ValueError):
+            pochhammer_ratio(3.7, 1.2, -1)
 
     def test_small(self):
         # (2)_p / (1)_p = (p+1)! / p! = p + 1
-        assert rising_ratio_ladder(2.0, 1.0, 3) == pytest.approx([1.0, 2.0, 3.0, 4.0],
-                                                                 rel=1e-15)
+        assert [pochhammer_ratio(2.0, 1.0, p) for p in range(4)] == pytest.approx(
+            [1.0, 2.0, 3.0, 4.0], rel=1e-15)
 
     def test_gamma_identity(self):
         # (a)_n / (b)_n = gamma(a + n) gamma(b) / (gamma(a) gamma(b + n))
@@ -77,7 +78,6 @@ class TestPochhammer:
         k = range(7)
         direct = math.prod(1.25 + j for j in k) / math.prod(1.75 + j for j in k)
         assert pochhammer_ratio(1.25, 1.75, 7) == pytest.approx(direct, rel=1e-13)
-        assert rising_ratio_ladder(1.25, 1.75, 7)[-1] == pochhammer_ratio(1.25, 1.75, 7)
 
 
 class TestConvConstant:
@@ -131,6 +131,17 @@ class TestDispersion:
             omega_dispersion(1.5, 3)
         with pytest.raises(ValueError):
             omega_dispersion(0.5, 1)
+
+    def test_table_domain(self):
+        # both used to return finite numbers (or NaN) for any alpha
+        for alpha in (-0.5, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                DispersionTable.build(alpha, 5)
+            with pytest.raises(ValueError):
+                multiplier_at_disc(alpha, 0.3, 4)
+        for alpha in (0.0, 1.0):
+            assert list(DispersionTable.build(alpha, 5).values) == [2, 3, 4, 5]
+            assert np.all(np.isfinite(multiplier_at_disc(alpha, 0.3, 4)))
 
     def test_table_matches_scalar(self):
         tab = DispersionTable.build(0.37, 50)
@@ -229,7 +240,7 @@ class TestZeta:
 class TestGapLadder:
     def test_is_one_minus_the_ratio(self):
         for a, b in ((0.3, 0.7), (1.25, 1.75), (2.1, 2.0), (0.05, 0.95)):
-            ratios = rising_ratio_ladder(a, b, 40)
+            ratios = np.cumprod([1.0] + [(a + k) / (b + k) for k in range(40)])
             assert gap_ladder(a, b, 40) == pytest.approx((1.0 - ratios) / (b - a),
                                                          rel=1e-13, abs=1e-15)
 
@@ -292,5 +303,9 @@ class TestDigamma:
             assert omega_dispersion(1.0, m) == pytest.approx(expect, rel=1e-13)
 
     def test_harmonic_odd(self):
-        assert harmonic_odd(1) == 0.0
-        assert harmonic_odd(3) == pytest.approx(1.0 / 3.0 + 1.0 / 5.0, rel=1e-15)
+        # omega_sqg(m) = (2/pi) (sigma_m - 1), empty for m = 1
+        assert omega_sqg(1) == 0.0
+        assert omega_sqg(3) == pytest.approx(2.0 / math.pi * (1.0 / 3.0 + 1.0 / 5.0),
+                                             rel=1e-15)
+        with pytest.raises(ValueError):
+            omega_sqg(0)

@@ -11,8 +11,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gsqg.specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,  # noqa: E402
-                          GammaPoleError, gamma_fn, odd_harmonic_ladder,
-                          omega_dispersion, rising_ratio_ladder)
+                          GammaPoleError, _ratio_ladder, gamma_fn,
+                          odd_harmonic_ladder, omega_dispersion)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 bases = st.floats(min_value=0.01, max_value=50.0)
@@ -24,7 +24,7 @@ def test_rising_ratio_ladder_matches_log_gamma(a, b, n):
     p = np.arange(n + 1)
     expect = np.exp([math.lgamma(a + q) - math.lgamma(a) - math.lgamma(b + q) + math.lgamma(b)
                      for q in p])
-    assert rising_ratio_ladder(a, b, n) == pytest.approx(expect, rel=1e-10)
+    assert _ratio_ladder(a, b, n) == pytest.approx(expect, rel=1e-10)
 
 
 @SETTINGS
