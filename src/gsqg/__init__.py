@@ -13,7 +13,7 @@ linearization  Fourier multipliers, analytic derivatives, bifurcation scans
 continuation   Newton solver and amplitude continuation for m-fold branches
 evolution      contour dynamics by integrating-factor normal-velocity stepping
                (independent of the spectral path)
-oracles        adaptive-quadrature references for the closed-form moments
+oracles        Gauss–Jacobi references for the closed-form moments
 output         deterministic CSV / JSON / SVG emission
 cli            command-line drivers (also exposed as `python -m gsqg`)
 """

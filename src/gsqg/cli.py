@@ -20,9 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-# `oracles` (scipy.integrate) is imported inside the two commands that call
-# it, so that the other commands do not load it
-
+from . import oracles
 from .continuation import (FoldError, NonConvergenceError, continue_branch,
                            solve_vstate)
 from .evolution import (ContourError, ContourState, conserved_diagnostics, evolve,
@@ -126,23 +124,25 @@ def cmd_verify_integrals(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True, open_hi=True)
     if args.n_max < 1:
         raise ConfigError("n-max must be >= 1")
-    from . import oracles
     out = _outdir(args)
-    worst = {"I": 0.0, "J": 0.0, "Z": 0.0, "sqg1": 0.0, "sqg2": 0.0}
+    errors = {"I": [], "J": [], "Z": [], "sqg1": [], "sqg2": []}
     for n in range(args.n_max + 1):
         ref = oracles.moment_I_quad(alpha, n)
-        worst["I"] = max(worst["I"], abs(singular_moment_I(alpha, n) - ref) / abs(ref))
+        errors["I"].append(abs(singular_moment_I(alpha, n) - ref) / abs(ref))
         ref = oracles.moment_J_quad(alpha, n)
-        scale = max(abs(ref), 1.0)
-        worst["J"] = max(worst["J"], abs(singular_moment_J(alpha, n) - ref) / scale)
+        errors["J"].append(abs(singular_moment_J(alpha, n) - ref) / max(abs(ref), 1.0))
         ref = oracles.moment_Z_quad(alpha, n)
-        scale = max(abs(ref), 1.0)
-        worst["Z"] = max(worst["Z"], abs(singular_moment_Z(alpha, n) - ref) / scale)
+        errors["Z"].append(abs(singular_moment_Z(alpha, n) - ref) / max(abs(ref), 1.0))
     for n in range(1, args.n_max + 1):
         ref = oracles.sqg_moment_1_quad(n)
-        worst["sqg1"] = max(worst["sqg1"], abs(sqg_moment_1(n) - ref) / abs(ref))
+        errors["sqg1"].append(abs(sqg_moment_1(n) - ref) / abs(ref))
         ref = oracles.sqg_moment_2_quad(n)
-        worst["sqg2"] = max(worst["sqg2"], abs(sqg_moment_2(n) - ref) / abs(ref))
+        errors["sqg2"].append(abs(sqg_moment_2(n) - ref) / abs(ref))
+    # np.max, not max: Python's max keeps the running value past a NaN, and
+    # the report is not written, since JSON holds no non-finite number
+    worst = {name: float(np.max(errs)) for name, errs in errors.items()}
+    if bad := [name for name, err in worst.items() if not np.isfinite(err)]:
+        return _fail(f"non-finite error moment={','.join(bad)}")
     report = {"alpha": alpha, "n_max": args.n_max, "tolerance": 1e-8,
               "max_relative_error": worst}
     path = write_json(out / "verify_integrals.json", report)
@@ -242,7 +242,6 @@ def cmd_ellipse_test(args) -> int:
         raise ConfigError("Q must lie in (0, 1)")
     if args.omega_samples < 1:
         raise ConfigError("omega-samples must be >= 1")
-    from . import oracles
     out = _outdir(args)
     omegas = np.linspace(-1.0, 1.0, args.omega_samples)
     g4 = [ellipse_fourth_coefficient(om, args.q, alpha) for om in omegas]
@@ -250,6 +249,8 @@ def cmd_ellipse_test(args) -> int:
     ratio = ellipse_moment_ratio(alpha)
     ratio_quad = oracles.moment_I_quad(alpha, 2) / oracles.moment_I_quad(alpha, 0)
     ratio_gap = abs(ratio - ratio_quad)
+    if not np.isfinite(ratio_gap):
+        return _fail("non-finite error moment=I")
     field = functional_G(0.0, FourierBoundary.ellipse(args.q), alpha, UnitGrid(256))
     write_residual_csv(out / "ellipse_residual.csv", field)
     write_residual_json(out / "ellipse_residual.json", field)

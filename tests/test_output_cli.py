@@ -173,16 +173,44 @@ class TestCli:
         report = json.loads((tmp_path / "verify_integrals.json").read_text())
         assert max(report["max_relative_error"].values()) < 1e-10
 
+    def test_verify_integrals_at_the_critical_edge(self, tmp_path):
+        # no node sits near t = 0, where |2 sin(t/2)|^(alpha + 2) underflows
+        assert run_cli(tmp_path, "verify-integrals", "--alpha", "0.999999") == 0
+        report = json.loads((tmp_path / "verify_integrals.json").read_text())
+        assert max(report["max_relative_error"].values()) < 1e-10
+
+    @pytest.mark.parametrize("alpha", ["0.05", "0.5", "0.999"])
+    def test_verify_integrals_to_high_order(self, tmp_path, alpha):
+        # the rule grows with n: a fixed 40 nodes is 13 (relative) off at n = 48
+        # and alpha = 0.5
+        assert run_cli(tmp_path, "verify-integrals", "--alpha", alpha, "--n-max", "128") == 0
+        report = json.loads((tmp_path / "verify_integrals.json").read_text())
+        assert max(report["max_relative_error"].values()) < 1e-10
+
     def test_verify_integrals_work(self, tmp_path, monkeypatch):
         evals = []
         original = oracles._mean_integral
 
-        def counting(fn):
-            return original(lambda t: evals.append(1) or fn(t))
+        def counting(fn, alpha, n):
+            return original(lambda t: evals.append(len(t)) or fn(t), alpha, n)
         monkeypatch.setattr(oracles, "_mean_integral", counting)
         assert run_cli(tmp_path, "verify-integrals", "--alpha", "0.5", "--n-max", "16") == 0
-        # 26 481 integrand evaluations: one half-period pass per value
-        assert 0 < len(evals) <= 30_000
+        # one integrand call per value, 83 values, none on more nodes than order 16 uses
+        assert len(evals) == 3 * 17 + 2 * 16
+        assert 0 < sum(evals) <= 83 * oracles._node_count(16)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-integrals", "--alpha", "0.5", "--n-max", "2"),
+        ("ellipse-test", "--alpha", "0.5", "--Q", "0.5"),
+    ], ids=["verify-integrals", "ellipse-test"])
+    def test_nan_moment_fails_before_the_report(self, tmp_path, monkeypatch, capsys, argv):
+        # one NaN, after finite values: Python's max would step over it
+        original = oracles.moment_I_quad
+        monkeypatch.setattr(oracles, "moment_I_quad",
+                            lambda alpha, n: float("nan") if n == 2 else original(alpha, n))
+        assert run_cli(tmp_path, *argv) == 1
+        assert capsys.readouterr().out == "FAIL non-finite error moment=I\n"
+        assert not list(tmp_path.glob("*.json"))
 
     def test_parser_is_built_once(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()
@@ -392,8 +420,10 @@ class TestCli:
     (("evolve", "--alpha", "0.5", "--t-final", "0.01", "--dt", "0.01", "--nodes", "64"),
      ["scipy.spatial", "scipy.special"]),
     (("rigid-check", "--alpha", "0.5", "--nodes", "128"), ["scipy.spatial", "scipy.special"]),
+    (("verify-integrals", "--alpha", "0.5"), []),
+    (("ellipse-test", "--alpha", "0.5", "--Q", "0.5"), []),
 ], ids=["import", "scan", "scan-alpha1", "linearize", "solve-branch", "dispersion", "evolve",
-        "rigid-check"])
+        "rigid-check", "verify-integrals", "ellipse-test"])
 def test_commands_load_only_the_scipy_modules_they_call(tmp_path, argv, loaded):
     if argv:
         argv = ("--output-dir", str(tmp_path), *argv)
