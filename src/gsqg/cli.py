@@ -56,11 +56,10 @@ def _outdir(args) -> Path:
     return path
 
 
-def _check_alpha(alpha: float, *, lo: float = 0.0, hi: float = 1.0,
-                 open_lo: bool = False, open_hi: bool = False) -> float:
-    bad = alpha < lo or alpha > hi or (open_lo and alpha == lo) or (open_hi and alpha == hi)
+def _check_alpha(alpha: float, *, open_lo: bool = False, open_hi: bool = False) -> float:
+    bad = alpha < 0.0 or alpha > 1.0 or (open_lo and alpha == 0.0) or (open_hi and alpha == 1.0)
     if bad:
-        kind = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+        kind = f"{'(' if open_lo else '['}0.0, 1.0{')' if open_hi else ']'}"
         raise ConfigError(f"alpha = {alpha} outside {kind}")
     return alpha
 

@@ -122,7 +122,6 @@ def _mfold_jacobian(omega: float, reduced: np.ndarray, alpha: float, m: int,
 def solve_vstate(alpha: float, m: int, s: float,
                  initial_guess: tuple[float, np.ndarray] | None = None,
                  tol: float = 1e-11, k_modes: int = 16,
-                 grid: UnitGrid | None = None,
                  jacobian: np.ndarray | None = None) -> VStateSolution:
     """Newton-solve the m-fold branch point at pinned amplitude s.
 
@@ -143,7 +142,7 @@ def solve_vstate(alpha: float, m: int, s: float,
         warnings.warn("critical-case branch solving is experimental: no "
                       "bifurcation theorem backs it", RuntimeWarning, stacklevel=2)
     omega0 = omega_dispersion(alpha, m)
-    grid = default_grid(k_modes * m) if grid is None else grid
+    grid = default_grid(k_modes * m)
     if s == 0.0:
         bnd = MFoldBoundary(m=m, reduced=np.zeros(k_modes))
         return VStateSolution(alpha=alpha, m=m, s=0.0, omega=omega0,
@@ -244,8 +243,7 @@ def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, s: float,
 
 
 def continue_branch(alpha: float, m: int, s_max: float, ds: float,
-                    tol: float = 1e-11, k_modes: int = 16,
-                    grid: UnitGrid | None = None) -> BranchTable:
+                    tol: float = 1e-11, k_modes: int = 16) -> BranchTable:
     """March the branch in amplitude steps, seeding each solve with the last.
 
     Each solve starts from the previous point's coefficients and its last
@@ -263,7 +261,7 @@ def continue_branch(alpha: float, m: int, s_max: float, ds: float,
         s = k * ds   # not accumulated, so the k-th amplitude is exactly k * ds
         try:
             sol = solve_vstate(alpha, m, s, initial_guess=guess, tol=tol,
-                               k_modes=k_modes, grid=grid, jacobian=jac)
+                               k_modes=k_modes, jacobian=jac)
         except (NonConvergenceError, FoldError, SelfIntersectionError) as exc:
             table.failure = f"s={s:.6g}: {type(exc).__name__}: {exc}"
             break

@@ -20,6 +20,12 @@ to the critical moments -(2/pi) sigma_|k| as a -> 1 while mu_0 diverges.  A
 constant shift of the row moves only its diagonal, whose share of G is a
 real multiple of |p|^2; s_phi adds the diagonal term back.
 
+One generator, _kernel_blocks, forms H^2 and H^(-a) W, W the circulant
+weight rows, for 64 target rows at a time in two reused buffers.  The
+residual contracts each block with p; the directional derivatives in
+linearization add the chord ratio, a product with the cached circulant
+1 / (w_i - w_j) = conj(w_i) R_(i-j).
+
 Every boundary has real coefficients, so it is symmetric about the real
 axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
 forms the target rows of half the m-fold sector and unfolds the rest: the
@@ -139,25 +145,44 @@ def _circulant_weights(size: int, alpha: float) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=32)
-def _inverse_chord_sq(size: int) -> np.ndarray:
-    """Read-only view |w_i - w_j|^(-2) = 1 / (4 sin^2(pi (i-j) / size)), 1 on the diagonal."""
-    row = np.ones(size)
-    row[1:] = 0.25 / np.sin(np.pi * np.arange(1, size) / size) ** 2
-    return _circulant(row)
+def _inverse_chords(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views R and |R|^2, 1 on the diagonal, with 1 / (w_i - w_j) = conj(w_i) R[i, j].
 
-
-def _weighted_kernel(h2: np.ndarray, alpha: float, weights: np.ndarray) -> np.ndarray:
-    """H^(-a) W for a block h2 = H^2, formed in place through log/exp; floor checked first.
-
-    The check over the formed rows covers every row: H is invariant under
-    the sector's joint index shift and under the joint mirror of (i, j)
-    that _formed_rows unfolds.
+    R[i, j] = R_k = 1 / (1 - exp(-2 pi i k / size)), k = (i - j) mod size, on any grid shift.
     """
-    if (low := h2.min()) < _H_FLOOR ** 2:
-        raise SelfIntersectionError(f"chord ratio fell to {math.sqrt(low):.3e}")
-    np.log(h2, out=h2)
-    h2 *= -0.5 * alpha
-    return np.multiply(np.exp(h2, out=h2), weights, out=h2)
+    row, row_sq = np.ones(size, dtype=complex), np.ones(size)
+    k = np.arange(1, size // 2 + 1)
+    row[k] = 0.5 - 0.5j / np.tan(np.pi * k / size)
+    row[size - k] = np.conj(row[k])     # R_(size-k) = conj(R_k), from the angle below pi/2
+    row_sq[1:] = 0.25 / np.sin(np.pi * np.arange(1, size) / size) ** 2
+    return _circulant(row), _circulant(row_sq)
+
+
+def _kernel_blocks(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float, count: int):
+    """Yield (start, stop, H^2, H^(-a) W) for each block of _ROW_BLOCK of target rows 0..count-1.
+
+    H^2 = |phi_i - phi_j|^2 |w_i - w_j|^(-2) comes from real coordinate
+    differences, |phi'_i|^2 on the diagonal, and is floor-checked before any
+    logarithm; over the formed rows that covers every row, since H is
+    invariant under the moves _formed_rows unfolds.  Both blocks are views
+    of two buffers that the next block overwrites.
+    """
+    x, y = phi.real.copy(), phi.imag.copy()
+    weights, inv_sq = _circulant_weights(len(w), alpha)[0], _inverse_chords(len(w))[1]
+    h2_buf, kern_buf = np.empty((2, min(_ROW_BLOCK, count), len(w)))
+    for start in range(0, count, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, count)
+        h2, kern = h2_buf[:stop - start], kern_buf[:stop - start]
+        np.square(np.subtract(x[start:stop, None], x, out=h2), out=h2)
+        h2 += np.square(np.subtract(y[start:stop, None], y, out=kern), out=kern)
+        h2 *= inv_sq[start:stop]
+        h2.reshape(-1)[start::len(w) + 1] = np.abs(dphi[start:stop]) ** 2   # the diagonal
+        if (low := h2.min()) < _H_FLOOR ** 2:
+            raise SelfIntersectionError(f"chord ratio fell to {math.sqrt(low):.3e}")
+        np.log(h2, out=kern)
+        kern *= -0.5 * alpha
+        np.multiply(np.exp(kern, out=kern), weights[start:stop], out=kern)
+        yield start, stop, h2, kern
 
 
 def _sector_rows(bnd: FourierBoundary, size: int, directions=()) -> int:
@@ -216,29 +241,13 @@ def _formed_rows(bnd: FourierBoundary, grid: UnitGrid, directions=()) -> _Formed
 
 def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float,
                      rows: _FormedRows) -> np.ndarray:
-    """sum_j W[i, j] H_ij^(-a) p_j with p = w phi' on every node: S(phi) less its diagonal term.
-
-    Blocks of _ROW_BLOCK of the formed rows of H^(-a) W, with H^2 = |phi_i - phi_j|^2
-    |w_i - w_j|^(-2) from real differences, reuse two buffers and are
-    contracted with [Re p, Im p] in one real GEMM each.
-    """
-    x, y = phi.real.copy(), phi.imag.copy()
-    weights, inv_sq = _circulant_weights(len(w), alpha)[0], _inverse_chord_sq(len(w))
+    """sum_j W[i, j] H_ij^(-a) p_j with p = w phi' on every node: S(phi) less its diagonal term."""
     p_pair = (w * dphi).view(float).reshape(-1, 2)     # columns Re p, Im p
-    n_rows = rows.count
-    sums = np.empty(n_rows, dtype=complex)
-    h2_buf, dy_buf = np.empty((2, min(_ROW_BLOCK, n_rows), len(w)))
-    for start in range(0, n_rows, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n_rows)
-        h2, dy = h2_buf[:stop - start], dy_buf[:stop - start]
-        np.square(np.subtract(x[start:stop, None], x, out=h2), out=h2)
-        h2 += np.square(np.subtract(y[start:stop, None], y, out=dy), out=dy)
-        h2 *= inv_sq[start:stop]
-        h2.reshape(-1)[start::len(w) + 1] = np.abs(dphi[start:stop]) ** 2   # the diagonal
-        kern = _weighted_kernel(h2, alpha, weights[start:stop])
+    sums = np.empty(rows.count, dtype=complex)
+    for start, stop, _, kern in _kernel_blocks(phi, dphi, w, alpha, rows.count):
         sums[start:stop] = (kern @ p_pair).view(complex)[:, 0]
     # p turns with w under the rotation, so the rows unfold as sums / w
-    return w * rows.unfold(np.conj(w[:n_rows]) * sums, 1)
+    return w * rows.unfold(np.conj(w[:rows.count]) * sums, 1)
 
 
 def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None,

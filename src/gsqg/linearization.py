@@ -18,8 +18,7 @@ import numpy as np
 
 from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
                        eval_deriv, eval_map)
-from .kernels import (_ROW_BLOCK, _circulant_weights, _field_from_values, _formed_rows,
-                      _weighted_kernel)
+from .kernels import _field_from_values, _formed_rows, _inverse_chords, _kernel_blocks
 from .specfun import DispersionTable, omega_dispersion
 
 
@@ -35,12 +34,12 @@ def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> np.ndarray:
 
 def _chord_rows(vals: np.ndarray, w: np.ndarray, diag: np.ndarray,
                 start: int, stop: int) -> np.ndarray:
-    """(vals_i - vals_j) / (w_i - w_j) for target rows start..stop-1, diagonal diag_i."""
-    rows = np.arange(start, stop)
-    den = w[start:stop, None] - w[None, :]
-    den[rows - start, rows] = 1.0
-    out = (vals[start:stop, None] - vals[None, :]) / den
-    out[rows - start, rows] = diag[start:stop]
+    """(vals_i - vals_j) / (w_i - w_j) for target rows start..stop-1, diagonal diag_i,
+    as a product with conj(w_i) R[i, j], which loses no digits to w_i - w_j."""
+    out = np.subtract(vals[start:stop, None], vals)
+    out *= _inverse_chords(len(w))[0][start:stop]
+    out *= np.conj(w[start:stop, None])
+    out.reshape(-1)[start::len(w) + 1] = diag[start:stop]
     return out
 
 
@@ -74,9 +73,9 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     Row k holds the grid values of dG(omega, phi)[w^(-modes[k])]: n >= 1 is
     the coefficient b_n, n = 0 the translation b_0 and n = -1 the leading
     coefficient (h = w).  Every direction shares one pass over the target
-    rows: per block of rows the chord ratio, H^(-a) W and p H^(-a-2) W are
-    formed once, with W the circulant weight rows and p = w phi'.  On the
-    circle
+    rows: each block of H^2 and H^(-a) W (W the circulant weight rows) from
+    kernels._kernel_blocks gives p H^(-a-2) W, p = w phi', and the chord
+    ratio (phi_i - phi_j) / (w_i - w_j) is formed once per block.  On the circle
 
         (w_i^(-n) - w_j^(-n)) / (w_i - w_j) = -sum_{q<n} w_i^(-q-1) w_j^(q-n),
 
@@ -108,18 +107,14 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     vand_conj = np.conj(vand)
     dirs = w[:, None] * np.column_stack([dphi, dhv])     # [p, q] = w [phi', h']
     dirs_pair = dirs.view(float)                         # Re and Im of each column
-    weights = _circulant_weights(grid.size, alpha)[0]
     formed = _formed_rows(bnd, grid, modes)
     n_rows = formed.count
     sing = np.empty((n_rows, modes.size), dtype=complex)
-    for start in range(0, n_rows, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n_rows)
-        ratio = _chord_rows(phi, w, dphi, start, stop)
-        h2 = ratio.real ** 2 + ratio.imag ** 2          # H^2
-        kern = _weighted_kernel(h2.copy(), alpha, weights[start:stop])   # pw needs H^2
+    for start, stop, h2, kern in _kernel_blocks(phi, dphi, w, alpha, n_rows):
         layer = (kern @ dirs_pair).view(complex)        # the row sums of p and q
         pw = kern * dirs[:, 0]
         pw /= h2
+        ratio = _chord_rows(phi, w, dphi, start, stop)
         # the two chord-difference integrals over w_i, summed: chord sums of
         # w_i^(-r) [(ratio pw) vand]_r and of w_i^r [(conj(ratio) pw) conj(vand)]_r,
         # turned by w_i^(n+1) and w_i^(-n-1)
@@ -189,8 +184,7 @@ class BracketError(ValueError):
     """Scan window does not bracket a sign change of the target multiplier."""
 
 
-def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float],
-                     grid: UnitGrid | None = None) -> float:
+def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float]) -> float:
     """Locate the angular velocity where the mode-(m-1) column vanishes.
 
     The functional is affine in omega, so the (m, m-1) entry of the
@@ -200,7 +194,7 @@ def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float],
     dispersion value, and doing so checks the whole product-quadrature
     pipeline at once.  BracketError when e keeps its sign over the window.
     """
-    grid = default_grid(m + 1) if grid is None else grid
+    grid = default_grid(m + 1)
     disc = FourierBoundary.identity()
     entry_0 = grid.sine_coeffs(monomial_derivatives(disc, [m - 1], 0.0, alpha, grid),
                                m)[0, m - 1]
@@ -211,8 +205,7 @@ def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float],
     return float(-entry_0 / slope)
 
 
-def kernel_diagnostics(alpha: float, m: int, omega: float,
-                       grid: UnitGrid | None = None, n_modes: int = 16) -> dict:
+def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = 16) -> dict:
     """Singular-value picture of the disc Jacobian at a candidate bifurcation.
 
     Reports the number of near-zero singular values, the mass the critical
@@ -220,7 +213,7 @@ def kernel_diagnostics(alpha: float, m: int, omega: float,
     complement with the b_{m-1} column removed.
     """
     n_modes = max(n_modes, m + 4)
-    grid = default_grid(n_modes + 1) if grid is None else grid
+    grid = default_grid(n_modes + 1)
     entries = disc_jacobian(alpha, omega, n_modes, grid)
     u_mat, sv, vt = np.linalg.svd(entries)
     scale = sv[0]

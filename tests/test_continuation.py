@@ -101,7 +101,7 @@ class TestJacobian:
     def test_analytic_matches_finite_differences(self, m):
         alpha, s, k_modes = 0.5, 0.02, 16
         grid = default_grid(k_modes * m)
-        sol = solve_vstate(alpha, m, s, k_modes=k_modes, grid=grid)
+        sol = solve_vstate(alpha, m, s, k_modes=k_modes)
         converged = np.concatenate([[sol.omega], sol.boundary.reduced[1:]])
         disc_guess = np.zeros(k_modes)
         disc_guess[0] = omega_dispersion(alpha, m)

@@ -473,6 +473,28 @@ class TestCirculantQuadrature:
                     assert np.max(np.abs(s_phi(bnd, alpha, grid)
                                          - oracle_s_phi(bnd, alpha, grid))) <= 1e-13
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid.half_offset(256),
+                                      UnitGrid(256, shift=0.1),
+                                      UnitGrid(258, shift=2 * np.pi / 3)],
+                             ids=["plain", "half-offset", "shifted", "258-shifted"])
+    @pytest.mark.parametrize("kind", ["asym", 4])
+    def test_chord_ratio_matches_extended_precision(self, kind, grid, rng):
+        # the samples' chord ratio at the exact node angles, in long double;
+        # the circulant reads within 1.8e-15, the division by w_i - w_j of
+        # rounded nodes 3.4e-14 to 4.5e-14
+        bnd = _oracle_boundary(kind, rng)
+        pi = 4 * np.arctan(np.longdouble(1))
+        theta = 2 * pi * np.arange(grid.size, dtype=np.longdouble) / grid.size + grid.shift
+        w = np.cos(theta) + 1j * np.sin(theta)
+        phi, dphi = eval_map(bnd, grid), eval_deriv(bnd, grid)
+        exact = phi.astype(np.clongdouble)
+        ref = (exact[:, None] - exact) / (w[:, None] - w + np.eye(grid.size))
+        ref[np.diag_indices(grid.size)] = dphi
+        got = linearization._chord_rows(phi, grid.nodes, dphi, 0, grid.size)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
+
     def test_sector_rows_follow_the_coefficient_ladder(self):
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
         assert kernels._sector_rows(bnd, 768) == 256
@@ -519,35 +541,42 @@ class TestBlockedPass:
         assert 101 % kernels._ROW_BLOCK and 26 % kernels._ROW_BLOCK
 
     def test_traced_peak_stays_blocked(self):
-        # the whole-matrix pass peaked at 8.75 MB here; 64-row blocks stay near 2.5 MB
+        # the whole-matrix residual pass peaked at 8.75 MB here; 64-row blocks
+        # stay near 2.5 MB.  The Jacobian pass over 15 rung directions stays
+        # near 7.5 MB, below one complex 1024 x 1024 temporary (16.8 MB)
         bnd = _oracle_boundary(4, None)
         grid = UnitGrid(1024)
         assert kernels._sector_rows(bnd, grid.size) == 256
-        functional_G(0.3, bnd, 0.5, grid)       # fill the cached weight views
-        tracemalloc.start()
-        try:
-            functional_G(0.3, bnd, 0.5, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        reduced = np.array([0.05, -0.004, 3e-4] + [0.0] * 13)
+        passes = ((lambda: functional_G(0.3, bnd, 0.5, grid), 4e6),
+                  (lambda: continuation._mfold_jacobian(0.3, reduced, 0.5, 4, grid, 16), 12e6))
+        for run, bound in passes:
+            run()       # fill the cached weight and chord views
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestMirroredRows:
-    """The mirrored sector: the rows handed to the floor-checked kernel, the
+    """The mirrored sector: the rows the kernel blocks form, the
     identity that unfolds the rest, and a sector of odd period."""
 
     @pytest.fixture
     def formed_rows(self, monkeypatch):
         counts = []
-        weighted = kernels._weighted_kernel
+        blocks = kernels._kernel_blocks
 
-        def counting(h2, alpha, weights):
-            counts.append(len(h2))
-            return weighted(h2, alpha, weights)
+        def counting(*args):
+            for start, stop, h2, kern in blocks(*args):
+                counts.append(stop - start)
+                yield start, stop, h2, kern
 
-        monkeypatch.setattr(kernels, "_weighted_kernel", counting)
-        monkeypatch.setattr(linearization, "_weighted_kernel", counting)
+        monkeypatch.setattr(kernels, "_kernel_blocks", counting)
+        monkeypatch.setattr(linearization, "_kernel_blocks", counting)
         return counts
 
     # the branch workload's grids: default_grid(16 m) holds a sector of 256 rows
