@@ -28,9 +28,12 @@ linearization add the chord ratio, a product with the cached circulant
 
 Every boundary has real coefficients, so it is symmetric about the real
 axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
-forms the target rows of half the m-fold sector and unfolds the rest: the
-rotation repeats each row, and on the plain and half-offset grids the
-reflection w -> conj(w) maps a row to the conjugate of its mirror row.
+forms the target rows of half the m-fold sector and unfolds the rest: on
+the plain and half-offset grids the reflection w -> conj(w) maps a row to
+the conjugate of its mirror row, and the rotation repeats each row of the
+layer potential.  A derivative along a direction of another period turns
+under the rotation instead, and is unfolded with its mirror-odd partner
+(see linearization).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import FourierBoundary, UnitGrid, default_grid, eval_deriv, eval_map
-from .specfun import conv_constant, gap_ladder, gamma_fn, odd_harmonic_ladder, pochhammer_ratio
+from .specfun import _ratio_ladder, conv_constant, gap_ladder, gamma_fn, odd_harmonic_ladder
 
 _H_FLOOR = 1e-8
 
@@ -58,57 +61,70 @@ def _moment_prefactor(alpha: float) -> float:
     return gamma_fn(1.0 - alpha) / gamma_fn(1.0 - alpha / 2.0) ** 2
 
 
-def _check_moment_args(alpha: float, n: int) -> None:
+def _check_moment_args(alpha: float, n) -> int:
+    """Validate alpha and the orders n (one or an array); return the top order."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("moments need alpha in (0, 1)")
-    if n < 0:
+    top = int(np.max(n))
+    if np.min(n) < 0:
         raise ValueError("moment order must be >= 0")
+    return top
 
 
-def singular_moment_I(alpha: float, n: int) -> float:
+def _rungs(ladder: np.ndarray, n):
+    """ladder[n]: a float for one order, an array for an array of orders."""
+    return float(ladder[n]) if np.ndim(n) == 0 else ladder[np.asarray(n)]
+
+
+def singular_moment_I(alpha: float, n):
     """Scalar factor of the n-th power moment of |w-tau|^(-a) on the circle.
 
     The full contour mean of tau^n / |tau-w|^a equals this factor times
-    w^(n+1).
+    w^(n+1).  n may be an array of orders, all read off one ladder.
     """
-    _check_moment_args(alpha, n)
-    return _moment_prefactor(alpha) * pochhammer_ratio(alpha / 2.0, 1.0 - alpha / 2.0, n + 1)
+    top = _check_moment_args(alpha, n)
+    ladder = _ratio_ladder(alpha / 2.0, 1.0 - alpha / 2.0, top + 1)
+    return _moment_prefactor(alpha) * _rungs(ladder, np.add(n, 1))
 
 
-def singular_moment_J(alpha: float, n: int) -> float:
-    """Factor of the chord-difference moment; the full integral is factor * w^(n+2)."""
-    _check_moment_args(alpha, n)
+def singular_moment_J(alpha: float, n):
+    """Factor of the chord-difference moment; the full integral is factor * w^(n+2).
+
+    n may be an array of orders, all read off one ladder.
+    """
+    top = _check_moment_args(alpha, n)
     pref = (1.0 + alpha / 2.0) * _moment_prefactor(alpha) / (2.0 - alpha)
     # 1 - (2 + a/2)_n / (2 - a/2)_n = -a L_n, with no cancellation as a -> 0
-    return -alpha * pref * float(gap_ladder(2.0 + alpha / 2.0, 2.0 - alpha / 2.0, n)[-1])
+    return -alpha * pref * _rungs(gap_ladder(2.0 + alpha / 2.0, 2.0 - alpha / 2.0, top), n)
 
 
-def singular_moment_Z(alpha: float, n: int) -> float:
+def singular_moment_Z(alpha: float, n):
     """Factor of the conjugate-difference moment; the full integral is factor * conj(w)^n.
 
     The rising-factorial ratio with the negative base reduces to minus the
-    ratio shifted by one, which is what gets evaluated here.
+    ratio shifted by one, which is what gets evaluated here.  n may be an
+    array of orders, all read off one ladder.
     """
-    _check_moment_args(alpha, n)
-    if n == 0:
-        return 0.0
-    # (a/2)_n / (-a/2)_n = -(1+a/2)_{n-1} / (1-a/2)_{n-1} for n >= 1
-    ratio = -pochhammer_ratio(1.0 + alpha / 2.0, 1.0 - alpha / 2.0, n - 1)
-    return -0.5 * _moment_prefactor(alpha) * (1.0 - ratio)
+    top = _check_moment_args(alpha, n)
+    # (a/2)_n / (-a/2)_n = -(1+a/2)_{n-1} / (1-a/2)_{n-1} for n >= 1; 1 at n = 0
+    ladder = -_ratio_ladder(1.0 + alpha / 2.0, 1.0 - alpha / 2.0, max(top - 1, 0))
+    ratio = _rungs(np.concatenate([[1.0], ladder]), n)
+    return 0.5 * _moment_prefactor(alpha) * (ratio - 1.0)
 
 
-def sqg_moment_1(n: int) -> float:
-    """Subtracted first moment of the critical kernel: -(2/pi) sigma_n."""
-    if n < 1:
+def sqg_moment_1(n):
+    """Subtracted first moment of the critical kernel: -(2/pi) sigma_n; n may be an array."""
+    if np.min(n) < 1:
         raise ValueError("needs n >= 1")
-    return -(2.0 / math.pi) * float(odd_harmonic_ladder(n)[n])
+    return -(2.0 / math.pi) * _rungs(odd_harmonic_ladder(int(np.max(n))), n)
 
 
-def sqg_moment_2(n: int) -> float:
-    """Squared-chord moment of the critical kernel: (2/pi) (sigma_{n+1} - sigma_1), sigma_1 = 1."""
-    if n < 1:
+def sqg_moment_2(n):
+    """Squared-chord moment of the critical kernel: (2/pi) (sigma_{n+1} - sigma_1), sigma_1 = 1;
+    n may be an array."""
+    if np.min(n) < 1:
         raise ValueError("needs n >= 1")
-    return (2.0 / math.pi) * (float(odd_harmonic_ladder(n + 1)[n + 1]) - 1.0)
+    return (2.0 / math.pi) * (_rungs(odd_harmonic_ladder(int(np.max(n)) + 1), np.add(n, 1)) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +169,9 @@ def _inverse_chords(size: int) -> tuple[np.ndarray, np.ndarray]:
     row, row_sq = np.ones(size, dtype=complex), np.ones(size)
     k = np.arange(1, size // 2 + 1)
     row[k] = 0.5 - 0.5j / np.tan(np.pi * k / size)
-    row[size - k] = np.conj(row[k])     # R_(size-k) = conj(R_k), from the angle below pi/2
-    row_sq[1:] = 0.25 / np.sin(np.pi * np.arange(1, size) / size) ** 2
+    row_sq[k] = 0.25 / np.sin(np.pi * k / size) ** 2
+    # R_(size-k) = conj(R_k), from the angle below pi/2: near pi, tan and sin lose digits
+    row[size - k], row_sq[size - k] = np.conj(row[k]), row_sq[k]
     return _circulant(row), _circulant(row_sq)
 
 
@@ -185,58 +202,76 @@ def _kernel_blocks(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: floa
         yield start, stop, h2, kern
 
 
-def _sector_rows(bnd: FourierBoundary, size: int, directions=()) -> int:
+def _sector_rows(bnd: FourierBoundary, size: int) -> int:
     """Period of the target rows of an equivariant boundary: the m-fold sector.
 
     With f = gcd(size, n+1 over every nonzero b_n), rotating the grid by
     2*pi/f maps the boundary onto itself, so the chord ratio H and
     phi'(tau) are invariant under the joint index shift (i, j) -> (i + size/f,
-    j + size/f); every contraction row repeats with period size/f.  A
-    derivative along directions w^(-n) keeps that period only when each n+1
-    is a multiple of f too, so those n join the gcd.  _formed_rows halves
-    the period again by the mirror symmetry.
+    j + size/f).  _formed_rows halves the period again by the mirror symmetry.
     """
     orders = np.flatnonzero(bnd.coeffs) + 1
-    return size // math.gcd(size, *orders.tolist(), *(int(n) + 1 for n in directions))
+    return size // math.gcd(size, *orders.tolist())
 
 
 class _FormedRows(NamedTuple):
     """Target rows 0..count-1 that a pass forms, and how every grid row follows.
 
-    Grid row i repeats formed row source[i]; where mirrored[i], it is that
-    row conjugated and multiplied by the field's parity under the mirror.
+    Grid row i is formed row source[i], reflected by the grid's mirror where
+    mirrored[i], then rotated by offset[i] nodes, a multiple of the sector
+    period.
     """
 
     count: int
     source: np.ndarray
     mirrored: np.ndarray
+    offset: np.ndarray
 
-    def unfold(self, formed: np.ndarray, parity: int) -> np.ndarray:
-        """All grid rows of a field from its formed rows (leading axis)."""
+    def turns(self, orders: np.ndarray) -> np.ndarray | None:
+        """e^(i k beta_i) for each k in orders, beta_i = 2 pi offset[i] / size the
+        rotation of row i; None when every factor is 1."""
+        size = len(self.source)
+        steps = np.outer(self.offset, orders) % size
+        return np.exp(2j * np.pi / size * np.arange(size))[steps] if steps.any() else None
+
+    def unfold(self, formed: np.ndarray, parity: int, turn: np.ndarray | None = None) -> np.ndarray:
+        """All grid rows of a field from its formed rows (leading axis).
+
+        Mirrored rows are conjugated and multiplied by the field's parity
+        under the mirror; then every row is multiplied by its turn under the
+        rotation (see turns), which a field repeated by the rotation omits.
+        """
         out = formed[self.source]
         out[self.mirrored] = parity * np.conj(out[self.mirrored])
+        if turn is not None:
+            out *= turn
         return out
 
 
-def _formed_rows(bnd: FourierBoundary, grid: UnitGrid, directions=()) -> _FormedRows:
+def _formed_rows(bnd: FourierBoundary, grid: UnitGrid) -> _FormedRows:
     """The rows a product-quadrature pass forms over the sector of period P.
 
     Real coefficients make w -> conj(w) map phi to its conjugate.  When the
     grid holds conj(w_i) as the node w_(-i-k), k = shift*size/pi an integer,
-    row i and row (-i - k) mod P are mirror images: q = conj(w) * (row sums)
-    is conjugated (parity +1), and G and its derivative along a real
-    direction change sign (parity -1).  The plain grid (k = 0) forms rows
+    row i and row (-i - k) mod size are mirror images: q = conj(w) * (row sums)
+    is conjugated (parity +1), G and its derivative along a real direction
+    change sign (parity -1), and its derivative along i w^(-n) does not
+    (parity +1).  The plain grid (k = 0) forms rows
     0..P/2 and the half-offset grid (k = 1) rows 0..P/2 - 1; any other
     shift forms the whole period.
     """
-    period = _sector_rows(bnd, grid.size, directions)
-    rows = np.arange(grid.size) % period
+    period = _sector_rows(bnd, grid.size)
+    index = np.arange(grid.size)
     k = 0 if grid.shift == 0.0 else 1 if grid.shift == np.pi / grid.size else None
     if k is None:
-        return _FormedRows(period, rows, np.zeros(grid.size, dtype=bool))
+        source = index % period
+        return _FormedRows(period, source, np.zeros(grid.size, dtype=bool), index - source)
     count = (period - k) // 2 + 1
-    mirrored = rows >= count
-    return _FormedRows(count, np.where(mirrored, (-rows - k) % period, rows), mirrored)
+    mirrored = index % period >= count
+    source = np.where(mirrored, -index - k, index) % period
+    # the mirror takes row source to row -source - k, which the rotation takes to row index
+    offset = np.where(mirrored, index + source + k, index - source) % grid.size
+    return _FormedRows(count, source, mirrored, offset)
 
 
 def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float,

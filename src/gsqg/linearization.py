@@ -8,6 +8,13 @@ derivative is assembled from the same product quadrature as the nonlinear
 functional.  The disc Jacobian behind the kernel, transversality and
 bifurcation diagnostics is that analytic derivative; it rebuilds the
 multipliers from the quadrature pipeline rather than from their closed form.
+
+The functional is rotation equivariant, so the derivative along w^(-n) on
+one sector of the boundary's m-fold symmetry, together with the
+derivative along the mirror-odd direction i w^(-n), fixes it on every
+sector.  The pass forms both from the same kernel blocks where a
+direction's period differs from the boundary's: the disc's sector is one
+node, so every column of the disc Jacobian comes from one target row.
 """
 
 from __future__ import annotations
@@ -73,21 +80,19 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     Row k holds the grid values of dG(omega, phi)[w^(-modes[k])]: n >= 1 is
     the coefficient b_n, n = 0 the translation b_0 and n = -1 the leading
     coefficient (h = w).  Every direction shares one pass over the target
-    rows: each block of H^2 and H^(-a) W (W the circulant weight rows) from
-    kernels._kernel_blocks gives p H^(-a-2) W, p = w phi', and the chord
-    ratio (phi_i - phi_j) / (w_i - w_j) is formed once per block.  On the circle
+    rows of half the boundary's m-fold sector (see _formed_fields).  G is
+    equivariant, G(T phi)(w) = G(phi)(e^(i beta) w) for T phi(w) =
+    e^(-i beta) phi(e^(i beta) w), and T maps h to e^(-i (n+1) beta) h, so
+    the fields along h and i h turn together under the sector rotation:
 
-        (w_i^(-n) - w_j^(-n)) / (w_i - w_j) = -sum_{q<n} w_i^(-q-1) w_j^(q-n),
+        F_h(w_(i+P)) = cos(gamma) F_h(w_i) - sin(gamma) F_(ih)(w_i),
+        gamma = (n+1) beta,
 
-    so the chord-difference integrals of all directions come from two
-    products with the Vandermonde block [w_j^r] (and its conjugate) and a
-    prefix sum over r; the layer-potential term is one real product of
-    H^(-a) W with [p, q], q = w h', split into real and imaginary parts.
-    The weight row carries C_a and its sign for every alpha in (0, 1], so
-    alpha = 1 is the same pass; the diagonal term it leaves out adds a real
-    multiple of |p|^2 to G and nothing to the derivative.  When the boundary
-    and every direction are f-fold symmetric, only the target rows of half
-    of size/f are formed; the real directions keep G's odd mirror parity.
+    with P nodes per sector and beta = 2 pi P / size.  The pass forms the
+    mirror-odd fields F_(ih) only when some gamma is not a multiple of 2 pi:
+    for the disc (P = 1) one target row gives every column, while rung
+    directions of an m-fold boundary repeat with its sector and cost no
+    more.  Under the mirror, F_h changes sign and F_(ih) does not.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("analytic derivative implemented for alpha in (0, 1]")
@@ -98,6 +103,35 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     if grid.size < 2 * (n_max + 1):
         warnings.warn(f"grid of size {grid.size} under-resolves the direction b_{n_max}",
                       AliasingWarning, stacklevel=2)
+    formed = _formed_rows(bnd, grid)
+    turn = formed.turns(modes + 1)
+    fields = _formed_fields(bnd, modes, omega, alpha, grid, formed.count, turn is not None)
+    # the mirror maps F_h + i F_(ih) to its negated conjugate; the rotation turns it by e^(i gamma)
+    return np.real(formed.unfold(fields, -1, turn)).T
+
+
+def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha: float,
+                   grid: UnitGrid, n_rows: int, odd: bool) -> np.ndarray:
+    """Target rows 0..n_rows-1 of dG along w^(-n) for n in modes, one column each;
+    with odd, the complex F_h + i F_(ih), h = w^(-n).
+
+    Each block of H^2 and H^(-a) W (W the circulant weight rows) from
+    kernels._kernel_blocks gives p H^(-a-2) W, p = w phi', and the chord
+    ratio (phi_i - phi_j) / (w_i - w_j) is formed once per block.  On the circle
+
+        (w_i^(-n) - w_j^(-n)) / (w_i - w_j) = -sum_{q<n} w_i^(-q-1) w_j^(q-n),
+
+    so the chord-difference integrals of all directions come from two
+    products with the Vandermonde block [w_j^r] (and its conjugate) and a
+    prefix sum over r; the layer-potential term is one real product of
+    H^(-a) W with [p, q], q = w h', split into real and imaginary parts.
+    Along i h the layer term of q and the chord-difference integrals turn
+    by i and -i, so the mirror-odd fields reuse every block product.  The
+    weight row carries C_a and its sign for every alpha in (0, 1], so
+    alpha = 1 is the same pass; the diagonal term it leaves out adds a real
+    multiple of |p|^2 to G and nothing to the derivative.
+    """
+    n_max = max(int(modes.max(initial=0)), 0)
     w, theta = grid.nodes, grid.angles
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
@@ -107,29 +141,34 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     vand_conj = np.conj(vand)
     dirs = w[:, None] * np.column_stack([dphi, dhv])     # [p, q] = w [phi', h']
     dirs_pair = dirs.view(float)                         # Re and Im of each column
-    formed = _formed_rows(bnd, grid, modes)
-    n_rows = formed.count
     sing = np.empty((n_rows, modes.size), dtype=complex)
+    sing_odd = np.empty_like(sing) if odd else None
     for start, stop, h2, kern in _kernel_blocks(phi, dphi, w, alpha, n_rows):
         layer = (kern @ dirs_pair).view(complex)        # the row sums of p and q
         pw = kern * dirs[:, 0]
         pw /= h2
         ratio = _chord_rows(phi, w, dphi, start, stop)
-        # the two chord-difference integrals over w_i, summed: chord sums of
+        # the two chord-difference integrals over w_i: chord sums of
         # w_i^(-r) [(ratio pw) vand]_r and of w_i^r [(conj(ratio) pw) conj(vand)]_r,
         # turned by w_i^(n+1) and w_i^(-n-1)
         sum_b = _chord_sums(vand_conj[start:stop] * ((ratio * pw) @ vand), modes)
         sum_c = _chord_sums(vand[start:stop] * ((np.conj(ratio) * pw) @ vand_conj), modes)
-        rows_inv = inv[start:stop]
-        chord = -(np.conj(rows_inv) * sum_b + rows_inv * sum_c)
-        sing[start:stop] = (layer[:, :1] * np.conj(dirs[start:stop, 1:])
-                            + np.conj(dirs[start:stop, :1])
-                            * (layer[:, 1:] - 0.5 * alpha * chord))
+        turned_b, turned_c = np.conj(inv[start:stop]) * sum_b, inv[start:stop] * sum_c
+        p_bar, q_bar = np.conj(dirs[start:stop, :1]), np.conj(dirs[start:stop, 1:])
+        chord = -(turned_b + turned_c)
+        sing[start:stop] = layer[:, :1] * q_bar + p_bar * (layer[:, 1:] - 0.5 * alpha * chord)
+        if odd:
+            # along i h: q -> i q and the chord term -> -i (turned_c - turned_b)
+            chord_odd = -1j * (turned_c - turned_b)
+            sing_odd[start:stop] = (-1j * layer[:, :1] * q_bar
+                                    + p_bar * (1j * layer[:, 1:] - 0.5 * alpha * chord_odd))
     rows = slice(0, n_rows)
-    vals = (omega * _mixed_slope(phi[rows, None], dphi[rows, None], w[rows, None],
-                                 inv[rows], dhv[rows])
-            - np.imag(sing))
-    return formed.unfold(vals, -1).T
+    args = (phi[rows, None], dphi[rows, None], w[rows, None])
+    vals = omega * _mixed_slope(*args, inv[rows], dhv[rows]) - np.imag(sing)
+    if not odd:
+        return vals
+    return vals + 1j * (omega * _mixed_slope(*args, 1j * inv[rows], 1j * dhv[rows])
+                        - np.imag(sing_odd))
 
 
 def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,

@@ -495,6 +495,19 @@ class TestCirculantQuadrature:
         got = linearization._chord_rows(phi, grid.nodes, dphi, 0, grid.size)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("size", [256, 1024])
+    def test_inverse_chord_squares_match_extended_precision(self, size):
+        # |R_k|^2 = 1 / (4 sin^2(pi k / size)) from the angle below pi/2 reads
+        # within 4.7e-16; from the angle near pi it read 1.3e-14 (256) and
+        # 1.1e-13 (1024) off for k near size
+        pi = 4 * np.arctan(np.longdouble(1))
+        k = np.arange(1, size, dtype=np.longdouble)
+        ref = 0.25 / np.sin(pi * k / size) ** 2
+        got = kernels._inverse_chords(size)[1][1:, 0]      # column 0 of the circulant is the row
+        assert np.max(np.abs(got - ref) / ref) <= 5e-16
+
     def test_sector_rows_follow_the_coefficient_ladder(self):
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
         assert kernels._sector_rows(bnd, 768) == 256
@@ -591,6 +604,16 @@ class TestMirroredRows:
             formed_rows.clear()
             continuation._mfold_jacobian(0.3, reduced, 0.5, m, grid, 16)
             assert sum(formed_rows) == rows
+
+    def test_disc_jacobian_forms_one_row(self, formed_rows):
+        # the disc's sector is one node: its 16 columns turn from one target
+        # row, while rung directions of a 3-fold boundary share its sector
+        linearization.disc_jacobian(0.5, 0.3, 16)
+        assert formed_rows == [1]
+        formed_rows.clear()
+        continuation._mfold_jacobian(0.3, np.array([0.03, 1e-3, 1e-4]), 0.5, 3,
+                                     UnitGrid(768), 16)
+        assert sum(formed_rows) == 129
 
     @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
     @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid.half_offset(256)],

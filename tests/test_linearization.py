@@ -32,12 +32,18 @@ def _ratio_matrix(vals, w, diag):
 
 
 def gateaux_dense(bnd, h, omega, alpha, grid):
-    """Reference Gateaux derivative: every N x N factor formed for the whole h."""
+    """Reference Gateaux derivative: every N x N factor formed for the whole h.
+
+    h is a FourierBoundary whose map less w is the direction, or the grid
+    samples (h, h') of a direction, which may be complex.
+    """
     w = grid.nodes
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
-    hv = eval_map(h, grid) - w
-    dhv = eval_deriv(h, grid) - 1.0
+    if isinstance(h, FourierBoundary):
+        hv, dhv = eval_map(h, grid) - w, eval_deriv(h, grid) - 1.0
+    else:
+        hv, dhv = h
     hmat = chord_ratio(phi, w, dphi)
     kern = hmat ** (-alpha)
     s_bare = w * contract(dphi[None, :] * kern, alpha)
@@ -53,6 +59,24 @@ def gateaux_dense(bnd, h, omega, alpha, grid):
         s_bare * wb * np.conj(dhv)
         + wb * np.conj(dphi) * (a_vals - 0.5 * alpha * (b_vals + c_vals)))
     return _field_from_values(np.imag(quad_part - sing_part), grid)
+
+
+def odd_direction(grid, n):
+    """Samples (h, h') of the mirror-odd direction h = i w^(-n)."""
+    h = 1j * grid.nodes ** float(-n)
+    return h, -n * h / grid.nodes
+
+
+def every_row(size):
+    """A _FormedRows that forms every target row and unfolds nothing."""
+    return kernels._FormedRows(size, np.arange(size), np.zeros(size, dtype=bool),
+                               np.zeros(size, dtype=int))
+
+
+def all_rows(bnd, modes, omega, alpha, grid, odd=False):
+    """The pass's fields along w^(-n) (odd: plus i times those along i w^(-n)),
+    every target row formed, one row per direction."""
+    return lin._formed_fields(bnd, np.asarray(modes), omega, alpha, grid, grid.size, odd).T
 
 
 def _random_boundary(rng, n=6, norm=0.05):
@@ -179,19 +203,58 @@ class TestGateaux:
         modes = [-1, 2, 5, 8, 11]
         # and the mirror halves them again
         grid = UnitGrid(768)
-        assert kernels._sector_rows(bnd, grid.size, modes) == 256
-        assert kernels._formed_rows(bnd, grid, modes).count == 129
+        assert kernels._sector_rows(bnd, grid.size) == 256
+        assert kernels._formed_rows(bnd, grid).count == 129
         reduced = monomial_derivatives(bnd, modes, 0.34, 0.5, grid)
-        every_row = kernels._FormedRows(grid.size, np.arange(grid.size),
-                                        np.zeros(grid.size, dtype=bool))
-        monkeypatch.setattr(lin, "_formed_rows", lambda bnd, grid, directions: every_row)
+        monkeypatch.setattr(lin, "_formed_rows", lambda bnd, grid: every_row(grid.size))
         full = monomial_derivatives(bnd, modes, 0.34, 0.5, grid)
         assert np.max(np.abs(reduced - full)) <= 1e-13 * np.max(np.abs(full))
 
-    def test_off_ladder_direction_uses_all_rows(self):
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05])))
-        assert kernels._sector_rows(bnd, 768, [1]) == 768
-        assert kernels._sector_rows(bnd, 768, [0]) == 768
+    @pytest.mark.parametrize("alpha", [0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("grid", [UnitGrid(192), UnitGrid.half_offset(192),
+                                      UnitGrid(192, shift=0.1)],
+                             ids=["plain", "half-offset", "shifted"])
+    def test_rotation_unfold_matches_all_rows(self, grid, alpha):
+        # directions off the 3-fold ladder turn under the sector rotation: the
+        # pass forms F_h + i F_(ih) on half a sector (33, 32 or 64 of 192
+        # rows) and turns it onto the rest
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, 0.004, -0.001])))
+        modes = [-1, 0, 1, 2, 4, 7]
+        assert kernels._formed_rows(bnd, grid).count < grid.size // 2
+        got = monomial_derivatives(bnd, modes, 0.34, alpha, grid)
+        ref = all_rows(bnd, modes, 0.34, alpha, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_odd_fields_match_dense_oracle(self, rng):
+        # F_(ih) along i w^(-n), every row, against the whole-matrix reference
+        modes = [-1, 0, 1, 3, 6]
+        for grid in (UnitGrid(128), UnitGrid.half_offset(128), UnitGrid(128, shift=0.1)):
+            for alpha in (0.3, 0.5, 0.9):
+                bnd = _random_boundary(rng)
+                odd = all_rows(bnd, modes, 0.27, alpha, grid, odd=True).imag
+                for n, got in zip(modes, odd):
+                    ref = gateaux_dense(bnd, odd_direction(grid, n), 0.27, alpha, grid)
+                    scale = max(np.max(np.abs(ref.values)), 1e-12)
+                    assert np.max(np.abs(got - ref.values)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("coeffs", [[0.0], [0.0, 0.04, -0.01, 0.005, 0.002, -0.001]],
+                             ids=["disc", "perturbed"])
+    def test_critical_odd_fields_match_finite_differences(self, coeffs):
+        # alpha = 1, where the dense oracle's weights do not apply: central
+        # differences of the package's own residual pass on phi +- eps i h
+        bnd, grid, modes, eps = FourierBoundary(np.array(coeffs)), UnitGrid(128), [-1, 0, 1, 2, 4], 1e-6
+        w, phi, dphi = grid.nodes, eval_map(bnd, grid), eval_deriv(bnd, grid)
+
+        def residual(sign, hv, dhv):
+            ph, dph = phi + sign * eps * hv, dphi + sign * eps * dhv
+            layer = kernels._layer_potential(ph, dph, w, 1.0, every_row(grid.size))
+            return np.imag((0.3 * ph - layer) * np.conj(w * dph))
+
+        odd = all_rows(bnd, modes, 0.3, 1.0, grid, odd=True).imag
+        for n, got in zip(modes, odd):
+            h = odd_direction(grid, n)
+            fd = (residual(1.0, *h) - residual(-1.0, *h)) / (2.0 * eps)
+            assert np.max(np.abs(got - fd)) < 1e-9
 
     def test_unresolved_direction_warns(self):
         with pytest.warns(AliasingWarning):
