@@ -23,6 +23,7 @@ from .specfun import omega_dispersion
 
 
 _MAX_ITER = 30      # Newton steps per solve
+_MAX_BUILDS = 6     # Jacobian builds per solve; converging solves build at most 4
 
 
 class NonConvergenceError(RuntimeError):
@@ -195,8 +196,10 @@ def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, s: float,
     current iterate when a chord step stalls under damping or contracts
     slowly.  A Jacobian counts as fresh only for the step taken right after
     it was built, so a start matrix passed as jac is stale from the first
-    step on; without one the first step builds.  The returned Jacobian is
-    the last one stepped with (None if x already met tol).
+    step on; without one the first step builds.  A solve that would build
+    more than _MAX_BUILDS Jacobians raises NonConvergenceError: wandering
+    that long marks an under-resolved point, not a slow one.  The returned
+    Jacobian is the last one stepped with (None if x already met tol).
     """
     res = res_of(x)
     res_norm = float(np.max(np.abs(res)))
@@ -207,6 +210,9 @@ def _chord_newton(x: np.ndarray, res_of, jac_of, tol: float, s: float,
             break
         fresh = rebuild
         if fresh:
+            if builds == _MAX_BUILDS:
+                raise NonConvergenceError(f"{builds} Jacobian builds at s={s} without "
+                                          f"convergence, residual {res_norm:.3e}")
             jac = jac_of(x)
             builds += 1
             rebuild = False

@@ -38,6 +38,18 @@ class TestSolve:
                             UnitGrid(4 * sol.grid_size)).sup_norm
         assert fine < 10.0 * 1e-11
 
+    @pytest.mark.filterwarnings("ignore:critical-case branch solving")
+    @pytest.mark.parametrize("m, s", [(2, 0.1), (3, 0.1), (4, 0.05)])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999, 1.0])
+    def test_default_grid_is_converged(self, alpha, m, s, monkeypatch):
+        # halving the node spacing moves no digit of a resolved mid-branch point
+        sol = solve_vstate(alpha, m, s)
+        monkeypatch.setattr(cont, "default_grid", lambda n: UnitGrid(2 * default_grid(n).size))
+        fine = solve_vstate(alpha, m, s)
+        assert fine.grid_size == 2 * sol.grid_size
+        assert abs(fine.omega - sol.omega) <= 1e-13
+        assert np.max(np.abs(fine.boundary.reduced - sol.boundary.reduced)) <= 1e-13
+
     def test_mfold_purity(self):
         sol = solve_vstate(0.5, 3, 0.02, k_modes=8)
         full = sol.full_boundary.coeffs
@@ -143,6 +155,13 @@ class TestChordNewton:
         # at least one rebuild after the first matrix, built or passed in
         assert builds >= (2 if start is None else 1)
         assert jac is not start
+
+    def test_rebuild_cap_raises(self):
+        # at the double root of x^2 Newton only halves x, so every chord step
+        # contracts slowly and the next step rebuilds, past the cap
+        with pytest.raises(NonConvergenceError, match=f"{cont._MAX_BUILDS} Jacobian builds"):
+            cont._chord_newton(np.array([1.0]), lambda x: x ** 2,
+                               lambda x: np.diag(2 * x), 1e-11, 0.1)
 
     def test_fresh_jacobian_stall_raises(self):
         # a Newton direction that is uphill at a fresh Jacobian is a real failure

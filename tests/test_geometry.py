@@ -202,4 +202,4 @@ class TestTransforms:
 
     def test_default_grid_size(self):
         g = default_grid(10)
-        assert g.size == 160 and g.size % 2 == 0
+        assert g.size == 80 and g.size % 2 == 0

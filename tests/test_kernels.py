@@ -592,7 +592,7 @@ class TestMirroredRows:
         monkeypatch.setattr(linearization, "_kernel_blocks", counting)
         return counts
 
-    # the branch workload's grids: default_grid(16 m) holds a sector of 256 rows
+    # grids of 256 nodes per fold: each sector holds 256 rows
     @pytest.mark.parametrize("m, size", [(2, 512), (3, 768), (4, 1024)])
     def test_residual_and_jacobian_form_half_the_sector(self, m, size, formed_rows):
         reduced = np.array([0.03, 1e-3, 1e-4])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid,  # noqa: E402
@@ -20,7 +20,6 @@ omegas = st.floats(min_value=-1.0, max_value=1.0)
 folds = st.integers(min_value=2, max_value=5)
 reduced = st.lists(st.floats(min_value=-0.03, max_value=0.03), min_size=1, max_size=3)
 GRID = UnitGrid(128)
-SHIFTED = UnitGrid(128, shift=0.1)
 
 
 def mfold(m, coeffs) -> FourierBoundary:
@@ -36,10 +35,15 @@ def test_disc_is_annihilated_at_any_omega(alpha, omega):
 @SETTINGS
 @given(alpha=alphas, omega=omegas,
        coeffs=st.lists(st.floats(min_value=-0.02, max_value=0.02), min_size=1, max_size=6))
+@example(alpha=1.0, omega=0.0, coeffs=[0.0, 0.0, 0.0, 0.015625, 0.01953125, 0.01953125])
 def test_residual_is_pure_sine(alpha, omega, coeffs):
     # real coefficients make the patch symmetric about the real axis; GRID
-    # imposes that by its mirror, the shifted grid forms every row
-    for grid in (GRID, SHIFTED):
+    # imposes that by its mirror, the shifted grid forms every row, so its
+    # cosine part is the quadrature error, which grows with the degree: a
+    # degree-5 boundary reads 1.7e-11 on 128 nodes and 3e-16 from 256 on.
+    # The shifted grid has 64 nodes per degree, at least 128.
+    shifted = UnitGrid(max(128, 64 * (len(coeffs) - 1)), shift=0.1)
+    for grid in (GRID, shifted):
         assert functional_G(omega, FourierBoundary(np.array(coeffs)), alpha, grid).cosine_residue <= 1e-12
 
 
