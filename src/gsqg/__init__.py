@@ -18,11 +18,9 @@ output         deterministic CSV / JSON / SVG emission
 cli            command-line drivers (also exposed as `python -m gsqg`)
 """
 
-from .specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
-                      GammaPoleError, conv_constant, gamma_fn, gap_ladder,
-                      odd_harmonic_ladder, omega_asymptotic, omega_dispersion,
-                      omega_sqg, pochhammer_ratio, theta_alpha,
-                      zeta_tail_constant)
+from .specfun import (DispersionTable, GammaOverflowError, GammaPoleError,
+                      conv_constant, gamma_fn, gap_ladder, odd_harmonic_ladder,
+                      omega_asymptotic, omega_dispersion, omega_sqg, theta_alpha)
 from .geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
                        UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
                        eval_map, univalence_margin)

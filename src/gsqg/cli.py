@@ -35,8 +35,8 @@ from .linearization import (BracketError, bifurcation_scan, crosses_transversall
                             disc_jacobian, kernel_diagnostics, multiplier_at_disc)
 from .output import (write_csv, write_curves_svg, write_json, write_jsonl,
                      write_residual_csv, write_residual_json, write_xy_svg)
-from .specfun import (GammaPoleError, omega_asymptotic, omega_dispersion,
-                      theta_alpha)
+from .specfun import (DispersionTable, GammaPoleError, omega_asymptotic,
+                      omega_dispersion, theta_alpha)
 
 ENV_OUTPUT_DIR = "GSQG_OUTPUT_DIR"
 
@@ -98,8 +98,7 @@ def cmd_dispersion(args) -> int:
     inner = 0.0 < alpha < 1.0
     theta = theta_alpha(alpha) if inner else None
     rows = []
-    for m in range(2, args.m_max + 1):
-        om = omega_dispersion(alpha, m)
+    for m, om in DispersionTable.build(alpha, args.m_max).values.items():
         gap = theta - om if inner else None
         asym = omega_asymptotic(alpha, m) if inner else None
         err = abs(asym - om) if inner else None

@@ -129,9 +129,8 @@ class ContourState:
         return cls(nodes=eval_map(bnd, UnitGrid(n_nodes)), time=0.0, alpha=alpha)
 
     @classmethod
-    def disc(cls, n_nodes: int, alpha: float, radius: float = 1.0) -> "ContourState":
-        grid = UnitGrid(n_nodes)
-        return cls(nodes=radius * grid.nodes, time=0.0, alpha=alpha)
+    def disc(cls, n_nodes: int, alpha: float) -> "ContourState":
+        return cls(nodes=UnitGrid(n_nodes).nodes.copy(), time=0.0, alpha=alpha)
 
 
 @lru_cache(maxsize=16)

@@ -192,13 +192,8 @@ class MFoldBoundary:
         return len(self.reduced)
 
 
-def embed_mfold(red: MFoldBoundary, n: int | None = None) -> FourierBoundary:
+def embed_mfold(red: MFoldBoundary) -> FourierBoundary:
     """Full coefficient vector with b_{km-1} = reduced[k-1], zeros elsewhere."""
-    need = red.m * red.n_modes - 1
-    n = need if n is None else n
-    if n < need:
-        raise ValueError(f"truncation N = {n} cannot hold mode {need}")
-    coeffs = np.zeros(n + 1)
-    for k in range(red.n_modes):
-        coeffs[(k + 1) * red.m - 1] = red.reduced[k]
+    coeffs = np.zeros(red.m * red.n_modes)
+    coeffs[red.m - 1::red.m] = red.reduced
     return FourierBoundary(coeffs)

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import FourierBoundary, UnitGrid, default_grid, eval_deriv, eval_map
+from .geometry import FourierBoundary, UnitGrid, eval_deriv, eval_map
 from .specfun import _ratio_ladder, conv_constant, gap_ladder, gamma_fn, odd_harmonic_ladder
 
 _H_FLOOR = 1e-8
@@ -285,7 +285,7 @@ def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: fl
     return w * rows.unfold(np.conj(w[:rows.count]) * sums, 1)
 
 
-def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None,
+def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid,
           phi: np.ndarray | None = None, dphi: np.ndarray | None = None) -> np.ndarray:
     """Layer potential S(phi)(w_j) = C_a * mean of phi'(tau) / |phi(w)-phi(tau)|^a.
 
@@ -296,7 +296,6 @@ def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid | None = None,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("s_phi needs alpha in (0, 1); mu_0 diverges at alpha = 1")
-    grid = default_grid(bnd.order + 1) if grid is None else grid
     phi = eval_map(bnd, grid) if phi is None else phi
     dphi = eval_deriv(bnd, grid) if dphi is None else dphi
     layer = _layer_potential(phi, dphi, grid.nodes, alpha, _formed_rows(bnd, grid))
@@ -335,7 +334,7 @@ def _field_from_values(values: np.ndarray, grid: UnitGrid) -> ResidualField:
 
 
 def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
-                 grid: UnitGrid | None = None) -> ResidualField:
+                 grid: UnitGrid) -> ResidualField:
     """Residual of the rotating-patch equation at angular velocity omega.
 
     Identically zero (to rounding) for the disc at any omega; a converged
@@ -345,7 +344,6 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
     add a real multiple of |w phi'(w)|^2 to the imaginary part: as if the
     numerator tau*phi'(tau) - w*phi'(w) vanished on the diagonal.
     """
-    grid = default_grid(bnd.order + 1) if grid is None else grid
     w = grid.nodes
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)

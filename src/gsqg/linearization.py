@@ -172,7 +172,7 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
 
 
 def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
-                       alpha: float, grid: UnitGrid | None = None):
+                       alpha: float, grid: UnitGrid):
     """Directional derivative of the functional at bnd in the direction h.
 
     The derivative is linear in h, so it is the coefficient-weighted sum of
@@ -180,8 +180,6 @@ def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
     direction when h.lead != 1).  Agrees with multiplier_at_disc at the
     identity and with central finite differences of functional_G elsewhere.
     """
-    order = max(bnd.order, h.order)
-    grid = default_grid(order + 1) if grid is None else grid
     modes = np.flatnonzero(h.coeffs)
     amps = h.coeffs[modes]
     if h.lead != 1.0:

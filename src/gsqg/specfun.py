@@ -7,10 +7,9 @@ ratio is the gap ladder (b - a) L_p(a, b), a sum of positive terms that
 keeps its digits however close a is to b and is a harmonic-type sum at
 a = b: the dispersion relation and the product-quadrature weights of every
 alpha in [0, 1] are gap ladders, with no endpoint branch.  The gamma
-function is math.gamma with its poles typed, and the Riemann zeta values
-come from scipy.special.  On top of them sit the kernel normalization
-constant, the angular velocities ``omega_m`` at which m-fold patch branches
-bifurcate from the disc, and their large-m asymptotics.
+function is math.gamma with its poles typed.  On top of them sit the kernel
+normalization constant, the angular velocities ``omega_m`` at which m-fold
+patch branches bifurcate from the disc, and their large-m asymptotics.
 
 All functions are pure and safe for concurrent use.
 """
@@ -21,11 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# scipy.special is imported inside zeta_tail_constant, its one caller, so
-# that `import gsqg` does not load it
-
-EULER_GAMMA = np.euler_gamma
 
 
 class GammaPoleError(ValueError):
@@ -99,11 +93,6 @@ def _dispersion_scale(alpha: float) -> float:
     return num / ((2.0 - alpha) * gamma_fn(1.0 - alpha / 2.0) ** 3)
 
 
-def pochhammer_ratio(a: float, b: float, n: int) -> float:
-    """(a)_n / (b)_n, the top rung of the ratio ladder."""
-    return float(_ratio_ladder(a, b, n)[-1])
-
-
 def conv_constant(alpha: float) -> float:
     """Normalization constant of the fractional-inverse-Laplacian kernel.
 
@@ -166,36 +155,19 @@ def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
     return pref * (head - tail)
 
 
-def zeta_tail_constant(alpha: float) -> float:
-    """Odd-zeta power series entering the large-mode asymptotics.
-
-    c(alpha) = 2 sum_{j>=1} zeta(2j+1) (alpha/2)^(2j+1) / (2j+1), summed over
-    j <= 60 (the terms fall below 1e-17 before j = 25 for alpha <= 1);
-    vanishes like alpha^3 zeta(3)/12.
-    Satisfies the exact identity
-    (1 - alpha/2) exp(alpha*euler_gamma + c) = gamma(2-alpha/2)/gamma(1+alpha/2),
-    which pins the constant and is what the tests check.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("zeta_tail_constant needs alpha in [0, 1]")
-    from scipy.special import zeta
-    p = 2.0 * np.arange(1, 61) + 1.0
-    terms = 2.0 * zeta(p) * (alpha / 2.0) ** p / p
-    return float(np.sum(terms))
-
-
 def omega_asymptotic(alpha: float, n: int) -> float:
     """Large-mode approximation of omega_n for alpha in (0, 1).
 
-    theta - (1 - alpha/2) theta exp(alpha*euler_gamma + zeta tail) / n^(1-alpha);
-    the defect against omega_dispersion decays at least like n^(alpha-2).
+    theta - theta gamma(2 - alpha/2) / (gamma(1 + alpha/2) n^(1-alpha)), the
+    leading term of the gamma-ratio tail of omega_dispersion; the defect
+    against omega_dispersion decays at least like n^(alpha-2).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("omega_asymptotic needs alpha in (0, 1)")
     if n < 2:
         raise ValueError("omega_asymptotic needs n >= 2")
     th = theta_alpha(alpha)
-    amp = (1.0 - alpha / 2.0) * th * math.exp(alpha * EULER_GAMMA + zeta_tail_constant(alpha))
+    amp = th * gamma_fn(2.0 - alpha / 2.0) / gamma_fn(1.0 + alpha / 2.0)
     return th - amp / n ** (1.0 - alpha)
 
 
@@ -216,17 +188,3 @@ class DispersionTable:
         ladder = gap_ladder(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m_max - 1)
         vals = _dispersion_scale(alpha) * ladder[1:]
         return cls(alpha=alpha, values=dict(zip(m.tolist(), vals.tolist())))
-
-    def check_invariants(self) -> None:
-        """Positivity, strict monotonicity, and the theta upper bound."""
-        ms = sorted(self.values)
-        vals = np.array([self.values[m] for m in ms])
-        if 0.0 < self.alpha < 1.0:
-            sup = theta_alpha(self.alpha)
-            bad = np.flatnonzero((vals <= 0.0) | (vals >= sup))
-            if bad.size:
-                k = bad[0]
-                raise AssertionError(f"omega_{ms[k]} = {vals[k]} outside (0, theta = {sup})")
-        bad = np.flatnonzero(np.diff(vals) <= 0.0)
-        if bad.size:
-            raise AssertionError(f"omega values not increasing at m = {ms[bad[0] + 1]}")

@@ -8,11 +8,12 @@ that replaces it, and the tests expected to fail.  The named tests first
 run on an unchanged copy, where they must pass; then each mutant is
 applied to a fresh copy of src/ and tests/ in a temporary directory, and
 only its tests run.  A mutant is killed when every one of its tests fails
-(a parametrized test fails when any of its cases does); a test that
-passes is reported by name.  A surviving mutant is a finding about the
-tests: mend the tests, not the mutant.  The exit code is 0 when every
-mutant is killed.  Not part of the tier-1 suite: each mutant costs one
-pytest start.
+(a parametrized test fails when any of its cases does, and a test class
+when any of its tests does); a test that passes is reported by name.  A
+surviving mutant is a finding about the tests: mend the tests, not the
+mutant.  The exit code is 0 when every mutant is killed.  Not part of the
+tier-1 suite: each mutant costs one pytest start; its id matching is
+tested in tests/test_run_mutants.py.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
+def failed_named(report: str, tests: list[str]) -> set[str]:
+    """The named tests under which some FAILED id of a pytest -rf report lies.
+
+    A name covers the id equal to it, its parametrized cases (name[...])
+    and, for a module or a class, the tests inside it (name::...).
+    """
+    failed = [line.split()[1] for line in report.splitlines() if line.startswith("FAILED ")]
+    return {test for test in tests
+            if any(f == test or f.startswith((test + "[", test + "::")) for f in failed)}
+
+
 def failed_tests(tree: Path, tests: list[str]) -> set[str] | None:
     """The named tests that fail on tree, or None when pytest cannot run them."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
@@ -44,8 +56,7 @@ def failed_tests(tree: Path, tests: list[str]) -> set[str] | None:
     run = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if run.returncode not in (0, 1):
         return None
-    failed = {line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")}
-    return {test for test in tests if any(f.split("[")[0] == test for f in failed)}
+    return failed_named(run.stdout, tests)
 
 
 def apply(tree: Path, mutant: dict) -> None:

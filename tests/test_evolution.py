@@ -525,7 +525,7 @@ class TestDiscFlow:
         # tangential (q) displacements of modes k <= 10; the worst gap is at
         # k = 10: 0.02% (alpha 0.35) and 0.2% (alpha 0.97) of |L r_k|.  The
         # radius is not 1, so that the R^(-alpha) of the rates is checked too
-        disc = ContourState.disc(512, alpha, radius=1.5)
+        disc = ContourState(1.5 * ContourState.disc(512, alpha).nodes, 0.0, alpha)
         flow = ev._DiscFlow.about(disc)
         sigma = 2.0 * np.pi * np.arange(512) / 512
 

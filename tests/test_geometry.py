@@ -151,11 +151,8 @@ class TestDilate:
 
 class TestMFold:
     def test_embed_places_ladder(self):
-        red = MFoldBoundary(m=3, reduced=np.array([0.1]))
-        bnd = embed_mfold(red, 6)
-        expect = np.zeros(7)
-        expect[2] = 0.1
-        assert np.array_equal(bnd.coeffs, expect)
+        red = MFoldBoundary(m=3, reduced=np.array([0.1, -0.02]))
+        assert np.array_equal(embed_mfold(red).coeffs, [0.0, 0.0, 0.1, 0.0, 0.0, -0.02])
 
     def test_round_trip(self, rng):
         for m in (2, 3, 5):

@@ -15,7 +15,7 @@ from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                           singular_moment_I, singular_moment_J, singular_moment_Z,
                           sqg_moment_1, sqg_moment_2)
 from gsqg.linearization import monomial_derivatives
-from gsqg.specfun import conv_constant, gamma_fn, pochhammer_ratio, theta_alpha
+from gsqg.specfun import _ratio_ladder, conv_constant, gamma_fn, theta_alpha
 
 from dense_oracle import (critical_residual_dense, eval_deriv_at, eval_map_at, s_phi_dense,
                           sqg_layer_dense)
@@ -431,8 +431,7 @@ def oracle_s_phi(bnd, alpha, grid):
     w, phi, dphi, h = _oracle_chord(bnd, grid)
     pref = gamma_fn(1.0 - alpha) / gamma_fn(1.0 - alpha / 2.0) ** 2
     p_max = grid.size // 2 + 1
-    ratios = np.array([pochhammer_ratio(alpha / 2.0, 1.0 - alpha / 2.0, p)
-                       for p in range(p_max + 1)])
+    ratios = _ratio_ladder(alpha / 2.0, 1.0 - alpha / 2.0, p_max)
     ladder = lambda k: pref * ratios[np.abs(k + 1.0).astype(int)]
     return conv_constant(alpha) * _oracle_rows(dphi[None, :] * h ** (-alpha),
                                                grid, ladder, 1.0)

@@ -351,7 +351,9 @@ class TestJacobian:
 
     def test_mfold_rows_decouple(self):
         m, grid = 3, UnitGrid(208)
-        bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array([0.04, 0.001])), 11)
+        # b_0 .. b_11, zero-padded past the m-fold modes
+        coeffs = embed_mfold(MFoldBoundary(m=m, reduced=[0.04, 0.001])).coeffs
+        bnd = FourierBoundary(np.pad(coeffs, (0, 12 - len(coeffs))))
         jac = grid.sine_coeffs(monomial_derivatives(bnd, range(12), 0.3, 0.5, grid), 12).T
         assert np.max(np.abs(jac - fd_jacobian_matrix(bnd, 0.3, 0.5, grid, 12))) < 1e-7
         for col in range(12):

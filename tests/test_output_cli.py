@@ -14,6 +14,7 @@ import gsqg.continuation as continuation
 import gsqg.kernels as kernels
 import gsqg.linearization as lin
 import gsqg.oracles as oracles
+import gsqg.specfun as specfun
 from gsqg.cli import main
 from gsqg.continuation import NonConvergenceError
 from gsqg.geometry import default_grid
@@ -259,6 +260,18 @@ class TestCli:
             report = json.loads((tmp_path / alpha / "scan_m3.json").read_text())
             assert report["gap"] < 1e-14
 
+    def test_dispersion_reads_one_ladder(self, tmp_path, monkeypatch):
+        calls = []
+        original = specfun.gap_ladder
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(specfun, "gap_ladder", counting)
+        assert run_cli(tmp_path, "dispersion", "--alpha", "0.5", "--m-max", "50") == 0
+        # every omega_m of the report is a rung of one ladder up to m = 50
+        assert calls == [(1.25, 1.75, 49)]
+
     def test_linearize_critical(self, tmp_path):
         assert run_cli(tmp_path, "linearize", "--alpha", "1", "--omega", "0.3",
                        "--n-modes", "8") == 0
@@ -416,7 +429,7 @@ class TestCli:
     (("scan", "--alpha", "1", "--m", "3"), []),
     (("linearize", "--alpha", "0.5", "--omega", "0.3", "--n-modes", "8"), []),
     (("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.01"), []),
-    (("dispersion", "--alpha", "0.5"), ["scipy.special"]),
+    (("dispersion", "--alpha", "0.5"), []),
     (("evolve", "--alpha", "0.5", "--t-final", "0.01", "--dt", "0.01", "--nodes", "64"),
      ["scipy.spatial", "scipy.special"]),
     (("rigid-check", "--alpha", "0.5", "--nodes", "128"), ["scipy.spatial", "scipy.special"]),

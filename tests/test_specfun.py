@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from scipy.special import digamma
+from scipy.special import digamma, zeta
 
 from gsqg.linearization import multiplier_at_disc
-from gsqg.specfun import (EULER_GAMMA, DispersionTable, GammaOverflowError,
-                          GammaPoleError, conv_constant, gamma_fn, gap_ladder,
+from gsqg.specfun import (DispersionTable, GammaOverflowError, GammaPoleError,
+                          _ratio_ladder, conv_constant, gamma_fn, gap_ladder,
                           odd_harmonic_ladder, omega_asymptotic,
-                          omega_dispersion, omega_sqg, pochhammer_ratio,
-                          theta_alpha, zeta_tail_constant)
+                          omega_dispersion, omega_sqg, theta_alpha)
 
 SQRT_PI = 1.7724538509055159
 
@@ -52,18 +51,17 @@ class TestGamma:
 
 class TestPochhammer:
     def test_empty_product(self):
-        assert pochhammer_ratio(3.7, 1.2, 0) == 1.0
+        assert np.array_equal(_ratio_ladder(3.7, 1.2, 0), [1.0])
         with pytest.raises(ValueError):
-            pochhammer_ratio(3.7, 1.2, -1)
+            _ratio_ladder(3.7, 1.2, -1)
 
     def test_small(self):
         # (2)_p / (1)_p = (p+1)! / p! = p + 1
-        assert [pochhammer_ratio(2.0, 1.0, p) for p in range(4)] == pytest.approx(
-            [1.0, 2.0, 3.0, 4.0], rel=1e-15)
+        assert _ratio_ladder(2.0, 1.0, 3) == pytest.approx([1.0, 2.0, 3.0, 4.0], rel=1e-15)
 
     def test_gamma_identity(self):
         # (a)_n / (b)_n = gamma(a + n) gamma(b) / (gamma(a) gamma(b + n))
-        assert pochhammer_ratio(0.25, 1.75, 5) == pytest.approx(
+        assert _ratio_ladder(0.25, 1.75, 5)[-1] == pytest.approx(
             gamma_fn(5.25) * gamma_fn(1.75) / (gamma_fn(0.25) * gamma_fn(6.75)), rel=1e-13)
 
     def test_recurrences(self, rng):
@@ -71,13 +69,13 @@ class TestPochhammer:
         for _ in range(200):
             a, b = rng.uniform(0.05, 5.0, 2)
             n = int(rng.integers(1, 21))
-            assert pochhammer_ratio(a, b, n) == pytest.approx(
-                a / b * pochhammer_ratio(a + 1.0, b + 1.0, n - 1), rel=1e-12)
+            assert _ratio_ladder(a, b, n)[-1] == pytest.approx(
+                a / b * _ratio_ladder(a + 1.0, b + 1.0, n - 1)[-1], rel=1e-12)
 
     def test_ratio_matches_direct(self):
         k = range(7)
         direct = math.prod(1.25 + j for j in k) / math.prod(1.75 + j for j in k)
-        assert pochhammer_ratio(1.25, 1.75, 7) == pytest.approx(direct, rel=1e-13)
+        assert _ratio_ladder(1.25, 1.75, 7)[-1] == pytest.approx(direct, rel=1e-13)
 
 
 class TestConvConstant:
@@ -145,7 +143,11 @@ class TestDispersion:
 
     def test_table_matches_scalar(self):
         tab = DispersionTable.build(0.37, 50)
-        tab.check_invariants()
+        assert list(tab.values) == list(range(2, 51))
+        vals = np.array(list(tab.values.values()))
+        # positive, below theta and strictly increasing in m
+        assert np.all(vals > 0.0) and np.all(vals < theta_alpha(0.37))
+        assert np.all(np.diff(vals) > 0.0)
         for m in (2, 17, 50):
             assert tab.values[m] == pytest.approx(omega_dispersion(0.37, m), rel=1e-14)
 
@@ -192,18 +194,28 @@ class TestTheta:
                 theta_alpha(a)
 
 
+def zeta_series_amplitude(a):
+    """(1 - a/2) exp(a euler_gamma + c(a)), c the odd-zeta power series
+    2 sum_{j=1}^{60} zeta(2j+1) (a/2)^(2j+1) / (2j+1): the large-mode amplitude
+    of omega_asymptotic (over theta) by a route that shares no gamma call."""
+    p = 2.0 * np.arange(1, 61) + 1.0
+    c = float(np.sum(2.0 * zeta(p) * (a / 2.0) ** p / p))
+    return (1.0 - a / 2.0) * math.exp(a * np.euler_gamma + c)
+
+
 class TestAsymptotics:
     def test_constant_pinned_by_gamma_identity(self):
         # (1 - a/2) exp(a*gamma + c) = gamma(2 - a/2)/gamma(1 + a/2)
         for a in (0.1, 0.5, 0.9):
-            lhs = (1.0 - a / 2.0) * math.exp(a * EULER_GAMMA + zeta_tail_constant(a))
             rhs = gamma_fn(2.0 - a / 2.0) / gamma_fn(1.0 + a / 2.0)
-            assert lhs == pytest.approx(rhs, rel=1e-13)
+            assert zeta_series_amplitude(a) == pytest.approx(rhs, rel=1e-13)
 
-    def test_tail_constant_small_alpha(self):
-        c = zeta_tail_constant(0.01)
-        assert c < 1e-6
-        assert c == pytest.approx(0.01 ** 3 * 1.2020569031595942 / 12.0, rel=1e-4)
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 0.9, 0.99])
+    def test_amplitude_matches_zeta_series(self, alpha):
+        th = theta_alpha(alpha)
+        for n in (2, 10, 1000, 20000):
+            ref = th - th * zeta_series_amplitude(alpha) / n ** (1.0 - alpha)
+            assert abs(omega_asymptotic(alpha, n) - ref) <= 1e-14
 
     def test_matches_dispersion_at_large_mode(self):
         assert abs(omega_asymptotic(0.5, 1000) - omega_dispersion(0.5, 1000)) < 5e-6
@@ -221,20 +233,6 @@ class TestAsymptotics:
         scaled = np.array([n ** (2.0 - a) * abs(omega_asymptotic(a, n) - tab.values[n])
                            for n in range(50, 2001)])
         assert scaled[975:].max() <= scaled[:975].max()
-
-
-
-class TestZeta:
-    def test_known_values(self):
-        # the gamma identity of the tail constant at alpha = 1 gives ln 2 - gamma
-        assert zeta_tail_constant(0.0) == 0.0
-        assert zeta_tail_constant(1.0) == pytest.approx(math.log(2.0) - EULER_GAMMA,
-                                                        rel=1e-14)
-
-    def test_domain(self):
-        for a in (-0.1, 1.5):
-            with pytest.raises(ValueError):
-                zeta_tail_constant(a)
 
 
 class TestGapLadder:
@@ -293,7 +291,7 @@ class TestDigamma:
 
     def test_against_scipy(self):
         p = np.arange(20)
-        expect = (digamma(p + 0.5) + EULER_GAMMA + 2.0 * math.log(2.0)) / 2.0
+        expect = (digamma(p + 0.5) + np.euler_gamma + 2.0 * math.log(2.0)) / 2.0
         assert odd_harmonic_ladder(19) == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
     def test_reproduces_critical_dispersion(self):
