@@ -30,7 +30,8 @@ print(f"normal velocity vs rigid rotation at 512 nodes: "
       f"{normal_velocity_residual(state0, sol.omega):.2e}")
 
 quarter = np.pi / (2.0 * sol.omega)
-# the step: the stability rule of the top disc mode or the node-spacing guard
+# the step: the stability rule of the top mode the filter keeps, or the
+# node-spacing guard
 steps = int(np.ceil(quarter / min(normal_step_bounds(state0))))
 print(f"marching a quarter period T = {quarter:.3f} in {steps} steps ...")
 state1 = evolve(state0, quarter, quarter / steps)

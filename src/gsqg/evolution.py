@@ -14,7 +14,9 @@ smaller than the node speed, so the step comes from stability instead.  The
 stiff part of the motion, its linearization about the equal-area disc,
 turns each boundary mode k at the rate k Omega_k R^(-alpha) of the
 dispersion relation; `step_normal` integrates that part exactly
-(integrating-factor RK4) and leaves RK4 only the rest.
+(integrating-factor RK4) and leaves RK4 only the rest.  The velocity filter
+keeps the modes up to k_c = N/3 of N nodes (the 2/3 rule), and the step is
+sized for mode k_c, the fastest one the stages still carry.
 
 States are immutable snapshots; stepping returns new states.
 """
@@ -36,10 +38,10 @@ from .specfun import DispersionTable, conv_constant, omega_dispersion
 
 _WINDOW = 3  # neighbours on each side of a node that the near-approach guard ignores
 _TILE = 128  # rows per pair-kernel strip; 64 ties at 512 nodes, 256 is ~10% slower
-# normal-velocity filter exp(-_FILTER_DECAY (|k|/(N/2))^_FILTER_ORDER): the
-# decay takes the Nyquist mode to e^-36 ~ 2e-16, machine precision; the
-# order keeps every mode below 0.8 N/2 within 1.2% of 1, so only the top
-# fifth of the spectrum, where the scheme's high modes grow, is damped
+# normal-velocity filter exp(-_FILTER_DECAY (|k|/k_c)^_FILTER_ORDER) with the
+# cutoff k_c of `_filter_cutoff` (Hou & Li, JCP 2007): the decay takes mode
+# k_c to e^-36 ~ 2e-16, machine precision; the order keeps every mode below
+# 0.8 k_c within 1.2% of 1, so only the top fifth of the kept band is damped
 _FILTER_DECAY = 36.0
 _FILTER_ORDER = 36
 # fraction of the RK4 stability reach (2 sqrt 2 on the imaginary axis) used
@@ -48,11 +50,10 @@ _FILTER_ORDER = 36
 _STABILITY_SAFETY = 0.8
 # `stability_step` grows that step by _TILT_REACH / max|sin theta|, between 1
 # and _TILT_CAP.  Over alpha 0.35, 0.97, m 2-4, s 0.03-0.1 at 256 and 512
-# nodes the first unstable step came at 0.37-0.82 / max|sin theta| times the
-# plain RK4 step, 1.67-4.3 times the rule's; at alpha = 0.35 with s = 0.03 or
-# (m, s) = (4, 0.1) the quarter-spacing guard came first, and at
-# (0.97, 2, 0.03) and at s = 0.01 nothing but the guard failed below 21
-# times; both constants keep 1.5x from the first unstable step
+# nodes the first unstable step came at 0.38-0.85 / max|sin theta| times the
+# plain RK4 step, 2.0-4.5 times the rule's, at alpha = 0.97 only: at
+# alpha = 0.35 nothing but the quarter-spacing guard failed; both constants
+# keep 1.5x from the first unstable step
 _TILT_REACH = 0.19
 _TILT_CAP = 8.0
 # share of the quarter-spacing bound taken by `normal_step_bounds`, so that
@@ -164,11 +165,18 @@ def _antiderivative_factors(m: int) -> np.ndarray:
     return inv
 
 
+def _filter_cutoff(m: int) -> int:
+    """k_c = m // 3 for m nodes, the top mode the 2/3 rule keeps (Orszag,
+    J. Atmos. Sci. 1971): the cutoff of `_velocity_filter` and the mode
+    whose rate sets `stability_step`."""
+    return m // 3
+
+
 @lru_cache(maxsize=16)
 def _velocity_filter(m: int) -> np.ndarray:
     """The filter in the basis of w = z e^(-i sigma): FFT index j of z holds
     mode j - 1 of w."""
-    k = np.abs(np.roll(np.fft.fftfreq(m, d=1.0 / m), 1)) / (m / 2.0)
+    k = np.abs(np.roll(np.fft.fftfreq(m, d=1.0 / m), 1)) / _filter_cutoff(m)
     filt = np.exp(-_FILTER_DECAY * k ** _FILTER_ORDER)
     filt.flags.writeable = False
     return filt
@@ -406,9 +414,10 @@ def normal_node_velocity(state: ContourState) -> np.ndarray:
     which makes d|z_sigma|/dt the same at every node, so equal spacing
     stays equal.
     The velocity passes through the fixed spectral filter
-    exp(-36 (|k|/(N/2))^36) in the basis of w = z e^(-i sigma), where mode
-    k of w is mode k + 1 of z, so that it filters the normal and the
-    tangential displacement alike (see `_DiscFlow`).
+    exp(-36 (|k|/k_c)^36), k_c = N/3 (`_filter_cutoff`), in the basis of
+    w = z e^(-i sigma), where mode k of w is mode k + 1 of z, so that it
+    filters the normal and the tangential displacement alike (see
+    `_DiscFlow`).
     """
     return ifft(_normal_velocity_spectrum(state))
 
@@ -449,22 +458,25 @@ def stability_step(state: ContourState) -> float:
     """Stability bound on the step of `step_normal`.
 
     On a disc of radius R mode k turns at the rate k Omega_k(alpha)
-    R^(-alpha).  Plain RK4 keeps the top mode k = N/2 of N equally spaced
-    nodes (spacing ds = 2 pi R / N) inside its reach 2 sqrt 2 on the
-    imaginary axis with dt_0 = 0.8 * 2 sqrt 2 ds / (pi Omega_{N/2}
-    R^(1-alpha)), R = sqrt(area / pi).  The integrating factor turns the
-    disc's modes exactly; what the stages still see comes from the tilt
-    theta_j of the tangent against the disc's tangent i e^(i sigma_j),
-    because the shape's normal displacement is r cos theta + q sin theta:
-    the top modes keep rates of about |sin theta| times the disc's.  The
-    bound is dt_0 * min(_TILT_CAP, max(1, _TILT_REACH / max |sin theta_j|)),
-    and under z -> lambda z it scales as lambda^alpha, like the clock.
+    R^(-alpha).  The velocity filter leaves no mode above k_c = N/3
+    (`_filter_cutoff`) of N nodes, and plain RK4 keeps that top mode inside
+    its reach 2 sqrt 2 on the imaginary axis with dt_0 = 0.8 * 2 sqrt 2
+    N ds / (2 pi k_c Omega_{k_c} R^(1-alpha)), where ds is the mean node
+    spacing (2 pi R / N on the disc) and R = sqrt(area / pi).  The
+    integrating factor turns the disc's modes exactly; what the stages
+    still see comes from the tilt theta_j of the tangent against the disc's
+    tangent i e^(i sigma_j), because the shape's normal displacement is
+    r cos theta + q sin theta: the top modes keep rates of about
+    |sin theta| times the disc's.  The bound is
+    dt_0 * min(_TILT_CAP, max(1, _TILT_REACH / max |sin theta_j|)), and
+    under z -> lambda z it scales as lambda^alpha, like the clock.
     """
     m = state.size
     radius = math.sqrt(_area(state) / math.pi)
-    top = omega_dispersion(state.alpha, m // 2)
-    base = (_STABILITY_SAFETY * 2.0 * math.sqrt(2.0) * _mean_spacing(state.nodes)
-            / (math.pi * top * radius ** (1.0 - state.alpha)))
+    cutoff = _filter_cutoff(m)
+    top = cutoff * omega_dispersion(state.alpha, cutoff)
+    base = (_STABILITY_SAFETY * 2.0 * math.sqrt(2.0) * m * _mean_spacing(state.nodes)
+            / (2.0 * math.pi * top * radius ** (1.0 - state.alpha)))
     zs = state.tangent
     # sin theta_j = -Re(z_sigma e^(-i sigma_j)) / |z_sigma|
     tilt = float(np.max(np.abs((zs * np.exp(-2j * np.pi * np.arange(m) / m)).real)

@@ -272,6 +272,20 @@ class TestCli:
         # every omega_m of the report is a rung of one ladder up to m = 50
         assert calls == [(1.25, 1.75, 49)]
 
+    def test_dispersion_asymptotic_columns(self, tmp_path):
+        # `asymptotic` is omega_asymptotic and `asymptotic_error` its distance
+        # to omega, which falls faster than the m^(alpha-2) omega_asymptotic
+        # states: m^1.7 times it reads 9.6e-4 at m = 10 and 9.6e-5 at m = 100
+        # (with gamma(2 - alpha) in the amplitude, 0.25 and 2.5)
+        assert run_cli(tmp_path, "dispersion", "--alpha", "0.3", "--m-max", "100",
+                       "--format", "json") == 0
+        rows = json.loads((tmp_path / "dispersion.json").read_text())["rows"]
+        for row in rows:
+            assert row["asymptotic"] == specfun.omega_asymptotic(0.3, row["m"])
+            assert row["asymptotic_error"] == abs(row["omega"] - row["asymptotic"])
+        scaled = {row["m"]: row["asymptotic_error"] * row["m"] ** 1.7 for row in rows}
+        assert scaled[100] < 0.2 * scaled[10]
+
     def test_linearize_critical(self, tmp_path):
         assert run_cli(tmp_path, "linearize", "--alpha", "1", "--omega", "0.3",
                        "--n-modes", "8") == 0
