@@ -32,8 +32,7 @@ from .kernels import (ResidualField, SelfIntersectionError,
 from .linearization import (BracketError, bifurcation_scan,
                             crosses_transversally, disc_jacobian,
                             gateaux_derivative, kernel_diagnostics,
-                            mixed_omega_column, monomial_derivatives,
-                            multiplier_at_disc, omega_slope,
+                            monomial_derivatives, multiplier_at_disc,
                             transversality_check)
 from .continuation import (BranchTable, FoldError, NonConvergenceError,
                            VStateSolution, continue_branch, solve_vstate,

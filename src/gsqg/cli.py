@@ -110,11 +110,7 @@ def cmd_dispersion(args) -> int:
     else:
         path = write_csv(out / "dispersion.csv",
                          ["m", "omega", "theta_gap", "asymptotic", "asymptotic_error"],
-                         [[r["m"], r["omega"],
-                           "" if r["theta_gap"] is None else r["theta_gap"],
-                           "" if r["asymptotic"] is None else r["asymptotic"],
-                           "" if r["asymptotic_error"] is None else r["asymptotic_error"]]
-                          for r in rows])
+                         [list(r.values()) for r in rows])
     return _ok(f"wrote {path}")
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (FourierBoundary, MFoldBoundary, UnitGrid, default_grid,
-                       dilate, embed_mfold)
+                       dilate, embed_mfold, eval_deriv, eval_map)
 from .kernels import SelfIntersectionError, functional_G
-from .linearization import monomial_derivatives, omega_slope
+from .linearization import monomial_derivatives
 from .specfun import omega_dispersion
 
 
@@ -100,9 +100,10 @@ def _omega_column(bnd: FourierBoundary, m: int, grid: UnitGrid, k_modes: int) ->
     """Omega column of the reduced Jacobian at bnd.
 
     The functional is affine in omega, so the column is the sine expansion
-    of its slope (omega_slope) and depends on the boundary only.
+    of its slope Im(phi conj(w) conj(phi')) and depends on the boundary only.
     """
-    return grid.sine_coeffs(omega_slope(bnd, grid))[_sine_rows(m, k_modes)]
+    slope = np.imag(eval_map(bnd, grid) * np.conj(grid.nodes) * np.conj(eval_deriv(bnd, grid)))
+    return grid.sine_coeffs(slope)[_sine_rows(m, k_modes)]
 
 
 def _mfold_jacobian(omega: float, reduced: np.ndarray, alpha: float, m: int,

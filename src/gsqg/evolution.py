@@ -193,20 +193,6 @@ def _guard_step(z: np.ndarray, velocity: np.ndarray) -> float:
     return _mean_spacing(z) / (4.0 * top) if top > 0.0 else math.inf
 
 
-@lru_cache(maxsize=64)
-def _band(m: int, i0: int) -> np.ndarray:
-    """The flat strip indices of the entries with 1 <= |i - j| <= _WINDOW
-    (mod m) of the strip rows i0.. against the columns j >= i0: the
-    neighbours the near-approach guard ignores."""
-    rows = np.arange(i0, min(i0 + _TILE, m))[:, None]
-    gaps = np.arange(1, _WINDOW + 1)
-    cols = (rows + np.concatenate([gaps, -gaps])) % m
-    keep = (cols >= i0) & (cols != rows)
-    index = np.unique(((rows - i0) * (m - i0) + cols - i0)[keep])
-    index.flags.writeable = False
-    return index
-
-
 @lru_cache(maxsize=32)
 def _zeta_pair(alpha: float) -> tuple[float, float]:
     """(zeta(alpha), zeta(alpha - 2)), the weights of the node corrections
@@ -241,9 +227,9 @@ def _pair_kernel_products(z: np.ndarray, alpha: float, vec: np.ndarray) -> np.nd
         np.fill_diagonal(d2, np.inf)
         nearest_sq = d2.min()
         if nearest_sq < floor_sq:
-            off = buf[:size].copy()
-            off[_band(m, i0)] = np.inf
-            nearest_sq = off.min()
+            # the cyclic gap j - i mod m: within _WINDOW either way is a neighbour
+            gap = (np.arange(i0, m) - np.arange(i0, i1)[:, None]) % m
+            nearest_sq = np.where((gap > _WINDOW) & (gap < m - _WINDOW), d2, np.inf).min()
             if nearest_sq < floor_sq:
                 raise ContourError(
                     f"non-adjacent nodes at distance {math.sqrt(nearest_sq):.3e} "

@@ -7,7 +7,8 @@ Away from the disc, and at every alpha in (0, 1], the directional
 derivative is assembled from the same product quadrature as the nonlinear
 functional.  The disc Jacobian behind the kernel, transversality and
 bifurcation diagnostics is that analytic derivative; it rebuilds the
-multipliers from the quadrature pipeline rather than from their closed form.
+multipliers from the quadrature pipeline rather than from their closed form,
+and only their omega slope (n+1)/2 is taken in closed form.
 
 The functional is rotation equivariant, so the derivative along w^(-n) on
 one sector of the boundary's m-fold symmetry, together with the
@@ -60,13 +61,9 @@ def _chord_sums(terms: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return prefix[:, modes + 1] - terms[:, :1]
 
 
-def omega_slope(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
-    """dG/domega on the grid: G is affine in omega with slope Im(phi conj(w) conj(phi'))."""
-    return np.imag(eval_map(bnd, grid) * np.conj(grid.nodes) * np.conj(eval_deriv(bnd, grid)))
-
-
 def _mixed_slope(phi, dphi, w, inv, dhv) -> np.ndarray:
-    """Derivative of omega_slope along h, Im(phi conj(w h') + (h/w) conj(phi')).
+    """Derivative along h of the omega slope Im(phi conj(w) conj(phi')) of G,
+    Im(phi conj(w h') + (h/w) conj(phi')).
 
     inv = h/w and dhv = h' broadcast against the boundary samples phi, dphi, w.
     """
@@ -189,20 +186,6 @@ def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
     return _field_from_values(amps @ fields, grid)
 
 
-def mixed_omega_column(bnd: FourierBoundary, mode: int, grid: UnitGrid,
-                       n_rows: int) -> np.ndarray:
-    """Mixed derivative d/domega of the Jacobian column for b_mode.
-
-    The functional is affine in omega, so this is the sine expansion of the
-    derivative of omega_slope along w^(-mode), at every alpha.  At the disc it
-    reproduces (m/2) * i(w^m - conj(w)^m) for the direction b_{m-1}.
-    """
-    inv = np.exp(-1j * (mode + 1) * grid.angles)   # w^(-mode-1) = h / w
-    mixed = _mixed_slope(eval_map(bnd, grid), eval_deriv(bnd, grid), grid.nodes,
-                         inv, -mode * inv)
-    return grid.sine_coeffs(mixed)[:n_rows]
-
-
 def disc_jacobian(alpha: float, omega: float, n_modes: int,
                   grid: UnitGrid | None = None) -> np.ndarray:
     """Analytic Jacobian at the disc over the modes b_0 .. b_{n_modes-1}.
@@ -225,17 +208,17 @@ def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float]) ->
     """Locate the angular velocity where the mode-(m-1) column vanishes.
 
     The functional is affine in omega, so the (m, m-1) entry of the
-    quadrature-assembled disc Jacobian is e(omega) = A + omega B, with A
-    from one monomial_derivatives column at omega = 0 and B from
-    mixed_omega_column; its root -A/B must land on the closed-form
-    dispersion value, and doing so checks the whole product-quadrature
-    pipeline at once.  BracketError when e keeps its sign over the window.
+    quadrature-assembled disc Jacobian is e(omega) = A + omega m/2: A comes
+    from one monomial_derivatives column at omega = 0, and m/2 is the omega
+    slope of the multiplier m(omega - omega_m)/2.  Its root -A/(m/2) must
+    land on the closed-form dispersion value, and doing so checks the whole
+    product-quadrature pipeline at once.  BracketError when e keeps its
+    sign over the window.
     """
     grid = default_grid(m + 1)
-    disc = FourierBoundary.identity()
-    entry_0 = grid.sine_coeffs(monomial_derivatives(disc, [m - 1], 0.0, alpha, grid),
-                               m)[0, m - 1]
-    slope = mixed_omega_column(disc, m - 1, grid, m)[m - 1]
+    entry_0 = grid.sine_coeffs(monomial_derivatives(FourierBoundary.identity(), [m - 1],
+                                                    0.0, alpha, grid), m)[0, m - 1]
+    slope = m / 2.0
     lo, hi = omega_window
     if (entry_0 + lo * slope) * (entry_0 + hi * slope) > 0.0:
         raise BracketError(f"no sign change of mode-{m - 1} multiplier in {omega_window}")
@@ -247,11 +230,12 @@ def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = 16) ->
 
     Reports the number of near-zero singular values, the mass the critical
     right singular vector carries on mode m-1, and the conditioning of the
-    complement with the b_{m-1} column removed.
+    complement with the b_{m-1} column removed.  The omega column, the
+    mixed derivative along b_{m-1}, is its closed form (m/2) e_{m-1}: only
+    sine mode m moves, with the omega slope of the multiplier.
     """
     n_modes = max(n_modes, m + 4)
-    grid = default_grid(n_modes + 1)
-    entries = disc_jacobian(alpha, omega, n_modes, grid)
+    entries = disc_jacobian(alpha, omega, n_modes)
     u_mat, sv, vt = np.linalg.svd(entries)
     scale = sv[0]
     n_small = int(np.sum(sv < 1e-9 * scale))
@@ -260,7 +244,8 @@ def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = 16) ->
     keep = [n for n in range(n_modes) if n != m - 1]
     reduced = entries[np.ix_(keep, keep)]
     cond = float(np.linalg.cond(reduced))
-    omega_col = mixed_omega_column(FourierBoundary.identity(), m - 1, grid, n_modes)
+    omega_col = np.zeros(n_modes)
+    omega_col[m - 1] = m / 2.0
     return {"singular_values": sv, "n_small": n_small, "kernel_mass": mass,
             "cokernel": u_mat[:, -1], "omega_column": omega_col,
             "reduced_condition": cond}

@@ -60,6 +60,7 @@ def write_json(path: Path, obj) -> Path:
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Rows of cells under header; a None cell is left empty."""
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
@@ -68,7 +69,7 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
             if isinstance(cell, (float, np.floating)):
                 cells.append(format_float(float(cell), CSV_SIG))
             else:
-                cells.append(str(cell))
+                cells.append("" if cell is None else str(cell))
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

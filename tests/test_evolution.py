@@ -204,6 +204,23 @@ class TestVelocity:
         u = velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
         assert np.all(np.isfinite(u))
 
+    @pytest.mark.parametrize("n_nodes, moved, anchor, raises", [
+        (256, 255, 0, False),                   # node N - 1 next to node 0
+        (512, 128, 127, False),                 # neighbours in adjacent strips
+        (256, 10 + ev._WINDOW, 10, False),      # the farthest ignored neighbour
+        (256, 11 + ev._WINDOW, 10, True),       # the nearest node the guard sees
+    ], ids=["wrap-around", "strip-boundary", "gap-window", "gap-window-plus-one"])
+    def test_band_edges(self, n_nodes, moved, anchor, raises):
+        # the moved node comes within 2% of its gap to the anchor, far below the floor
+        nodes = ContourState.disc(n_nodes, 0.5).nodes
+        nodes[moved] = nodes[anchor] + 0.02 * (nodes[moved] - nodes[anchor])
+        state = ContourState(nodes=nodes, time=0.0, alpha=0.5)
+        if raises:
+            with pytest.raises(ContourError, match="non-adjacent"):
+                velocity_contour(state)
+        else:
+            assert np.all(np.isfinite(velocity_contour(state)))
+
     def test_near_contact_past_first_strip_raises(self):
         # nodes 300 and 305 are non-adjacent and both lie in the third strip
         nodes = ContourState.disc(512, 0.5).nodes

@@ -4,12 +4,12 @@ import pytest
 import gsqg.linearization as lin
 from gsqg import kernels
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary, UnitGrid,
-                           embed_mfold, eval_deriv, eval_map)
+                           default_grid, embed_mfold, eval_deriv, eval_map)
 from gsqg.kernels import _field_from_values, functional_G
 from gsqg.linearization import (BracketError, bifurcation_scan, crosses_transversally,
                                 disc_jacobian, gateaux_derivative, kernel_diagnostics,
-                                mixed_omega_column, monomial_derivatives,
-                                multiplier_at_disc, transversality_check)
+                                monomial_derivatives, multiplier_at_disc,
+                                transversality_check)
 from gsqg.specfun import omega_dispersion, omega_sqg, theta_alpha
 
 from dense_oracle import chord_ratio, contract, conv_constant
@@ -20,6 +20,14 @@ def direction(mode: int, amp: float = 1.0) -> FourierBoundary:
     coeffs = np.zeros(mode + 1)
     coeffs[mode] = amp
     return FourierBoundary(coeffs)
+
+
+def pass_omega_slope(bnd: FourierBoundary, mode: int, alpha: float, grid: UnitGrid,
+                     n_rows: int) -> np.ndarray:
+    """d/domega of the pass's b_mode column: G is affine in omega."""
+    cols = [grid.sine_coeffs(monomial_derivatives(bnd, [mode], om, alpha, grid), n_rows)[0]
+            for om in (1.0, 0.0)]
+    return cols[0] - cols[1]
 
 
 def _ratio_matrix(vals, w, diag):
@@ -328,16 +336,18 @@ class TestJacobian:
         fd = fd_jacobian_matrix(FourierBoundary.identity(), om, 1.0, grid, 8)
         assert np.max(np.abs(jac - fd)) < 1e-7
 
-    def test_mixed_omega_column_at_disc(self):
-        # direction b_{m-1} responds in sine mode m with weight m/2
-        for m in (2, 3, 5):
-            col = mixed_omega_column(FourierBoundary.identity(), m - 1, UnitGrid(128), 8)
-            expect = np.zeros(8)
-            expect[m - 1] = m / 2.0
-            assert np.max(np.abs(col - expect)) < 1e-9
+    def test_omega_column_at_disc(self):
+        # the closed form (m/2) e_(m-1): direction b_(m-1) moves sine mode m
+        # alone, with the omega slope of the pass's column
+        for alpha in (0.3, 0.5, 1.0):
+            for m in (2, 3, 5):
+                col = kernel_diagnostics(alpha, m, omega_dispersion(alpha, m))["omega_column"]
+                grid = default_grid(len(col) + 1)
+                slope = pass_omega_slope(FourierBoundary.identity(), m - 1, alpha, grid, len(col))
+                assert np.max(np.abs(col - slope)) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_mixed_omega_column_matches_finite_differences(self, alpha):
+    def test_mixed_slope_matches_finite_differences(self, alpha):
         # G is affine in omega: one central difference in omega of the
         # finite-difference direction column is the mixed derivative
         grid = UnitGrid(128)
@@ -346,7 +356,7 @@ class TestJacobian:
             for mode in (1, 2, 4):
                 fd = (fd_column(bnd, mode, 0.5, alpha, grid, 1e-6, 12)
                       - fd_column(bnd, mode, -0.5, alpha, grid, 1e-6, 12))
-                col = mixed_omega_column(bnd, mode, grid, 12)
+                col = pass_omega_slope(bnd, mode, alpha, grid, 12)
                 assert np.max(np.abs(col - fd)) < 1e-9
 
     def test_mfold_rows_decouple(self):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st  # noqa: E402
 import gsqg.linearization as lin  # noqa: E402
 from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid,  # noqa: E402
                            default_grid, embed_mfold)
-from gsqg.linearization import (disc_jacobian, mixed_omega_column,  # noqa: E402
-                                monomial_derivatives, multiplier_at_disc)
+from gsqg.linearization import (disc_jacobian, monomial_derivatives,  # noqa: E402
+                                multiplier_at_disc)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 # the subtracted kernel at alpha = 1 and the plain one below it; the plain
@@ -32,11 +32,12 @@ def test_disc_jacobian_is_the_multiplier_diagonal(alpha, omega, n_modes):
 @SETTINGS
 @given(alpha=alphas, omega=omegas, mode=st.integers(min_value=0, max_value=11))
 def test_disc_column_is_affine_in_omega(alpha, omega, mode):
-    # e(omega) = e(0) + omega * mixed_omega_column: the identity bifurcation_scan solves
+    # e(omega) = e(0) + omega ((mode + 1)/2) e_mode: the identity bifurcation_scan solves
     disc, grid = FourierBoundary.identity(), default_grid(13)
     column = [grid.sine_coeffs(monomial_derivatives(disc, [mode], om, alpha, grid), 12)[0]
               for om in (omega, 0.0)]
-    slope = mixed_omega_column(disc, mode, grid, 12)
+    slope = np.zeros(12)
+    slope[mode] = (mode + 1) / 2.0
     assert np.max(np.abs(column[0] - column[1] - omega * slope)) < 1e-12
 
 

@@ -43,10 +43,11 @@ class TestFormatting:
         assert json.loads(text) == {"v": [0.0, 1.0, 2.0], "n": 4}
 
     def test_csv_writer(self, tmp_path):
-        p = write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 0.5], [2, 1.0 / 3.0]])
+        p = write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 0.5], [2, 1.0 / 3.0], [None, 0.5]])
         lines = p.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[2] == "2,0.333333333333"
+        assert lines[3] == ",0.5"     # None is an empty cell
 
     @staticmethod
     def _bezier_path_per_coordinate(points):
