@@ -108,11 +108,6 @@ class ContourState:
         """d(gamma)/d(sigma) at the nodes."""
         return self.derivatives[0]
 
-    @property
-    def second_derivative(self) -> np.ndarray:
-        """d^2(gamma)/d(sigma)^2 at the nodes."""
-        return self.derivatives[1]
-
     @classmethod
     def from_spectrum(cls, spectrum: np.ndarray, time: float,
                       alpha: float) -> "ContourState":
@@ -385,7 +380,7 @@ def _normal_velocity_spectrum(state: ContourState) -> np.ndarray:
     tangent = zs / speed
     un = _normal_speed(state, tangent)
     # kappa |z_sigma| = Im(conj(z_sigma) z_sigma_sigma) / |z_sigma|^2
-    stretch = un * (np.conj(zs) * state.second_derivative).imag / speed ** 2
+    stretch = un * (np.conj(zs) * state.derivatives[1]).imag / speed ** 2
     # dT/dsigma = <stretch> - stretch; the antiderivative factors drop the mean
     tang = -irfft(rfft(stretch) * _antiderivative_factors(state.size), n=state.size)
     return fft((tang - 1j * un) * tangent) * _velocity_filter(state.size)

@@ -39,11 +39,6 @@ class UnitGrid:
         if self.size < 2 or self.size % 2:
             raise ValueError("grid size must be even and >= 2")
 
-    @classmethod
-    def half_offset(cls, size: int) -> "UnitGrid":
-        """Nodes halfway between the default ones; keeps kernels off targets."""
-        return cls(size=size, shift=np.pi / size)
-
     @cached_property
     def angles(self) -> np.ndarray:
         """Node angles, formed once per grid; read-only."""
@@ -187,13 +182,9 @@ class MFoldBoundary:
             raise ValueError("reduced coefficients must be finite")
         object.__setattr__(self, "reduced", arr)
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.reduced)
-
 
 def embed_mfold(red: MFoldBoundary) -> FourierBoundary:
     """Full coefficient vector with b_{km-1} = reduced[k-1], zeros elsewhere."""
-    coeffs = np.zeros(red.m * red.n_modes)
+    coeffs = np.zeros(red.m * len(red.reduced))
     coeffs[red.m - 1::red.m] = red.reduced
     return FourierBoundary(coeffs)

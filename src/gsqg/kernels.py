@@ -29,11 +29,11 @@ linearization add the chord ratio, a product with the cached circulant
 Every boundary has real coefficients, so it is symmetric about the real
 axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
 forms the target rows of half the m-fold sector and unfolds the rest: on
-the plain and half-offset grids the reflection w -> conj(w) maps a row to
-the conjugate of its mirror row, and the rotation repeats each row of the
-layer potential.  A derivative along a direction of another period turns
-under the rotation instead, and is unfolded with its mirror-odd partner
-(see linearization).
+the plain grid the reflection w -> conj(w) maps a row to the conjugate of
+its mirror row, and the rotation repeats each row of the layer potential;
+a shifted grid forms the whole sector.  A derivative along a direction of
+another period turns under the rotation instead, and is unfolded with its
+mirror-odd partner (see linearization).
 """
 
 from __future__ import annotations
@@ -251,26 +251,23 @@ class _FormedRows(NamedTuple):
 def _formed_rows(bnd: FourierBoundary, grid: UnitGrid) -> _FormedRows:
     """The rows a product-quadrature pass forms over the sector of period P.
 
-    Real coefficients make w -> conj(w) map phi to its conjugate.  When the
-    grid holds conj(w_i) as the node w_(-i-k), k = shift*size/pi an integer,
-    row i and row (-i - k) mod size are mirror images: q = conj(w) * (row sums)
-    is conjugated (parity +1), G and its derivative along a real direction
-    change sign (parity -1), and its derivative along i w^(-n) does not
-    (parity +1).  The plain grid (k = 0) forms rows
-    0..P/2 and the half-offset grid (k = 1) rows 0..P/2 - 1; any other
-    shift forms the whole period.
+    Real coefficients make w -> conj(w) map phi to its conjugate.  On the
+    plain grid conj(w_i) is the node w_(-i), so row i and row -i mod size
+    are mirror images: q = conj(w) * (row sums) is conjugated (parity +1),
+    G and its derivative along a real direction change sign (parity -1), and
+    its derivative along i w^(-n) does not (parity +1).  The plain grid forms
+    rows 0..P/2; a shifted grid forms the whole period.
     """
     period = _sector_rows(bnd, grid.size)
     index = np.arange(grid.size)
-    k = 0 if grid.shift == 0.0 else 1 if grid.shift == np.pi / grid.size else None
-    if k is None:
+    if grid.shift != 0.0:
         source = index % period
         return _FormedRows(period, source, np.zeros(grid.size, dtype=bool), index - source)
-    count = (period - k) // 2 + 1
+    count = period // 2 + 1
     mirrored = index % period >= count
-    source = np.where(mirrored, -index - k, index) % period
-    # the mirror takes row source to row -source - k, which the rotation takes to row index
-    offset = np.where(mirrored, index + source + k, index - source) % grid.size
+    source = np.where(mirrored, -index, index) % period
+    # the mirror takes row source to row -source, which the rotation takes to row index
+    offset = np.where(mirrored, index + source, index - source) % grid.size
     return _FormedRows(count, source, mirrored, offset)
 
 
@@ -312,9 +309,12 @@ class ResidualField:
     grid: UnitGrid
     values: np.ndarray       # real samples at the grid nodes
     sine_coeffs: np.ndarray  # g_n of i*sum g_n (w^n - conj(w)^n), n = 1..len
-    # largest even-mode leak; on the plain and half-offset grids G is odd by
-    # construction, so it reads rounding there and measures no quadrature
-    cosine_residue: float
+
+    @property
+    def cosine_residue(self) -> float:
+        """Largest even-mode leak; on the plain grid G is odd by construction,
+        so it reads rounding there and measures no quadrature."""
+        return self.grid.cosine_residue(self.values)
 
     @property
     def sup_norm(self) -> float:
@@ -327,10 +327,8 @@ class ResidualField:
 
 
 def _field_from_values(values: np.ndarray, grid: UnitGrid) -> ResidualField:
-    vals = np.ascontiguousarray(values.real if np.iscomplexobj(values) else values)
-    return ResidualField(grid=grid, values=vals,
-                         sine_coeffs=grid.sine_coeffs(vals),
-                         cosine_residue=grid.cosine_residue(vals))
+    vals = np.ascontiguousarray(values)
+    return ResidualField(grid=grid, values=vals, sine_coeffs=grid.sine_coeffs(vals))
 
 
 def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
@@ -353,9 +351,8 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
     return _field_from_values(vals, grid)
 
 
-def ellipse_fourth_coefficient(omega: float, q: float, alpha: float,
-                               grid: UnitGrid | None = None) -> float:
-    """Fourth sine coefficient of the residual at the ellipse with ratio q.
+def ellipse_fourth_coefficient(omega: float, q: float, alpha: float) -> float:
+    """Fourth sine coefficient of the residual at the ellipse with ratio q, on 256 nodes.
 
     Nonzero for every omega when alpha != 1, which is exactly why ellipses
     never rotate rigidly under this flow; the omega dependence lives only in
@@ -363,9 +360,7 @@ def ellipse_fourth_coefficient(omega: float, q: float, alpha: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError("ellipse ratio q must lie in (0, 1)")
-    bnd = FourierBoundary.ellipse(q)
-    grid = UnitGrid(256) if grid is None else grid
-    return functional_G(omega, bnd, alpha, grid).sine_coeff(4)
+    return functional_G(omega, FourierBoundary.ellipse(q), alpha, UnitGrid(256)).sine_coeff(4)
 
 
 def ellipse_moment_ratio(alpha: float) -> float:

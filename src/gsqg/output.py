@@ -1,19 +1,20 @@
 """Deterministic CSV / JSON / SVG emission.
 
-Identical inputs must produce byte-identical files: floats are formatted to
-a fixed number of significant digits (17 in JSON for round-trip fidelity,
-12 in CSV for readability), dictionaries keep insertion order, and nothing
-time- or host-dependent is ever written.
+Identical inputs must produce byte-identical files: JSON comes from the
+stdlib encoder, whose floats are the shortest text that reads back as the
+same double; CSV floats keep 12 significant digits for readability;
+dictionaries keep insertion order, and nothing time- or host-dependent is
+ever written.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-JSON_SIG = 17
 CSV_SIG = 12
 SVG_SIZE = 640     # square canvas side, in pixels
 
@@ -24,33 +25,15 @@ def format_float(x: float, sig: int) -> str:
     return f"{x:.{sig}g}"
 
 
-def _json_token(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (np.floating, float)):
-        return format_float(float(obj), JSON_SIG)
-    if isinstance(obj, (np.integer, int)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_token(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f'{_json_token(str(k))}: {_json_token(v)}'
-                 for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
+def _plain(obj):
+    """numpy arrays and scalars as lists and Python numbers, for the encoder."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def json_dumps(obj) -> str:
-    return _json_token(obj)
+    return json.dumps(obj, allow_nan=False, default=_plain)
 
 
 def write_json(path: Path, obj) -> Path:
@@ -106,9 +89,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def write_curves_svg(path: Path, curves: list[np.ndarray],
-                     labels: list[str] | None = None) -> Path:
-    """Closed curves (complex sample arrays) on a common square canvas."""
+def write_curves_svg(path: Path, curves: list[np.ndarray], labels: list[str]) -> Path:
+    """Closed curves (complex sample arrays), each labelled, on a common square canvas."""
     path, size = Path(path), SVG_SIZE
     allpts = np.concatenate([np.asarray(c) for c in curves])
     span = max(np.ptp(allpts.real), np.ptp(allpts.imag)) * 1.15
@@ -126,9 +108,8 @@ def write_curves_svg(path: Path, curves: list[np.ndarray],
         color = _PALETTE[i % len(_PALETTE)]
         d = _bezier_path(to_canvas(np.asarray(curve, dtype=complex)))
         body.append(f'  <path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        if labels:
-            body.append(f'  <text x="10" y="{18 * (i + 1)}" fill="{color}" '
-                        f'font-size="13" font-family="monospace">{labels[i]}</text>')
+        body.append(f'  <text x="10" y="{18 * (i + 1)}" fill="{color}" '
+                    f'font-size="13" font-family="monospace">{labels[i]}</text>')
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
            f'viewBox="0 0 {size} {size}">\n' + "\n".join(body) + "\n</svg>\n")
     path.write_text(svg, encoding="utf-8")

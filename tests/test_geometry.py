@@ -64,7 +64,7 @@ class TestEvalMap:
             eval_map(bnd, UnitGrid(64))
 
     @pytest.mark.parametrize("order", [7, 40, 80], ids=["resolved", "aliased", "folded"])
-    @pytest.mark.parametrize("grid", [UnitGrid(64), UnitGrid.half_offset(64),
+    @pytest.mark.parametrize("grid", [UnitGrid(64), UnitGrid(64, shift=np.pi / 64),
                                       UnitGrid(64, shift=2.0 * np.pi / 3)],
                              ids=["plain", "half-offset", "shifted"])
     def test_grid_fft_matches_point_horner(self, order, grid, rng):

@@ -31,7 +31,7 @@ def s_phi_trapezoid(bnd: FourierBoundary, alpha: float, targets: np.ndarray,
     subtracted and restored through its exact integral
     gamma(1-a) / gamma^2(1-a/2), so only the smooth remainder is sampled.
     """
-    src = UnitGrid.half_offset(n_sources)
+    src = UnitGrid(n_sources, shift=np.pi / n_sources)
     tau = src.nodes
     phi_s, dphi_s = eval_map(bnd, src), eval_deriv(bnd, src)
     phi_t, dphi_t = eval_map_at(bnd, targets), eval_deriv_at(bnd, targets)
@@ -357,9 +357,7 @@ class TestFunctional:
             assert np.max(np.abs(rebuilt - fld.values)) < 1e-12
 
     def test_ellipse_mode4_obstruction(self):
-        g = UnitGrid(256)
-        vals = [ellipse_fourth_coefficient(om, 0.3, 0.5, g)
-                for om in np.linspace(-1.0, 1.0, 11)]
+        vals = [ellipse_fourth_coefficient(om, 0.3, 0.5) for om in np.linspace(-1.0, 1.0, 11)]
         # omega-independent and bounded away from zero
         assert np.ptp(vals) < 1e-14
         assert min(abs(v) for v in vals) > 2.0e-3   # regression floor, first run 2.2275e-3
@@ -462,7 +460,7 @@ class TestCirculantQuadrature:
     @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
     def test_matches_fft_row_oracle(self, size, kind, rng):
         bnd = _oracle_boundary(kind, rng)
-        for grid in (UnitGrid(size), UnitGrid.half_offset(size)):
+        for grid in (UnitGrid(size), UnitGrid(size, shift=np.pi / size)):
             for alpha in (0.3, 0.5, 0.9, 1.0):
                 ref = oracle_residual(0.3, bnd, alpha, grid)
                 fld = functional_G(0.3, bnd, alpha, grid)
@@ -474,7 +472,7 @@ class TestCirculantQuadrature:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
-    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid.half_offset(256),
+    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid(256, shift=np.pi / 256),
                                       UnitGrid(256, shift=0.1),
                                       UnitGrid(258, shift=2 * np.pi / 3)],
                              ids=["plain", "half-offset", "shifted", "258-shifted"])
@@ -527,9 +525,10 @@ class TestBlockedPass:
     """The 64-row blocked pass against the whole-matrix formulas of dense_oracle."""
 
     # grid 200 forms 101 (asym) or 26 (m = 4) rows, off the block size; the
-    # shifted grid forms the whole period, 256 or 64 rows, with no mirror
-    @pytest.mark.parametrize("grid", [UnitGrid(200), UnitGrid.half_offset(256), UnitGrid(512),
-                                      UnitGrid(256, shift=0.1)],
+    # offset and shifted grids form the whole period, 256 or 64 rows, with
+    # no mirror
+    @pytest.mark.parametrize("grid", [UnitGrid(200), UnitGrid(256, shift=np.pi / 256),
+                                      UnitGrid(512), UnitGrid(256, shift=0.1)],
                              ids=["200", "256-offset", "512", "256-shifted"])
     @pytest.mark.parametrize("kind", ["asym", 4])
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.97, 1.0])
@@ -595,7 +594,9 @@ class TestMirroredRows:
     @pytest.mark.parametrize("m, size", [(2, 512), (3, 768), (4, 1024)])
     def test_residual_and_jacobian_form_half_the_sector(self, m, size, formed_rows):
         reduced = np.array([0.03, 1e-3, 1e-4])
-        for grid, rows in ((UnitGrid(size), 129), (UnitGrid.half_offset(size), 128),
+        # the plain grid forms half the sector; a shifted one, half-offset
+        # included, forms all of it
+        for grid, rows in ((UnitGrid(size), 129), (UnitGrid(size, shift=np.pi / size), 256),
                            (UnitGrid(size, shift=0.1), 256)):
             formed_rows.clear()
             continuation._equations(0.3, reduced, 0.5, m, grid, 16)
@@ -615,7 +616,7 @@ class TestMirroredRows:
         assert sum(formed_rows) == 129
 
     @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
-    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid.half_offset(256)],
+    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid(256, shift=np.pi / 256)],
                              ids=["plain", "half-offset"])
     def test_unfolded_rows_are_mirror_images(self, grid, kind, rng):
         # row i and row (-i - k) mod size, k = shift * size / pi, of the dense
@@ -629,12 +630,13 @@ class TestMirroredRows:
         assert np.max(np.abs(q[mirror] - np.conj(q))) <= 1e-14
         assert np.max(np.abs(g[mirror] + g)) <= 1e-15
 
-    @pytest.mark.parametrize("grid", [UnitGrid(202), UnitGrid.half_offset(202)],
+    @pytest.mark.parametrize("grid, rows", [(UnitGrid(202), 51),
+                                            (UnitGrid(202, shift=np.pi / 202), 101)],
                              ids=["plain", "half-offset"])
-    def test_odd_period_matches_dense(self, grid):
-        # m = 2 on 202 nodes: a sector of 101 rows, with one self-mirror row
-        # on either grid (row 0 on the plain one, row 50 on the half-offset one)
+    def test_odd_period_matches_dense(self, grid, rows):
+        # m = 2 on 202 nodes: a sector of 101 rows; the plain grid forms rows
+        # 0..50 and mirrors the rest about row 0, the half-offset grid forms all
         bnd = _oracle_boundary(2, None)
-        assert kernels._formed_rows(bnd, grid).count == 51
+        assert kernels._formed_rows(bnd, grid).count == rows
         ref = s_phi_dense(bnd, 0.5, grid)
         assert np.max(np.abs(s_phi(bnd, 0.5, grid) - ref)) <= 1e-13 * np.max(np.abs(ref))

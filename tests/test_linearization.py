@@ -171,12 +171,12 @@ class TestGateaux:
 
 
     def test_matches_dense_oracle(self, rng):
-        # single and mixed directions, b_0, a non-unit lead; plain and offset
-        # grids unfold half the rows by the mirror, the shifted grid forms all
+        # single and mixed directions, b_0, a non-unit lead; the plain grid
+        # unfolds half the rows by the mirror, the offset and shifted grids form all
         directions = [direction(3), direction(0), FourierBoundary(rng.uniform(-1, 1, 5)),
                       FourierBoundary(np.array([0.0, 0.4]), lead=1.3),
                       FourierBoundary.identity(2)]
-        for grid in (UnitGrid(128), UnitGrid.half_offset(128), UnitGrid(128, shift=0.1)):
+        for grid in (UnitGrid(128), UnitGrid(128, shift=np.pi / 128), UnitGrid(128, shift=0.1)):
             for alpha in (0.3, 0.5, 0.9):
                 bnd = _random_boundary(rng)
                 for h in directions:
@@ -219,13 +219,14 @@ class TestGateaux:
         assert np.max(np.abs(reduced - full)) <= 1e-13 * np.max(np.abs(full))
 
     @pytest.mark.parametrize("alpha", [0.5, 0.999, 1.0])
-    @pytest.mark.parametrize("grid", [UnitGrid(192), UnitGrid.half_offset(192),
+    @pytest.mark.parametrize("grid", [UnitGrid(192), UnitGrid(192, shift=np.pi / 192),
                                       UnitGrid(192, shift=0.1)],
                              ids=["plain", "half-offset", "shifted"])
     def test_rotation_unfold_matches_all_rows(self, grid, alpha):
         # directions off the 3-fold ladder turn under the sector rotation: the
-        # pass forms F_h + i F_(ih) on half a sector (33, 32 or 64 of 192
-        # rows) and turns it onto the rest
+        # pass forms F_h + i F_(ih) on half a sector (33 of 192 rows) on the
+        # plain grid, on a whole one (64) on the shifted grids, and turns it
+        # onto the rest
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, 0.004, -0.001])))
         modes = [-1, 0, 1, 2, 4, 7]
         assert kernels._formed_rows(bnd, grid).count < grid.size // 2
@@ -236,7 +237,7 @@ class TestGateaux:
     def test_odd_fields_match_dense_oracle(self, rng):
         # F_(ih) along i w^(-n), every row, against the whole-matrix reference
         modes = [-1, 0, 1, 3, 6]
-        for grid in (UnitGrid(128), UnitGrid.half_offset(128), UnitGrid(128, shift=0.1)):
+        for grid in (UnitGrid(128), UnitGrid(128, shift=np.pi / 128), UnitGrid(128, shift=0.1)):
             for alpha in (0.3, 0.5, 0.9):
                 bnd = _random_boundary(rng)
                 odd = all_rows(bnd, modes, 0.27, alpha, grid, odd=True).imag

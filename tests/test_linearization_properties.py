@@ -66,11 +66,12 @@ def test_monomial_derivatives_linear_in_direction(alpha, omega, m, reduced, amps
        reduced=st.lists(st.floats(min_value=-0.03, max_value=0.03), min_size=1, max_size=3),
        modes=st.lists(st.integers(min_value=-1, max_value=10), min_size=1, max_size=6,
                       unique=True),
-       grid=st.sampled_from([UnitGrid(120), UnitGrid.half_offset(120),
+       grid=st.sampled_from([UnitGrid(120), UnitGrid(120, shift=np.pi / 120),
                              UnitGrid(120, shift=0.1)]))
 def test_rotation_unfold_matches_all_rows(alpha, omega, m, reduced, modes, grid):
-    # half a sector of F_h + i F_(ih), turned onto every row, against the
-    # same pass forming every row; 120 is a multiple of every m drawn
+    # half a sector of F_h + i F_(ih) (a whole one on the shifted grids),
+    # turned onto every row, against the same pass forming every row; 120 is
+    # a multiple of every m drawn
     bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced)))
     got = monomial_derivatives(bnd, modes, omega, alpha, grid)
     ref = lin._formed_fields(bnd, np.array(modes), omega, alpha, grid, grid.size, False).T

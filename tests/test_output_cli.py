@@ -24,7 +24,7 @@ from gsqg.output import _bezier_path, format_float, json_dumps, write_csv, write
 class TestFormatting:
     def test_json_significant_digits(self):
         text = json_dumps({"x": 1.0 / 3.0})
-        assert text == '{"x": 0.33333333333333331}'
+        assert text == '{"x": 0.3333333333333333}'
         assert json.loads(text)["x"] == 1.0 / 3.0   # round-trips exactly
 
     def test_csv_digits(self):
@@ -33,6 +33,22 @@ class TestFormatting:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             json_dumps({"x": float("nan")})
+
+    def test_control_characters_round_trip(self):
+        # a newline in an exception message can land in solve-branch's failure
+        text = json_dumps({"failure": "a\nb\tc\x01d"})
+        assert json.loads(text) == {"failure": "a\nb\tc\x01d"}
+
+    def test_integral_floats_read_back_as_float(self):
+        back = json.loads(json_dumps({"x": 0.0, "y": 2.0, "v": np.array([0.0, 2.0])}))
+        assert [type(v) for v in (back["x"], back["y"], *back["v"])] == [float] * 4
+
+    def test_evolve_start_time_reads_back_as_float(self, tmp_path):
+        assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--shape", "disc",
+                       "--t-final", "0.02", "--dt", "0.01", "--nodes", "64",
+                       "--frames", "2") == 0
+        first = json.loads((tmp_path / "trajectory.jsonl").read_text().splitlines()[0])
+        assert type(first["time"]) is float and first["time"] == 0.0
 
     def test_nested_structures(self):
         text = json_dumps({"a": [1, 2.5, None], "b": {"c": True}, "d": "q\"uote"})

@@ -1,6 +1,9 @@
-"""The mutation runner's matching of pytest FAILED ids to the tests a mutant names."""
+"""The mutation runner: its matching of pytest FAILED ids to the tests a mutant names,
+and every mutant of tests/mutants.json still applying to the tree."""
 
-from run_mutants import failed_named
+import json
+
+from run_mutants import MUTANTS, ROOT, failed_named
 
 REPORT = """\
 ..F.F [100%]
@@ -37,3 +40,17 @@ def test_class_fails_with_any_method():
 def test_only_failed_lines_count():
     passed = "tests/test_c.py::test_ok PASSED\nERROR tests/test_c.py::test_err\n"
     assert failed_named(passed, ["tests/test_c.py::test_ok", "tests/test_c.py::test_err"]) == set()
+
+
+def test_every_mutant_still_applies():
+    # an edit under a mutant's old text would make run_mutants.py stop on it
+    problems = []
+    for mutant in json.loads(MUTANTS.read_text()):
+        name, text = mutant["name"], (ROOT / mutant["file"]).read_text()
+        if text.count(mutant["old"]) != 1:
+            problems.append(f"{name}: old text occurs {text.count(mutant['old'])} times")
+        if mutant["new"] == mutant["old"]:
+            problems.append(f"{name}: new text equals old text")
+        problems += [f"{name}: no file for {test}" for test in mutant["tests"]
+                     if not (ROOT / test.split("::")[0]).is_file()]
+    assert problems == []
