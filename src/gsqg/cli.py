@@ -23,14 +23,13 @@ import numpy as np
 from . import oracles
 from .continuation import (FoldError, NonConvergenceError, continue_branch,
                            solve_vstate)
-from .evolution import (ContourError, ContourState, conserved_diagnostics, evolve,
-                        hausdorff_distance, normal_step_bounds,
+from .evolution import (ContourError, ContourState, _steps, conserved_diagnostics,
+                        evolve, hausdorff_distance, normal_step_bounds,
                         normal_velocity_residual, redistribute)
 from .geometry import FourierBoundary, UnitGrid, eval_map
-from .kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
-                      ellipse_moment_ratio, functional_G, singular_moment_I,
-                      singular_moment_J, singular_moment_Z, sqg_moment_1,
-                      sqg_moment_2)
+from .kernels import (SelfIntersectionError, ellipse_moment_ratio, functional_G,
+                      singular_moment_I, singular_moment_J, singular_moment_Z,
+                      sqg_moment_1, sqg_moment_2)
 from .linearization import (BracketError, bifurcation_scan, crosses_transversally,
                             disc_jacobian, kernel_diagnostics, multiplier_at_disc)
 from .output import (write_csv, write_curves_svg, write_json, write_jsonl,
@@ -239,25 +238,22 @@ def cmd_ellipse_test(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True, open_hi=True)
     if not 0.0 < args.q < 1.0:
         raise ConfigError("Q must lie in (0, 1)")
-    if args.omega_samples < 1:
-        raise ConfigError("omega-samples must be >= 1")
     out = _outdir(args)
-    omegas = np.linspace(-1.0, 1.0, args.omega_samples)
-    g4 = [ellipse_fourth_coefficient(om, args.q, alpha) for om in omegas]
-    min_g4 = float(np.min(np.abs(g4)))
     ratio = ellipse_moment_ratio(alpha)
     ratio_quad = oracles.moment_I_quad(alpha, 2) / oracles.moment_I_quad(alpha, 0)
     ratio_gap = abs(ratio - ratio_quad)
     if not np.isfinite(ratio_gap):
         return _fail("non-finite error moment=I")
+    # g4 does not depend on omega: omega enters G through mode 2 only
     field = functional_G(0.0, FourierBoundary.ellipse(args.q), alpha, UnitGrid(256))
+    min_g4 = abs(field.sine_coeff(4))
     write_residual_csv(out / "ellipse_residual.csv", field)
     write_residual_json(out / "ellipse_residual.json", field)
     report = {"alpha": alpha, "Q": args.q, "min_abs_g4": min_g4,
               "moment_ratio": ratio, "moment_ratio_quadrature": ratio_quad,
               "moment_ratio_gap": ratio_gap}
     path = write_json(out / "ellipse_test.json", report)
-    if min_g4 <= args.floor or ratio_gap >= 1e-10:
+    if min_g4 <= 0.0 or ratio_gap >= 1e-10:
         return _fail(f"min_abs_g4={min_g4:.3e} ratio_gap={ratio_gap:.3e} report={path}")
     return _ok(f"min_abs_g4={min_g4:.3e} ratio_gap={ratio_gap:.3e} wrote {path}")
 
@@ -278,14 +274,6 @@ def _initial_contour(args, alpha: float) -> ContourState:
     raise ConfigError(f"unknown shape {args.shape!r}")
 
 
-def _normal_steps(start: ContourState, horizon: float,
-                  cap: float = np.inf) -> tuple[int, float, float]:
-    """(steps, dt_stability, dt_guard): the fewest equal `step_normal` steps
-    over horizon no longer than cap or either bound of `normal_step_bounds`."""
-    dt_stability, dt_guard = normal_step_bounds(start)
-    return int(np.ceil(horizon / min(cap, dt_stability, dt_guard))), dt_stability, dt_guard
-
-
 def cmd_evolve(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True)
     if args.t_final <= 0 or args.dt <= 0:
@@ -300,8 +288,8 @@ def cmd_evolve(args) -> int:
     n_chunks = args.frames - 1
     chunk = args.t_final / n_chunks
     # --dt caps the step; the stability rule and the guard may take it lower
-    n_steps, dt_stability, dt_guard = _normal_steps(state, chunk, args.dt)
-    dt = chunk / n_steps
+    dt_stability, dt_guard = normal_step_bounds(state)
+    n_steps, dt = _steps(chunk, min(args.dt, dt_stability, dt_guard))
     for _ in range(n_chunks):
         state = evolve(state, chunk, dt)
         frames.append(state)
@@ -338,8 +326,9 @@ def cmd_rigid_check(args) -> int:
     t_quarter = np.pi / (2.0 * sol.omega)
     # normal-velocity stepping from equal arclength
     start = redistribute(state0)
-    n_steps, dt_stability, dt_guard = _normal_steps(start, t_quarter)
-    state1 = evolve(start, t_quarter, t_quarter / n_steps)
+    dt_stability, dt_guard = normal_step_bounds(start)
+    n_steps, dt = _steps(t_quarter, min(dt_stability, dt_guard))
+    state1 = evolve(start, t_quarter, dt)
     rotated = np.exp(1j * sol.omega * t_quarter) * state0.nodes
     dist = hausdorff_distance(state1.nodes, rotated)
     area0, cent0 = conserved_diagnostics(state0)
@@ -352,7 +341,7 @@ def cmd_rigid_check(args) -> int:
                       {"alpha": alpha, "m": args.m, "s": args.s,
                        "omega": sol.omega, "nodes": args.nodes,
                        "steps": n_steps, "quarter_period": t_quarter,
-                       "dt": t_quarter / n_steps, "dt_stability": dt_stability,
+                       "dt": dt, "dt_stability": dt_stability,
                        "dt_guard": dt_guard,
                        "normal_velocity_residual": normal_res,
                        "hausdorff": dist, "area_drift": d_area,
@@ -411,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ellipse-test", help="ellipses never rotate: mode-4 obstruction")
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--Q", dest="q", type=_finite_float, required=True)
-    p.add_argument("--omega-samples", type=int, default=21)
-    p.add_argument("--floor", type=_finite_float, default=0.0)
     p.set_defaults(fn=cmd_ellipse_test)
 
     p = sub.add_parser("evolve", help="contour-dynamics time integration")

@@ -49,29 +49,28 @@ class UnitGrid:
         """Nodes exp(i angles), formed once per grid; read-only."""
         return _read_only(np.exp(1j * self.angles))
 
-    def mode_coeffs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def mode_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Fourier coefficients c_k of values = sum_k c_k e^(i k theta).
 
-        Returns (freqs, coeffs) in fftfreq layout, shift-corrected so the
-        coefficients refer to the absolute angle theta.  Leading axes of
-        values are kept: each row along the last axis is one field.
+        In fftfreq layout, shift-corrected so the coefficients refer to the
+        absolute angle theta.  Leading axes of values are kept: each row
+        along the last axis is one field.
         """
         m = self.size
         c = np.fft.fft(np.asarray(values)) / m
-        k = np.fft.fftfreq(m, d=1.0 / m)
-        return k, c * np.exp(-1j * k * self.shift)
+        return c * np.exp(-1j * np.fft.fftfreq(m, d=1.0 / m) * self.shift)
 
     def sine_coeffs(self, values: np.ndarray, n_max: int | None = None) -> np.ndarray:
         """Coefficients g_n of sum_n g_n * i(w^n - conj(w)^n), n = 1..n_max."""
         n_max = self.size // 2 - 1 if n_max is None else n_max
         if n_max > self.size // 2 - 1:
             raise ValueError("requested modes beyond the grid resolution")
-        _, c = self.mode_coeffs(values)
+        c = self.mode_coeffs(values)
         return c[..., 1:n_max + 1].imag.copy()
 
     def cosine_residue(self, values: np.ndarray) -> float:
         """Largest even-part coefficient; vanishes for pure sine fields."""
-        c = self.mode_coeffs(values)[1]
+        c = self.mode_coeffs(values)
         half = self.size // 2
         return float(max(np.max(np.abs(c[:half].real)), abs(c[0])))
 

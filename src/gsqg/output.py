@@ -69,20 +69,22 @@ def write_jsonl(path: Path, records) -> Path:
 # SVG
 
 
-_SEGMENT = "C {:.4f} {:.4f} {:.4f} {:.4f} {:.4f} {:.4f}".format
+_POINT = "{:.4f},{:.4f}".format
 
 
-def _bezier_path(points: np.ndarray) -> str:
-    """Closed cubic-segment path through the sample points (Catmull-Rom)."""
-    z = np.asarray(points, dtype=complex)
-    prev = np.roll(z, 1)
-    nxt = np.roll(z, -1)
-    nxt2 = np.roll(z, -2)
-    c1 = z + (nxt - prev) / 6.0
-    c2 = nxt - (nxt2 - z) / 6.0
-    rows = np.column_stack([c1.real, c1.imag, c2.real, c2.imag, nxt.real, nxt.imag])
-    return " ".join([f"M {z[0].real:.4f} {z[0].imag:.4f}",
-                     *(_SEGMENT(*row) for row in rows.tolist()), "Z"])
+def _points(x, y) -> str:
+    """SVG points attribute: one "x,y" pair per sample, four decimals each."""
+    return " ".join(map(_POINT, x.tolist(), y.tolist()))
+
+
+def _write_svg(path: Path, elements: list[str]) -> Path:
+    """One square-canvas SVG document holding the elements, one per line."""
+    path, size = Path(path), SVG_SIZE
+    path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+                    f'viewBox="0 0 {size} {size}">\n'
+                    + "".join(f"  {element}\n" for element in elements) + "</svg>\n",
+                    encoding="utf-8")
+    return path
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -90,36 +92,32 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def write_curves_svg(path: Path, curves: list[np.ndarray], labels: list[str]) -> Path:
-    """Closed curves (complex sample arrays), each labelled, on a common square canvas."""
-    path, size = Path(path), SVG_SIZE
+    """Closed curves (complex sample arrays), each labelled, on a common square
+    canvas; each curve is the polygon through its samples."""
+    size = SVG_SIZE
     allpts = np.concatenate([np.asarray(c) for c in curves])
     span = max(np.ptp(allpts.real), np.ptp(allpts.imag)) * 1.15
     cx = (allpts.real.max() + allpts.real.min()) / 2.0
     cy = (allpts.imag.max() + allpts.imag.min()) / 2.0
     scale = size / span
 
-    def to_canvas(z):
-        # y flipped: SVG grows downward
-        return (z.real - cx) * scale + size / 2.0 \
-            + 1j * ((cy - z.imag) * scale + size / 2.0)
-
-    body = []
+    elements = []
     for i, curve in enumerate(curves):
+        z = np.asarray(curve, dtype=complex)
+        # y flipped: SVG grows downward
+        pts = _points((z.real - cx) * scale + size / 2.0, (cy - z.imag) * scale + size / 2.0)
         color = _PALETTE[i % len(_PALETTE)]
-        d = _bezier_path(to_canvas(np.asarray(curve, dtype=complex)))
-        body.append(f'  <path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        body.append(f'  <text x="10" y="{18 * (i + 1)}" fill="{color}" '
-                    f'font-size="13" font-family="monospace">{labels[i]}</text>')
-    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-           f'viewBox="0 0 {size} {size}">\n' + "\n".join(body) + "\n</svg>\n")
-    path.write_text(svg, encoding="utf-8")
-    return path
+        elements.append(f'<polygon points="{pts}" fill="none" stroke="{color}" '
+                        f'stroke-width="1.5"/>')
+        elements.append(f'<text x="10" y="{18 * (i + 1)}" fill="{color}" '
+                        f'font-size="13" font-family="monospace">{labels[i]}</text>')
+    return _write_svg(path, elements)
 
 
 def write_xy_svg(path: Path, x: np.ndarray, y: np.ndarray,
                  xlabel: str, ylabel: str) -> Path:
     """One polyline with framed axes; enough for branch diagrams."""
-    path, size = Path(path), SVG_SIZE
+    size = SVG_SIZE
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pad = 60
@@ -127,28 +125,22 @@ def write_xy_svg(path: Path, x: np.ndarray, y: np.ndarray,
     span_y = np.ptp(y) or 1.0
     px = pad + (x - x.min()) / span_x * (size - 2 * pad)
     py = size - pad - (y - y.min()) / span_y * (size - 2 * pad)
-    pts = " ".join(f"{a:.4f},{b:.4f}" for a, b in zip(px.tolist(), py.tolist()))
-    ticks = (f'  <text x="{pad}" y="{size - pad + 20}" font-size="12" '
-             f'font-family="monospace">{format_float(float(x.min()), 6)}</text>\n'
-             f'  <text x="{size - pad - 40}" y="{size - pad + 20}" font-size="12" '
-             f'font-family="monospace">{format_float(float(x.max()), 6)}</text>\n'
-             f'  <text x="5" y="{size - pad}" font-size="12" '
-             f'font-family="monospace">{format_float(float(y.min()), 6)}</text>\n'
-             f'  <text x="5" y="{pad}" font-size="12" '
-             f'font-family="monospace">{format_float(float(y.max()), 6)}</text>\n')
-    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-           f'viewBox="0 0 {size} {size}">\n'
-           f'  <rect x="{pad}" y="{pad}" width="{size - 2 * pad}" '
-           f'height="{size - 2 * pad}" fill="none" stroke="#888"/>\n'
-           f'  <polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>\n'
-           f'{ticks}'
-           f'  <text x="{size // 2 - 20}" y="{size - 15}" font-size="13" '
-           f'font-family="monospace">{xlabel}</text>\n'
-           f'  <text x="10" y="{size // 2}" font-size="13" '
-           f'font-family="monospace" transform="rotate(-90 14 {size // 2})">{ylabel}</text>\n'
-           f'</svg>\n')
-    path.write_text(svg, encoding="utf-8")
-    return path
+    label = 'font-size="12" font-family="monospace"'
+    return _write_svg(path, [
+        f'<rect x="{pad}" y="{pad}" width="{size - 2 * pad}" '
+        f'height="{size - 2 * pad}" fill="none" stroke="#888"/>',
+        f'<polyline points="{_points(px, py)}" fill="none" stroke="#1f77b4" '
+        f'stroke-width="1.5"/>',
+        f'<text x="{pad}" y="{size - pad + 20}" {label}>{format_float(float(x.min()), 6)}</text>',
+        f'<text x="{size - pad - 40}" y="{size - pad + 20}" {label}>'
+        f'{format_float(float(x.max()), 6)}</text>',
+        f'<text x="5" y="{size - pad}" {label}>{format_float(float(y.min()), 6)}</text>',
+        f'<text x="5" y="{pad}" {label}>{format_float(float(y.max()), 6)}</text>',
+        f'<text x="{size // 2 - 20}" y="{size - 15}" font-size="13" '
+        f'font-family="monospace">{xlabel}</text>',
+        f'<text x="10" y="{size // 2}" font-size="13" font-family="monospace" '
+        f'transform="rotate(-90 14 {size // 2})">{ylabel}</text>',
+    ])
 
 
 def write_residual_csv(path: Path, field) -> Path:

@@ -31,7 +31,7 @@ def project_mfold(bnd: FourierBoundary, m: int,
 def coeffs_from_values(values: np.ndarray, grid: UnitGrid, n: int) -> np.ndarray:
     """(b_0 .. b_n) from samples of phi (lead 1): the conj(w)^j coefficients
     sit at the negative frequencies of phi(w) - w."""
-    _, c = grid.mode_coeffs(values - grid.nodes)
+    c = grid.mode_coeffs(values - grid.nodes)
     return np.array([c[0].real] + [c[-j].real for j in range(1, n + 1)])
 
 

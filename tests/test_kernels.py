@@ -303,7 +303,7 @@ class TestLayerPotential:
         bnd = FourierBoundary(0.03 * rng.standard_normal(5))
         for g in (UnitGrid(256), UnitGrid(256, shift=0.1)):
             vals = np.conj(g.nodes) * s_phi(bnd, 0.5, g)
-            _, coeffs = g.mode_coeffs(vals)
+            coeffs = g.mode_coeffs(vals)
             assert np.max(np.abs(coeffs.imag)) < 1e-12
 
     def test_near_self_intersection_raises(self):

@@ -18,7 +18,8 @@ import gsqg.specfun as specfun
 from gsqg.cli import main
 from gsqg.continuation import NonConvergenceError
 from gsqg.geometry import default_grid
-from gsqg.output import _bezier_path, format_float, json_dumps, write_csv, write_curves_svg
+from gsqg.output import (SVG_SIZE, format_float, json_dumps, write_csv, write_curves_svg,
+                         write_xy_svg)
 
 
 class TestFormatting:
@@ -66,37 +67,43 @@ class TestFormatting:
         assert lines[3] == ",0.5"     # None is an empty cell
 
     @staticmethod
-    def _bezier_path_per_coordinate(points):
-        """Reference path string: one f-string call per coordinate, six per segment."""
-        fmt = lambda x: f"{x:.4f}"
-        z = np.asarray(points, dtype=complex)
-        prev, nxt, nxt2 = np.roll(z, 1), np.roll(z, -1), np.roll(z, -2)
-        c1 = z + (nxt - prev) / 6.0
-        c2 = nxt - (nxt2 - z) / 6.0
-        parts = [f"M {fmt(z[0].real)} {fmt(z[0].imag)}"]
-        for i in range(len(z)):
-            parts.append(f"C {fmt(c1[i].real)} {fmt(c1[i].imag)} "
-                         f"{fmt(c2[i].real)} {fmt(c2[i].imag)} "
-                         f"{fmt(nxt[i].real)} {fmt(nxt[i].imag)}")
-        parts.append("Z")
-        return " ".join(parts)
+    def _points(element):
+        return np.array([[float(v) for v in pair.split(",")]
+                         for pair in element.get("points").split()])
 
     @pytest.mark.parametrize("n", [3, 64, 1000])
-    def test_svg_path_matches_per_coordinate_format(self, n, rng):
-        # coordinates within rounding of +-5e-5 exercise "-0.0000" and the half-way cases
-        near = lambda: 5e-5 * rng.choice([-1.0, 1.0], n) * (1.0 + 0.3 * rng.uniform(-1, 1, n))
-        curves = [near() + 1j * near(),
-                  640.0 * rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)]
-        for z in curves:
-            assert _bezier_path(z) == self._bezier_path_per_coordinate(z)
-        assert "-0.0000" in _bezier_path(curves[0])
+    def test_svg_curves_are_polygons_through_the_samples(self, tmp_path, n, rng):
+        curves = [rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n),
+                  0.3 + 2.0 * np.exp(2j * np.pi * np.arange(n) / n)]
+        p = write_curves_svg(tmp_path / "c.svg", curves, ["a", "b"])
+        polygons = [el for el in ET.parse(p).getroot() if el.tag.endswith("polygon")]
+        assert len(polygons) == len(curves)
+        # the canvas map: common centre, 1.15 times the larger span across the canvas
+        allpts = np.concatenate(curves)
+        scale = SVG_SIZE / (1.15 * max(np.ptp(allpts.real), np.ptp(allpts.imag)))
+        cx = (allpts.real.max() + allpts.real.min()) / 2.0
+        cy = (allpts.imag.max() + allpts.imag.min()) / 2.0
+        for element, z in zip(polygons, curves):
+            pts = self._points(element)
+            assert pts.shape == (len(z), 2)
+            canvas = np.column_stack([(z.real - cx) * scale + SVG_SIZE / 2.0,
+                                      (cy - z.imag) * scale + SVG_SIZE / 2.0])
+            assert np.max(np.abs(pts - canvas)) <= 5e-5 * (1.0 + 1e-9)
+        first = p.read_bytes()
+        assert write_curves_svg(tmp_path / "c.svg", curves, ["a", "b"]).read_bytes() == first
+
+    def test_xy_svg_is_one_polyline(self, tmp_path):
+        x = np.linspace(0.0, 0.04, 5)
+        p = write_xy_svg(tmp_path / "d.svg", x, 0.3 + x ** 2, "s", "omega")
+        lines = [el for el in ET.parse(p).getroot() if el.tag.endswith("polyline")]
+        assert len(lines) == 1 and self._points(lines[0]).shape == (len(x), 2)
 
     def test_svg_is_valid_xml(self, tmp_path):
         theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         p = write_curves_svg(tmp_path / "c.svg", [np.exp(1j * theta)], ["disc"])
         root = ET.parse(p).getroot()
         assert root.tag.endswith("svg")
-        assert any(child.tag.endswith("path") for child in root)
+        assert any(child.tag.endswith("polygon") for child in root)
 
 
 def run_cli(tmp_path, *args):
@@ -123,7 +130,6 @@ BAD_CONFIG_ARGS = [
      "--t-final", "0.1", "--dt", "0.01"),
     ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "0.01", "--frames", "1"),
     ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "0.01", "--frames", "-3"),
-    ("ellipse-test", "--alpha", "0.5", "--Q", "0.5", "--omega-samples", "0"),
     ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.01",
      "--tol", "0"),
     ("scan", "--alpha", "0.5", "--m", "3", "--tol", "0"),
@@ -315,22 +321,20 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_ellipse_test(self, tmp_path):
-        assert run_cli(tmp_path, "ellipse-test", "--alpha", "0.5", "--Q", "0.3",
-                       "--omega-samples", "5") == 0
+        assert run_cli(tmp_path, "ellipse-test", "--alpha", "0.5", "--Q", "0.3") == 0
         report = json.loads((tmp_path / "ellipse_test.json").read_text())
         assert report["min_abs_g4"] > 0.002
         assert report["moment_ratio_gap"] < 1e-10
         # residual-field exports ride along
         resid = json.loads((tmp_path / "ellipse_residual.json").read_text())
-        assert abs(resid["sine_coeffs"][3]) > 0.002
+        assert report["min_abs_g4"] == abs(resid["sine_coeffs"][3])
         lines = (tmp_path / "ellipse_residual.csv").read_text().splitlines()
         assert lines[0] == "angle,residual" and len(lines) == 257
 
     @pytest.mark.parametrize("alpha", ["0.99", "0.999"])
     def test_ellipse_test_near_one(self, tmp_path, alpha):
         # near alpha = 1 the quadrature ratio meets the closed form well inside the 1e-10 gate
-        assert run_cli(tmp_path, "ellipse-test", "--alpha", alpha, "--Q", "0.3",
-                       "--omega-samples", "5") == 0
+        assert run_cli(tmp_path, "ellipse-test", "--alpha", alpha, "--Q", "0.3") == 0
         report = json.loads((tmp_path / "ellipse_test.json").read_text())
         assert report["moment_ratio_gap"] < 1e-11
 
@@ -431,6 +435,14 @@ class TestCli:
         assert rep["steps"] == math.ceil(rep["quarter_period"] / bound)
         assert rep["dt"] == pytest.approx(rep["quarter_period"] / rep["steps"], rel=1e-15)
         assert rep["dt"] <= bound
+
+    def test_rigid_check_steps_under_the_guard_where_it_binds(self, tmp_path):
+        # here the quarter-spacing guard is 0.89 of the stability rule
+        assert run_cli(tmp_path, "rigid-check", "--alpha", "0.35", "--m", "4", "--s", "0.1",
+                       "--nodes", "256") == 0
+        rep = json.loads((tmp_path / "rigid_m4.json").read_text())
+        assert rep["dt_guard"] < rep["dt_stability"]
+        assert rep["dt"] <= rep["dt_guard"]
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GSQG_OUTPUT_DIR", str(tmp_path / "envdir"))
