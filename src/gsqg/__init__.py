@@ -29,8 +29,7 @@ from .kernels import (ResidualField, SelfIntersectionError,
                       functional_G, s_phi,
                       singular_moment_I, singular_moment_J, singular_moment_Z,
                       sqg_moment_1, sqg_moment_2)
-from .linearization import (BracketError, bifurcation_scan,
-                            crosses_transversally, disc_jacobian,
+from .linearization import (BracketError, bifurcation_scan, disc_jacobian,
                             gateaux_derivative, kernel_diagnostics,
                             monomial_derivatives, multiplier_at_disc,
                             transversality_check)

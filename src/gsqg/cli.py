@@ -30,8 +30,8 @@ from .geometry import FourierBoundary, UnitGrid, eval_map
 from .kernels import (SelfIntersectionError, ellipse_moment_ratio, functional_G,
                       singular_moment_I, singular_moment_J, singular_moment_Z,
                       sqg_moment_1, sqg_moment_2)
-from .linearization import (BracketError, bifurcation_scan, crosses_transversally,
-                            disc_jacobian, kernel_diagnostics, multiplier_at_disc)
+from .linearization import (BracketError, bifurcation_scan, disc_jacobian,
+                            kernel_diagnostics, multiplier_at_disc)
 from .output import (write_csv, write_curves_svg, write_json, write_jsonl,
                      write_residual_csv, write_residual_json, write_xy_svg)
 from .specfun import (DispersionTable, GammaPoleError, omega_asymptotic,
@@ -182,7 +182,7 @@ def cmd_scan(args) -> int:
     window = (closed - args.window, closed + args.window)
     located = bifurcation_scan(alpha, args.m, window)
     diag = kernel_diagnostics(alpha, args.m, located)
-    trans = crosses_transversally(diag)
+    trans = diag["transversal"]
     gap = abs(located - closed)
     report = {"alpha": alpha, "m": args.m, "omega_located": located,
               "omega_closed_form": closed, "gap": gap,
@@ -274,6 +274,13 @@ def _initial_contour(args, alpha: float) -> ContourState:
     raise ConfigError(f"unknown shape {args.shape!r}")
 
 
+def _drifts(start: ContourState, end: ContourState) -> tuple[float, float]:
+    """Relative area drift and absolute centroid drift from start to end."""
+    area0, cent0 = conserved_diagnostics(start)
+    area1, cent1 = conserved_diagnostics(end)
+    return abs(area1 - area0) / abs(area0), abs(cent1 - cent0)
+
+
 def cmd_evolve(args) -> int:
     alpha = _check_alpha(args.alpha, open_lo=True)
     if args.t_final <= 0 or args.dt <= 0:
@@ -283,7 +290,6 @@ def cmd_evolve(args) -> int:
     _check_nodes(args.nodes)
     out = _outdir(args)
     state = _initial_contour(args, alpha)
-    area0, cent0 = conserved_diagnostics(state)
     frames = [state]
     n_chunks = args.frames - 1
     chunk = args.t_final / n_chunks
@@ -300,9 +306,7 @@ def cmd_evolve(args) -> int:
     write_curves_svg(out / "evolution.svg",
                      [st.nodes for st in frames],
                      [f"t={st.time:.3f}" for st in frames])
-    area1, cent1 = conserved_diagnostics(state)
-    d_area = abs(area1 - area0) / abs(area0)
-    d_cent = abs(cent1 - cent0)
+    d_area, d_cent = _drifts(frames[0], state)
     path = write_json(out / "evolve_report.json",
                       {"alpha": alpha, "t_final": args.t_final, "nodes": args.nodes,
                        "steps": n_chunks * n_steps, "dt": dt,
@@ -331,10 +335,7 @@ def cmd_rigid_check(args) -> int:
     state1 = evolve(start, t_quarter, dt)
     rotated = np.exp(1j * sol.omega * t_quarter) * state0.nodes
     dist = hausdorff_distance(state1.nodes, rotated)
-    area0, cent0 = conserved_diagnostics(state0)
-    area1, cent1 = conserved_diagnostics(state1)
-    d_area = abs(area1 - area0) / abs(area0)
-    d_cent = abs(cent1 - cent0)
+    d_area, d_cent = _drifts(state0, state1)
     write_curves_svg(out / f"rigid_m{args.m}.svg", [rotated, state1.nodes],
                      ["rotated initial", "evolved"])
     path = write_json(out / f"rigid_m{args.m}.json",

@@ -34,7 +34,7 @@ from numpy.fft import fft, ifft, irfft, rfft
 # so that `import gsqg` and the commands that never step a contour load none
 
 from .geometry import FourierBoundary, UnitGrid, eval_map
-from .specfun import DispersionTable, conv_constant, omega_dispersion
+from .specfun import _omega_ladder, conv_constant, omega_dispersion
 
 _WINDOW = 3  # neighbours on each side of a node that the near-approach guard ignores
 _TILE = 128  # rows per pair-kernel strip; 64 ties at 512 nodes, 256 is ~10% slower
@@ -326,8 +326,7 @@ def _disc_modes(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     k = np.roll(_wavenumbers(m), 1)
     mirror = (2 - np.arange(m)) % m
-    table = DispersionTable.build(alpha, m // 2)
-    omega = np.array([0.0, 0.0] + [table.values[j] for j in range(2, m // 2 + 1)])
+    omega = np.concatenate([[0.0, 0.0], _omega_ladder(alpha, m // 2)])
     rate = k * _velocity_filter(m) * omega[np.abs(k).astype(int)]
     share = 0.5 - 0.5 / np.where(k == 0, 1.0, k)
     for arr in (mirror, rate, share):

@@ -13,9 +13,9 @@ and only their omega slope (n+1)/2 is taken in closed form.
 The functional is rotation equivariant, so the derivative along w^(-n) on
 one sector of the boundary's m-fold symmetry, together with the
 derivative along the mirror-odd direction i w^(-n), fixes it on every
-sector.  The pass forms both from the same kernel blocks where a
-direction's period differs from the boundary's: the disc's sector is one
-node, so every column of the disc Jacobian comes from one target row.
+sector.  The pass forms both from the same kernel blocks for every
+direction: the disc's sector is one node, so every column of the disc
+Jacobian comes from one target row.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
                        eval_deriv, eval_map)
 from .kernels import _field_from_values, _formed_rows, _inverse_chords, _kernel_blocks
-from .specfun import DispersionTable, omega_dispersion
+from .specfun import _omega_ladder, omega_dispersion
 
 
 def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> np.ndarray:
@@ -35,7 +35,7 @@ def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> np.ndarray:
     mult[0] = omega/2, mult[n] = (n+1)(omega - omega_{n+1})/2."""
     if n_max < 2:
         raise ValueError("need at least modes up to n = 2")
-    omegas = np.fromiter(DispersionTable.build(alpha, n_max + 1).values.values(), float)
+    omegas = _omega_ladder(alpha, n_max + 1)
     n = np.arange(1, n_max + 1)
     return np.concatenate([[omega / 2.0], (n + 1) * (omega - omegas) / 2.0])
 
@@ -85,11 +85,11 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
         F_h(w_(i+P)) = cos(gamma) F_h(w_i) - sin(gamma) F_(ih)(w_i),
         gamma = (n+1) beta,
 
-    with P nodes per sector and beta = 2 pi P / size.  The pass forms the
-    mirror-odd fields F_(ih) only when some gamma is not a multiple of 2 pi:
-    for the disc (P = 1) one target row gives every column, while rung
-    directions of an m-fold boundary repeat with its sector and cost no
-    more.  Under the mirror, F_h changes sign and F_(ih) does not.
+    with P nodes per sector and beta = 2 pi P / size.  The pass forms
+    F_h + i F_(ih) for every direction, from the same block products: for
+    the disc (P = 1) one target row gives every column, and rung directions
+    of an m-fold boundary repeat with their sector (every turn is 1).  Under
+    the mirror, F_h changes sign and F_(ih) does not.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("analytic derivative implemented for alpha in (0, 1]")
@@ -101,16 +101,15 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
         warnings.warn(f"grid of size {grid.size} under-resolves the direction b_{n_max}",
                       AliasingWarning, stacklevel=2)
     formed = _formed_rows(bnd, grid)
-    turn = formed.turns(modes + 1)
-    fields = _formed_fields(bnd, modes, omega, alpha, grid, formed.count, turn is not None)
+    fields = _formed_fields(bnd, modes, omega, alpha, grid, formed.count)
     # the mirror maps F_h + i F_(ih) to its negated conjugate; the rotation turns it by e^(i gamma)
-    return np.real(formed.unfold(fields, -1, turn)).T
+    return np.real(formed.unfold(fields, -1, formed.turns(modes + 1))).T
 
 
 def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha: float,
-                   grid: UnitGrid, n_rows: int, odd: bool) -> np.ndarray:
-    """Target rows 0..n_rows-1 of dG along w^(-n) for n in modes, one column each;
-    with odd, the complex F_h + i F_(ih), h = w^(-n).
+                   grid: UnitGrid, n_rows: int) -> np.ndarray:
+    """Target rows 0..n_rows-1 of F_h + i F_(ih), F_h = dG[h] along h = w^(-n),
+    for n in modes, one column each.
 
     Each block of H^2 and H^(-a) W (W the circulant weight rows) from
     kernels._kernel_blocks gives p H^(-a-2) W, p = w phi', and the chord
@@ -139,7 +138,7 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
     dirs = w[:, None] * np.column_stack([dphi, dhv])     # [p, q] = w [phi', h']
     dirs_pair = dirs.view(float)                         # Re and Im of each column
     sing = np.empty((n_rows, modes.size), dtype=complex)
-    sing_odd = np.empty_like(sing) if odd else None
+    sing_odd = np.empty_like(sing)
     for start, stop, h2, kern in _kernel_blocks(phi, dphi, w, alpha, n_rows):
         layer = (kern @ dirs_pair).view(complex)        # the row sums of p and q
         pw = kern * dirs[:, 0]
@@ -154,16 +153,13 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
         p_bar, q_bar = np.conj(dirs[start:stop, :1]), np.conj(dirs[start:stop, 1:])
         chord = -(turned_b + turned_c)
         sing[start:stop] = layer[:, :1] * q_bar + p_bar * (layer[:, 1:] - 0.5 * alpha * chord)
-        if odd:
-            # along i h: q -> i q and the chord term -> -i (turned_c - turned_b)
-            chord_odd = -1j * (turned_c - turned_b)
-            sing_odd[start:stop] = (-1j * layer[:, :1] * q_bar
-                                    + p_bar * (1j * layer[:, 1:] - 0.5 * alpha * chord_odd))
+        # along i h: q -> i q and the chord term -> -i (turned_c - turned_b)
+        chord_odd = -1j * (turned_c - turned_b)
+        sing_odd[start:stop] = (-1j * layer[:, :1] * q_bar
+                                + p_bar * (1j * layer[:, 1:] - 0.5 * alpha * chord_odd))
     rows = slice(0, n_rows)
     args = (phi[rows, None], dphi[rows, None], w[rows, None])
     vals = omega * _mixed_slope(*args, inv[rows], dhv[rows]) - np.imag(sing)
-    if not odd:
-        return vals
     return vals + 1j * (omega * _mixed_slope(*args, 1j * inv[rows], 1j * dhv[rows])
                         - np.imag(sing_odd))
 
@@ -229,10 +225,13 @@ def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = 16) ->
     """Singular-value picture of the disc Jacobian at a candidate bifurcation.
 
     Reports the number of near-zero singular values, the mass the critical
-    right singular vector carries on mode m-1, and the conditioning of the
-    complement with the b_{m-1} column removed.  The omega column, the
-    mixed derivative along b_{m-1}, is its closed form (m/2) e_{m-1}: only
-    sine mode m moves, with the omega slope of the multiplier.
+    right singular vector carries on mode m-1, the conditioning of the
+    complement with the b_{m-1} column removed, and transversality.  The
+    omega column, the mixed derivative along b_{m-1}, is its closed form
+    (m/2) e_{m-1}: only sine mode m moves, with the omega slope of the
+    multiplier.  Its normalised projection onto the cokernel u (the last
+    left singular vector) is |u[m-1]|, and the branch crosses with nonzero
+    speed when that exceeds 1e-3.
     """
     n_modes = max(n_modes, m + 4)
     entries = disc_jacobian(alpha, omega, n_modes)
@@ -244,28 +243,11 @@ def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = 16) ->
     keep = [n for n in range(n_modes) if n != m - 1]
     reduced = entries[np.ix_(keep, keep)]
     cond = float(np.linalg.cond(reduced))
-    omega_col = np.zeros(n_modes)
-    omega_col[m - 1] = m / 2.0
     return {"singular_values": sv, "n_small": n_small, "kernel_mass": mass,
-            "cokernel": u_mat[:, -1], "omega_column": omega_col,
-            "reduced_condition": cond}
+            "reduced_condition": cond, "transversal": bool(abs(u_mat[m - 1, -1]) > 1e-3)}
 
 
 def transversality_check(alpha: float, m: int) -> bool:
     """True when the mixed omega-derivative column leaves the range of the disc
-    Jacobian at the closed-form omega_m (see crosses_transversally)."""
-    return crosses_transversally(kernel_diagnostics(alpha, m, omega_dispersion(alpha, m)))
-
-
-def crosses_transversally(diag: dict) -> bool:
-    """Transversality from one kernel_diagnostics result.
-
-    Projects the mixed omega-derivative column onto the numerically computed
-    cokernel of the disc Jacobian; crossing with nonzero speed means a
-    projection above 1e-3 of the column's norm.
-    """
-    col = diag["omega_column"]
-    norm = np.linalg.norm(col)
-    if norm == 0.0:
-        return False
-    return bool(abs(np.dot(diag["cokernel"], col)) / norm > 1e-3)
+    Jacobian at the closed-form omega_m (see kernel_diagnostics)."""
+    return kernel_diagnostics(alpha, m, omega_dispersion(alpha, m))["transversal"]

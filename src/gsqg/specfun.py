@@ -127,6 +127,14 @@ def _check_dispersion_alpha(alpha: float) -> None:
         raise ValueError("the dispersion relation needs alpha in [0, 1]")
 
 
+def _omega_ladder(alpha: float, m_max: int) -> np.ndarray:
+    """omega_m for m = 2..m_max from one ladder pass:
+    theta_alpha (1 - alpha) L_(m-1)(1 + alpha/2, 2 - alpha/2)."""
+    _check_dispersion_alpha(alpha)
+    ladder = gap_ladder(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m_max - 1)
+    return _dispersion_scale(alpha) * ladder[1:]
+
+
 def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
     """Angular velocity omega_m at which the m-fold branch leaves the disc.
 
@@ -141,8 +149,7 @@ def omega_dispersion(alpha: float, m: int, form: str = "pochhammer") -> float:
     if m < 2:
         raise ValueError("omega_dispersion needs mode m >= 2")
     if form == "pochhammer":
-        ladder = gap_ladder(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m - 1)
-        return _dispersion_scale(alpha) * float(ladder[-1])
+        return float(_omega_ladder(alpha, m)[-1])
     if form != "gamma":
         raise ValueError(f"unknown form {form!r}")
     if alpha == 0.0:
@@ -181,10 +188,7 @@ class DispersionTable:
     @classmethod
     def build(cls, alpha: float, m_max: int) -> "DispersionTable":
         """Tabulate omega_m for m = 2..m_max from one ladder pass."""
-        _check_dispersion_alpha(alpha)
         if m_max < 2:
             raise ValueError("m_max must be >= 2")
-        m = np.arange(2, m_max + 1)
-        ladder = gap_ladder(1.0 + alpha / 2.0, 2.0 - alpha / 2.0, m_max - 1)
-        vals = _dispersion_scale(alpha) * ladder[1:]
-        return cls(alpha=alpha, values=dict(zip(m.tolist(), vals.tolist())))
+        vals = _omega_ladder(alpha, m_max)
+        return cls(alpha=alpha, values=dict(zip(range(2, m_max + 1), vals.tolist())))

@@ -6,8 +6,8 @@ from gsqg import kernels
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary, UnitGrid,
                            default_grid, embed_mfold, eval_deriv, eval_map)
 from gsqg.kernels import _field_from_values, functional_G
-from gsqg.linearization import (BracketError, bifurcation_scan, crosses_transversally,
-                                disc_jacobian, gateaux_derivative, kernel_diagnostics,
+from gsqg.linearization import (BracketError, bifurcation_scan, disc_jacobian,
+                                gateaux_derivative, kernel_diagnostics,
                                 monomial_derivatives, multiplier_at_disc,
                                 transversality_check)
 from gsqg.specfun import omega_dispersion, omega_sqg, theta_alpha
@@ -81,10 +81,10 @@ def every_row(size):
                                np.zeros(size, dtype=int))
 
 
-def all_rows(bnd, modes, omega, alpha, grid, odd=False):
-    """The pass's fields along w^(-n) (odd: plus i times those along i w^(-n)),
-    every target row formed, one row per direction."""
-    return lin._formed_fields(bnd, np.asarray(modes), omega, alpha, grid, grid.size, odd).T
+def all_rows(bnd, modes, omega, alpha, grid):
+    """The pass's F_h + i F_(ih) along h = w^(-n), every target row formed,
+    one row per direction: .real along w^(-n), .imag along i w^(-n)."""
+    return lin._formed_fields(bnd, np.asarray(modes), omega, alpha, grid, grid.size).T
 
 
 def _random_boundary(rng, n=6, norm=0.05):
@@ -231,7 +231,7 @@ class TestGateaux:
         modes = [-1, 0, 1, 2, 4, 7]
         assert kernels._formed_rows(bnd, grid).count < grid.size // 2
         got = monomial_derivatives(bnd, modes, 0.34, alpha, grid)
-        ref = all_rows(bnd, modes, 0.34, alpha, grid)
+        ref = all_rows(bnd, modes, 0.34, alpha, grid).real
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_odd_fields_match_dense_oracle(self, rng):
@@ -240,7 +240,7 @@ class TestGateaux:
         for grid in (UnitGrid(128), UnitGrid(128, shift=np.pi / 128), UnitGrid(128, shift=0.1)):
             for alpha in (0.3, 0.5, 0.9):
                 bnd = _random_boundary(rng)
-                odd = all_rows(bnd, modes, 0.27, alpha, grid, odd=True).imag
+                odd = all_rows(bnd, modes, 0.27, alpha, grid).imag
                 for n, got in zip(modes, odd):
                     ref = gateaux_dense(bnd, odd_direction(grid, n), 0.27, alpha, grid)
                     scale = max(np.max(np.abs(ref.values)), 1e-12)
@@ -259,7 +259,7 @@ class TestGateaux:
             layer = kernels._layer_potential(ph, dph, w, 1.0, every_row(grid.size))
             return np.imag((0.3 * ph - layer) * np.conj(w * dph))
 
-        odd = all_rows(bnd, modes, 0.3, 1.0, grid, odd=True).imag
+        odd = all_rows(bnd, modes, 0.3, 1.0, grid).imag
         for n, got in zip(modes, odd):
             h = odd_direction(grid, n)
             fd = (residual(1.0, *h) - residual(-1.0, *h)) / (2.0 * eps)
@@ -338,14 +338,16 @@ class TestJacobian:
         assert np.max(np.abs(jac - fd)) < 1e-7
 
     def test_omega_column_at_disc(self):
-        # the closed form (m/2) e_(m-1): direction b_(m-1) moves sine mode m
-        # alone, with the omega slope of the pass's column
+        # the pass's omega slope along b_(m-1) is the closed form (m/2) e_(m-1)
+        # that bifurcation_scan and kernel_diagnostics take: sine mode m alone
+        n_modes = 16
+        grid = default_grid(n_modes + 1)
         for alpha in (0.3, 0.5, 1.0):
             for m in (2, 3, 5):
-                col = kernel_diagnostics(alpha, m, omega_dispersion(alpha, m))["omega_column"]
-                grid = default_grid(len(col) + 1)
-                slope = pass_omega_slope(FourierBoundary.identity(), m - 1, alpha, grid, len(col))
-                assert np.max(np.abs(col - slope)) < 1e-12
+                slope = pass_omega_slope(FourierBoundary.identity(), m - 1, alpha, grid, n_modes)
+                closed = np.zeros(n_modes)
+                closed[m - 1] = m / 2.0
+                assert np.max(np.abs(slope - closed)) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_mixed_slope_matches_finite_differences(self, alpha):
@@ -410,9 +412,10 @@ class TestTransversality:
         assert transversality_check(1.0, 2) is True
 
     def test_in_range_vector_fails(self):
-        # a vector supported on a non-critical sine mode lies in the range
-        fake = np.zeros(16)
-        fake[0] = 1.0
-        diag = kernel_diagnostics(0.5, 3, omega_dispersion(0.5, 3))
-        assert crosses_transversally(diag) is True
-        assert crosses_transversally({**diag, "omega_column": fake}) is False
+        # negative control: at omega_(m+1) the kernel is simple but sits on
+        # b_m, so the omega column (m/2) e_(m-1) along b_(m-1) lies in the range
+        for alpha in (0.05, 0.5, 1.0):
+            for m in (2, 3, 5):
+                diag = kernel_diagnostics(alpha, m, omega_dispersion(alpha, m + 1))
+                assert diag["n_small"] == 1
+                assert diag["transversal"] is False

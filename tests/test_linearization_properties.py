@@ -74,7 +74,7 @@ def test_rotation_unfold_matches_all_rows(alpha, omega, m, reduced, modes, grid)
     # a multiple of every m drawn
     bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced)))
     got = monomial_derivatives(bnd, modes, omega, alpha, grid)
-    ref = lin._formed_fields(bnd, np.array(modes), omega, alpha, grid, grid.size, False).T
+    ref = lin._formed_fields(bnd, np.array(modes), omega, alpha, grid, grid.size).T.real
     # a turned row adds the rounding of F_(ih) to that of F_h: measured up to
     # 1.2e-14 / alpha for alpha <= 0.1 and 4.7e-14 near 1, over 600 draws each
     tol = 1e-13 + 3e-14 / alpha
