@@ -2,16 +2,20 @@
 
 Exit codes follow one contract everywhere: 0 all embedded checks passed,
 1 a numerical check failed or the numerics raised one of the package's
-typed failures (one machine-parsable FAIL line on stdout), 2 invalid
-configuration, 3 any other exception (a bug; traceback on stderr).  Output
-files are deterministic; re-running a command with the same arguments
-reproduces them byte for byte.
+typed failures (one machine-parsable FAIL line on stdout), 2 an invalid
+command line, 3 any other exception (a bug; traceback on stderr).  The
+parser alone decides what a valid command line is: each flag carries its
+argument's domain, and a value outside it, an unknown flag or a missing
+argument prints one `CONFIG ...` line on stderr and exits 2 before any
+numerics run.  Output files are deterministic; re-running a command with the
+same arguments reproduces them byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -55,26 +59,6 @@ def _outdir(args) -> Path:
     return path
 
 
-def _check_alpha(alpha: float, *, open_lo: bool = False, open_hi: bool = False) -> float:
-    bad = alpha < 0.0 or alpha > 1.0 or (open_lo and alpha == 0.0) or (open_hi and alpha == 1.0)
-    if bad:
-        kind = f"{'(' if open_lo else '['}0.0, 1.0{')' if open_hi else ']'}"
-        raise ConfigError(f"alpha = {alpha} outside {kind}")
-    return alpha
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
-def _check_nodes(nodes: int) -> None:
-    if nodes < 8 or nodes % 2:
-        raise ConfigError(f"nodes = {nodes} must be even and at least 8")
-
-
 def _fail(reason: str) -> int:
     print(f"FAIL {reason}")
     return 1
@@ -90,9 +74,7 @@ def _ok(message: str) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    alpha = _check_alpha(args.alpha)
-    if args.m_max < 2:
-        raise ConfigError("m-max must be >= 2")
+    alpha = args.alpha
     out = _outdir(args)
     inner = 0.0 < alpha < 1.0
     theta = theta_alpha(alpha) if inner else None
@@ -114,9 +96,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_verify_integrals(args) -> int:
-    alpha = _check_alpha(args.alpha, open_lo=True, open_hi=True)
-    if args.n_max < 1:
-        raise ConfigError("n-max must be >= 1")
+    alpha = args.alpha
     out = _outdir(args)
     errors = {"I": [], "J": [], "Z": [], "sqg1": [], "sqg2": []}
     orders = np.arange(args.n_max + 1)
@@ -151,13 +131,15 @@ def cmd_verify_integrals(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    alpha = _check_alpha(args.alpha, open_lo=True)
-    if args.n_modes < 2:
-        raise ConfigError("n-modes must be >= 2")
-    out = _outdir(args)
+    alpha = args.alpha
     mult = multiplier_at_disc(alpha, args.omega, args.n_modes)
     diag = np.diag(disc_jacobian(alpha, args.omega, args.n_modes))
+    # np.max keeps a NaN, so a non-finite multiplier or diagonal entry shows
+    # here, before anything is written
     agreement = float(np.max(np.abs(diag - mult[:args.n_modes])))
+    if not np.isfinite(agreement):
+        return _fail(f"non-finite max_diagonal_gap omega={args.omega:g}")
+    out = _outdir(args)
     write_csv(out / "multipliers.csv", ["n", "multiplier"],
               [[n, mult[n]] for n in range(args.n_modes)])
     path = write_json(out / "linearize.json",
@@ -172,15 +154,11 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    alpha = _check_alpha(args.alpha, open_lo=True)
-    if args.m < 2:
-        raise ConfigError("m must be >= 2")
-    if args.window <= 0 or args.tol <= 0:
-        raise ConfigError("need positive --window and --tol")
+    alpha = args.alpha
     out = _outdir(args)
     closed = omega_dispersion(alpha, args.m)
-    window = (closed - args.window, closed + args.window)
-    located = bifurcation_scan(alpha, args.m, window)
+    # the root is bracketed within 0.05 of the closed form and must land within 1e-7
+    located = bifurcation_scan(alpha, args.m, (closed - 0.05, closed + 0.05))
     diag = kernel_diagnostics(alpha, args.m, located)
     trans = diag["transversal"]
     gap = abs(located - closed)
@@ -190,20 +168,16 @@ def cmd_scan(args) -> int:
               "kernel_mass_on_mode": diag["kernel_mass"],
               "transversal": trans}
     path = write_json(out / f"scan_m{args.m}.json", report)
-    if gap >= args.tol or diag["n_small"] != 1 or not trans:
+    if gap >= 1e-7 or diag["n_small"] != 1 or not trans:
         return _fail(f"gap={gap:.3e} kernel_dim={diag['n_small']} "
                      f"transversal={trans} report={path}")
     return _ok(f"gap={gap:.3e} wrote {path}")
 
 
 def cmd_solve_branch(args) -> int:
-    alpha = _check_alpha(args.alpha, open_lo=True)
-    if args.m < 2:
-        raise ConfigError("m must be >= 2")
-    if args.ds <= 0 or args.s_max < args.ds:
-        raise ConfigError("need 0 < ds <= s-max")
-    if args.tol <= 0:
-        raise ConfigError("need a positive --tol")
+    alpha = args.alpha
+    if args.s_max < args.ds:
+        raise ConfigError(f"ds = {args.ds} exceeds s-max = {args.s_max}")
     out = _outdir(args)
     table = continue_branch(alpha, args.m, args.s_max, args.ds, tol=args.tol)
     rows = [[sol.s, sol.omega, sol.residual_norm,
@@ -235,9 +209,7 @@ def cmd_solve_branch(args) -> int:
 
 
 def cmd_ellipse_test(args) -> int:
-    alpha = _check_alpha(args.alpha, open_lo=True, open_hi=True)
-    if not 0.0 < args.q < 1.0:
-        raise ConfigError("Q must lie in (0, 1)")
+    alpha = args.alpha
     out = _outdir(args)
     ratio = ellipse_moment_ratio(alpha)
     ratio_quad = oracles.moment_I_quad(alpha, 2) / oracles.moment_I_quad(alpha, 0)
@@ -258,20 +230,14 @@ def cmd_ellipse_test(args) -> int:
     return _ok(f"min_abs_g4={min_g4:.3e} ratio_gap={ratio_gap:.3e} wrote {path}")
 
 
-def _initial_contour(args, alpha: float) -> ContourState:
+def _initial_contour(args) -> ContourState:
     if args.shape == "disc":
-        return ContourState.disc(args.nodes, alpha)
+        return ContourState.disc(args.nodes, args.alpha)
     if args.shape == "ellipse":
-        if not 0.0 < args.q < 1.0:
-            raise ConfigError("ellipse needs --q in (0, 1)")
-        return ContourState.from_boundary(FourierBoundary.ellipse(args.q),
-                                          args.nodes, alpha)
-    if args.shape == "vstate":
-        if args.m < 2:
-            raise ConfigError("m must be >= 2")
-        sol = solve_vstate(alpha, args.m, args.s)
-        return ContourState.from_boundary(sol.full_boundary, args.nodes, alpha)
-    raise ConfigError(f"unknown shape {args.shape!r}")
+        boundary = FourierBoundary.ellipse(args.q)
+    else:
+        boundary = solve_vstate(args.alpha, args.m, args.s).full_boundary
+    return ContourState.from_boundary(boundary, args.nodes, args.alpha)
 
 
 def _drifts(start: ContourState, end: ContourState) -> tuple[float, float]:
@@ -282,14 +248,9 @@ def _drifts(start: ContourState, end: ContourState) -> tuple[float, float]:
 
 
 def cmd_evolve(args) -> int:
-    alpha = _check_alpha(args.alpha, open_lo=True)
-    if args.t_final <= 0 or args.dt <= 0:
-        raise ConfigError("need positive --t-final and --dt")
-    if args.frames < 2:
-        raise ConfigError("need --frames >= 2: the start and the end")
-    _check_nodes(args.nodes)
+    alpha = args.alpha
     out = _outdir(args)
-    state = _initial_contour(args, alpha)
+    state = _initial_contour(args)
     frames = [state]
     n_chunks = args.frames - 1
     chunk = args.t_final / n_chunks
@@ -319,10 +280,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_rigid_check(args) -> int:
-    alpha = _check_alpha(args.alpha, open_lo=True)
-    if args.m < 2:
-        raise ConfigError("m must be >= 2")
-    _check_nodes(args.nodes)
+    alpha = args.alpha
     out = _outdir(args)
     sol = solve_vstate(alpha, args.m, args.s)
     state0 = ContourState.from_boundary(sol.full_boundary, args.nodes, alpha)
@@ -357,9 +315,39 @@ def cmd_rigid_check(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every error is a ConfigError, so `main` reports it as one CONFIG line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _domain(convert, inside, domain: str):
+    """A `type=` converter: the value convert reads off the text, if inside holds for it."""
+    def read(text: str):
+        try:
+            value = convert(text)
+            if inside(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {domain}")
+    return read
+
+
+# the argument domains: NaN fails every comparison, and no float bound admits an infinity
+_FINITE = _domain(float, math.isfinite, "a finite number")
+_POSITIVE = _domain(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_OPEN_UNIT = _domain(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_ALPHA = _domain(float, lambda a: 0.0 < a <= 1.0, "in (0, 1]")
+_CLOSED_UNIT = _domain(float, lambda a: 0.0 <= a <= 1.0, "in [0, 1]")
+_TWO_OR_MORE = _domain(int, lambda n: n >= 2, "an integer >= 2")
+_NODES = _domain(int, lambda n: n >= 8 and n % 2 == 0, "an even integer >= 8")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsqg",
         description="Rotating-patch laboratory for the generalized SQG equation")
     parser.add_argument("--output-dir", default=None,
@@ -367,59 +355,58 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dispersion", help="tabulate bifurcation angular velocities")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--m-max", type=int, default=10)
+    p.add_argument("--alpha", type=_CLOSED_UNIT, required=True)
+    p.add_argument("--m-max", type=_TWO_OR_MORE, default=10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_dispersion)
 
     p = sub.add_parser("verify-integrals", help="closed-form moments vs quadrature")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--alpha", type=_OPEN_UNIT, required=True)
+    p.add_argument("--n-max", type=_domain(int, lambda n: n >= 1, "a positive integer"),
+                   default=16)
     p.set_defaults(fn=cmd_verify_integrals)
 
     p = sub.add_parser("linearize", help="disc multipliers vs assembled Jacobian")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--omega", type=_finite_float, default=0.0)
-    p.add_argument("--n-modes", type=int, default=16)
+    p.add_argument("--alpha", type=_ALPHA, required=True)
+    p.add_argument("--omega", type=_FINITE, default=0.0)
+    p.add_argument("--n-modes", type=_TWO_OR_MORE, default=16)
     p.set_defaults(fn=cmd_linearize)
 
     p = sub.add_parser("scan", help="locate a bifurcation point spectrally")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--window", type=_finite_float, default=0.05)
-    p.add_argument("--tol", type=_finite_float, default=1e-7)
+    p.add_argument("--alpha", type=_ALPHA, required=True)
+    p.add_argument("--m", type=_TWO_OR_MORE, required=True)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("solve-branch", help="continue an m-fold branch in amplitude")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s-max", type=_finite_float, required=True)
-    p.add_argument("--ds", type=_finite_float, required=True)
-    p.add_argument("--tol", type=_finite_float, default=1e-11)
+    p.add_argument("--alpha", type=_ALPHA, required=True)
+    p.add_argument("--m", type=_TWO_OR_MORE, required=True)
+    p.add_argument("--s-max", type=_POSITIVE, required=True)
+    p.add_argument("--ds", type=_POSITIVE, required=True)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-11)
     p.set_defaults(fn=cmd_solve_branch)
 
     p = sub.add_parser("ellipse-test", help="ellipses never rotate: mode-4 obstruction")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--Q", dest="q", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_OPEN_UNIT, required=True)
+    p.add_argument("--Q", dest="q", type=_OPEN_UNIT, required=True)
     p.set_defaults(fn=cmd_ellipse_test)
 
     p = sub.add_parser("evolve", help="contour-dynamics time integration")
-    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_ALPHA, required=True)
     p.add_argument("--shape", choices=("disc", "ellipse", "vstate"), default="disc")
-    p.add_argument("--q", type=_finite_float, default=0.3)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--s", type=_finite_float, default=0.03)
-    p.add_argument("--t-final", type=_finite_float, required=True)
-    p.add_argument("--dt", type=_finite_float, required=True)
-    p.add_argument("--nodes", type=int, default=512)
-    p.add_argument("--frames", type=int, default=5)
+    p.add_argument("--q", type=_OPEN_UNIT, default=0.3)
+    p.add_argument("--m", type=_TWO_OR_MORE, default=3)
+    p.add_argument("--s", type=_FINITE, default=0.03)
+    p.add_argument("--t-final", type=_POSITIVE, required=True)
+    p.add_argument("--dt", type=_POSITIVE, required=True)
+    p.add_argument("--nodes", type=_NODES, default=512)
+    p.add_argument("--frames", type=_TWO_OR_MORE, default=5)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("rigid-check", help="quarter-period rigid rotation round trip")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--s", type=_finite_float, default=0.03)
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--alpha", type=_ALPHA, required=True)
+    p.add_argument("--m", type=_TWO_OR_MORE, default=3)
+    p.add_argument("--s", type=_FINITE, default=0.03)
+    p.add_argument("--nodes", type=_NODES, default=256)
     p.set_defaults(fn=cmd_rigid_check)
 
     # a value such as "-1e-7" is a number, not an option (argparse knows only "-1", "-.5")
@@ -429,14 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         # looked up by name: the cached parser holds the functions of its first build
         return globals()[args.fn.__name__](args)
+    except SystemExit as exc:
+        # the parser exits only after --help has printed the usage
+        return exc.code
     except ConfigError as exc:
         print(f"CONFIG {exc}", file=sys.stderr)
         return 2

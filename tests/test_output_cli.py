@@ -110,6 +110,14 @@ def run_cli(tmp_path, *args):
     return main(["--output-dir", str(tmp_path), *args])
 
 
+def assert_config_error(tmp_path, capsys, *args):
+    """An invalid command line exits 2 with one CONFIG line on stderr and writes nothing."""
+    assert run_cli(tmp_path, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert not list(tmp_path.glob("*"))
+
+
 # one non-finite float per command line; the parser rejects each as invalid
 # configuration, before any numerics can fail on it
 NON_FINITE_ARGS = [
@@ -132,10 +140,29 @@ BAD_CONFIG_ARGS = [
     ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "0.01", "--frames", "-3"),
     ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.01",
      "--tol", "0"),
-    ("scan", "--alpha", "0.5", "--m", "3", "--tol", "0"),
-    ("scan", "--alpha", "0.5", "--m", "3", "--window", "-1"),
-    ("scan", "--alpha", "0.5", "--m", "3", "--window", "0"),
+    # a negative value in exponent notation still reaches its domain check
+    ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.01",
+     "--tol", "-1e-7"),
+    # scan's gap bound is fixed: its retired --tol flag is refused, not ignored
     ("scan", "--alpha", "0.5", "--m", "3", "--tol", "-1e-7"),
+    ("dispersion", "--alpha", "0.5", "--m-max", "1"),
+    ("verify-integrals", "--alpha", "1"),
+    ("ellipse-test", "--alpha", "1", "--Q", "0.5"),
+    ("linearize", "--alpha", "0.5", "--n-modes", "1"),
+    ("scan", "--alpha", "0.5", "--m", "1"),
+    ("scan", "--alpha", "0.5", "--m", "2.5"),
+    ("rigid-check", "--alpha", "0.5", "--m", "1"),
+    ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0"),
+    # the one check across arguments, made in the command body
+    ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.02"),
+    # the parser checks --q and --m whatever shape they serve
+    ("evolve", "--alpha", "0.5", "--shape", "ellipse", "--q", "0",
+     "--t-final", "0.1", "--dt", "0.01"),
+    ("evolve", "--alpha", "0.5", "--shape", "disc", "--m", "1",
+     "--t-final", "0.1", "--dt", "0.01"),
+    # a missing argument and an unknown command
+    ("scan", "--alpha", "0.5"),
+    ("spin", "--alpha", "0.5"),
 ]
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,11 +197,18 @@ class TestCli:
         vals = [float(r.split(",")[1]) for r in rows]
         assert vals == pytest.approx([0.25, 1.0 / 3.0, 0.375], rel=1e-11)
 
-    def test_invalid_alpha_exits_2(self, tmp_path):
-        assert run_cli(tmp_path, "dispersion", "--alpha", "1.5") == 2
+    def test_invalid_alpha_exits_2(self, tmp_path, capsys):
+        assert_config_error(tmp_path, capsys, "dispersion", "--alpha", "1.5")
 
-    def test_unknown_flag_exits_2(self, tmp_path):
-        assert run_cli(tmp_path, "dispersion", "--alpho", "0.5") == 2
+    def test_unknown_flag_exits_2(self, tmp_path, capsys):
+        assert_config_error(tmp_path, capsys, "dispersion", "--alpho", "0.5")
+        assert_config_error(tmp_path, capsys, "dispersion", "--alpha", "0.5", "--omega", "3")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("scan", "--help")], ids=" ".join)
+    def test_help_exits_0(self, capsys, argv):
+        assert main(list(argv)) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(" ".join(["usage: gsqg", *argv[:-1]])) and err == ""
 
     def test_determinism(self, tmp_path):
         run_cli(tmp_path / "a", "dispersion", "--alpha", "0.5", "--m-max", "12",
@@ -244,8 +278,16 @@ class TestCli:
         first = (tmp_path / "a" / "verify_integrals.json").read_bytes()
         assert first == (tmp_path / "b" / "verify_integrals.json").read_bytes()
         capsys.readouterr()
-        assert run_cli(tmp_path, "verify-integrals", "--alpha", "0.3", "--n-max", "0") == 2
-        assert capsys.readouterr().err.startswith("CONFIG")
+        assert_config_error(tmp_path / "c", capsys, "verify-integrals", "--alpha", "0.3",
+                            "--n-max", "0")
+
+    def test_linearize_non_finite_fails_before_writing(self, tmp_path, capsys):
+        # the multipliers overflow at this omega and the quadrature diagonal reads NaN
+        with np.errstate(all="ignore"):
+            assert run_cli(tmp_path, "linearize", "--alpha", "0.5", "--omega", "1e308",
+                           "--n-modes", "4") == 1
+        assert capsys.readouterr().out.startswith("FAIL non-finite max_diagonal_gap")
+        assert list(tmp_path.iterdir()) == []
 
     def test_linearize(self, tmp_path):
         assert run_cli(tmp_path, "linearize", "--alpha", "0.5", "--omega", "0.3",
@@ -317,8 +359,7 @@ class TestCli:
 
     @pytest.mark.parametrize("alpha", ["0", "-0.1", "1.5"])
     def test_linearize_bad_alpha_exits_2(self, tmp_path, capsys, alpha):
-        assert run_cli(tmp_path, "linearize", "--alpha", alpha, "--omega", "0.3") == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert_config_error(tmp_path, capsys, "linearize", "--alpha", alpha, "--omega", "0.3")
 
     def test_ellipse_test(self, tmp_path):
         assert run_cli(tmp_path, "ellipse-test", "--alpha", "0.5", "--Q", "0.3") == 0
@@ -338,8 +379,8 @@ class TestCli:
         report = json.loads((tmp_path / "ellipse_test.json").read_text())
         assert report["moment_ratio_gap"] < 1e-11
 
-    def test_ellipse_bad_q_exits_2(self, tmp_path):
-        assert run_cli(tmp_path, "ellipse-test", "--alpha", "0.5", "--Q", "1.2") == 2
+    def test_ellipse_bad_q_exits_2(self, tmp_path, capsys):
+        assert_config_error(tmp_path, capsys, "ellipse-test", "--alpha", "0.5", "--Q", "1.2")
 
     def test_solve_branch(self, tmp_path):
         assert run_cli(tmp_path, "solve-branch", "--alpha", "0.5", "--m", "2",
@@ -398,31 +439,27 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", NON_FINITE_ARGS, ids=" ".join)
     def test_non_finite_float_exits_2(self, tmp_path, capsys, argv):
-        assert run_cli(tmp_path, *argv) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert_config_error(tmp_path, capsys, *argv)
 
     @pytest.mark.parametrize("argv", BAD_CONFIG_ARGS, ids=" ".join)
     def test_bad_configuration_exits_2(self, tmp_path, capsys, argv):
-        assert run_cli(tmp_path, *argv) == 2
-        assert capsys.readouterr().err.startswith("CONFIG")
+        assert_config_error(tmp_path, capsys, *argv)
 
     def test_negative_exponent_notation_is_a_number(self):
         args = cli.build_parser().parse_args(["rigid-check", "--alpha", "0.5", "--s", "-1e-2"])
         assert args.fn is cli.cmd_rigid_check and args.s == -0.01
 
-    def test_evolve_bad_dt_exits_2(self, tmp_path):
-        assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--t-final", "0.1",
-                       "--dt", "-1") == 2
+    def test_evolve_bad_dt_exits_2(self, tmp_path, capsys):
+        assert_config_error(tmp_path, capsys, "evolve", "--alpha", "0.5", "--t-final", "0.1",
+                            "--dt", "-1")
 
     def test_evolve_bad_nodes_exits_2(self, tmp_path, capsys):
-        assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--t-final", "0.1",
-                       "--dt", "0.01", "--nodes", "3") == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert_config_error(tmp_path, capsys, "evolve", "--alpha", "0.5", "--t-final", "0.1",
+                            "--dt", "0.01", "--nodes", "3")
 
     @pytest.mark.parametrize("nodes", ["65", "0"])
     def test_rigid_check_bad_nodes_exits_2(self, tmp_path, capsys, nodes):
-        assert run_cli(tmp_path, "rigid-check", "--alpha", "0.5", "--nodes", nodes) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert_config_error(tmp_path, capsys, "rigid-check", "--alpha", "0.5", "--nodes", nodes)
 
     def test_rigid_check_reports_its_step(self, tmp_path):
         for sub in ("a", "b"):
