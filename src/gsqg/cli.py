@@ -132,8 +132,10 @@ def cmd_verify_integrals(args) -> int:
 
 def cmd_linearize(args) -> int:
     alpha = args.alpha
-    mult = multiplier_at_disc(alpha, args.omega, args.n_modes)
-    diag = np.diag(disc_jacobian(alpha, args.omega, args.n_modes))
+    # an omega near the float range overflows; the NaN check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult = multiplier_at_disc(alpha, args.omega, args.n_modes)
+        diag = np.diag(disc_jacobian(alpha, args.omega, args.n_modes))
     # np.max keeps a NaN, so a non-finite multiplier or diagonal entry shows
     # here, before anything is written
     agreement = float(np.max(np.abs(diag - mult[:args.n_modes])))
@@ -316,7 +318,13 @@ def cmd_rigid_check(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose every error is a ConfigError, so `main` reports it as one CONFIG line."""
+    """A parser whose every error is a ConfigError, so `main` reports it as one CONFIG line.
+
+    Flags are matched whole: `--m` must not pass for `--m-max`, nor `--s` for `--s-max`.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)

@@ -23,8 +23,9 @@ real multiple of |p|^2; s_phi adds the diagonal term back.
 One generator, _kernel_blocks, forms H^2 and H^(-a) W, W the circulant
 weight rows, for 64 target rows at a time in two reused buffers.  The
 residual contracts each block with p; the directional derivatives in
-linearization add the chord ratio, a product with the cached circulant
-1 / (w_i - w_j) = conj(w_i) R_(i-j).
+linearization add the chord differences phi_i - phi_j, divided by H^2 and
+multiplied by the cached real circulant |R|^2_(i-j) = 1 / |w_i - w_j|^2
+that H^2 is built from.
 
 Every boundary has real coefficients, so it is symmetric about the real
 axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
@@ -161,18 +162,17 @@ def _circulant_weights(size: int, alpha: float) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=32)
-def _inverse_chords(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only views R and |R|^2, 1 on the diagonal, with 1 / (w_i - w_j) = conj(w_i) R[i, j].
+def _inverse_chords(size: int) -> np.ndarray:
+    """Read-only view |R|^2, 1 on the diagonal, with 1 / |w_i - w_j|^2 = |R|^2[i, j] off it.
 
-    R[i, j] = R_k = 1 / (1 - exp(-2 pi i k / size)), k = (i - j) mod size, on any grid shift.
+    |R|^2[i, j] = 1 / (4 sin^2(pi k / size)), k = (i - j) mod size, on any grid shift.
     """
-    row, row_sq = np.ones(size, dtype=complex), np.ones(size)
+    row = np.ones(size)
     k = np.arange(1, size // 2 + 1)
-    row[k] = 0.5 - 0.5j / np.tan(np.pi * k / size)
-    row_sq[k] = 0.25 / np.sin(np.pi * k / size) ** 2
-    # R_(size-k) = conj(R_k), from the angle below pi/2: near pi, tan and sin lose digits
-    row[size - k], row_sq[size - k] = np.conj(row[k]), row_sq[k]
-    return _circulant(row), _circulant(row_sq)
+    row[k] = 0.25 / np.sin(np.pi * k / size) ** 2
+    # |R|^2 is even in k, from the angle below pi/2: near pi, sin loses digits
+    row[size - k] = row[k]
+    return _circulant(row)
 
 
 def _kernel_blocks(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float, count: int):
@@ -185,7 +185,7 @@ def _kernel_blocks(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: floa
     of two buffers that the next block overwrites.
     """
     x, y = phi.real.copy(), phi.imag.copy()
-    weights, inv_sq = _circulant_weights(len(w), alpha)[0], _inverse_chords(len(w))[1]
+    weights, inv_sq = _circulant_weights(len(w), alpha)[0], _inverse_chords(len(w))
     h2_buf, kern_buf = np.empty((2, min(_ROW_BLOCK, count), len(w)))
     for start in range(0, count, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, count)

@@ -40,27 +40,6 @@ def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> np.ndarray:
     return np.concatenate([[omega / 2.0], (n + 1) * (omega - omegas) / 2.0])
 
 
-def _chord_rows(vals: np.ndarray, w: np.ndarray, diag: np.ndarray,
-                start: int, stop: int) -> np.ndarray:
-    """(vals_i - vals_j) / (w_i - w_j) for target rows start..stop-1, diagonal diag_i,
-    as a product with conj(w_i) R[i, j], which loses no digits to w_i - w_j."""
-    out = np.subtract(vals[start:stop, None], vals)
-    out *= _inverse_chords(len(w))[0][start:stop]
-    out *= np.conj(w[start:stop, None])
-    out.reshape(-1)[start::len(w) + 1] = diag[start:stop]
-    return out
-
-
-def _chord_sums(terms: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """sum_{r=1..n} terms[:, r] for each n in modes; for n = -1 the sum is -terms[:, 0].
-
-    Both cases are prefix[n+1] - terms[:, 0] with prefix[k] = sum_{r<k}.
-    """
-    prefix = np.zeros((len(terms), terms.shape[1] + 1), dtype=complex)
-    np.cumsum(terms, axis=1, out=prefix[:, 1:])
-    return prefix[:, modes + 1] - terms[:, :1]
-
-
 def _mixed_slope(phi, dphi, w, inv, dhv) -> np.ndarray:
     """Derivative along h of the omega slope Im(phi conj(w) conj(phi')) of G,
     Im(phi conj(w h') + (h/w) conj(phi')).
@@ -112,14 +91,17 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
     for n in modes, one column each.
 
     Each block of H^2 and H^(-a) W (W the circulant weight rows) from
-    kernels._kernel_blocks gives p H^(-a-2) W, p = w phi', and the chord
-    ratio (phi_i - phi_j) / (w_i - w_j) is formed once per block.  On the circle
+    kernels._kernel_blocks gives the real block H^(-a-2) W |R|^2, where
+    |R|^2_(i-j) = 1 / |w_i - w_j|^2 on the circle is the circulant behind
+    H^2.  With D = (phi_i - phi_j) H^(-a-2) W |R|^2 and p = w phi', the
+    chord-difference integrals of every direction are
 
-        (w_i^(-n) - w_j^(-n)) / (w_i - w_j) = -sum_{q<n} w_i^(-q-1) w_j^(q-n),
+        sum_b = sum_j D_ij p_j (conj(h_i) - conj(h_j)),
+        sum_c = sum_j conj(D_ij) p_j (h_i - h_j),
 
-    so the chord-difference integrals of all directions come from two
-    products with the Vandermonde block [w_j^r] (and its conjugate) and a
-    prefix sum over r; the layer-potential term is one real product of
+    so one product of D with the columns [p, p conj(h), conj(p),
+    conj(p) conj(h)] gives both, one column per direction and term; the
+    diagonal adds nothing.  The layer-potential term is one real product of
     H^(-a) W with [p, q], q = w h', split into real and imaginary parts.
     Along i h the layer term of q and the chord-difference integrals turn
     by i and -i, so the mirror-odd fields reuse every block product.  The
@@ -127,34 +109,31 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
     alpha = 1 is the same pass; the diagonal term it leaves out adds a real
     multiple of |p|^2 to G and nothing to the derivative.
     """
-    n_max = max(int(modes.max(initial=0)), 0)
     w, theta = grid.nodes, grid.angles
     phi = eval_map(bnd, grid)
     dphi = eval_deriv(bnd, grid)
     inv = np.exp(-1j * np.outer(theta, modes + 1))      # w^(-n-1) = h / w
     dhv = -modes * inv                                   # h' = -n w^(-n-1)
-    vand = np.exp(1j * np.outer(theta, np.arange(n_max + 1)))   # w_j^r, r = 0..n_max
-    vand_conj = np.conj(vand)
+    h_bar = np.conj(w[:, None] * inv)                    # conj(h) = w^n
     dirs = w[:, None] * np.column_stack([dphi, dhv])     # [p, q] = w [phi', h']
     dirs_pair = dirs.view(float)                         # Re and Im of each column
-    sing = np.empty((n_rows, modes.size), dtype=complex)
+    p, k = dirs[:, :1], modes.size
+    chord_cols = np.hstack([p, p * h_bar, np.conj(p), np.conj(p) * h_bar])
+    inv_sq = _inverse_chords(len(w))
+    sing = np.empty((n_rows, k), dtype=complex)
     sing_odd = np.empty_like(sing)
     for start, stop, h2, kern in _kernel_blocks(phi, dphi, w, alpha, n_rows):
         layer = (kern @ dirs_pair).view(complex)        # the row sums of p and q
-        pw = kern * dirs[:, 0]
-        pw /= h2
-        ratio = _chord_rows(phi, w, dphi, start, stop)
-        # the two chord-difference integrals over w_i: chord sums of
-        # w_i^(-r) [(ratio pw) vand]_r and of w_i^r [(conj(ratio) pw) conj(vand)]_r,
-        # turned by w_i^(n+1) and w_i^(-n-1)
-        sum_b = _chord_sums(vand_conj[start:stop] * ((ratio * pw) @ vand), modes)
-        sum_c = _chord_sums(vand[start:stop] * ((np.conj(ratio) * pw) @ vand_conj), modes)
-        turned_b, turned_c = np.conj(inv[start:stop]) * sum_b, inv[start:stop] * sum_c
+        quot = np.divide(kern, h2, out=h2)              # in the H^2 buffer, free until next block
+        quot *= inv_sq[start:stop]                      # H^(-a-2) W |R|^2
+        cross = (np.subtract(phi[start:stop, None], phi) * quot) @ chord_cols   # D @ columns
+        sum_b = h_bar[start:stop] * cross[:, :1] - cross[:, 1:k + 1]
+        sum_c = np.conj(h_bar[start:stop] * cross[:, k + 1:k + 2] - cross[:, k + 2:])
         p_bar, q_bar = np.conj(dirs[start:stop, :1]), np.conj(dirs[start:stop, 1:])
-        chord = -(turned_b + turned_c)
+        chord = sum_b + sum_c
         sing[start:stop] = layer[:, :1] * q_bar + p_bar * (layer[:, 1:] - 0.5 * alpha * chord)
-        # along i h: q -> i q and the chord term -> -i (turned_c - turned_b)
-        chord_odd = -1j * (turned_c - turned_b)
+        # along i h: q -> i q and the chord term -> -i (sum_b - sum_c)
+        chord_odd = -1j * (sum_b - sum_c)
         sing_odd[start:stop] = (-1j * layer[:, :1] * q_bar
                                 + p_bar * (1j * layer[:, 1:] - 0.5 * alpha * chord_odd))
     rows = slice(0, n_rows)

@@ -478,19 +478,20 @@ class TestCirculantQuadrature:
                              ids=["plain", "half-offset", "shifted", "258-shifted"])
     @pytest.mark.parametrize("kind", ["asym", 4])
     def test_chord_ratio_matches_extended_precision(self, kind, grid, rng):
-        # the samples' chord ratio at the exact node angles, in long double;
-        # the circulant reads within 1.8e-15, the division by w_i - w_j of
-        # rounded nodes 3.4e-14 to 4.5e-14
+        # (phi_i - phi_j) |R|^2_ij, the chord quotient of the derivative pass,
+        # against the samples' difference over |w_i - w_j|^2 at the exact node
+        # angles, in long double; the circulant reads within 6.2e-16, the
+        # division by |w_i - w_j|^2 of rounded nodes 6.7e-14 to 9.0e-14
         bnd = _oracle_boundary(kind, rng)
         pi = 4 * np.arctan(np.longdouble(1))
         theta = 2 * pi * np.arange(grid.size, dtype=np.longdouble) / grid.size + grid.shift
         w = np.cos(theta) + 1j * np.sin(theta)
-        phi, dphi = eval_map(bnd, grid), eval_deriv(bnd, grid)
+        phi = eval_map(bnd, grid)
         exact = phi.astype(np.clongdouble)
-        ref = (exact[:, None] - exact) / (w[:, None] - w + np.eye(grid.size))
-        ref[np.diag_indices(grid.size)] = dphi
-        got = linearization._chord_rows(phi, grid.nodes, dphi, 0, grid.size)
-        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
+        ref = (exact[:, None] - exact) / (np.abs(w[:, None] - w) ** 2 + np.eye(grid.size))
+        got = np.subtract(phi[:, None], phi) * kernels._inverse_chords(grid.size)
+        off = ~np.eye(grid.size, dtype=bool)
+        assert np.max(np.abs(got - ref)[off] / np.abs(ref)[off]) <= 1e-15
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
@@ -502,7 +503,7 @@ class TestCirculantQuadrature:
         pi = 4 * np.arctan(np.longdouble(1))
         k = np.arange(1, size, dtype=np.longdouble)
         ref = 0.25 / np.sin(pi * k / size) ** 2
-        got = kernels._inverse_chords(size)[1][1:, 0]      # column 0 of the circulant is the row
+        got = kernels._inverse_chords(size)[1:, 0]      # column 0 of the circulant is the row
         assert np.max(np.abs(got - ref) / ref) <= 5e-16
 
     def test_sector_rows_follow_the_coefficient_ladder(self):

@@ -246,6 +246,27 @@ class TestGateaux:
                     scale = max(np.max(np.abs(ref.values)), 1e-12)
                     assert np.max(np.abs(got - ref.values)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("grid", [UnitGrid(64), UnitGrid(64, shift=np.pi / 64),
+                                      UnitGrid(64, shift=0.1)],
+                             ids=["plain", "half-offset", "shifted"])
+    def test_aliased_directions_match_dense_oracle(self, grid, rng):
+        # w^(-n) with n >= size/2 aliases on the grid, but the pass must still
+        # return the derivative along the sampled h and h' = -n w^(-n-1), on
+        # the mirror-unfolded rows and along i w^(-n) alike
+        modes = [-1, 0, 32, 33, 50, 63, 64, 70]
+        bnd = _random_boundary(rng)
+        for alpha in (0.3, 0.9):
+            with pytest.warns(AliasingWarning):
+                even = monomial_derivatives(bnd, modes, 0.27, alpha, grid)
+            odd = all_rows(bnd, modes, 0.27, alpha, grid).imag
+            for n, got, got_odd in zip(modes, even, odd):
+                h = grid.nodes ** float(-n)
+                for field, samples in ((got, h), (got_odd, 1j * h)):
+                    ref = gateaux_dense(bnd, (samples, -n * samples / grid.nodes), 0.27,
+                                        alpha, grid)
+                    scale = max(np.max(np.abs(ref.values)), 1e-12)
+                    assert np.max(np.abs(field - ref.values)) <= 1e-12 * scale, n
+
     @pytest.mark.parametrize("coeffs", [[0.0], [0.0, 0.04, -0.01, 0.005, 0.002, -0.001]],
                              ids=["disc", "perturbed"])
     def test_critical_odd_fields_match_finite_differences(self, coeffs):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -160,6 +161,9 @@ BAD_CONFIG_ARGS = [
      "--t-final", "0.1", "--dt", "0.01"),
     ("evolve", "--alpha", "0.5", "--shape", "disc", "--m", "1",
      "--t-final", "0.1", "--dt", "0.01"),
+    # flags are matched whole, not as prefixes of --m-max and --s-max
+    ("dispersion", "--alpha", "0.5", "--m", "3"),
+    ("solve-branch", "--alpha", "0.5", "--m", "3", "--s", "0.02", "--ds", "0.01"),
     # a missing argument and an unknown command
     ("scan", "--alpha", "0.5"),
     ("spin", "--alpha", "0.5"),
@@ -172,6 +176,7 @@ SCIPY_SUBMODULES = ("scipy.fft", "scipy.special", "scipy.spatial", "scipy.interp
 # any, and prints the exit code and which of SCIPY_SUBMODULES it has loaded
 FOOTPRINT_SCRIPT = f"""
 import sys
+import warnings
 import gsqg
 code = 0
 if len(sys.argv) > 1:
@@ -282,11 +287,14 @@ class TestCli:
                             "--n-max", "0")
 
     def test_linearize_non_finite_fails_before_writing(self, tmp_path, capsys):
-        # the multipliers overflow at this omega and the quadrature diagonal reads NaN
-        with np.errstate(all="ignore"):
+        # the multipliers overflow at this omega and the quadrature diagonal
+        # reads NaN; any warning on the way would raise and exit 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run_cli(tmp_path, "linearize", "--alpha", "0.5", "--omega", "1e308",
                            "--n-modes", "4") == 1
-        assert capsys.readouterr().out.startswith("FAIL non-finite max_diagonal_gap")
+        out, err = capsys.readouterr()
+        assert out.startswith("FAIL non-finite max_diagonal_gap") and err == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_linearize(self, tmp_path):
