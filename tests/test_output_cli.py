@@ -161,6 +161,8 @@ BAD_CONFIG_ARGS = [
      "--t-final", "0.1", "--dt", "0.01"),
     ("evolve", "--alpha", "0.5", "--shape", "disc", "--m", "1",
      "--t-final", "0.1", "--dt", "0.01"),
+    # dispersion writes both tables: its retired --format flag is refused
+    ("dispersion", "--alpha", "0.5", "--format", "json"),
     # flags are matched whole, not as prefixes of --m-max and --s-max
     ("dispersion", "--alpha", "0.5", "--m", "3"),
     ("solve-branch", "--alpha", "0.5", "--m", "3", "--s", "0.02", "--ds", "0.01"),
@@ -216,13 +218,10 @@ class TestCli:
         assert out.startswith(" ".join(["usage: gsqg", *argv[:-1]])) and err == ""
 
     def test_determinism(self, tmp_path):
-        run_cli(tmp_path / "a", "dispersion", "--alpha", "0.5", "--m-max", "12",
-                "--format", "json")
-        run_cli(tmp_path / "b", "dispersion", "--alpha", "0.5", "--m-max", "12",
-                "--format", "json")
-        a = (tmp_path / "a" / "dispersion.json").read_bytes()
-        b = (tmp_path / "b" / "dispersion.json").read_bytes()
-        assert a == b
+        run_cli(tmp_path / "a", "dispersion", "--alpha", "0.5", "--m-max", "12")
+        run_cli(tmp_path / "b", "dispersion", "--alpha", "0.5", "--m-max", "12")
+        for name in ("dispersion.csv", "dispersion.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_verify_integrals(self, tmp_path):
         assert run_cli(tmp_path, "verify-integrals", "--alpha", "0.5",
@@ -262,18 +261,27 @@ class TestCli:
         assert len(evals) == 3 * 17 + 2 * 16
         assert 0 < sum(evals) <= 83 * oracles._node_count(16)
 
-    @pytest.mark.parametrize("argv", [
-        ("verify-integrals", "--alpha", "0.5", "--n-max", "2"),
-        ("ellipse-test", "--alpha", "0.5", "--Q", "0.5"),
+    @pytest.mark.parametrize("argv, check", [
+        (("verify-integrals", "--alpha", "0.5", "--n-max", "2"), "I"),
+        (("ellipse-test", "--alpha", "0.5", "--Q", "0.5"), "moment_ratio_gap"),
     ], ids=["verify-integrals", "ellipse-test"])
-    def test_nan_moment_fails_before_the_report(self, tmp_path, monkeypatch, capsys, argv):
+    def test_nan_moment_fails_before_the_report(self, tmp_path, monkeypatch, capsys, argv,
+                                                check):
         # one NaN, after finite values: Python's max would step over it
         original = oracles.moment_I_quad
         monkeypatch.setattr(oracles, "moment_I_quad",
                             lambda alpha, n: float("nan") if n == 2 else original(alpha, n))
         assert run_cli(tmp_path, *argv) == 1
-        assert capsys.readouterr().out == "FAIL non-finite error moment=I\n"
+        assert capsys.readouterr().out == f"FAIL non-finite {check}\n"
         assert not list(tmp_path.glob("*.json"))
+
+    def test_nan_hausdorff_fails_before_the_report(self, tmp_path, monkeypatch, capsys):
+        # without the finite check the JSON encoder refuses the NaN, which exits 3
+        monkeypatch.setattr(cli, "hausdorff_distance", lambda a, b: float("nan"))
+        assert run_cli(tmp_path, "rigid-check", "--alpha", "0.5", "--nodes", "128") == 1
+        assert capsys.readouterr().out == "FAIL non-finite hausdorff\n"
+        # neither rigid_m3.json nor the figure
+        assert list(tmp_path.iterdir()) == []
 
     def test_parser_is_built_once(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()
@@ -308,6 +316,16 @@ class TestCli:
         assert report["gap"] < 1e-7
         assert report["kernel_dimension"] == 1
         assert report["transversal"] is True
+
+    def test_scan_fails_without_transversality(self, tmp_path, monkeypatch, capsys):
+        # the gap passes; the exact condition alone decides, and the report is written
+        original = cli.kernel_diagnostics
+        monkeypatch.setattr(cli, "kernel_diagnostics",
+                            lambda *args: {**original(*args), "transversal": False})
+        assert run_cli(tmp_path, "scan", "--alpha", "0.5", "--m", "3") == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL gap=") and out.count("\n") == 1
+        assert json.loads((tmp_path / "scan_m3.json").read_text())["transversal"] is False
 
     def test_scan_builds_one_disc_jacobian(self, tmp_path, monkeypatch):
         calls = {"functional_G": 0, "monomial_derivatives": 0}
@@ -350,8 +368,7 @@ class TestCli:
         # to omega, which falls faster than the m^(alpha-2) omega_asymptotic
         # states: m^1.7 times it reads 9.6e-4 at m = 10 and 9.6e-5 at m = 100
         # (with gamma(2 - alpha) in the amplitude, 0.25 and 2.5)
-        assert run_cli(tmp_path, "dispersion", "--alpha", "0.3", "--m-max", "100",
-                       "--format", "json") == 0
+        assert run_cli(tmp_path, "dispersion", "--alpha", "0.3", "--m-max", "100") == 0
         rows = json.loads((tmp_path / "dispersion.json").read_text())["rows"]
         for row in rows:
             assert row["asymptotic"] == specfun.omega_asymptotic(0.3, row["m"])
