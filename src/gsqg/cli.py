@@ -4,7 +4,8 @@ Exit codes follow one contract everywhere: 0 all embedded checks passed,
 1 a numerical check failed or the numerics raised one of the package's
 typed failures, 2 an invalid command line, 3 any other exception (a bug;
 traceback on stderr).  A command ends in one stdout line, OK or FAIL, that
-names each checked value; a non-finite one fails before any file is written.
+names each checked value, and on FAIL each exact condition that does not
+hold; a non-finite value fails before any file is written.
 The parser alone decides what a valid command line is: each flag carries its
 argument's domain, and a value outside it, an unknown flag or a missing
 argument prints one `CONFIG ...` line on stderr and exits 2 before any
@@ -78,19 +79,21 @@ def _finite(checks: dict[str, tuple[float, float]]) -> dict[str, tuple[float, fl
 
 
 def _verdict(path: Path, report: dict, checks: dict[str, tuple[float, float]],
-             *flags: bool) -> int:
+             **conditions: bool) -> int:
     """The one gate: write report to path and print one line naming every check's value.
 
     checks maps a name to (value, tolerance); the command passes when every
-    value is below its tolerance and every flag holds.
+    value is below its tolerance and every named exact condition holds.  A
+    FAIL line also names each condition that does not hold, as name=False.
     """
     _finite(checks)
     write_json(path, report)
     values = "".join(f"{name}={value:.3e} " for name, (value, _) in checks.items())
-    if all(flags) and all(value < tol for value, tol in checks.values()):
+    broken = "".join(f"{name}=False " for name, holds in conditions.items() if not holds)
+    if not broken and all(value < tol for value, tol in checks.values()):
         print(f"OK {values}wrote {path}")
         return 0
-    return _fail(f"{values}report={path}")
+    return _fail(f"{values}{broken}report={path}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +138,12 @@ def cmd_verify_integrals(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    # an omega near the float range overflows; np.max keeps the NaN for the finite check
+    # an omega near the float range overflows and the gap reads inf - inf; np.max keeps
+    # the NaN for the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         mult = multiplier_at_disc(args.alpha, args.omega, args.n_modes)
         diag = np.diag(disc_jacobian(args.alpha, args.omega, args.n_modes))
-    agreement = float(np.max(np.abs(diag - mult[:args.n_modes])))
+        agreement = float(np.max(np.abs(diag - mult[:args.n_modes])))
     checks = _finite({"max_diagonal_gap": (agreement, 1e-7)})
     out = _outdir(args)
     write_csv(out / "multipliers.csv", ["n", "multiplier"],
@@ -162,7 +166,7 @@ def cmd_scan(args) -> int:
               "omega_closed_form": closed, "gap": gap, "kernel_dimension": diag["n_small"],
               "kernel_mass_on_mode": diag["kernel_mass"], "transversal": diag["transversal"]}
     return _verdict(out / f"scan_m{args.m}.json", report, {"gap": (gap, 1e-7)},
-                    diag["n_small"] == 1, diag["transversal"])
+                    simple_kernel=diag["n_small"] == 1, transversal=diag["transversal"])
 
 
 def cmd_solve_branch(args) -> int:
@@ -211,7 +215,7 @@ def cmd_ellipse_test(args) -> int:
     report = {"alpha": alpha, "Q": args.q, "min_abs_g4": min_g4,
               "moment_ratio": ratio, "moment_ratio_quadrature": ratio_quad,
               "moment_ratio_gap": ratio_gap}
-    return _verdict(out / "ellipse_test.json", report, checks, min_g4 > 0.0)
+    return _verdict(out / "ellipse_test.json", report, checks, nonzero_g4=min_g4 > 0.0)
 
 
 def _initial_contour(args) -> ContourState:

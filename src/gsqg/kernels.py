@@ -21,11 +21,11 @@ constant shift of the row moves only its diagonal, whose share of G is a
 real multiple of |p|^2; s_phi adds the diagonal term back.
 
 One generator, _kernel_blocks, forms H^2 and H^(-a) W, W the circulant
-weight rows, for 64 target rows at a time in two reused buffers.  The
-residual contracts each block with p; the directional derivatives in
-linearization add the chord differences phi_i - phi_j, divided by H^2 and
-multiplied by the cached real circulant |R|^2_(i-j) = 1 / |w_i - w_j|^2
-that H^2 is built from.
+weight rows, in blocks of 2^16 entries (2^16 / size target rows, at least
+64) held in two reused buffers.  The residual contracts each block with p;
+the directional derivatives in linearization add the chord differences
+phi_i - phi_j, divided by H^2 and multiplied by the cached real circulant
+|R|^2_(i-j) = 1 / |w_i - w_j|^2 that H^2 is built from.
 
 Every boundary has real coefficients, so it is symmetric about the real
 axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
@@ -132,7 +132,8 @@ def sqg_moment_2(n):
 # product-quadrature machinery
 
 
-_ROW_BLOCK = 64   # target rows per pass; bounds every temporary at 64 x size
+_BLOCK_ENTRIES = 2 ** 16   # entries per block of target rows
+_ROW_BLOCK = 64            # fewest rows per block: temporaries stay 64 x size from grid 1024 up
 
 
 def _circulant(row: np.ndarray) -> np.ndarray:
@@ -176,7 +177,11 @@ def _inverse_chords(size: int) -> np.ndarray:
 
 
 def _kernel_blocks(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float, count: int):
-    """Yield (start, stop, H^2, H^(-a) W) for each block of _ROW_BLOCK of target rows 0..count-1.
+    """Yield (start, stop, H^2, H^(-a) W) for each block of target rows 0..count-1.
+
+    A block holds _BLOCK_ENTRIES / size rows, at least _ROW_BLOCK: 1024
+    rows on grid 64 and 128 on grid 512, so small passes form in one block,
+    and 64 rows from grid 1024 up, which bounds the buffers at 64 x size.
 
     H^2 = |phi_i - phi_j|^2 |w_i - w_j|^(-2) comes from real coordinate
     differences, |phi'_i|^2 on the diagonal, and is floor-checked before any
@@ -186,9 +191,10 @@ def _kernel_blocks(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: floa
     """
     x, y = phi.real.copy(), phi.imag.copy()
     weights, inv_sq = _circulant_weights(len(w), alpha)[0], _inverse_chords(len(w))
-    h2_buf, kern_buf = np.empty((2, min(_ROW_BLOCK, count), len(w)))
-    for start in range(0, count, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, count)
+    rows = max(_ROW_BLOCK, _BLOCK_ENTRIES // len(w))
+    h2_buf, kern_buf = np.empty((2, min(rows, count), len(w)))
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
         h2, kern = h2_buf[:stop - start], kern_buf[:stop - start]
         np.square(np.subtract(x[start:stop, None], x, out=h2), out=h2)
         h2 += np.square(np.subtract(y[start:stop, None], y, out=kern), out=kern)

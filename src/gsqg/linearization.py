@@ -8,7 +8,8 @@ derivative is assembled from the same product quadrature as the nonlinear
 functional.  The disc Jacobian behind the kernel, transversality and
 bifurcation diagnostics is that analytic derivative; it rebuilds the
 multipliers from the quadrature pipeline rather than from their closed form,
-and only their omega slope (n+1)/2 is taken in closed form.
+in one cached pass at omega = 0 per alpha, and only their omega slope
+(n+1)/2, which involves no quadrature, is taken in closed form.
 
 The functional is rotation equivariant, so the derivative along w^(-n) on
 one sector of the boundary's m-fold symmetry, together with the
@@ -21,6 +22,7 @@ Jacobian comes from one target row.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,18 +163,31 @@ def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
     return _field_from_values(amps @ fields, grid)
 
 
+@lru_cache(maxsize=32)
+def _disc_at_rest(alpha: float, n_modes: int, grid: UnitGrid) -> np.ndarray:
+    """Read-only disc Jacobian at omega = 0 over b_0 .. b_{n_modes-1}, from one
+    monomial_derivatives pass on grid."""
+    fields = monomial_derivatives(FourierBoundary.identity(), range(n_modes), 0.0, alpha, grid)
+    entries = grid.sine_coeffs(fields, n_modes).T
+    entries.flags.writeable = False
+    return entries
+
+
 def disc_jacobian(alpha: float, omega: float, n_modes: int,
                   grid: UnitGrid | None = None) -> np.ndarray:
     """Analytic Jacobian at the disc over the modes b_0 .. b_{n_modes-1}.
 
-    Square: entries[k-1, n] is the response of sine mode k to b_n, from one
-    monomial_derivatives pass, so the matrix is diagonal with entry
-    (n+1)(omega - omega_{n+1})/2 at (n, n) up to quadrature rounding.
+    Square: entries[k-1, n] is the response of sine mode k to b_n, so the
+    matrix is diagonal with entry (n+1)(omega - omega_{n+1})/2 at (n, n) up
+    to quadrature rounding.  G is affine in omega: the matrix at omega = 0
+    comes from one monomial_derivatives pass, cached per (alpha, n_modes,
+    grid), and the omega part is its closed form omega (n+1)/2 on the
+    diagonal.  At the disc _mixed_slope is the pointwise
+    -(n+1) sin((n+1) theta), so no singular integral leaves the pass.
     """
     grid = default_grid(n_modes + 1) if grid is None else grid
-    fields = monomial_derivatives(FourierBoundary.identity(), range(n_modes), omega,
-                                  alpha, grid)
-    return grid.sine_coeffs(fields, n_modes).T
+    slope = np.arange(1, n_modes + 1) / 2.0
+    return _disc_at_rest(alpha, n_modes, grid) + np.diag(omega * slope)
 
 
 class BracketError(ValueError):
@@ -183,16 +198,16 @@ def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float]) ->
     """Locate the angular velocity where the mode-(m-1) column vanishes.
 
     The functional is affine in omega, so the (m, m-1) entry of the
-    quadrature-assembled disc Jacobian is e(omega) = A + omega m/2: A comes
-    from one monomial_derivatives column at omega = 0, and m/2 is the omega
-    slope of the multiplier m(omega - omega_m)/2.  Its root -A/(m/2) must
-    land on the closed-form dispersion value, and doing so checks the whole
+    quadrature-assembled disc Jacobian is e(omega) = A + omega m/2: A is read
+    off the cached pass at omega = 0 on kernel_diagnostics' grid, which the
+    diagnostics at the root then share, and m/2 is the omega slope of the
+    multiplier m(omega - omega_m)/2.  Its root -A/(m/2) must land on the
+    closed-form dispersion value, and doing so checks the whole
     product-quadrature pipeline at once.  BracketError when e keeps its
     sign over the window.
     """
-    grid = default_grid(m + 1)
-    entry_0 = grid.sine_coeffs(monomial_derivatives(FourierBoundary.identity(), [m - 1],
-                                                    0.0, alpha, grid), m)[0, m - 1]
+    # kernel_diagnostics' default modes, so both read one cached pass
+    entry_0 = disc_jacobian(alpha, 0.0, max(16, m + 4))[m - 1, m - 1]
     slope = m / 2.0
     lo, hi = omega_window
     if (entry_0 + lo * slope) * (entry_0 + hi * slope) > 0.0:
@@ -210,7 +225,8 @@ def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = 16) ->
     (m/2) e_{m-1}: only sine mode m moves, with the omega slope of the
     multiplier.  Its normalised projection onto the cokernel u (the last
     left singular vector) is |u[m-1]|, and the branch crosses with nonzero
-    speed when that exceeds 1e-3.
+    speed when that exceeds 1e-3.  The matrix is the cached pass at omega = 0
+    plus its closed-form omega diagonal (see disc_jacobian).
     """
     n_modes = max(n_modes, m + 4)
     entries = disc_jacobian(alpha, omega, n_modes)

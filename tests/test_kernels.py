@@ -522,15 +522,33 @@ class TestCirculantQuadrature:
         assert np.max(np.abs(s_phi(bnd, 0.5, grid) - oracle_s_phi(bnd, 0.5, grid))) <= 1e-13
 
 
-class TestBlockedPass:
-    """The 64-row blocked pass against the whole-matrix formulas of dense_oracle."""
+@pytest.fixture
+def formed_rows(monkeypatch):
+    """The row count of every kernel block a pass forms, in order."""
+    counts = []
+    blocks = kernels._kernel_blocks
 
-    # grid 200 forms 101 (asym) or 26 (m = 4) rows, off the block size; the
-    # offset and shifted grids form the whole period, 256 or 64 rows, with
-    # no mirror
+    def counting(*args):
+        for start, stop, h2, kern in blocks(*args):
+            counts.append(stop - start)
+            yield start, stop, h2, kern
+
+    monkeypatch.setattr(kernels, "_kernel_blocks", counting)
+    monkeypatch.setattr(linearization, "_kernel_blocks", counting)
+    return counts
+
+
+class TestBlockedPass:
+    """The blocked pass against the whole-matrix formulas of dense_oracle."""
+
+    # grid 200 forms 101 (asym) or 26 (m = 4) rows, and grid 1024 forms 513 =
+    # 8 x 64 + 1 or 129 = 2 x 64 + 1 rows in 64-row blocks, a partial last
+    # block; the offset and shifted grids form the whole period, 256 or 64
+    # rows, with no mirror
     @pytest.mark.parametrize("grid", [UnitGrid(200), UnitGrid(256, shift=np.pi / 256),
-                                      UnitGrid(512), UnitGrid(256, shift=0.1)],
-                             ids=["200", "256-offset", "512", "256-shifted"])
+                                      UnitGrid(512), UnitGrid(256, shift=0.1),
+                                      UnitGrid(1024)],
+                             ids=["200", "256-offset", "512", "256-shifted", "1024"])
     @pytest.mark.parametrize("kind", ["asym", 4])
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.97, 1.0])
     def test_matches_dense_reference(self, alpha, kind, grid, rng):
@@ -544,13 +562,18 @@ class TestBlockedPass:
             ref = s_phi_dense(bnd, alpha, grid)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(layer))
 
-    def test_row_count_off_the_block_size(self):
+    def test_row_count_off_the_block_size(self, formed_rows):
         bnd = _oracle_boundary("asym", np.random.default_rng(1))
         assert kernels._sector_rows(bnd, 200) == 200
         assert kernels._sector_rows(_oracle_boundary(4, None), 200) == 50
         assert kernels._formed_rows(bnd, UnitGrid(200)).count == 101
         assert kernels._formed_rows(_oracle_boundary(4, None), UnitGrid(200)).count == 26
-        assert 101 % kernels._ROW_BLOCK and 26 % kernels._ROW_BLOCK
+        # blocks are sized by entries: a small pass is one block, and grid
+        # 1024 keeps 64-row blocks, whose last one is partial
+        for size, rows in ((200, [101]), (256, [129]), (1024, [64] * 8 + [1])):
+            formed_rows.clear()
+            functional_G(0.3, bnd, 0.5, UnitGrid(size))
+            assert formed_rows == rows
 
     def test_traced_peak_stays_blocked(self):
         # the whole-matrix residual pass peaked at 8.75 MB here; 64-row blocks
@@ -577,20 +600,6 @@ class TestMirroredRows:
     """The mirrored sector: the rows the kernel blocks form, the
     identity that unfolds the rest, and a sector of odd period."""
 
-    @pytest.fixture
-    def formed_rows(self, monkeypatch):
-        counts = []
-        blocks = kernels._kernel_blocks
-
-        def counting(*args):
-            for start, stop, h2, kern in blocks(*args):
-                counts.append(stop - start)
-                yield start, stop, h2, kern
-
-        monkeypatch.setattr(kernels, "_kernel_blocks", counting)
-        monkeypatch.setattr(linearization, "_kernel_blocks", counting)
-        return counts
-
     # grids of 256 nodes per fold: each sector holds 256 rows
     @pytest.mark.parametrize("m, size", [(2, 512), (3, 768), (4, 1024)])
     def test_residual_and_jacobian_form_half_the_sector(self, m, size, formed_rows):
@@ -609,6 +618,7 @@ class TestMirroredRows:
     def test_disc_jacobian_forms_one_row(self, formed_rows):
         # the disc's sector is one node: its 16 columns turn from one target
         # row, while rung directions of a 3-fold boundary share its sector
+        linearization._disc_at_rest.cache_clear()
         linearization.disc_jacobian(0.5, 0.3, 16)
         assert formed_rows == [1]
         formed_rows.clear()

@@ -323,6 +323,29 @@ class TestJacobian:
             fd = fd_jacobian_matrix(FourierBoundary.identity(), om, alpha, grid, 12)
             assert np.max(np.abs(jac - fd)) < 1e-7
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    def test_cached_pass_plus_slope_matches_a_pass_at_omega(self, alpha):
+        # the omega part of the disc Jacobian is the closed form omega (n+1)/2
+        # on the diagonal; a pass at omega forms it through _mixed_slope
+        n_modes = 12
+        grid = default_grid(n_modes + 1)
+        for om in (-1.0, 0.3, 5.0):
+            fields = monomial_derivatives(FourierBoundary.identity(), range(n_modes), om,
+                                          alpha, grid)
+            ref = grid.sine_coeffs(fields, n_modes).T
+            jac = disc_jacobian(alpha, om, n_modes)
+            assert np.max(np.abs(jac - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_cached_pass_stays_unchanged(self):
+        first = disc_jacobian(0.5, 0.3, 8)
+        kept = first.copy()
+        first[:] = 7.0      # the caller's own array
+        assert np.array_equal(disc_jacobian(0.5, 0.3, 8), kept)
+        cached = lin._disc_at_rest(0.5, 8, default_grid(9))
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+
     @pytest.mark.parametrize("alpha", [1.0 - 1e-5, 1.0 - 1e-6, 1.0 - 1e-7])
     def test_disc_diagonal_near_the_critical_exponent(self, alpha):
         # moments formed as differences lost digits like 1e-16 / (1 - alpha):

@@ -325,6 +325,8 @@ class TestCli:
         assert run_cli(tmp_path, "scan", "--alpha", "0.5", "--m", "3") == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL gap=") and out.count("\n") == 1
+        # the line names the condition that fails, and only that one
+        assert " transversal=False report=" in out and "simple_kernel" not in out
         assert json.loads((tmp_path / "scan_m3.json").read_text())["transversal"] is False
 
     def test_scan_builds_one_disc_jacobian(self, tmp_path, monkeypatch):
@@ -342,14 +344,17 @@ class TestCli:
             if hasattr(module, "functional_G"):
                 counting(module, "functional_G")
         counting(lin, "monomial_derivatives")
+        lin._disc_at_rest.cache_clear()
         for alpha in ("0.5", "1"):
-            calls.update(dict.fromkeys(calls, 0))
-            assert run_cli(tmp_path / alpha, "scan", "--alpha", alpha, "--m", "3") == 0
-            # one column at omega = 0 for the affine entry, then the 16 columns
-            # of one disc Jacobian in a single pass; no residual is evaluated
-            assert calls == {"functional_G": 0, "monomial_derivatives": 2}
-            report = json.loads((tmp_path / alpha / "scan_m3.json").read_text())
-            assert report["gap"] < 1e-14
+            for m, passes in (("3", 1), ("4", 0)):
+                calls.update(dict.fromkeys(calls, 0))
+                assert run_cli(tmp_path / alpha, "scan", "--alpha", alpha, "--m", m) == 0
+                # the affine entry and the 16-mode diagnostics read one cached
+                # pass at omega = 0, which the next scan at this alpha shares;
+                # no residual is evaluated
+                assert calls == {"functional_G": 0, "monomial_derivatives": passes}
+                report = json.loads((tmp_path / alpha / f"scan_m{m}.json").read_text())
+                assert report["gap"] < 1e-14
 
     def test_dispersion_reads_one_ladder(self, tmp_path, monkeypatch):
         calls = []
@@ -396,6 +401,16 @@ class TestCli:
         assert report["min_abs_g4"] == abs(resid["sine_coeffs"][3])
         lines = (tmp_path / "ellipse_residual.csv").read_text().splitlines()
         assert lines[0] == "angle,residual" and len(lines) == 257
+
+    def test_ellipse_test_names_a_vanishing_g4(self, tmp_path, monkeypatch, capsys):
+        # a residual with no mode-4 obstruction: the ratio gap passes and the
+        # line names the exact condition that fails
+        monkeypatch.setattr(cli, "functional_G", lambda omega, bnd, alpha, grid:
+                            kernels._field_from_values(np.zeros(grid.size), grid))
+        assert run_cli(tmp_path, "ellipse-test", "--alpha", "0.5", "--Q", "0.3") == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL moment_ratio_gap=") and " nonzero_g4=False report=" in out
+        assert json.loads((tmp_path / "ellipse_test.json").read_text())["min_abs_g4"] == 0.0
 
     @pytest.mark.parametrize("alpha", ["0.99", "0.999"])
     def test_ellipse_test_near_one(self, tmp_path, alpha):
