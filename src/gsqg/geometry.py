@@ -38,6 +38,8 @@ class UnitGrid:
     def __post_init__(self):
         if self.size < 2 or self.size % 2:
             raise ValueError("grid size must be even and >= 2")
+        if not np.isfinite(self.shift):
+            raise ValueError("grid shift must be finite")
 
     @cached_property
     def angles(self) -> np.ndarray:

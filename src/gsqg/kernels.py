@@ -29,12 +29,10 @@ phi_i - phi_j, divided by H^2 and multiplied by the cached real circulant
 
 Every boundary has real coefficients, so it is symmetric about the real
 axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
-forms the target rows of half the m-fold sector and unfolds the rest: on
-the plain grid the reflection w -> conj(w) maps a row to the conjugate of
-its mirror row, and the rotation repeats each row of the layer potential;
-a shifted grid forms the whole sector.  A derivative along a direction of
-another period turns under the rotation instead, and is unfolded with its
-mirror-odd partner (see linearization).
+forms the target rows of half the common period of its boundary and its
+directions and unfolds the rest: on the plain grid the reflection
+w -> conj(w) maps a row to the conjugate of its mirror row, and the
+rotation repeats each row; a shifted grid forms the whole period.
 """
 
 from __future__ import annotations
@@ -208,73 +206,55 @@ def _kernel_blocks(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: floa
         yield start, stop, h2, kern
 
 
-def _sector_rows(bnd: FourierBoundary, size: int) -> int:
-    """Period of the target rows of an equivariant boundary: the m-fold sector.
+def _sector_rows(bnd: FourierBoundary, size: int, orders=()) -> int:
+    """Period of the target rows of a pass along directions of the given Fourier orders.
 
     With f = gcd(size, n+1 over every nonzero b_n), rotating the grid by
     2*pi/f maps the boundary onto itself, so the chord ratio H and
     phi'(tau) are invariant under the joint index shift (i, j) -> (i + size/f,
-    j + size/f).  _formed_rows halves the period again by the mirror symmetry.
+    j + size/f); every contraction row repeats with period size/f.  A
+    derivative along w^(-n) keeps that period only when its order n+1 is a
+    multiple of f too, so the orders join the gcd.  _formed_rows halves the
+    period again by the mirror symmetry.
     """
-    orders = np.flatnonzero(bnd.coeffs) + 1
-    return size // math.gcd(size, *orders.tolist())
+    bnd_orders = np.flatnonzero(bnd.coeffs) + 1
+    return size // math.gcd(size, *bnd_orders.tolist(), *map(int, orders))
 
 
 class _FormedRows(NamedTuple):
     """Target rows 0..count-1 that a pass forms, and how every grid row follows.
 
-    Grid row i is formed row source[i], reflected by the grid's mirror where
-    mirrored[i], then rotated by offset[i] nodes, a multiple of the sector
-    period.
+    Grid row i repeats formed row source[i]; where mirrored[i], it is that
+    row conjugated and multiplied by the field's parity under the mirror.
     """
 
     count: int
     source: np.ndarray
     mirrored: np.ndarray
-    offset: np.ndarray
 
-    def turns(self, orders: np.ndarray) -> np.ndarray | None:
-        """e^(i k beta_i) for each k in orders, beta_i = 2 pi offset[i] / size the
-        rotation of row i; None when every factor is 1."""
-        size = len(self.source)
-        steps = np.outer(self.offset, orders) % size
-        return np.exp(2j * np.pi / size * np.arange(size))[steps] if steps.any() else None
-
-    def unfold(self, formed: np.ndarray, parity: int, turn: np.ndarray | None = None) -> np.ndarray:
-        """All grid rows of a field from its formed rows (leading axis).
-
-        Mirrored rows are conjugated and multiplied by the field's parity
-        under the mirror; then every row is multiplied by its turn under the
-        rotation (see turns), which a field repeated by the rotation omits.
-        """
+    def unfold(self, formed: np.ndarray, parity: int) -> np.ndarray:
+        """All grid rows of a field from its formed rows (leading axis)."""
         out = formed[self.source]
         out[self.mirrored] = parity * np.conj(out[self.mirrored])
-        if turn is not None:
-            out *= turn
         return out
 
 
-def _formed_rows(bnd: FourierBoundary, grid: UnitGrid) -> _FormedRows:
-    """The rows a product-quadrature pass forms over the sector of period P.
+def _formed_rows(bnd: FourierBoundary, grid: UnitGrid, orders=()) -> _FormedRows:
+    """The rows a pass along directions of the given orders forms over their common period P.
 
     Real coefficients make w -> conj(w) map phi to its conjugate.  On the
     plain grid conj(w_i) is the node w_(-i), so row i and row -i mod size
     are mirror images: q = conj(w) * (row sums) is conjugated (parity +1),
-    G and its derivative along a real direction change sign (parity -1), and
-    its derivative along i w^(-n) does not (parity +1).  The plain grid forms
-    rows 0..P/2; a shifted grid forms the whole period.
+    and G and its derivative along a real direction change sign (parity -1).
+    The plain grid forms rows 0..P/2; a shifted grid forms the whole period.
     """
-    period = _sector_rows(bnd, grid.size)
-    index = np.arange(grid.size)
+    period = _sector_rows(bnd, grid.size, orders)
+    rows = np.arange(grid.size) % period
     if grid.shift != 0.0:
-        source = index % period
-        return _FormedRows(period, source, np.zeros(grid.size, dtype=bool), index - source)
+        return _FormedRows(period, rows, np.zeros(grid.size, dtype=bool))
     count = period // 2 + 1
-    mirrored = index % period >= count
-    source = np.where(mirrored, -index, index) % period
-    # the mirror takes row source to row -source, which the rotation takes to row index
-    offset = np.where(mirrored, index + source, index - source) % grid.size
-    return _FormedRows(count, source, mirrored, offset)
+    mirrored = rows >= count
+    return _FormedRows(count, np.where(mirrored, -rows, rows) % period, mirrored)
 
 
 def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float,

@@ -11,12 +11,11 @@ multipliers from the quadrature pipeline rather than from their closed form,
 in one cached pass at omega = 0 per alpha, and only their omega slope
 (n+1)/2, which involves no quadrature, is taken in closed form.
 
-The functional is rotation equivariant, so the derivative along w^(-n) on
-one sector of the boundary's m-fold symmetry, together with the
-derivative along the mirror-odd direction i w^(-n), fixes it on every
-sector.  The pass forms both from the same kernel blocks for every
-direction: the disc's sector is one node, so every column of the disc
-Jacobian comes from one target row.
+The functional is rotation equivariant, so a derivative along directions
+whose Fourier orders n+1 share the boundary's m-fold period repeats with
+it: the rung directions of a Newton step are formed on half a sector, and
+the disc Jacobian, whose directions include the translation b_0, forms half
+the grid.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
                        eval_deriv, eval_map)
 from .kernels import _field_from_values, _formed_rows, _inverse_chords, _kernel_blocks
 from .specfun import _omega_ladder, omega_dispersion
+
+_DISC_MODES = 16    # modes of the disc Jacobian that bifurcation_scan and kernel_diagnostics share
 
 
 def multiplier_at_disc(alpha: float, omega: float, n_max: int) -> np.ndarray:
@@ -58,19 +59,12 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     Row k holds the grid values of dG(omega, phi)[w^(-modes[k])]: n >= 1 is
     the coefficient b_n, n = 0 the translation b_0 and n = -1 the leading
     coefficient (h = w).  Every direction shares one pass over the target
-    rows of half the boundary's m-fold sector (see _formed_fields).  G is
-    equivariant, G(T phi)(w) = G(phi)(e^(i beta) w) for T phi(w) =
-    e^(-i beta) phi(e^(i beta) w), and T maps h to e^(-i (n+1) beta) h, so
-    the fields along h and i h turn together under the sector rotation:
-
-        F_h(w_(i+P)) = cos(gamma) F_h(w_i) - sin(gamma) F_(ih)(w_i),
-        gamma = (n+1) beta,
-
-    with P nodes per sector and beta = 2 pi P / size.  The pass forms
-    F_h + i F_(ih) for every direction, from the same block products: for
-    the disc (P = 1) one target row gives every column, and rung directions
-    of an m-fold boundary repeat with their sector (every turn is 1).  Under
-    the mirror, F_h changes sign and F_(ih) does not.
+    rows of half the common period P of the boundary and the orders n+1
+    (see _formed_fields).  G is equivariant, G(T phi)(w) = G(phi)(e^(i beta) w)
+    for T phi(w) = e^(-i beta) phi(e^(i beta) w), and T maps h to
+    e^(-i (n+1) beta) h; at beta = 2 pi P / size T fixes the boundary and
+    every h, so each field repeats with period P.  Under the mirror it
+    changes sign.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("analytic derivative implemented for alpha in (0, 1]")
@@ -81,16 +75,15 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     if grid.size < 2 * (n_max + 1):
         warnings.warn(f"grid of size {grid.size} under-resolves the direction b_{n_max}",
                       AliasingWarning, stacklevel=2)
-    formed = _formed_rows(bnd, grid)
+    formed = _formed_rows(bnd, grid, modes + 1)
     fields = _formed_fields(bnd, modes, omega, alpha, grid, formed.count)
-    # the mirror maps F_h + i F_(ih) to its negated conjugate; the rotation turns it by e^(i gamma)
-    return np.real(formed.unfold(fields, -1, formed.turns(modes + 1))).T
+    return formed.unfold(fields, -1).T
 
 
 def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha: float,
                    grid: UnitGrid, n_rows: int) -> np.ndarray:
-    """Target rows 0..n_rows-1 of F_h + i F_(ih), F_h = dG[h] along h = w^(-n),
-    for n in modes, one column each.
+    """Target rows 0..n_rows-1 of F_h = dG[h] along h = w^(-n), for n in
+    modes, one column each.
 
     Each block of H^2 and H^(-a) W (W the circulant weight rows) from
     kernels._kernel_blocks gives the real block H^(-a-2) W |R|^2, where
@@ -104,9 +97,7 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
     so one product of D with the columns [p, p conj(h), conj(p),
     conj(p) conj(h)] gives both, one column per direction and term; the
     diagonal adds nothing.  The layer-potential term is one real product of
-    H^(-a) W with [p, q], q = w h', split into real and imaginary parts.
-    Along i h the layer term of q and the chord-difference integrals turn
-    by i and -i, so the mirror-odd fields reuse every block product.  The
+    H^(-a) W with [p, q], q = w h', split into real and imaginary parts.  The
     weight row carries C_a and its sign for every alpha in (0, 1], so
     alpha = 1 is the same pass; the diagonal term it leaves out adds a real
     multiple of |p|^2 to G and nothing to the derivative.
@@ -123,7 +114,6 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
     chord_cols = np.hstack([p, p * h_bar, np.conj(p), np.conj(p) * h_bar])
     inv_sq = _inverse_chords(len(w))
     sing = np.empty((n_rows, k), dtype=complex)
-    sing_odd = np.empty_like(sing)
     for start, stop, h2, kern in _kernel_blocks(phi, dphi, w, alpha, n_rows):
         layer = (kern @ dirs_pair).view(complex)        # the row sums of p and q
         quot = np.divide(kern, h2, out=h2)              # in the H^2 buffer, free until next block
@@ -134,15 +124,9 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
         p_bar, q_bar = np.conj(dirs[start:stop, :1]), np.conj(dirs[start:stop, 1:])
         chord = sum_b + sum_c
         sing[start:stop] = layer[:, :1] * q_bar + p_bar * (layer[:, 1:] - 0.5 * alpha * chord)
-        # along i h: q -> i q and the chord term -> -i (sum_b - sum_c)
-        chord_odd = -1j * (sum_b - sum_c)
-        sing_odd[start:stop] = (-1j * layer[:, :1] * q_bar
-                                + p_bar * (1j * layer[:, 1:] - 0.5 * alpha * chord_odd))
     rows = slice(0, n_rows)
-    args = (phi[rows, None], dphi[rows, None], w[rows, None])
-    vals = omega * _mixed_slope(*args, inv[rows], dhv[rows]) - np.imag(sing)
-    return vals + 1j * (omega * _mixed_slope(*args, 1j * inv[rows], 1j * dhv[rows])
-                        - np.imag(sing_odd))
+    slope = _mixed_slope(phi[rows, None], dphi[rows, None], w[rows, None], inv[rows], dhv[rows])
+    return omega * slope - np.imag(sing)
 
 
 def gateaux_derivative(bnd: FourierBoundary, h: FourierBoundary, omega: float,
@@ -207,7 +191,7 @@ def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float]) ->
     sign over the window.
     """
     # kernel_diagnostics' default modes, so both read one cached pass
-    entry_0 = disc_jacobian(alpha, 0.0, max(16, m + 4))[m - 1, m - 1]
+    entry_0 = disc_jacobian(alpha, 0.0, max(_DISC_MODES, m + 4))[m - 1, m - 1]
     slope = m / 2.0
     lo, hi = omega_window
     if (entry_0 + lo * slope) * (entry_0 + hi * slope) > 0.0:
@@ -215,7 +199,7 @@ def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float]) ->
     return float(-entry_0 / slope)
 
 
-def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = 16) -> dict:
+def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = _DISC_MODES) -> dict:
     """Singular-value picture of the disc Jacobian at a candidate bifurcation.
 
     Reports the number of near-zero singular values, the mass the critical

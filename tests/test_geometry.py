@@ -178,6 +178,12 @@ class TestFiniteData:
         with pytest.raises(ValueError):
             MFoldBoundary(m=3, reduced=np.array([0.1, np.inf]))
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_unit_grid_rejects_non_finite_shift(self, shift):
+        # a non-finite shift would make every node NaN, and functional_G's sup_norm with them
+        with pytest.raises(ValueError):
+            UnitGrid(64, shift=shift)
+
 
 class TestTransforms:
     def test_parseval_recovery(self, rng):

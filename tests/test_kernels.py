@@ -509,17 +509,24 @@ class TestCirculantQuadrature:
     def test_sector_rows_follow_the_coefficient_ladder(self):
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
         assert kernels._sector_rows(bnd, 768) == 256
+        assert kernels._sector_rows(bnd, 768, [0, 3, 6, 12]) == 256    # the lead and rungs
         assert kernels._sector_rows(bnd, 1024) == 1024     # 3 does not divide 1024
         assert kernels._sector_rows(FourierBoundary.identity(), 64) == 1
+        assert kernels._sector_rows(FourierBoundary.identity(), 64, [4, 8]) == 16
         assert kernels._sector_rows(FourierBoundary.ellipse(0.3), 64) == 32
+        assert kernels._sector_rows(FourierBoundary.ellipse(0.3), 64, [4]) == 32
 
     def test_off_ladder_coefficient_falls_back_to_all_rows(self):
-        coeffs = embed_mfold(MFoldBoundary(m=4, reduced=[0.05, -0.004, 3e-4])).coeffs
+        rungs = embed_mfold(MFoldBoundary(m=4, reduced=[0.05, -0.004, 3e-4]))
+        coeffs = rungs.coeffs.copy()
         coeffs[4] = 1e-14      # n + 1 = 5 breaks the 4-fold ladder
         bnd = FourierBoundary(coeffs)
         grid = UnitGrid(256)
         assert kernels._sector_rows(bnd, grid.size) == grid.size
         assert np.max(np.abs(s_phi(bnd, 0.5, grid) - oracle_s_phi(bnd, 0.5, grid))) <= 1e-13
+        # and so does a direction off the ladder, w^(-4) of order 5
+        assert kernels._sector_rows(rungs, grid.size, [4, 8]) == 64
+        assert kernels._sector_rows(rungs, grid.size, [4, 5]) == grid.size
 
 
 @pytest.fixture
@@ -568,6 +575,8 @@ class TestBlockedPass:
         assert kernels._sector_rows(_oracle_boundary(4, None), 200) == 50
         assert kernels._formed_rows(bnd, UnitGrid(200)).count == 101
         assert kernels._formed_rows(_oracle_boundary(4, None), UnitGrid(200)).count == 26
+        # a direction of another order takes the pass to the common period
+        assert kernels._formed_rows(_oracle_boundary(4, None), UnitGrid(200), [2]).count == 51
         # blocks are sized by entries: a small pass is one block, and grid
         # 1024 keeps 64-row blocks, whose last one is partial
         for size, rows in ((200, [101]), (256, [129]), (1024, [64] * 8 + [1])):
@@ -581,7 +590,7 @@ class TestBlockedPass:
         # near 7.5 MB, below one complex 1024 x 1024 temporary (16.8 MB)
         bnd = _oracle_boundary(4, None)
         grid = UnitGrid(1024)
-        assert kernels._sector_rows(bnd, grid.size) == 256
+        assert kernels._sector_rows(bnd, grid.size, 4 * np.arange(2, 17)) == 256
         reduced = np.array([0.05, -0.004, 3e-4] + [0.0] * 13)
         passes = ((lambda: functional_G(0.3, bnd, 0.5, grid), 4e6),
                   (lambda: continuation._mfold_jacobian(0.3, reduced, 0.5, 4, grid, 16), 12e6))
@@ -615,16 +624,34 @@ class TestMirroredRows:
             continuation._mfold_jacobian(0.3, reduced, 0.5, m, grid, 16)
             assert sum(formed_rows) == rows
 
-    def test_disc_jacobian_forms_one_row(self, formed_rows):
-        # the disc's sector is one node: its 16 columns turn from one target
-        # row, while rung directions of a 3-fold boundary share its sector
+    def test_disc_jacobian_forms_one_block(self, formed_rows):
+        # the translation b_0 has order 1, so the disc's 16 columns have the
+        # grid's period and form 69 of its 136 rows, in one block; rung
+        # directions of a 3-fold boundary share its sector
         linearization._disc_at_rest.cache_clear()
         linearization.disc_jacobian(0.5, 0.3, 16)
-        assert formed_rows == [1]
+        assert formed_rows == [69]
         formed_rows.clear()
         continuation._mfold_jacobian(0.3, np.array([0.03, 1e-3, 1e-4]), 0.5, 3,
                                      UnitGrid(768), 16)
         assert sum(formed_rows) == 129
+
+    def test_pass_forms_the_common_period(self, formed_rows):
+        # 3-fold boundary on 192 nodes: rung directions keep its sector of 64
+        # rows and form 33; one direction off the ladder, w^(-4) of order 5,
+        # leaves only the grid's period and forms 97
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, 0.004, -0.001]))
+        for modes, rows in (([-1, 2, 5, 8], 33), ([-1, 2, 4, 5, 8], 97)):
+            formed_rows.clear()
+            monomial_derivatives(bnd, modes, 0.3, 0.5, UnitGrid(192))
+            assert formed_rows == [rows]
+        # the solver's residual and Jacobian on the branch grids, 128 nodes per fold
+        reduced = np.array([0.03, 1e-3, 1e-4])
+        for m, size in ((2, 256), (3, 384), (4, 512)):
+            for build in (continuation._equations, continuation._mfold_jacobian):
+                formed_rows.clear()
+                build(0.3, reduced, 0.5, m, UnitGrid(size), 16)
+                assert formed_rows == [65]
 
     @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
     @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid(256, shift=np.pi / 256)],

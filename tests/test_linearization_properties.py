@@ -46,9 +46,8 @@ def test_disc_column_is_affine_in_omega(alpha, omega, mode):
        reduced=st.lists(st.floats(min_value=-0.03, max_value=0.03), min_size=1, max_size=3),
        amps=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8))
 def test_monomial_derivatives_linear_in_direction(alpha, omega, m, reduced, amps):
-    # directions w^(-n), n = -1 (the lead) .. 6: one pass over all of them
-    # against a pass per direction, which forms the mirror-odd fields only
-    # when its direction turns under the sector rotation
+    # directions w^(-n), n = -1 (the lead) .. 6: one pass over all of them,
+    # over their common period, against a pass per direction over its own
     bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced)))
     grid, amps = UnitGrid(128), np.array(amps)
     modes = np.arange(len(amps)) - 1
@@ -69,13 +68,12 @@ def test_monomial_derivatives_linear_in_direction(alpha, omega, m, reduced, amps
        grid=st.sampled_from([UnitGrid(120), UnitGrid(120, shift=np.pi / 120),
                              UnitGrid(120, shift=0.1)]))
 def test_rotation_unfold_matches_all_rows(alpha, omega, m, reduced, modes, grid):
-    # half a sector of F_h + i F_(ih) (a whole one on the shifted grids),
-    # turned onto every row, against the same pass forming every row; 120 is
-    # a multiple of every m drawn
+    # half the common period of the boundary and the directions (a whole one
+    # on the shifted grids), repeated and mirrored onto every row, against
+    # the same pass forming every row; 120 is a multiple of every m drawn
     bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced)))
     got = monomial_derivatives(bnd, modes, omega, alpha, grid)
-    ref = lin._formed_fields(bnd, np.array(modes), omega, alpha, grid, grid.size).T.real
-    # a turned row adds the rounding of F_(ih) to that of F_h: measured up to
-    # 1.2e-14 / alpha for alpha <= 0.1 and 4.7e-14 near 1, over 600 draws each
+    ref = lin._formed_fields(bnd, np.array(modes), omega, alpha, grid, grid.size).T
+    # a mirrored row carries the rounding of its source row, not its own
     tol = 1e-13 + 3e-14 / alpha
     assert np.max(np.abs(got - ref)) <= tol * max(np.max(np.abs(ref)), 1.0)
