@@ -36,7 +36,7 @@ from .geometry import FourierBoundary, UnitGrid, eval_map
 from .kernels import (SelfIntersectionError, ellipse_moment_ratio, functional_G,
                       singular_moment_I, singular_moment_J, singular_moment_Z,
                       sqg_moment_1, sqg_moment_2)
-from .linearization import (BracketError, bifurcation_scan, disc_jacobian,
+from .linearization import (_DISC_MODES, BracketError, bifurcation_scan, disc_jacobian,
                             kernel_diagnostics, multiplier_at_disc)
 from .output import (write_csv, write_curves_svg, write_json, write_jsonl,
                      write_residual_csv, write_residual_json, write_xy_svg)
@@ -180,7 +180,8 @@ def cmd_solve_branch(args) -> int:
               [[sol.s, sol.omega, sol.residual_norm, *sol.boundary.reduced[:3]]
                for sol in sols])
     if sols:
-        curves = [eval_map(sol.full_boundary, UnitGrid(512)) for sol in sols]
+        grid = UnitGrid(512)
+        curves = [eval_map(sol.full_boundary, grid) for sol in sols]
         write_curves_svg(out / f"{stem}_boundaries.svg", curves,
                          [f"s={sol.s:g}" for sol in sols])
         write_xy_svg(out / f"{stem}_diagram.svg", table.amplitudes, table.omegas,
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linearize", help="disc multipliers vs assembled Jacobian")
     p.add_argument("--alpha", type=_ALPHA, required=True)
     p.add_argument("--omega", type=_FINITE, default=0.0)
-    p.add_argument("--n-modes", type=_TWO_OR_MORE, default=16)
+    p.add_argument("--n-modes", type=_TWO_OR_MORE, default=_DISC_MODES)
     p.set_defaults(fn=cmd_linearize)
 
     p = sub.add_parser("scan", help="locate a bifurcation point spectrally")

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (FourierBoundary, MFoldBoundary, UnitGrid, default_grid,
-                       dilate, embed_mfold, eval_deriv, eval_map)
+from .geometry import (FourierBoundary, MFoldBoundary, UnitGrid, _map_samples, default_grid,
+                       dilate, embed_mfold)
 from .kernels import SelfIntersectionError, functional_G
 from .linearization import monomial_derivatives
 from .specfun import omega_dispersion
@@ -102,7 +102,8 @@ def _omega_column(bnd: FourierBoundary, m: int, grid: UnitGrid, k_modes: int) ->
     The functional is affine in omega, so the column is the sine expansion
     of its slope Im(phi conj(w) conj(phi')) and depends on the boundary only.
     """
-    slope = np.imag(eval_map(bnd, grid) * np.conj(grid.nodes) * np.conj(eval_deriv(bnd, grid)))
+    phi, dphi = _map_samples(bnd, grid)
+    slope = np.imag(phi * np.conj(grid.nodes) * np.conj(dphi))
     return grid.sine_coeffs(slope)[_sine_rows(m, k_modes)]
 
 
@@ -143,16 +144,15 @@ def solve_vstate(alpha: float, m: int, s: float,
     if alpha == 1.0:
         warnings.warn("critical-case branch solving is experimental: no "
                       "bifurcation theorem backs it", RuntimeWarning, stacklevel=2)
-    omega0 = omega_dispersion(alpha, m)
     grid = default_grid(k_modes * m)
     if s == 0.0:
         bnd = MFoldBoundary(m=m, reduced=np.zeros(k_modes))
-        return VStateSolution(alpha=alpha, m=m, s=0.0, omega=omega0,
+        return VStateSolution(alpha=alpha, m=m, s=0.0, omega=omega_dispersion(alpha, m),
                               boundary=bnd, residual_norm=0.0,
                               grid_size=grid.size)
     if initial_guess is None:
         x = np.zeros(k_modes)
-        x[0] = omega0
+        x[0] = omega_dispersion(alpha, m)
     else:
         om_g, rungs = initial_guess
         x = np.concatenate([[om_g], np.asarray(rungs, dtype=float)])

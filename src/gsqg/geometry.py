@@ -7,14 +7,17 @@ reflection symmetry of the patch about the horizontal axis; m-fold symmetric
 patches populate only the arithmetic progression n = m-1, 2m-1, ...
 
 Boundaries and grids are immutable values; all evaluation is vectorized
-over the grid nodes.
+over the grid nodes.  A grid forms its nodes, angles and shift phases once
+and keeps them read-only; the plain grid (shift 0) has no phases to apply.
+phi and phi' are the rows of one stacked FFT of b_n and n b_n (_map_samples),
+of which eval_map and eval_deriv are the one-row forms.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +54,20 @@ class UnitGrid:
         """Nodes exp(i angles), formed once per grid; read-only."""
         return _read_only(np.exp(1j * self.angles))
 
+    @cached_property
+    def _phases(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Shift phases e^(-i k shift), formed once per grid; read-only.
+
+        The first array holds the series orders k = 0 .. size-1, the second
+        the fftfreq orders of mode_coeffs.  None on the plain grid, where
+        every phase is 1.
+        """
+        if self.shift == 0.0:
+            return None
+        m = self.size
+        return (_read_only(np.exp(-1j * self.shift * np.arange(m))),
+                _read_only(np.exp(-1j * np.fft.fftfreq(m, d=1.0 / m) * self.shift)))
+
     def mode_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Fourier coefficients c_k of values = sum_k c_k e^(i k theta).
 
@@ -58,9 +75,8 @@ class UnitGrid:
         absolute angle theta.  Leading axes of values are kept: each row
         along the last axis is one field.
         """
-        m = self.size
-        c = np.fft.fft(np.asarray(values)) / m
-        return c * np.exp(-1j * np.fft.fftfreq(m, d=1.0 / m) * self.shift)
+        c = np.fft.fft(np.asarray(values)) / self.size
+        return c if self._phases is None else c * self._phases[1]
 
     def sine_coeffs(self, values: np.ndarray, n_max: int | None = None) -> np.ndarray:
         """Coefficients g_n of sum_n g_n * i(w^n - conj(w)^n), n = 1..n_max."""
@@ -77,6 +93,7 @@ class UnitGrid:
         return float(max(np.max(np.abs(c[:half].real)), abs(c[0])))
 
 
+@lru_cache(maxsize=32)
 def default_grid(n_coeffs: int) -> UnitGrid:
     """Over-resolved grid for n_coeffs coefficients: 8 nodes each, at least 64.
 
@@ -90,6 +107,7 @@ def default_grid(n_coeffs: int) -> UnitGrid:
     the largest gaps, at s = 0.01 near alpha = 1, are rounding divided by
     the O(s) omega column, and move as much between finer grids).  At the
     disc the Jacobian is exact on any grid of at least 2(n + 1) nodes.
+    One grid per size, so its nodes are formed once for every solve on it.
     """
     return UnitGrid(max(8 * n_coeffs, 64))
 
@@ -126,32 +144,50 @@ def _check_alias(bnd: FourierBoundary, grid: UnitGrid) -> None:
     if grid.size < 2 * (bnd.order + 1):
         warnings.warn(
             f"grid of size {grid.size} under-resolves {bnd.order + 1} coefficients",
-            AliasingWarning, stacklevel=3)
+            AliasingWarning, stacklevel=4)
 
 
 def _conj_power_series(coeffs: np.ndarray, grid: UnitGrid) -> np.ndarray:
-    """sum_n c_n conj(w_j)^n on the grid as one FFT of c_n e^(-i n shift).
+    """sum_n c_n conj(w_j)^n on the grid for each row c of coeffs, as one FFT
+    of the rows c_n e^(-i n shift).
 
     conj(w_j)^n = e^(-i n shift) e^(-2 pi i n j / size), so orders n >= size
     fold onto n mod size.
     """
-    c = coeffs * np.exp(-1j * grid.shift * np.arange(len(coeffs)))
-    folded = np.zeros(-(-len(c) // grid.size) * grid.size, dtype=complex)
-    folded[:len(c)] = c
-    return np.fft.fft(folded.reshape(-1, grid.size).sum(axis=0))
+    n, size = coeffs.shape[-1], grid.size
+    if grid._phases is not None:
+        phases = grid._phases[0] if n <= size else np.exp(-1j * grid.shift * np.arange(n))
+        coeffs = coeffs * phases[:n]
+    if n > size:
+        folded = np.zeros((len(coeffs), -(-n // size) * size), dtype=complex)
+        folded[:, :n] = coeffs
+        coeffs = folded.reshape(len(coeffs), -1, size).sum(axis=1)
+    return np.fft.fft(coeffs, n=size)
+
+
+def _map_samples(bnd: FourierBoundary, grid: UnitGrid, derivs=(0, 1)) -> list[np.ndarray]:
+    """phi (d = 0) and phi' (d = 1) on the grid for each d in derivs, from one
+    stacked FFT of the rows b_n and n b_n:
+
+        phi(w_j)  = lead w_j + fft(b_n e^(-i n shift))_j,
+        phi'(w_j) = lead - conj(w_j) fft(n b_n e^(-i n shift))_j.
+    """
+    _check_alias(bnd, grid)
+    weighted = [np.arange(bnd.order + 1) * bnd.coeffs if d else bnd.coeffs for d in derivs]
+    series = _conj_power_series(np.stack(weighted), grid)
+    w = grid.nodes
+    return [bnd.lead - np.conj(w) * row if d else bnd.lead * w + row
+            for d, row in zip(derivs, series)]
 
 
 def eval_map(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
-    """phi(w_j) on the grid: lead w_j + fft(b_n e^(-i n shift))_j."""
-    _check_alias(bnd, grid)
-    return bnd.lead * grid.nodes + _conj_power_series(bnd.coeffs, grid)
+    """phi(w_j) on the grid: the one-row form of _map_samples."""
+    return _map_samples(bnd, grid, (0,))[0]
 
 
 def eval_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
-    """phi'(w_j) on the grid: lead - conj(w_j) fft(n b_n e^(-i n shift))_j."""
-    _check_alias(bnd, grid)
-    series = _conj_power_series(np.arange(bnd.order + 1) * bnd.coeffs, grid)
-    return bnd.lead - np.conj(grid.nodes) * series
+    """phi'(w_j) on the grid: the one-row form of _map_samples."""
+    return _map_samples(bnd, grid, (1,))[0]
 
 
 def univalence_margin(bnd: FourierBoundary) -> float:

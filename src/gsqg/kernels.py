@@ -25,7 +25,11 @@ weight rows, in blocks of 2^16 entries (2^16 / size target rows, at least
 64) held in two reused buffers.  The residual contracts each block with p;
 the directional derivatives in linearization add the chord differences
 phi_i - phi_j, divided by H^2 and multiplied by the cached real circulant
-|R|^2_(i-j) = 1 / |w_i - w_j|^2 that H^2 is built from.
+|R|^2_(i-j) = 1 / |w_i - w_j|^2 that H^2 is built from.  Whatever depends
+only on the grid size and alpha (the weight row, s_phi's diagonal weight,
+|R|^2) or on the period of a pass (its formed rows) is formed once, cached
+and read-only; a residual forms only its boundary's samples, blocks and
+transforms.
 
 Every boundary has real coefficients, so it is symmetric about the real
 axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
@@ -45,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import FourierBoundary, UnitGrid, eval_deriv, eval_map
+from .geometry import FourierBoundary, UnitGrid, _map_samples, _read_only
 from .specfun import _ratio_ladder, conv_constant, gap_ladder, gamma_fn, odd_harmonic_ladder
 
 _H_FLOOR = 1e-8
@@ -161,6 +165,13 @@ def _circulant_weights(size: int, alpha: float) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=32)
+def _diagonal_weight(size: int, alpha: float) -> float:
+    """C_a mu_0 + K[0], the weight of the diagonal term that s_phi adds back
+    for alpha in (0, 1); mu_0 diverges at alpha = 1."""
+    return conv_constant(alpha) * _moment_prefactor(alpha) + _circulant_weights(size, alpha)[1]
+
+
+@lru_cache(maxsize=32)
 def _inverse_chords(size: int) -> np.ndarray:
     """Read-only view |R|^2, 1 on the diagonal, with 1 / |w_i - w_j|^2 = |R|^2[i, j] off it.
 
@@ -194,8 +205,11 @@ def _kernel_blocks(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: floa
     for start in range(0, count, rows):
         stop = min(start + rows, count)
         h2, kern = h2_buf[:stop - start], kern_buf[:stop - start]
-        np.square(np.subtract(x[start:stop, None], x, out=h2), out=h2)
-        h2 += np.square(np.subtract(y[start:stop, None], y, out=kern), out=kern)
+        # x_j - x_i from a copy of the row, which numpy forms faster than the
+        # broadcast difference x_i - x_j; the square is the same
+        h2[:], kern[:] = x, y
+        np.square(np.subtract(h2, x[start:stop, None], out=h2), out=h2)
+        h2 += np.square(np.subtract(kern, y[start:stop, None], out=kern), out=kern)
         h2 *= inv_sq[start:stop]
         h2.reshape(-1)[start::len(w) + 1] = np.abs(dphi[start:stop]) ** 2   # the diagonal
         if (low := h2.min()) < _H_FLOOR ** 2:
@@ -249,12 +263,19 @@ def _formed_rows(bnd: FourierBoundary, grid: UnitGrid, orders=()) -> _FormedRows
     The plain grid forms rows 0..P/2; a shifted grid forms the whole period.
     """
     period = _sector_rows(bnd, grid.size, orders)
-    rows = np.arange(grid.size) % period
-    if grid.shift != 0.0:
-        return _FormedRows(period, rows, np.zeros(grid.size, dtype=bool))
-    count = period // 2 + 1
-    mirrored = rows >= count
-    return _FormedRows(count, np.where(mirrored, -rows, rows) % period, mirrored)
+    return _period_rows(period, grid.size, grid.shift == 0.0)
+
+
+@lru_cache(maxsize=32)
+def _period_rows(period: int, size: int, plain: bool) -> _FormedRows:
+    """_formed_rows of one period P on a grid of size nodes, formed once; read-only."""
+    rows = np.arange(size) % period
+    count, mirrored = period, np.zeros(size, dtype=bool)
+    if plain:
+        count = period // 2 + 1
+        mirrored = rows >= count
+        rows = np.where(mirrored, -rows, rows) % period
+    return _FormedRows(count, _read_only(rows), _read_only(mirrored))
 
 
 def _layer_potential(phi: np.ndarray, dphi: np.ndarray, w: np.ndarray, alpha: float,
@@ -275,17 +296,16 @@ def s_phi(bnd: FourierBoundary, alpha: float, grid: UnitGrid,
     Product quadrature: the smooth factor w phi'(tau) H^(-a) sampled per target,
     contracted against the weight rows, plus the diagonal term they leave out,
     which diverges at alpha = 1.  For the identity map this returns
-    theta_alpha * w exactly (to rounding).  phi, dphi: the map's samples on grid, if known.
+    theta_alpha * w exactly (to rounding).  phi, dphi: the map's samples on grid, if
+    known; both are formed when either is missing.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("s_phi needs alpha in (0, 1); mu_0 diverges at alpha = 1")
-    phi = eval_map(bnd, grid) if phi is None else phi
-    dphi = eval_deriv(bnd, grid) if dphi is None else dphi
+    if phi is None or dphi is None:
+        phi, dphi = _map_samples(bnd, grid)
     layer = _layer_potential(phi, dphi, grid.nodes, alpha, _formed_rows(bnd, grid))
     # the diagonal term the weight rows leave out: (C_a mu_0 + K[0]) H_ii^(-a) p_i
-    diagonal = (conv_constant(alpha) * _moment_prefactor(alpha)
-                + _circulant_weights(grid.size, alpha)[1])
-    return layer + diagonal * np.abs(dphi) ** -alpha * grid.nodes * dphi
+    return layer + _diagonal_weight(grid.size, alpha) * np.abs(dphi) ** -alpha * grid.nodes * dphi
 
 
 @dataclass(frozen=True)
@@ -329,8 +349,7 @@ def functional_G(omega: float, bnd: FourierBoundary, alpha: float,
     numerator tau*phi'(tau) - w*phi'(w) vanished on the diagonal.
     """
     w = grid.nodes
-    phi = eval_map(bnd, grid)
-    dphi = eval_deriv(bnd, grid)
+    phi, dphi = _map_samples(bnd, grid)
     layer = (_layer_potential(phi, dphi, w, 1.0, _formed_rows(bnd, grid)) if alpha == 1.0
              else s_phi(bnd, alpha, grid, phi, dphi))
     vals = np.imag((omega * phi - layer) * np.conj(w) * np.conj(dphi))

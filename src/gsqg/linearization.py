@@ -15,7 +15,8 @@ The functional is rotation equivariant, so a derivative along directions
 whose Fourier orders n+1 share the boundary's m-fold period repeats with
 it: the rung directions of a Newton step are formed on half a sector, and
 the disc Jacobian, whose directions include the translation b_0, forms half
-the grid.
+the grid.  The direction monomials w^(-n) of a pass depend on the grid and
+the modes only, and are formed once for every Jacobian that shares them.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
-                       eval_deriv, eval_map)
+from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, _map_samples, _read_only,
+                       default_grid)
 from .kernels import _field_from_values, _formed_rows, _inverse_chords, _kernel_blocks
 from .specfun import _omega_ladder, omega_dispersion
 
@@ -80,6 +81,17 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     return formed.unfold(fields, -1).T
 
 
+@lru_cache(maxsize=8)
+def _monomials(grid: UnitGrid, modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """h / w, h' and conj(h) of the directions h = w^(-n), n in modes, one
+    column each on grid; formed once per (grid, modes), read-only."""
+    n = np.array(modes, dtype=int)
+    inv = np.exp(-1j * np.outer(grid.angles, n + 1))    # w^(-n-1) = h / w
+    dhv = -n * inv                                       # h' = -n w^(-n-1)
+    h_bar = np.conj(grid.nodes[:, None] * inv)           # conj(h) = w^n
+    return tuple(_read_only(a) for a in (inv, dhv, h_bar))
+
+
 def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha: float,
                    grid: UnitGrid, n_rows: int) -> np.ndarray:
     """Target rows 0..n_rows-1 of F_h = dG[h] along h = w^(-n), for n in
@@ -102,12 +114,9 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
     alpha = 1 is the same pass; the diagonal term it leaves out adds a real
     multiple of |p|^2 to G and nothing to the derivative.
     """
-    w, theta = grid.nodes, grid.angles
-    phi = eval_map(bnd, grid)
-    dphi = eval_deriv(bnd, grid)
-    inv = np.exp(-1j * np.outer(theta, modes + 1))      # w^(-n-1) = h / w
-    dhv = -modes * inv                                   # h' = -n w^(-n-1)
-    h_bar = np.conj(w[:, None] * inv)                    # conj(h) = w^n
+    w = grid.nodes
+    phi, dphi = _map_samples(bnd, grid)
+    inv, dhv, h_bar = _monomials(grid, tuple(modes.tolist()))
     dirs = w[:, None] * np.column_stack([dphi, dhv])     # [p, q] = w [phi', h']
     dirs_pair = dirs.view(float)                         # Re and Im of each column
     p, k = dirs[:, :1], modes.size
@@ -118,7 +127,10 @@ def _formed_fields(bnd: FourierBoundary, modes: np.ndarray, omega: float, alpha:
         layer = (kern @ dirs_pair).view(complex)        # the row sums of p and q
         quot = np.divide(kern, h2, out=h2)              # in the H^2 buffer, free until next block
         quot *= inv_sq[start:stop]                      # H^(-a-2) W |R|^2
-        cross = (np.subtract(phi[start:stop, None], phi) * quot) @ chord_cols   # D @ columns
+        chords = np.empty_like(quot, dtype=complex)
+        chords[:] = phi                                 # then phi_i - phi_j in place
+        cross = np.multiply(np.subtract(phi[start:stop, None], chords, out=chords), quot,
+                            out=chords) @ chord_cols   # D @ columns
         sum_b = h_bar[start:stop] * cross[:, :1] - cross[:, 1:k + 1]
         sum_c = np.conj(h_bar[start:stop] * cross[:, k + 1:k + 2] - cross[:, k + 2:])
         p_bar, q_bar = np.conj(dirs[start:stop, :1]), np.conj(dirs[start:stop, 1:])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
-                           UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
-                           eval_map, univalence_margin)
+                           UnitGrid, _map_samples, default_grid, dilate, embed_mfold,
+                           eval_deriv, eval_map, univalence_margin)
 
 from dense_oracle import eval_deriv_at, eval_map_at
 
@@ -74,20 +74,34 @@ class TestEvalMap:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AliasingWarning)
             phi, dphi = eval_map(bnd, grid), eval_deriv(bnd, grid)
+            stacked = _map_samples(bnd, grid)
         assert np.max(np.abs(phi - eval_map_at(bnd, grid.nodes))) <= 1e-15
         assert np.max(np.abs(dphi - eval_deriv_at(bnd, grid.nodes))) <= 1e-15
+        # the stacked transform is bit for bit its one-row forms
+        assert stacked[0].tobytes() == phi.tobytes()
+        assert stacked[1].tobytes() == dphi.tobytes()
 
 
 class TestUnitGrid:
     def test_nodes_and_angles_are_cached_and_read_only(self):
         g = UnitGrid(64, shift=0.1)
-        assert g.nodes is g.nodes and g.angles is g.angles
+        assert g.nodes is g.nodes and g.angles is g.angles and g._phases is g._phases
         assert np.array_equal(g.nodes, np.exp(1j * (2.0 * np.pi * np.arange(64) / 64 + 0.1)))
-        for arr in (g.nodes, g.angles):
+        series, modes = g._phases
+        assert np.array_equal(series, np.exp(-0.1j * np.arange(64)))
+        assert np.array_equal(modes, np.exp(-0.1j * np.fft.fftfreq(64, d=1.0 / 64)))
+        for arr in (g.nodes, g.angles, series, modes):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         # the cache is not part of the value
         assert g == UnitGrid(64, shift=0.1) and hash(g) == hash(UnitGrid(64, shift=0.1))
+
+    def test_plain_grid_applies_no_phase(self):
+        # every phase is 1 on the plain grid, so there is none to form or apply
+        g = UnitGrid(64)
+        assert g._phases is None
+        vals = np.random.default_rng(3).standard_normal(64)
+        assert g.mode_coeffs(vals).tobytes() == (np.fft.fft(vals) / 64).tobytes()
 
 
 class TestEvalDeriv:
@@ -206,3 +220,5 @@ class TestTransforms:
     def test_default_grid_size(self):
         g = default_grid(10)
         assert g.size == 80 and g.size % 2 == 0
+        # one grid per size, so every solve on it shares its nodes
+        assert default_grid(10) is g and default_grid(10).nodes is g.nodes

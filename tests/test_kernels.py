@@ -506,6 +506,23 @@ class TestCirculantQuadrature:
         got = kernels._inverse_chords(size)[1:, 0]      # column 0 of the circulant is the row
         assert np.max(np.abs(got - ref) / ref) <= 5e-16
 
+    def test_cached_rows_and_weights_are_read_only(self):
+        # formed once per period and per (grid size, alpha) and shared by every
+        # later pass, so a caller must not be able to write into them
+        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004]))
+        for grid in (UnitGrid(384), UnitGrid(384, shift=0.1)):
+            formed = kernels._formed_rows(bnd, grid)
+            assert formed is kernels._formed_rows(bnd, grid)
+            for arr in (formed.source, formed.mirrored):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+        weights, k_0 = kernels._circulant_weights(384, 0.5)
+        with pytest.raises(ValueError):
+            weights[0, 1] = 0.0
+        diagonal = kernels._diagonal_weight(384, 0.5)
+        assert isinstance(diagonal, float)
+        assert diagonal == conv_constant(0.5) * kernels._moment_prefactor(0.5) + k_0
+
     def test_sector_rows_follow_the_coefficient_ladder(self):
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
         assert kernels._sector_rows(bnd, 768) == 256

@@ -314,6 +314,21 @@ class TestJacobian:
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
 
+    def test_direction_monomials_are_cached_and_read_only(self):
+        # formed once per (grid, modes) and shared by every Newton Jacobian on
+        # that grid, so a caller must not be able to write into them
+        grid, modes = UnitGrid(96, shift=0.1), (-1, 0, 2, 5)
+        inv, dhv, h_bar = lin._monomials(grid, modes)
+        assert lin._monomials(UnitGrid(96, shift=0.1), modes)[0] is inv
+        n = np.array(modes)
+        w = grid.nodes[:, None]
+        assert np.max(np.abs(inv - w ** -(n + 1))) <= 1e-14
+        assert np.max(np.abs(dhv + n * w ** -(n + 1))) <= 1e-13
+        assert np.max(np.abs(h_bar - np.conj(w) ** -n)) <= 1e-14
+        for arr in (inv, dhv, h_bar):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
     @pytest.mark.parametrize("alpha", [1.0 - 1e-5, 1.0 - 1e-6, 1.0 - 1e-7])
     def test_disc_diagonal_near_the_critical_exponent(self, alpha):
         # moments formed as differences lost digits like 1e-16 / (1 - alpha):

@@ -356,6 +356,17 @@ class TestCli:
                 report = json.loads((tmp_path / alpha / f"scan_m{m}.json").read_text())
                 assert report["gap"] < 1e-14
 
+    def test_default_linearize_shares_the_scan_pass(self, tmp_path):
+        # linearize's default --n-modes is the disc Jacobian's mode count,
+        # so after a scan at m = 3 it reads the same cached pass
+        lin._disc_at_rest.cache_clear()
+        assert run_cli(tmp_path, "scan", "--alpha", "0.45", "--m", "3") == 0
+        misses = lin._disc_at_rest.cache_info().misses
+        assert run_cli(tmp_path, "linearize", "--alpha", "0.45") == 0
+        assert lin._disc_at_rest.cache_info().misses == misses
+        report = json.loads((tmp_path / "linearize.json").read_text())
+        assert report["n_modes"] == lin._DISC_MODES
+
     def test_dispersion_reads_one_ladder(self, tmp_path, monkeypatch):
         calls = []
         original = specfun.gap_ladder
