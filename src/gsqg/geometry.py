@@ -7,10 +7,11 @@ reflection symmetry of the patch about the horizontal axis; m-fold symmetric
 patches populate only the arithmetic progression n = m-1, 2m-1, ...
 
 Boundaries and grids are immutable values; all evaluation is vectorized
-over the grid nodes.  A grid forms its nodes, angles and shift phases once
-and keeps them read-only; the plain grid (shift 0) has no phases to apply.
-phi and phi' are the rows of one stacked FFT of b_n and n b_n (_map_samples),
-of which eval_map and eval_deriv are the one-row forms.
+over the grid nodes.  A grid is its size: the nodes exp(2 pi i j / size),
+whose mirror images conj(w_j) = w_(-j) are nodes too.  It forms its nodes
+and angles once and keeps them read-only.  phi and phi' are the rows of one
+stacked FFT of b_n and n b_n (_map_samples), of which eval_map and
+eval_deriv are the one-row forms.
 """
 
 from __future__ import annotations
@@ -33,50 +34,31 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitGrid:
-    """Equispaced nodes exp(i(2 pi j / size + shift)) on the unit circle."""
+    """Equispaced nodes exp(2 pi i j / size) on the unit circle."""
 
     size: int
-    shift: float = 0.0
 
     def __post_init__(self):
         if self.size < 2 or self.size % 2:
             raise ValueError("grid size must be even and >= 2")
-        if not np.isfinite(self.shift):
-            raise ValueError("grid shift must be finite")
 
     @cached_property
     def angles(self) -> np.ndarray:
         """Node angles, formed once per grid; read-only."""
-        return _read_only(2.0 * np.pi * np.arange(self.size) / self.size + self.shift)
+        return _read_only(2.0 * np.pi * np.arange(self.size) / self.size)
 
     @cached_property
     def nodes(self) -> np.ndarray:
         """Nodes exp(i angles), formed once per grid; read-only."""
         return _read_only(np.exp(1j * self.angles))
 
-    @cached_property
-    def _phases(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Shift phases e^(-i k shift), formed once per grid; read-only.
-
-        The first array holds the series orders k = 0 .. size-1, the second
-        the fftfreq orders of mode_coeffs.  None on the plain grid, where
-        every phase is 1.
-        """
-        if self.shift == 0.0:
-            return None
-        m = self.size
-        return (_read_only(np.exp(-1j * self.shift * np.arange(m))),
-                _read_only(np.exp(-1j * np.fft.fftfreq(m, d=1.0 / m) * self.shift)))
-
     def mode_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Fourier coefficients c_k of values = sum_k c_k e^(i k theta).
 
-        In fftfreq layout, shift-corrected so the coefficients refer to the
-        absolute angle theta.  Leading axes of values are kept: each row
-        along the last axis is one field.
+        In fftfreq layout.  Leading axes of values are kept: each row along
+        the last axis is one field.
         """
-        c = np.fft.fft(np.asarray(values)) / self.size
-        return c if self._phases is None else c * self._phases[1]
+        return np.fft.fft(np.asarray(values)) / self.size
 
     def sine_coeffs(self, values: np.ndarray, n_max: int | None = None) -> np.ndarray:
         """Coefficients g_n of sum_n g_n * i(w^n - conj(w)^n), n = 1..n_max."""
@@ -85,12 +67,6 @@ class UnitGrid:
             raise ValueError("requested modes beyond the grid resolution")
         c = self.mode_coeffs(values)
         return c[..., 1:n_max + 1].imag.copy()
-
-    def cosine_residue(self, values: np.ndarray) -> float:
-        """Largest even-part coefficient; vanishes for pure sine fields."""
-        c = self.mode_coeffs(values)
-        half = self.size // 2
-        return float(max(np.max(np.abs(c[:half].real)), abs(c[0])))
 
 
 @lru_cache(maxsize=32)
@@ -126,8 +102,9 @@ class FourierBoundary:
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
-    def identity(cls, n: int = 0) -> "FourierBoundary":
-        return cls(np.zeros(n + 1))
+    def identity(cls) -> "FourierBoundary":
+        """The disc: phi(w) = w."""
+        return cls(np.zeros(1))
 
     @classmethod
     def ellipse(cls, q: float) -> "FourierBoundary":
@@ -148,16 +125,12 @@ def _check_alias(bnd: FourierBoundary, grid: UnitGrid) -> None:
 
 
 def _conj_power_series(coeffs: np.ndarray, grid: UnitGrid) -> np.ndarray:
-    """sum_n c_n conj(w_j)^n on the grid for each row c of coeffs, as one FFT
-    of the rows c_n e^(-i n shift).
+    """sum_n c_n conj(w_j)^n on the grid for each row c of coeffs, as one FFT.
 
-    conj(w_j)^n = e^(-i n shift) e^(-2 pi i n j / size), so orders n >= size
-    fold onto n mod size.
+    conj(w_j)^n = e^(-2 pi i n j / size), so orders n >= size fold onto
+    n mod size.
     """
     n, size = coeffs.shape[-1], grid.size
-    if grid._phases is not None:
-        phases = grid._phases[0] if n <= size else np.exp(-1j * grid.shift * np.arange(n))
-        coeffs = coeffs * phases[:n]
     if n > size:
         folded = np.zeros((len(coeffs), -(-n // size) * size), dtype=complex)
         folded[:, :n] = coeffs
@@ -169,8 +142,8 @@ def _map_samples(bnd: FourierBoundary, grid: UnitGrid, derivs=(0, 1)) -> list[np
     """phi (d = 0) and phi' (d = 1) on the grid for each d in derivs, from one
     stacked FFT of the rows b_n and n b_n:
 
-        phi(w_j)  = lead w_j + fft(b_n e^(-i n shift))_j,
-        phi'(w_j) = lead - conj(w_j) fft(n b_n e^(-i n shift))_j.
+        phi(w_j)  = lead w_j + fft(b_n)_j,
+        phi'(w_j) = lead - conj(w_j) fft(n b_n)_j.
     """
     _check_alias(bnd, grid)
     weighted = [np.arange(bnd.order + 1) * bnd.coeffs if d else bnd.coeffs for d in derivs]

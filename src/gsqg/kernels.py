@@ -34,9 +34,8 @@ transforms.
 Every boundary has real coefficients, so it is symmetric about the real
 axis, and an m-fold one is also invariant under rotation by 2 pi/m.  A pass
 forms the target rows of half the common period of its boundary and its
-directions and unfolds the rest: on the plain grid the reflection
-w -> conj(w) maps a row to the conjugate of its mirror row, and the
-rotation repeats each row; a shifted grid forms the whole period.
+directions and unfolds the rest: the reflection w -> conj(w) maps a row to
+the conjugate of its mirror row, and the rotation repeats each row.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ def _circulant_weights(size: int, alpha: float) -> tuple[np.ndarray, float]:
     -C_a gamma(2-a) / gamma^2(1-a/2) L_|k|(a/2, 1-a/2), -(2/pi) sigma_|k| at a = 1.
     Row i of W against a grid-sampled smooth factor f[i, :] gives
     C_a sum_k c_k (mu_|k| - mu_0) w_i^k - K[0] f[i, i], c_k the tau-Fourier
-    coefficients of f[i, :], for any grid shift.  W is zero on its diagonal:
+    coefficients of f[i, :].  W is zero on its diagonal:
     K[0] (about -2/a as a -> 0) would put its rounding into G, which sees only
     a real multiple of |p_i|^2 there.
     """
@@ -175,7 +174,7 @@ def _diagonal_weight(size: int, alpha: float) -> float:
 def _inverse_chords(size: int) -> np.ndarray:
     """Read-only view |R|^2, 1 on the diagonal, with 1 / |w_i - w_j|^2 = |R|^2[i, j] off it.
 
-    |R|^2[i, j] = 1 / (4 sin^2(pi k / size)), k = (i - j) mod size, on any grid shift.
+    |R|^2[i, j] = 1 / (4 sin^2(pi k / size)), k = (i - j) mod size.
     """
     row = np.ones(size)
     k = np.arange(1, size // 2 + 1)
@@ -256,25 +255,23 @@ class _FormedRows(NamedTuple):
 def _formed_rows(bnd: FourierBoundary, grid: UnitGrid, orders=()) -> _FormedRows:
     """The rows a pass along directions of the given orders forms over their common period P.
 
-    Real coefficients make w -> conj(w) map phi to its conjugate.  On the
-    plain grid conj(w_i) is the node w_(-i), so row i and row -i mod size
-    are mirror images: q = conj(w) * (row sums) is conjugated (parity +1),
-    and G and its derivative along a real direction change sign (parity -1).
-    The plain grid forms rows 0..P/2; a shifted grid forms the whole period.
+    Real coefficients make w -> conj(w) map phi to its conjugate.  conj(w_i)
+    is the node w_(-i), so row i and row -i mod size are mirror images:
+    q = conj(w) * (row sums) is conjugated (parity +1), and G and its
+    derivative along a real direction change sign (parity -1).  A pass
+    forms rows 0..P/2.
     """
     period = _sector_rows(bnd, grid.size, orders)
-    return _period_rows(period, grid.size, grid.shift == 0.0)
+    return _period_rows(period, grid.size)
 
 
 @lru_cache(maxsize=32)
-def _period_rows(period: int, size: int, plain: bool) -> _FormedRows:
+def _period_rows(period: int, size: int) -> _FormedRows:
     """_formed_rows of one period P on a grid of size nodes, formed once; read-only."""
     rows = np.arange(size) % period
-    count, mirrored = period, np.zeros(size, dtype=bool)
-    if plain:
-        count = period // 2 + 1
-        mirrored = rows >= count
-        rows = np.where(mirrored, -rows, rows) % period
+    count = period // 2 + 1
+    mirrored = rows >= count
+    rows = np.where(mirrored, -rows, rows) % period
     return _FormedRows(count, _read_only(rows), _read_only(mirrored))
 
 
@@ -315,12 +312,6 @@ class ResidualField:
     grid: UnitGrid
     values: np.ndarray       # real samples at the grid nodes
     sine_coeffs: np.ndarray  # g_n of i*sum g_n (w^n - conj(w)^n), n = 1..len
-
-    @property
-    def cosine_residue(self) -> float:
-        """Largest even-mode leak; on the plain grid G is odd by construction,
-        so it reads rounding there and measures no quadrature."""
-        return self.grid.cosine_residue(self.values)
 
     @property
     def sup_norm(self) -> float:

@@ -150,8 +150,7 @@ def write_residual_csv(path: Path, field) -> Path:
 
 
 def write_residual_json(path: Path, field) -> Path:
-    """ResidualField as its sine expansion plus grid metadata."""
+    """ResidualField as its grid size and sine expansion, which is all of the
+    field: the grid's mirror w_(-j) = conj(w_j) makes it odd."""
     return write_json(path, {"grid_size": field.grid.size,
-                             "grid_shift": field.grid.shift,
-                             "cosine_residue": field.cosine_residue,
                              "sine_coeffs": field.sine_coeffs})

@@ -198,16 +198,6 @@ class TestBranch:
         hi = solve_vstate(0.5, 2, 0.02, k_modes=16)
         assert abs(lo.omega - hi.omega) < 1e-8
 
-    def test_symmetry_equivariance(self, branch_m2):
-        # rotating the evaluation grid by the symmetry angle leaves the
-        # residual invariant
-        sol = branch_m2.solutions[2]
-        base = functional_G(sol.omega, sol.full_boundary, 0.5,
-                            UnitGrid(sol.grid_size))
-        turned = functional_G(sol.omega, sol.full_boundary, 0.5,
-                              UnitGrid(sol.grid_size, shift=2 * np.pi / sol.m))
-        assert abs(base.sup_norm - turned.sup_norm) < 1e-12
-
     def test_amplitudes_are_exact_multiples(self, monkeypatch):
         # accumulating s += 0.05 gives 0.39999999999999997 at the 8th step
         def fake_solve(alpha, m, s, initial_guess=None, **kwargs):

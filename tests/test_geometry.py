@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -53,9 +54,10 @@ class TestEvalMap:
         bnd = embed_mfold(red)
         g = UnitGrid(256)
         rot = np.exp(2j * np.pi / m)
-        shifted = UnitGrid(256, shift=2.0 * np.pi / m)
-        lhs = eval_map(bnd, shifted)      # phi(rot * z)
-        rhs = rot * eval_map(bnd, g)      # rot * phi(z)
+        phi = eval_map(bnd, g)
+        # rot * w_j is the node w_(j + 256/m): the FFT does not impose the relation
+        lhs = np.roll(phi, -256 // m)     # phi(rot * z)
+        rhs = rot * phi                   # rot * phi(z)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_aliasing_warning(self):
@@ -64,11 +66,9 @@ class TestEvalMap:
             eval_map(bnd, UnitGrid(64))
 
     @pytest.mark.parametrize("order", [7, 40, 80], ids=["resolved", "aliased", "folded"])
-    @pytest.mark.parametrize("grid", [UnitGrid(64), UnitGrid(64, shift=np.pi / 64),
-                                      UnitGrid(64, shift=2.0 * np.pi / 3)],
-                             ids=["plain", "half-offset", "shifted"])
-    def test_grid_fft_matches_point_horner(self, order, grid, rng):
+    def test_grid_fft_matches_point_horner(self, order, rng):
         # 80 > 64 folds orders n >= size onto n mod size in the grid path
+        grid = UnitGrid(64)
         n = np.arange(order + 1)
         bnd = FourierBoundary(0.05 * 0.6 ** n * rng.uniform(-1.0, 1.0, order + 1), lead=1.1)
         with warnings.catch_warnings():
@@ -84,24 +84,15 @@ class TestEvalMap:
 
 class TestUnitGrid:
     def test_nodes_and_angles_are_cached_and_read_only(self):
-        g = UnitGrid(64, shift=0.1)
-        assert g.nodes is g.nodes and g.angles is g.angles and g._phases is g._phases
-        assert np.array_equal(g.nodes, np.exp(1j * (2.0 * np.pi * np.arange(64) / 64 + 0.1)))
-        series, modes = g._phases
-        assert np.array_equal(series, np.exp(-0.1j * np.arange(64)))
-        assert np.array_equal(modes, np.exp(-0.1j * np.fft.fftfreq(64, d=1.0 / 64)))
-        for arr in (g.nodes, g.angles, series, modes):
+        g = UnitGrid(64)
+        assert [f.name for f in fields(UnitGrid)] == ["size"]    # a grid is its size
+        assert g.nodes is g.nodes and g.angles is g.angles
+        assert np.array_equal(g.nodes, np.exp(1j * (2.0 * np.pi * np.arange(64) / 64)))
+        for arr in (g.nodes, g.angles):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         # the cache is not part of the value
-        assert g == UnitGrid(64, shift=0.1) and hash(g) == hash(UnitGrid(64, shift=0.1))
-
-    def test_plain_grid_applies_no_phase(self):
-        # every phase is 1 on the plain grid, so there is none to form or apply
-        g = UnitGrid(64)
-        assert g._phases is None
-        vals = np.random.default_rng(3).standard_normal(64)
-        assert g.mode_coeffs(vals).tobytes() == (np.fft.fft(vals) / 64).tobytes()
+        assert g == UnitGrid(64) and hash(g) == hash(UnitGrid(64))
 
 
 class TestEvalDeriv:
@@ -120,10 +111,9 @@ class TestEvalDeriv:
         bnd = FourierBoundary(0.05 * rng.standard_normal(6))
         g = UnitGrid(64)
         vals = eval_deriv(bnd, g)
-        flipped = eval_deriv(bnd, UnitGrid(64, shift=0.0))
         # conj grid = reversed node order (w_k -> conj(w_k) = w_{M-k})
         idx = (-np.arange(64)) % 64
-        assert np.max(np.abs(np.conj(vals) - flipped[idx])) < 1e-14
+        assert np.max(np.abs(np.conj(vals) - vals[idx])) < 1e-14
 
     def test_conj_deriv_identity(self, rng):
         bnd = FourierBoundary(0.05 * rng.standard_normal(5))
@@ -192,12 +182,6 @@ class TestFiniteData:
         with pytest.raises(ValueError):
             MFoldBoundary(m=3, reduced=np.array([0.1, np.inf]))
 
-    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
-    def test_unit_grid_rejects_non_finite_shift(self, shift):
-        # a non-finite shift would make every node NaN, and functional_G's sup_norm with them
-        with pytest.raises(ValueError):
-            UnitGrid(64, shift=shift)
-
 
 class TestTransforms:
     def test_parseval_recovery(self, rng):
@@ -215,7 +199,7 @@ class TestTransforms:
         vals = sum(-2.0 * gn[k] * np.sin((k + 1) * theta) for k in range(10))
         got = g.sine_coeffs(vals, n_max=10)
         assert np.max(np.abs(got - gn)) < 1e-13
-        assert g.cosine_residue(vals) < 1e-13
+        assert np.max(np.abs(g.mode_coeffs(vals).real)) < 1e-13
 
     def test_default_grid_size(self):
         g = default_grid(10)

@@ -31,9 +31,8 @@ def s_phi_trapezoid(bnd: FourierBoundary, alpha: float, targets: np.ndarray,
     subtracted and restored through its exact integral
     gamma(1-a) / gamma^2(1-a/2), so only the smooth remainder is sampled.
     """
-    src = UnitGrid(n_sources, shift=np.pi / n_sources)
-    tau = src.nodes
-    phi_s, dphi_s = eval_map(bnd, src), eval_deriv(bnd, src)
+    tau = np.exp(2j * np.pi * (np.arange(n_sources) + 0.5) / n_sources)
+    phi_s, dphi_s = eval_map_at(bnd, tau), eval_deriv_at(bnd, tau)
     phi_t, dphi_t = eval_map_at(bnd, targets), eval_deriv_at(bnd, targets)
     restore = gamma_fn(1.0 - alpha) / gamma_fn(1.0 - alpha / 2.0) ** 2
     out = np.empty(len(targets), dtype=complex)
@@ -298,13 +297,12 @@ class TestLayerPotential:
         assert np.max(np.abs(fallback - spectral[pick])) < 1e-6
 
     def test_real_fourier_coefficients(self, rng):
-        # coefficients of conj(w) * S(phi) are real for real-coefficient maps;
-        # the shifted grid forms every row, so the mirror does not impose it
+        # coefficients of conj(w) * S(phi) are real for real-coefficient maps
         bnd = FourierBoundary(0.03 * rng.standard_normal(5))
-        for g in (UnitGrid(256), UnitGrid(256, shift=0.1)):
-            vals = np.conj(g.nodes) * s_phi(bnd, 0.5, g)
-            coeffs = g.mode_coeffs(vals)
-            assert np.max(np.abs(coeffs.imag)) < 1e-12
+        g = UnitGrid(256)
+        vals = np.conj(g.nodes) * s_phi(bnd, 0.5, g)
+        coeffs = g.mode_coeffs(vals)
+        assert np.max(np.abs(coeffs.imag)) < 1e-12
 
     def test_near_self_intersection_raises(self):
         # a nearly degenerate ellipse collapses the chord ratio across the slit
@@ -344,17 +342,16 @@ class TestFunctional:
             assert functional_G(om, FourierBoundary.identity(), alpha, g).sup_norm < 1e-12
 
     def test_residual_is_pure_sine(self, rng):
-        # on the plain grid G is odd by construction; the shifted grid forms
-        # every row, so there the symmetry is the quadrature's own
+        # G is odd by the mirror of the grid, which unfolds half the rows
         bnd = FourierBoundary(0.03 * rng.standard_normal(6))
-        for grid in (UnitGrid(256), UnitGrid(256, shift=0.1)):
-            fld = functional_G(0.4, bnd, 0.5, grid)
-            assert fld.cosine_residue < 1e-12
-            # sine expansion reproduces the sampled values
-            theta = fld.grid.angles
-            rebuilt = sum(-2.0 * gn * np.sin((k + 1) * theta)
-                          for k, gn in enumerate(fld.sine_coeffs))
-            assert np.max(np.abs(rebuilt - fld.values)) < 1e-12
+        grid = UnitGrid(256)
+        fld = functional_G(0.4, bnd, 0.5, grid)
+        assert np.max(np.abs(grid.mode_coeffs(fld.values).real)) < 1e-12
+        # sine expansion reproduces the sampled values
+        theta = fld.grid.angles
+        rebuilt = sum(-2.0 * gn * np.sin((k + 1) * theta)
+                      for k, gn in enumerate(fld.sine_coeffs))
+        assert np.max(np.abs(rebuilt - fld.values)) < 1e-12
 
     def test_ellipse_mode4_obstruction(self):
         vals = [ellipse_fourth_coefficient(om, 0.3, 0.5) for om in np.linspace(-1.0, 1.0, 11)]
@@ -397,8 +394,9 @@ class TestCriticalFunctional:
 
     def test_residual_is_pure_sine(self):
         bnd = embed_mfold(MFoldBoundary(m=2, reduced=np.array([0.05, 0.002])))
-        for grid in (UnitGrid(256), UnitGrid(256, shift=0.1)):
-            assert functional_G(0.3, bnd, 1.0, grid).cosine_residue < 1e-12
+        grid = UnitGrid(256)
+        values = functional_G(0.3, bnd, 1.0, grid).values
+        assert np.max(np.abs(grid.mode_coeffs(values).real)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +409,7 @@ class TestCriticalFunctional:
 def _oracle_rows(values, grid, ladder, power_shift):
     m = grid.size
     k = np.fft.fftfreq(m, d=1.0 / m)
-    coeffs = np.fft.fft(values, axis=-1) / m * np.exp(-1j * k * grid.shift)[None, :]
+    coeffs = np.fft.fft(values, axis=-1) / m
     phase = np.exp(1j * np.outer(grid.angles, k + power_shift))
     return np.einsum("ik,ik,k->i", coeffs, phase, ladder(k))
 
@@ -460,31 +458,29 @@ class TestCirculantQuadrature:
     @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
     def test_matches_fft_row_oracle(self, size, kind, rng):
         bnd = _oracle_boundary(kind, rng)
-        for grid in (UnitGrid(size), UnitGrid(size, shift=np.pi / size)):
-            for alpha in (0.3, 0.5, 0.9, 1.0):
-                ref = oracle_residual(0.3, bnd, alpha, grid)
-                fld = functional_G(0.3, bnd, alpha, grid)
-                assert np.max(np.abs(fld.sine_coeffs - grid.sine_coeffs(ref))) <= 1e-13
-                assert abs(fld.cosine_residue - grid.cosine_residue(ref)) <= 1e-13
-                if alpha < 1.0:
-                    assert np.max(np.abs(s_phi(bnd, alpha, grid)
-                                         - oracle_s_phi(bnd, alpha, grid))) <= 1e-13
+        grid = UnitGrid(size)
+        for alpha in (0.3, 0.5, 0.9, 1.0):
+            ref = oracle_residual(0.3, bnd, alpha, grid)
+            fld = functional_G(0.3, bnd, alpha, grid)
+            assert np.max(np.abs(fld.sine_coeffs - grid.sine_coeffs(ref))) <= 1e-13
+            # and the cosine parts, which the oracle forms from every row
+            assert np.max(np.abs(grid.mode_coeffs(fld.values - ref).real)) <= 1e-13
+            if alpha < 1.0:
+                assert np.max(np.abs(s_phi(bnd, alpha, grid)
+                                     - oracle_s_phi(bnd, alpha, grid))) <= 1e-13
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
-    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid(256, shift=np.pi / 256),
-                                      UnitGrid(256, shift=0.1),
-                                      UnitGrid(258, shift=2 * np.pi / 3)],
-                             ids=["plain", "half-offset", "shifted", "258-shifted"])
+    @pytest.mark.parametrize("size", [256, 258])
     @pytest.mark.parametrize("kind", ["asym", 4])
-    def test_chord_ratio_matches_extended_precision(self, kind, grid, rng):
+    def test_chord_ratio_matches_extended_precision(self, kind, size, rng):
         # (phi_i - phi_j) |R|^2_ij, the chord quotient of the derivative pass,
         # against the samples' difference over |w_i - w_j|^2 at the exact node
         # angles, in long double; the circulant reads within 6.2e-16, the
         # division by |w_i - w_j|^2 of rounded nodes 6.7e-14 to 9.0e-14
-        bnd = _oracle_boundary(kind, rng)
+        bnd, grid = _oracle_boundary(kind, rng), UnitGrid(size)
         pi = 4 * np.arctan(np.longdouble(1))
-        theta = 2 * pi * np.arange(grid.size, dtype=np.longdouble) / grid.size + grid.shift
+        theta = 2 * pi * np.arange(grid.size, dtype=np.longdouble) / grid.size
         w = np.cos(theta) + 1j * np.sin(theta)
         phi = eval_map(bnd, grid)
         exact = phi.astype(np.clongdouble)
@@ -509,13 +505,12 @@ class TestCirculantQuadrature:
     def test_cached_rows_and_weights_are_read_only(self):
         # formed once per period and per (grid size, alpha) and shared by every
         # later pass, so a caller must not be able to write into them
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004]))
-        for grid in (UnitGrid(384), UnitGrid(384, shift=0.1)):
-            formed = kernels._formed_rows(bnd, grid)
-            assert formed is kernels._formed_rows(bnd, grid)
-            for arr in (formed.source, formed.mirrored):
-                with pytest.raises(ValueError):
-                    arr[0] = 1
+        bnd, grid = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004])), UnitGrid(384)
+        formed = kernels._formed_rows(bnd, grid)
+        assert formed is kernels._formed_rows(bnd, grid)
+        for arr in (formed.source, formed.mirrored):
+            with pytest.raises(ValueError):
+                arr[0] = 1
         weights, k_0 = kernels._circulant_weights(384, 0.5)
         with pytest.raises(ValueError):
             weights[0, 1] = 0.0
@@ -567,12 +562,9 @@ class TestBlockedPass:
 
     # grid 200 forms 101 (asym) or 26 (m = 4) rows, and grid 1024 forms 513 =
     # 8 x 64 + 1 or 129 = 2 x 64 + 1 rows in 64-row blocks, a partial last
-    # block; the offset and shifted grids form the whole period, 256 or 64
-    # rows, with no mirror
-    @pytest.mark.parametrize("grid", [UnitGrid(200), UnitGrid(256, shift=np.pi / 256),
-                                      UnitGrid(512), UnitGrid(256, shift=0.1),
-                                      UnitGrid(1024)],
-                             ids=["200", "256-offset", "512", "256-shifted", "1024"])
+    # block
+    @pytest.mark.parametrize("grid", [UnitGrid(200), UnitGrid(512), UnitGrid(1024)],
+                             ids=["200", "512", "1024"])
     @pytest.mark.parametrize("kind", ["asym", 4])
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.97, 1.0])
     def test_matches_dense_reference(self, alpha, kind, grid, rng):
@@ -629,17 +621,12 @@ class TestMirroredRows:
     # grids of 256 nodes per fold: each sector holds 256 rows
     @pytest.mark.parametrize("m, size", [(2, 512), (3, 768), (4, 1024)])
     def test_residual_and_jacobian_form_half_the_sector(self, m, size, formed_rows):
-        reduced = np.array([0.03, 1e-3, 1e-4])
-        # the plain grid forms half the sector; a shifted one, half-offset
-        # included, forms all of it
-        for grid, rows in ((UnitGrid(size), 129), (UnitGrid(size, shift=np.pi / size), 256),
-                           (UnitGrid(size, shift=0.1), 256)):
-            formed_rows.clear()
-            continuation._equations(0.3, reduced, 0.5, m, grid, 16)
-            assert sum(formed_rows) == rows
-            formed_rows.clear()
-            continuation._mfold_jacobian(0.3, reduced, 0.5, m, grid, 16)
-            assert sum(formed_rows) == rows
+        reduced, grid = np.array([0.03, 1e-3, 1e-4]), UnitGrid(size)
+        continuation._equations(0.3, reduced, 0.5, m, grid, 16)
+        assert sum(formed_rows) == 129
+        formed_rows.clear()
+        continuation._mfold_jacobian(0.3, reduced, 0.5, m, grid, 16)
+        assert sum(formed_rows) == 129
 
     def test_disc_jacobian_forms_one_block(self, formed_rows):
         # the translation b_0 has order 1, so the disc's 16 columns have the
@@ -671,27 +658,21 @@ class TestMirroredRows:
                 assert formed_rows == [65]
 
     @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
-    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid(256, shift=np.pi / 256)],
-                             ids=["plain", "half-offset"])
-    def test_unfolded_rows_are_mirror_images(self, grid, kind, rng):
-        # row i and row (-i - k) mod size, k = shift * size / pi, of the dense
-        # reference: q = conj(w) S is conjugated and G changes sign
-        bnd = _oracle_boundary(kind, rng)
-        k = round(grid.shift * grid.size / math.pi)
-        mirror = (-np.arange(grid.size) - k) % grid.size
+    def test_unfolded_rows_are_mirror_images(self, kind, rng):
+        # row i and row -i mod size of the dense reference: q = conj(w) S is
+        # conjugated and G changes sign
+        bnd, grid = _oracle_boundary(kind, rng), UnitGrid(256)
+        mirror = -np.arange(grid.size) % grid.size
         w, layer = grid.nodes, s_phi_dense(bnd, 0.5, grid)
         q = np.conj(w) * layer
         g = np.imag((0.3 * eval_map(bnd, grid) - layer) * np.conj(w * eval_deriv(bnd, grid)))
         assert np.max(np.abs(q[mirror] - np.conj(q))) <= 1e-14
         assert np.max(np.abs(g[mirror] + g)) <= 1e-15
 
-    @pytest.mark.parametrize("grid, rows", [(UnitGrid(202), 51),
-                                            (UnitGrid(202, shift=np.pi / 202), 101)],
-                             ids=["plain", "half-offset"])
-    def test_odd_period_matches_dense(self, grid, rows):
-        # m = 2 on 202 nodes: a sector of 101 rows; the plain grid forms rows
-        # 0..50 and mirrors the rest about row 0, the half-offset grid forms all
-        bnd = _oracle_boundary(2, None)
-        assert kernels._formed_rows(bnd, grid).count == rows
+    def test_odd_period_matches_dense(self):
+        # m = 2 on 202 nodes: a sector of 101 rows; the pass forms rows 0..50
+        # and mirrors the rest about row 0
+        bnd, grid = _oracle_boundary(2, None), UnitGrid(202)
+        assert kernels._formed_rows(bnd, grid).count == 51
         ref = s_phi_dense(bnd, 0.5, grid)
         assert np.max(np.abs(s_phi(bnd, 0.5, grid) - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -163,19 +163,19 @@ class TestGateaux:
 
 
     def test_matches_dense_oracle(self, rng):
-        # single and mixed directions, b_0, a non-unit lead; the plain grid
-        # unfolds half the rows by the mirror, the offset and shifted grids form all
+        # single and mixed directions, b_0, a non-unit lead; the pass unfolds
+        # half the rows by the mirror
         directions = [direction(3), direction(0), FourierBoundary(rng.uniform(-1, 1, 5)),
                       FourierBoundary(np.array([0.0, 0.4]), lead=1.3),
-                      FourierBoundary.identity(2)]
-        for grid in (UnitGrid(128), UnitGrid(128, shift=np.pi / 128), UnitGrid(128, shift=0.1)):
-            for alpha in (0.3, 0.5, 0.9):
-                bnd = _random_boundary(rng)
-                for h in directions:
-                    ref = gateaux_dense(bnd, h, 0.27, alpha, grid)
-                    got = gateaux_derivative(bnd, h, 0.27, alpha, grid)
-                    scale = max(np.max(np.abs(ref.values)), 1e-12)
-                    assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * scale
+                      FourierBoundary(np.zeros(3))]
+        grid = UnitGrid(128)
+        for alpha in (0.3, 0.5, 0.9):
+            bnd = _random_boundary(rng)
+            for h in directions:
+                ref = gateaux_dense(bnd, h, 0.27, alpha, grid)
+                got = gateaux_derivative(bnd, h, 0.27, alpha, grid)
+                scale = max(np.max(np.abs(ref.values)), 1e-12)
+                assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * scale
 
     def test_linear_in_direction(self, rng):
         a, om, g = 0.5, 0.3, UnitGrid(128)
@@ -212,29 +212,21 @@ class TestGateaux:
         assert np.max(np.abs(reduced - full)) <= 1e-13 * np.max(np.abs(full))
 
     @pytest.mark.parametrize("alpha", [0.5, 0.999, 1.0])
-    @pytest.mark.parametrize("grid", [UnitGrid(192), UnitGrid(192, shift=np.pi / 192),
-                                      UnitGrid(192, shift=0.1)],
-                             ids=["plain", "half-offset", "shifted"])
-    def test_rotation_unfold_matches_all_rows(self, grid, alpha):
+    def test_rotation_unfold_matches_all_rows(self, alpha):
         # directions off the 3-fold ladder have no period but the grid's: the
-        # pass forms half the rows (97 of 192) on the plain grid and mirrors
-        # the rest, and forms all 192 on the shifted grids
+        # pass forms half the rows (97 of 192) and mirrors the rest
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, 0.004, -0.001])))
-        modes = [-1, 0, 1, 2, 4, 7]
-        count = kernels._formed_rows(bnd, grid, np.array(modes) + 1).count
-        assert count == (97 if grid.shift == 0.0 else 192)
+        modes, grid = [-1, 0, 1, 2, 4, 7], UnitGrid(192)
+        assert kernels._formed_rows(bnd, grid, np.array(modes) + 1).count == 97
         got = monomial_derivatives(bnd, modes, 0.34, alpha, grid)
         ref = all_rows(bnd, modes, 0.34, alpha, grid)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("grid", [UnitGrid(64), UnitGrid(64, shift=np.pi / 64),
-                                      UnitGrid(64, shift=0.1)],
-                             ids=["plain", "half-offset", "shifted"])
-    def test_aliased_directions_match_dense_oracle(self, grid, rng):
+    def test_aliased_directions_match_dense_oracle(self, rng):
         # w^(-n) with n >= size/2 aliases on the grid, but the pass must still
         # return the derivative along the sampled h and h' = -n w^(-n-1), on
         # the mirror-unfolded rows too
-        modes = [-1, 0, 32, 33, 50, 63, 64, 70]
+        modes, grid = [-1, 0, 32, 33, 50, 63, 64, 70], UnitGrid(64)
         bnd = _random_boundary(rng)
         for alpha in (0.3, 0.9):
             with pytest.warns(AliasingWarning):
@@ -317,9 +309,9 @@ class TestJacobian:
     def test_direction_monomials_are_cached_and_read_only(self):
         # formed once per (grid, modes) and shared by every Newton Jacobian on
         # that grid, so a caller must not be able to write into them
-        grid, modes = UnitGrid(96, shift=0.1), (-1, 0, 2, 5)
+        grid, modes = UnitGrid(96), (-1, 0, 2, 5)
         inv, dhv, h_bar = lin._monomials(grid, modes)
-        assert lin._monomials(UnitGrid(96, shift=0.1), modes)[0] is inv
+        assert lin._monomials(UnitGrid(96), modes)[0] is inv
         n = np.array(modes)
         w = grid.nodes[:, None]
         assert np.max(np.abs(inv - w ** -(n + 1))) <= 1e-14

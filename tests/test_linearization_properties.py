@@ -64,14 +64,12 @@ def test_monomial_derivatives_linear_in_direction(alpha, omega, m, reduced, amps
 @given(alpha=alphas, omega=omegas, m=st.integers(min_value=2, max_value=5),
        reduced=st.lists(st.floats(min_value=-0.03, max_value=0.03), min_size=1, max_size=3),
        modes=st.lists(st.integers(min_value=-1, max_value=10), min_size=1, max_size=6,
-                      unique=True),
-       grid=st.sampled_from([UnitGrid(120), UnitGrid(120, shift=np.pi / 120),
-                             UnitGrid(120, shift=0.1)]))
-def test_rotation_unfold_matches_all_rows(alpha, omega, m, reduced, modes, grid):
-    # half the common period of the boundary and the directions (a whole one
-    # on the shifted grids), repeated and mirrored onto every row, against
-    # the same pass forming every row; 120 is a multiple of every m drawn
-    bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced)))
+                      unique=True))
+def test_rotation_unfold_matches_all_rows(alpha, omega, m, reduced, modes):
+    # half the common period of the boundary and the directions, repeated
+    # and mirrored onto every row, against the same pass forming every row;
+    # 120 is a multiple of every m drawn
+    bnd, grid = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced))), UnitGrid(120)
     got = monomial_derivatives(bnd, modes, omega, alpha, grid)
     ref = lin._formed_fields(bnd, np.array(modes), omega, alpha, grid, grid.size).T
     # a mirrored row carries the rounding of its source row, not its own

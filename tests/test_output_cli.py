@@ -409,9 +409,13 @@ class TestCli:
         assert report["moment_ratio_gap"] < 1e-10
         # residual-field exports ride along
         resid = json.loads((tmp_path / "ellipse_residual.json").read_text())
+        assert list(resid) == ["grid_size", "sine_coeffs"] and resid["grid_size"] == 256
         assert report["min_abs_g4"] == abs(resid["sine_coeffs"][3])
         lines = (tmp_path / "ellipse_residual.csv").read_text().splitlines()
         assert lines[0] == "angle,residual" and len(lines) == 257
+        # one row per node of the grid, at angles 2 pi j / 256, written to 12 digits
+        angles = np.array([float(line.split(",")[0]) for line in lines[1:]])
+        assert np.allclose(angles, 2.0 * np.pi * np.arange(256) / 256, rtol=1e-11, atol=0.0)
 
     def test_ellipse_test_names_a_vanishing_g4(self, tmp_path, monkeypatch, capsys):
         # a residual with no mode-4 obstruction: the ratio gap passes and the
