@@ -66,9 +66,9 @@ class TestEvalMap:
             eval_map(bnd, UnitGrid(64))
 
     @pytest.mark.parametrize("order", [7, 40, 80], ids=["resolved", "aliased", "folded"])
-    def test_grid_fft_matches_point_horner(self, order, rng):
+    @pytest.mark.parametrize("grid", [UnitGrid(64)], ids=["plain"])
+    def test_grid_fft_matches_point_horner(self, order, grid, rng):
         # 80 > 64 folds orders n >= size onto n mod size in the grid path
-        grid = UnitGrid(64)
         n = np.arange(order + 1)
         bnd = FourierBoundary(0.05 * 0.6 ** n * rng.uniform(-1.0, 1.0, order + 1), lead=1.1)
         with warnings.catch_warnings():
@@ -93,6 +93,12 @@ class TestUnitGrid:
                 arr[0] = 0.0
         # the cache is not part of the value
         assert g == UnitGrid(64) and hash(g) == hash(UnitGrid(64))
+
+    def test_plain_grid_applies_no_phase(self):
+        # the nodes start at w_0 = 1, so the mode coefficients are the bare FFT
+        g = UnitGrid(64)
+        vals = np.random.default_rng(3).standard_normal(64)
+        assert g.mode_coeffs(vals).tobytes() == (np.fft.fft(vals) / 64).tobytes()
 
 
 class TestEvalDeriv:

@@ -471,14 +471,14 @@ class TestCirculantQuadrature:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
-    @pytest.mark.parametrize("size", [256, 258])
+    @pytest.mark.parametrize("grid", [UnitGrid(256), UnitGrid(258)], ids=["plain", "258"])
     @pytest.mark.parametrize("kind", ["asym", 4])
-    def test_chord_ratio_matches_extended_precision(self, kind, size, rng):
+    def test_chord_ratio_matches_extended_precision(self, kind, grid, rng):
         # (phi_i - phi_j) |R|^2_ij, the chord quotient of the derivative pass,
         # against the samples' difference over |w_i - w_j|^2 at the exact node
         # angles, in long double; the circulant reads within 6.2e-16, the
         # division by |w_i - w_j|^2 of rounded nodes 6.7e-14 to 9.0e-14
-        bnd, grid = _oracle_boundary(kind, rng), UnitGrid(size)
+        bnd = _oracle_boundary(kind, rng)
         pi = 4 * np.arctan(np.longdouble(1))
         theta = 2 * pi * np.arange(grid.size, dtype=np.longdouble) / grid.size
         w = np.cos(theta) + 1j * np.sin(theta)
@@ -658,10 +658,11 @@ class TestMirroredRows:
                 assert formed_rows == [65]
 
     @pytest.mark.parametrize("kind", ["asym", 2, 3, 4])
-    def test_unfolded_rows_are_mirror_images(self, kind, rng):
+    @pytest.mark.parametrize("grid", [UnitGrid(256)], ids=["plain"])
+    def test_unfolded_rows_are_mirror_images(self, grid, kind, rng):
         # row i and row -i mod size of the dense reference: q = conj(w) S is
         # conjugated and G changes sign
-        bnd, grid = _oracle_boundary(kind, rng), UnitGrid(256)
+        bnd = _oracle_boundary(kind, rng)
         mirror = -np.arange(grid.size) % grid.size
         w, layer = grid.nodes, s_phi_dense(bnd, 0.5, grid)
         q = np.conj(w) * layer
@@ -669,10 +670,11 @@ class TestMirroredRows:
         assert np.max(np.abs(q[mirror] - np.conj(q))) <= 1e-14
         assert np.max(np.abs(g[mirror] + g)) <= 1e-15
 
-    def test_odd_period_matches_dense(self):
+    @pytest.mark.parametrize("grid, rows", [(UnitGrid(202), 51)], ids=["plain"])
+    def test_odd_period_matches_dense(self, grid, rows):
         # m = 2 on 202 nodes: a sector of 101 rows; the pass forms rows 0..50
         # and mirrors the rest about row 0
-        bnd, grid = _oracle_boundary(2, None), UnitGrid(202)
-        assert kernels._formed_rows(bnd, grid).count == 51
+        bnd = _oracle_boundary(2, None)
+        assert kernels._formed_rows(bnd, grid).count == rows
         ref = s_phi_dense(bnd, 0.5, grid)
         assert np.max(np.abs(s_phi(bnd, 0.5, grid) - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -212,21 +212,23 @@ class TestGateaux:
         assert np.max(np.abs(reduced - full)) <= 1e-13 * np.max(np.abs(full))
 
     @pytest.mark.parametrize("alpha", [0.5, 0.999, 1.0])
-    def test_rotation_unfold_matches_all_rows(self, alpha):
+    @pytest.mark.parametrize("grid", [UnitGrid(192)], ids=["plain"])
+    def test_rotation_unfold_matches_all_rows(self, grid, alpha):
         # directions off the 3-fold ladder have no period but the grid's: the
         # pass forms half the rows (97 of 192) and mirrors the rest
         bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, 0.004, -0.001])))
-        modes, grid = [-1, 0, 1, 2, 4, 7], UnitGrid(192)
+        modes = [-1, 0, 1, 2, 4, 7]
         assert kernels._formed_rows(bnd, grid, np.array(modes) + 1).count == 97
         got = monomial_derivatives(bnd, modes, 0.34, alpha, grid)
         ref = all_rows(bnd, modes, 0.34, alpha, grid)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_aliased_directions_match_dense_oracle(self, rng):
+    @pytest.mark.parametrize("grid", [UnitGrid(64)], ids=["plain"])
+    def test_aliased_directions_match_dense_oracle(self, grid, rng):
         # w^(-n) with n >= size/2 aliases on the grid, but the pass must still
         # return the derivative along the sampled h and h' = -n w^(-n-1), on
         # the mirror-unfolded rows too
-        modes, grid = [-1, 0, 32, 33, 50, 63, 64, 70], UnitGrid(64)
+        modes = [-1, 0, 32, 33, 50, 63, 64, 70]
         bnd = _random_boundary(rng)
         for alpha in (0.3, 0.9):
             with pytest.warns(AliasingWarning):
