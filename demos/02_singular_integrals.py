@@ -19,7 +19,8 @@ for n in range(0, 9, 2):
     qd = oracles.moment_I_quad(alpha, n)
     print(f"  n={n}:  {cf:+.12f} | {qd:+.12f} | {abs(cf - qd):.1e}")
 
-print("\nchord-difference moments (the two kernels of the derivative):")
+print("\nchord and conjugate moments, which check the gap ladder behind the weight row (J)"
+      "\nand the ratio ladder (Z):")
 for n in (1, 4, 8):
     cj, qj = singular_moment_J(alpha, n), oracles.moment_J_quad(alpha, n)
     cz, qz = singular_moment_Z(alpha, n), oracles.moment_Z_quad(alpha, n)

@@ -173,7 +173,7 @@ def cmd_solve_branch(args) -> int:
     if args.s_max < args.ds:
         raise ConfigError(f"ds = {args.ds} exceeds s-max = {args.s_max}")
     out = _outdir(args)
-    table = continue_branch(args.alpha, args.m, args.s_max, args.ds, tol=args.tol)
+    table = continue_branch(args.alpha, args.m, args.s_max, args.ds)
     sols = table.solutions
     stem = f"branch_a{args.alpha:g}_m{args.m}"
     write_csv(out / f"{stem}.csv", ["s", "omega", "residual", "a1", "a2", "a3"],
@@ -197,8 +197,7 @@ def cmd_solve_branch(args) -> int:
         write_json(out / f"{stem}.json", report)
         return _fail(f"branch stopped: {table.failure}")
     # ds <= s-max, so without a failure the point at s = ds was kept
-    return _verdict(out / f"{stem}.json", report,
-                    {"residual": (max(report["residual"]), args.tol)})
+    return _verdict(out / f"{stem}.json", report, {"residual": (max(report["residual"]), 1e-11)})
 
 
 def cmd_ellipse_test(args) -> int:
@@ -367,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_TWO_OR_MORE, required=True)
     p.add_argument("--s-max", type=_POSITIVE, required=True)
     p.add_argument("--ds", type=_POSITIVE, required=True)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-11)
     p.set_defaults(fn=cmd_solve_branch)
 
     p = sub.add_parser("ellipse-test", help="ellipses never rotate: mode-4 obstruction")

@@ -46,8 +46,9 @@ class VStateSolution:
     residual_norm: float
     grid_size: int
     residual_evals: int = 0      # residual evaluations the solve made
-    jacobian_builds: int = 0     # Jacobians it built; 0 when the carried one was enough
-    # the last chord Jacobian, which seeds the next point of a branch
+    jacobian_builds: int = 0     # Jacobians it built; 0 when the start's was enough
+    # the last chord Jacobian (None if the starting iterate met tol); a solve
+    # given this solution as its start steps with it first
     jacobian: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -122,22 +123,22 @@ def _mfold_jacobian(omega: float, reduced: np.ndarray, alpha: float, m: int,
                             grid.sine_coeffs(fields)[:, rows].T])
 
 
-def solve_vstate(alpha: float, m: int, s: float,
-                 initial_guess: tuple[float, np.ndarray] | None = None,
-                 tol: float = 1e-11, k_modes: int = 16,
-                 jacobian: np.ndarray | None = None) -> VStateSolution:
+def solve_vstate(alpha: float, m: int, s: float, start: VStateSolution | None = None,
+                 tol: float = 1e-11, k_modes: int = 16) -> VStateSolution:
     """Newton-solve the m-fold branch point at pinned amplitude s.
 
-    initial_guess is (omega, higher_coeffs) with k_modes - 1 higher rungs;
-    by default the disc data (dispersion omega, zero rungs), which is inside
-    the Newton basin for small s.  jacobian is an optional k_modes x k_modes
-    chord Jacobian to start from, such as a neighbouring point's
-    VStateSolution.jacobian; its omega column is replaced by the exact one
-    at the starting iterate, and it is rebuilt when the chord stalls.  By
-    default the first step builds one.  The Newton Jacobian is analytic at
-    every alpha in (0, 1], the subtracted kernel of alpha = 1 included.
-    Raises NonConvergenceError, FoldError, or a self-intersection error from
-    the kernel layer.
+    start is a neighbouring solution with k_modes rungs, such as the previous
+    point of a branch or the point at the same s and a nearby alpha.  The
+    solve starts from its omega and higher rungs and, when it has one, its
+    chord Jacobian, whose omega column is replaced by the exact one at the
+    starting iterate; that matrix is rebuilt when the chord stalls.  By
+    default the solve starts from the disc (dispersion omega, zero rungs),
+    which is inside the Newton basin for small s, and its first step builds a
+    Jacobian; at s = 0 the disc meets tol after one residual evaluation and
+    nothing is built.  The Newton Jacobian is analytic at every alpha in
+    (0, 1], the subtracted kernel of alpha = 1 included.  Raises
+    NonConvergenceError, FoldError, or a self-intersection error from the
+    kernel layer.
     """
     if m < 2:
         raise ValueError("m-fold branches need m >= 2")
@@ -145,31 +146,23 @@ def solve_vstate(alpha: float, m: int, s: float,
         warnings.warn("critical-case branch solving is experimental: no "
                       "bifurcation theorem backs it", RuntimeWarning, stacklevel=2)
     grid = default_grid(k_modes * m)
-    if s == 0.0:
-        bnd = MFoldBoundary(m=m, reduced=np.zeros(k_modes))
-        return VStateSolution(alpha=alpha, m=m, s=0.0, omega=omega_dispersion(alpha, m),
-                              boundary=bnd, residual_norm=0.0,
-                              grid_size=grid.size)
-    if initial_guess is None:
-        x = np.zeros(k_modes)
-        x[0] = omega_dispersion(alpha, m)
-    else:
-        om_g, rungs = initial_guess
-        x = np.concatenate([[om_g], np.asarray(rungs, dtype=float)])
-        if len(x) != k_modes:
-            raise ValueError("initial guess size does not match k_modes")
 
     def reduced_of(x_vec: np.ndarray) -> np.ndarray:
         return np.concatenate([[s], x_vec[1:]])
 
-    if jacobian is not None:
-        jacobian = np.array(jacobian, dtype=float)
-        if jacobian.shape != (k_modes, k_modes):
-            raise ValueError("jacobian shape does not match k_modes")
-        # the omega column is zero at the disc and O(s) along the branch, so
-        # it is always refreshed; the rung columns move by O(ds) only
-        start = embed_mfold(MFoldBoundary(m=m, reduced=reduced_of(x)))
-        jacobian[:, 0] = _omega_column(start, m, grid, k_modes)
+    x, jacobian = np.zeros(k_modes), None
+    if start is None:
+        x[0] = omega_dispersion(alpha, m)
+    else:
+        if len(start.boundary.reduced) != k_modes:
+            raise ValueError(f"start has {len(start.boundary.reduced)} rungs, not {k_modes}")
+        x = np.concatenate([[start.omega], start.boundary.reduced[1:]])
+        if start.jacobian is not None:
+            jacobian = start.jacobian.copy()
+            # the omega column is zero at the disc and O(s) along the branch,
+            # so it is always refreshed; the rung columns move by O(ds) only
+            at_start = embed_mfold(MFoldBoundary(m=m, reduced=reduced_of(x)))
+            jacobian[:, 0] = _omega_column(at_start, m, grid, k_modes)
 
     evals = 0
 
@@ -253,27 +246,25 @@ def continue_branch(alpha: float, m: int, s_max: float, ds: float,
                     tol: float = 1e-11, k_modes: int = 16) -> BranchTable:
     """March the branch in amplitude steps, seeding each solve with the last.
 
-    Each solve starts from the previous point's coefficients and its last
-    chord Jacobian (omega column refreshed), so a leg of small steps builds
-    about one Jacobian; a solve rebuilds only when the carried matrix stalls
-    or contracts slowly.  Stops cleanly at the first failed step and records
+    Each solve takes the previous point as its start, with its coefficients
+    and its last chord Jacobian (omega column refreshed), so a leg of small
+    steps builds about one Jacobian; a solve rebuilds only when the carried
+    matrix stalls or contracts slowly.  Stops cleanly at the first failed step and records
     why; everything already converged stays in the table.
     """
     if ds <= 0.0 or s_max < ds:
         raise ValueError("need 0 < ds <= s_max")
     table = BranchTable(alpha=alpha, m=m)
-    guess, jac = None, None
     k = 1
     while k * ds <= s_max * (1.0 + 1e-12):
         s = k * ds   # not accumulated, so the k-th amplitude is exactly k * ds
+        start = table.solutions[-1] if table.solutions else None
         try:
-            sol = solve_vstate(alpha, m, s, initial_guess=guess, tol=tol,
-                               k_modes=k_modes, jacobian=jac)
+            sol = solve_vstate(alpha, m, s, start=start, tol=tol, k_modes=k_modes)
         except (NonConvergenceError, FoldError, SelfIntersectionError) as exc:
             table.failure = f"s={s:.6g}: {type(exc).__name__}: {exc}"
             break
         table.solutions.append(sol)
-        guess, jac = (sol.omega, sol.boundary.reduced[1:]), sol.jacobian
         k += 1
     return table
 

@@ -169,21 +169,19 @@ def _disc_at_rest(alpha: float, n_modes: int, grid: UnitGrid) -> np.ndarray:
     return entries
 
 
-def disc_jacobian(alpha: float, omega: float, n_modes: int,
-                  grid: UnitGrid | None = None) -> np.ndarray:
+def disc_jacobian(alpha: float, omega: float, n_modes: int) -> np.ndarray:
     """Analytic Jacobian at the disc over the modes b_0 .. b_{n_modes-1}.
 
     Square: entries[k-1, n] is the response of sine mode k to b_n, so the
     matrix is diagonal with entry (n+1)(omega - omega_{n+1})/2 at (n, n) up
     to quadrature rounding.  G is affine in omega: the matrix at omega = 0
-    comes from one monomial_derivatives pass, cached per (alpha, n_modes,
-    grid), and the omega part is its closed form omega (n+1)/2 on the
-    diagonal.  At the disc _mixed_slope is the pointwise
+    comes from one monomial_derivatives pass on default_grid(n_modes + 1),
+    cached per (alpha, n_modes, grid), and the omega part is its closed form
+    omega (n+1)/2 on the diagonal.  At the disc _mixed_slope is the pointwise
     -(n+1) sin((n+1) theta), so no singular integral leaves the pass.
     """
-    grid = default_grid(n_modes + 1) if grid is None else grid
     slope = np.arange(1, n_modes + 1) / 2.0
-    return _disc_at_rest(alpha, n_modes, grid) + np.diag(omega * slope)
+    return _disc_at_rest(alpha, n_modes, default_grid(n_modes + 1)) + np.diag(omega * slope)
 
 
 class BracketError(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -15,9 +16,11 @@ from fd_oracle import fd_jacobian
 
 class TestSolve:
     def test_zero_amplitude_is_disc(self):
+        # the disc meets the tolerance at once: no Newton step, no Jacobian
         sol = solve_vstate(0.5, 3, 0.0)
-        assert sol.omega == pytest.approx(omega_dispersion(0.5, 3))
-        assert sol.residual_norm == 0.0
+        assert sol.omega == omega_dispersion(0.5, 3)
+        assert sol.residual_norm < 1e-15
+        assert sol.jacobian_builds == 0
         assert np.all(sol.boundary.reduced == 0.0)
 
     def test_small_amplitude(self):
@@ -62,20 +65,16 @@ class TestSolve:
             sol = solve_vstate(1.0, 3, 1e-3, k_modes=6)
         assert sol.residual_norm < 1e-11
 
-    def test_guess_size_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_vstate(0.5, 3, 0.01, initial_guess=(0.3, np.zeros(3)), k_modes=8)
-
-    def test_jacobian_shape_mismatch(self):
-        with pytest.raises(ValueError, match="jacobian shape"):
-            solve_vstate(0.5, 3, 0.01, jacobian=np.eye(7), k_modes=8)
+    def test_start_size_mismatch(self):
+        start = solve_vstate(0.5, 3, 0.01, k_modes=6)
+        with pytest.raises(ValueError, match="start has 6 rungs"):
+            solve_vstate(0.5, 3, 0.02, start=start, k_modes=8)
 
     def test_carried_jacobian_gets_exact_omega_column(self, monkeypatch):
         # the rung columns of the carried matrix are kept, its omega column
         # is the exact one at the starting iterate
         k_modes, grid = 8, default_grid(8 * 3)
         first = solve_vstate(0.5, 3, 0.01, k_modes=k_modes)
-        guess = (first.omega, first.boundary.reduced[1:])
         seen = []
 
         def record(x, res_of, jac_of, tol, s, jac=None):
@@ -84,8 +83,7 @@ class TestSolve:
         start = np.concatenate([[0.02], first.boundary.reduced[1:]])
         exact = cont._mfold_jacobian(first.omega, start, 0.5, 3, grid, k_modes)
         monkeypatch.setattr(cont, "_chord_newton", record)
-        solve_vstate(0.5, 3, 0.02, initial_guess=guess, k_modes=k_modes,
-                     jacobian=first.jacobian)
+        solve_vstate(0.5, 3, 0.02, start=first, k_modes=k_modes)
         assert np.array_equal(seen[0][:, 0], exact[:, 0])
         assert np.array_equal(seen[0][:, 1:], first.jacobian[:, 1:])
         assert first.jacobian[0, 0] != exact[0, 0]
@@ -200,7 +198,7 @@ class TestBranch:
 
     def test_amplitudes_are_exact_multiples(self, monkeypatch):
         # accumulating s += 0.05 gives 0.39999999999999997 at the 8th step
-        def fake_solve(alpha, m, s, initial_guess=None, **kwargs):
+        def fake_solve(alpha, m, s, start=None, **kwargs):
             return VStateSolution(alpha=alpha, m=m, s=s, omega=0.0,
                                   boundary=MFoldBoundary(m=m, reduced=[s, 0.0]),
                                   residual_norm=0.0, grid_size=64)
@@ -220,14 +218,14 @@ def fresh_jacobian_branch(alpha, m, s_max, ds):
 
     Returns the solutions and the typed failure that stopped it, or None.
     """
-    sols, guess = [], None
+    sols, start = [], None
     for k in range(1, int(round(s_max / ds)) + 1):
         try:
-            sol = solve_vstate(alpha, m, k * ds, initial_guess=guess)
+            sol = solve_vstate(alpha, m, k * ds, start=start)
         except (NonConvergenceError, FoldError, SelfIntersectionError) as exc:
             return sols, exc
         sols.append(sol)
-        guess = (sol.omega, sol.boundary.reduced[1:])
+        start = dataclasses.replace(sol, jacobian=None)
     return sols, None
 
 
@@ -248,6 +246,16 @@ class TestCarriedJacobian:
         if ds == 0.01:
             # one Jacobian for the leg; fresh solves build one per point
             assert sum(builds) == 1
+
+    @pytest.mark.parametrize("alpha0, alpha, m, s", [(0.5, 0.52, 3, 0.05), (0.5, 0.55, 2, 0.1)])
+    def test_start_at_a_neighbouring_alpha(self, alpha0, alpha, m, s):
+        # the point at the same amplitude and a nearby alpha seeds a solve as
+        # the previous point of a branch does, with its chord Jacobian
+        cold = solve_vstate(alpha, m, s)
+        seeded = solve_vstate(alpha, m, s, start=solve_vstate(alpha0, m, s))
+        assert abs(seeded.omega - cold.omega) <= 1e-10
+        assert np.max(np.abs(seeded.boundary.reduced - cold.boundary.reduced)) <= 1e-10
+        assert seeded.jacobian_builds <= 1
 
     @pytest.mark.slow
     @pytest.mark.parametrize("m", [2, 3, 4])

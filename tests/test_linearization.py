@@ -267,10 +267,12 @@ class TestGateaux:
 
 class TestJacobian:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    def test_disc_diagonal_matches_multipliers(self, alpha):
+    def test_disc_diagonal_matches_multipliers(self, alpha, monkeypatch):
+        # on a grid twice the default one, so the match is no grid's accident
         grid = UnitGrid(208)
+        monkeypatch.setattr(lin, "default_grid", lambda n: grid)
         for om in (0.0, omega_dispersion(alpha, 2), 0.9 * theta_alpha(alpha)):
-            jac = disc_jacobian(alpha, om, 12, grid)
+            jac = disc_jacobian(alpha, om, 12)
             mult = multiplier_at_disc(alpha, om, 12)
             assert np.max(np.abs(jac - np.diag(mult[:12]))) < 1e-12
             fd = fd_jacobian_matrix(FourierBoundary.identity(), om, alpha, grid, 12)
@@ -350,9 +352,10 @@ class TestJacobian:
         mult = multiplier_at_disc(alpha, om, 32)
         assert np.max(np.abs(np.diag(jac) - mult[:32])) < 1e-11
 
-    def test_critical_diagonal_matches_multipliers(self):
+    def test_critical_diagonal_matches_multipliers(self, monkeypatch):
         om, grid = omega_sqg(2), UnitGrid(144)
-        jac = disc_jacobian(1.0, om, 8, grid)
+        monkeypatch.setattr(lin, "default_grid", lambda n: grid)
+        jac = disc_jacobian(1.0, om, 8)
         mult = multiplier_at_disc(1.0, om, 8)
         assert np.max(np.abs(jac - np.diag(mult[:8]))) < 1e-12
         fd = fd_jacobian_matrix(FourierBoundary.identity(), om, 1.0, grid, 8)

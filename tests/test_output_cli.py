@@ -139,13 +139,13 @@ BAD_CONFIG_ARGS = [
      "--t-final", "0.1", "--dt", "0.01"),
     ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "0.01", "--frames", "1"),
     ("evolve", "--alpha", "0.5", "--t-final", "0.1", "--dt", "0.01", "--frames", "-3"),
+    # the gap and residual bounds of scan and solve-branch are fixed: their
+    # retired --tol flags are refused as unknown, not ignored
+    ("scan", "--alpha", "0.5", "--m", "3", "--tol", "-1e-7"),
     ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.01",
      "--tol", "0"),
-    # a negative value in exponent notation still reaches its domain check
     ("solve-branch", "--alpha", "0.5", "--m", "3", "--s-max", "0.01", "--ds", "0.01",
      "--tol", "-1e-7"),
-    # scan's gap bound is fixed: its retired --tol flag is refused, not ignored
-    ("scan", "--alpha", "0.5", "--m", "3", "--tol", "-1e-7"),
     ("dispersion", "--alpha", "0.5", "--m-max", "1"),
     ("verify-integrals", "--alpha", "1"),
     ("ellipse-test", "--alpha", "1", "--Q", "0.5"),
