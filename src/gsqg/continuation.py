@@ -127,8 +127,9 @@ def solve_vstate(alpha: float, m: int, s: float, start: VStateSolution | None = 
                  tol: float = 1e-11, k_modes: int = 16) -> VStateSolution:
     """Newton-solve the m-fold branch point at pinned amplitude s.
 
-    start is a neighbouring solution with k_modes rungs, such as the previous
-    point of a branch or the point at the same s and a nearby alpha.  The
+    start is a neighbouring solution with k_modes rungs (and a k_modes x
+    k_modes Jacobian, if any), such as the previous point of a branch or the
+    point at the same s and a nearby alpha.  The
     solve starts from its omega and higher rungs and, when it has one, its
     chord Jacobian, whose omega column is replaced by the exact one at the
     starting iterate; that matrix is rebuilt when the chord stalls.  By
@@ -158,6 +159,9 @@ def solve_vstate(alpha: float, m: int, s: float, start: VStateSolution | None = 
             raise ValueError(f"start has {len(start.boundary.reduced)} rungs, not {k_modes}")
         x = np.concatenate([[start.omega], start.boundary.reduced[1:]])
         if start.jacobian is not None:
+            if start.jacobian.shape != (k_modes, k_modes):
+                raise ValueError(f"start jacobian shape {start.jacobian.shape}, "
+                                 f"not {(k_modes, k_modes)}")
             jacobian = start.jacobian.copy()
             # the omega column is zero at the disc and O(s) along the branch,
             # so it is always refreshed; the rung columns move by O(ds) only

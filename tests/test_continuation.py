@@ -65,10 +65,16 @@ class TestSolve:
             sol = solve_vstate(1.0, 3, 1e-3, k_modes=6)
         assert sol.residual_norm < 1e-11
 
-    def test_start_size_mismatch(self):
+    def test_guess_size_mismatch(self):
         start = solve_vstate(0.5, 3, 0.01, k_modes=6)
         with pytest.raises(ValueError, match="start has 6 rungs"):
             solve_vstate(0.5, 3, 0.02, start=start, k_modes=8)
+
+    def test_jacobian_shape_mismatch(self):
+        start = solve_vstate(0.5, 3, 0.01, k_modes=8)
+        bad = dataclasses.replace(start, jacobian=np.eye(7))
+        with pytest.raises(ValueError, match="jacobian shape"):
+            solve_vstate(0.5, 3, 0.02, start=bad, k_modes=8)
 
     def test_carried_jacobian_gets_exact_omega_column(self, monkeypatch):
         # the rung columns of the carried matrix are kept, its omega column
