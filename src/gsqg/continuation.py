@@ -10,13 +10,12 @@ b_0 stays at zero throughout: the rotation center is the center of mass.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (FourierBoundary, MFoldBoundary, UnitGrid, _map_samples, default_grid,
-                       dilate, embed_mfold)
+from .geometry import (FourierBoundary, MFoldBoundary, UnitGrid, _map_samples, _warn,
+                       default_grid, dilate, embed_mfold)
 from .kernels import SelfIntersectionError, functional_G
 from .linearization import monomial_derivatives
 from .specfun import omega_dispersion
@@ -144,8 +143,8 @@ def solve_vstate(alpha: float, m: int, s: float, start: VStateSolution | None = 
     if m < 2:
         raise ValueError("m-fold branches need m >= 2")
     if alpha == 1.0:
-        warnings.warn("critical-case branch solving is experimental: no "
-                      "bifurcation theorem backs it", RuntimeWarning, stacklevel=2)
+        _warn("critical-case branch solving is experimental: no bifurcation theorem backs it",
+              RuntimeWarning)
     grid = default_grid(k_modes * m)
 
     def reduced_of(x_vec: np.ndarray) -> np.ndarray:
@@ -282,11 +281,6 @@ def verify_dilation_law(sol: VStateSolution, lam: float,
     omega_exponent=1.0 deliberately applies the wrong rescaling omega/lam
     and serves as the negative control.
     """
-    if lam <= 0.0:
-        raise ValueError("dilation factor must be positive")
     expo = sol.alpha if omega_exponent is None else omega_exponent
-    scaled, _ = dilate(sol.full_boundary, lam, sol.alpha)
-    omega_scaled = sol.omega * lam ** (-expo)
-    grid = UnitGrid(sol.grid_size)
-    fld = functional_G(omega_scaled, scaled, sol.alpha, grid)
-    return fld.sup_norm
+    scaled, factor = dilate(sol.full_boundary, lam, expo)
+    return functional_G(sol.omega * factor, scaled, sol.alpha, UnitGrid(sol.grid_size)).sup_norm

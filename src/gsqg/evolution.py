@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
@@ -33,7 +34,7 @@ from numpy.fft import fft, ifft, irfft, rfft
 # the scipy functions are imported inside the one function that calls each,
 # so that `import gsqg` and the commands that never step a contour load none
 
-from .geometry import FourierBoundary, UnitGrid, eval_map
+from .geometry import FourierBoundary, UnitGrid, _read_only, eval_map
 from .specfun import _omega_ladder, conv_constant, omega_dispersion
 
 _WINDOW = 3  # neighbours on each side of a node that the near-approach guard ignores
@@ -101,7 +102,7 @@ class ContourState:
     def derivatives(self) -> np.ndarray:
         """d^k(gamma)/d(sigma)^k at the nodes for k = 1, 2, 3, rows of one
         stacked inverse transform by spectral differentiation."""
-        return ifft(_derivative_factors(self.size)[1:] * self.spectrum)
+        return ifft(_tables(self.size).derivative[1:] * self.spectrum)
 
     @property
     def tangent(self) -> np.ndarray:
@@ -114,7 +115,7 @@ class ContourState:
         """The state whose nodes have the FFT `spectrum`.  The nodes and
         their derivatives come from one stacked inverse transform and fill
         the caches."""
-        rows = ifft(_derivative_factors(len(spectrum)) * spectrum)
+        rows = ifft(_tables(len(spectrum)).derivative * spectrum)
         state = cls(nodes=rows[0], time=time, alpha=alpha)
         state.__dict__.update(spectrum=spectrum, derivatives=rows[1:])
         return state
@@ -129,52 +130,52 @@ class ContourState:
         return cls(nodes=UnitGrid(n_nodes).nodes.copy(), time=0.0, alpha=alpha)
 
 
-@lru_cache(maxsize=16)
-def _wavenumbers(m: int) -> np.ndarray:
-    """Integer wavenumbers of an m-point periodic sequence; for even m the
-    unmatched Nyquist mode is zeroed (odd m has none)."""
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    if m % 2 == 0:
-        k[m // 2] = 0.0
-    k.flags.writeable = False
-    return k
-
-
-@lru_cache(maxsize=16)
-def _derivative_factors(m: int) -> np.ndarray:
-    """Rows 1, ik, -k^2 and -ik^3: the spectral factors of gamma and its
-    first three sigma-derivatives."""
-    k = _wavenumbers(m)
-    factors = np.stack([np.ones(m), 1j * k, -k ** 2, -1j * k ** 3])
-    factors.flags.writeable = False
-    return factors
-
-
-@lru_cache(maxsize=16)
-def _antiderivative_factors(m: int) -> np.ndarray:
-    """1/(ik) on the rfft modes of m real samples, zero at k = 0 and at the
-    unmatched Nyquist mode: the zero-mean periodic antiderivative."""
-    k = _wavenumbers(m)[:m // 2 + 1]
-    inv = np.divide(1.0, 1j * k, out=np.zeros(len(k), dtype=complex), where=k != 0)
-    inv.flags.writeable = False
-    return inv
-
-
 def _filter_cutoff(m: int) -> int:
     """k_c = m // 3 for m nodes, the top mode the 2/3 rule keeps (Orszag,
-    J. Atmos. Sci. 1971): the cutoff of `_velocity_filter` and the mode
+    J. Atmos. Sci. 1971): the cutoff of the velocity filter and the mode
     whose rate sets `stability_step`."""
     return m // 3
 
 
+class _Tables(NamedTuple):
+    """The spectral tables of m nodes, indexed like the FFT of z (`_tables`).
+
+    FFT index j of z holds mode j - 1 of w = z e^(-i sigma).  For even m
+    the Nyquist index m/2 holds an unmatched mode (odd m has none): the
+    wavenumbers, and so the derivative and antiderivative factors and the
+    share, zero it.  The filter reads the raw wavenumbers instead, so that
+    w's Nyquist mode, at index m/2 + 1, is filtered to 0.
+    """
+
+    wavenumbers: np.ndarray     # integer k, 0 at an even m's Nyquist index
+    derivative: np.ndarray      # rows 1, ik, -k^2, -ik^3: gamma and its first three derivatives
+    antiderivative: np.ndarray  # 1/(ik) on the rfft modes, 0 at k = 0: zero-mean antiderivative
+    filter: np.ndarray          # the velocity filter in the basis of w = z e^(-i sigma)
+    mirror: np.ndarray          # index of mode -k of w
+    share: np.ndarray           # (1 - 1/k) / 2 for mode k of w (see `_DiscFlow`)
+
+
 @lru_cache(maxsize=16)
-def _velocity_filter(m: int) -> np.ndarray:
-    """The filter in the basis of w = z e^(-i sigma): FFT index j of z holds
-    mode j - 1 of w."""
-    k = np.abs(np.roll(np.fft.fftfreq(m, d=1.0 / m), 1)) / _filter_cutoff(m)
-    filt = np.exp(-_FILTER_DECAY * k ** _FILTER_ORDER)
-    filt.flags.writeable = False
-    return filt
+def _tables(m: int) -> _Tables:
+    """The tables of m nodes, formed once and read-only."""
+    raw = np.fft.fftfreq(m, d=1.0 / m)
+    k = raw.copy()
+    if m % 2 == 0:
+        k[m // 2] = 0.0
+    half = k[:m // 2 + 1]
+    w_k = np.roll(k, 1)
+    tables = _Tables(
+        wavenumbers=k,
+        derivative=np.stack([np.ones(m), 1j * k, -k ** 2, -1j * k ** 3]),
+        antiderivative=np.divide(1.0, 1j * half, out=np.zeros(len(half), dtype=complex),
+                                 where=half != 0),
+        filter=np.exp(-_FILTER_DECAY * (np.abs(np.roll(raw, 1)) / _filter_cutoff(m))
+                      ** _FILTER_ORDER),
+        mirror=(2 - np.arange(m)) % m,
+        share=0.5 - 0.5 / np.where(w_k == 0, 1.0, w_k))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
 
 def _mean_spacing(z: np.ndarray) -> float:
@@ -316,22 +317,13 @@ def _normal_speed(state: ContourState, tangent: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _disc_modes(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The disc's linear modes for m nodes, indexed like the FFT of z.
-
-    FFT index j of z is mode k = j - 1 of w = z e^(-i sigma).  Returns the
-    index of mode -k, the unit-radius turning rate k F_k Omega_|k|(alpha)
-    (zero for |k| <= 1 and at the Nyquist mode of w) and (1 - 1/k) / 2,
-    which takes w_k + conj(w_-k) = 2 r_k to the part of r_k that moves w_k.
-    """
-    k = np.roll(_wavenumbers(m), 1)
-    mirror = (2 - np.arange(m)) % m
+def _turning_rates(alpha: float, m: int) -> np.ndarray:
+    """The unit-radius turning rate k F_k Omega_|k|(alpha) of each mode k of
+    w for m nodes (zero for |k| <= 1 and at the Nyquist mode of w); read-only."""
+    tables = _tables(m)
+    k = np.roll(tables.wavenumbers, 1)
     omega = np.concatenate([[0.0, 0.0], _omega_ladder(alpha, m // 2)])
-    rate = k * _velocity_filter(m) * omega[np.abs(k).astype(int)]
-    share = 0.5 - 0.5 / np.where(k == 0, 1.0, k)
-    for arr in (mirror, rate, share):
-        arr.flags.writeable = False
-    return mirror, rate, share
+    return _read_only(k * tables.filter * omega[np.abs(k).astype(int)])
 
 
 @dataclass(frozen=True)
@@ -349,18 +341,17 @@ class _DiscFlow:
     commutes with E.  Both act on FFTs, rows of a stack alike.
     """
 
-    mirror: np.ndarray
+    tables: _Tables
     rate: np.ndarray
-    share: np.ndarray
 
     @classmethod
     def about(cls, state: ContourState) -> "_DiscFlow":
-        mirror, rate, share = _disc_modes(state.alpha, state.size)
-        return cls(mirror, rate * (_area(state) / math.pi) ** (-0.5 * state.alpha), share)
+        rate = _turning_rates(state.alpha, state.size)
+        return cls(_tables(state.size), rate * (_area(state) / math.pi) ** (-0.5 * state.alpha))
 
     def _moving_part(self, spec: np.ndarray, gain: np.ndarray) -> np.ndarray:
         """gain (1 - 1/k) r_k from the FFT of v."""
-        return gain * self.share * (spec + np.conj(spec[..., self.mirror]))
+        return gain * self.tables.share * (spec + np.conj(spec[..., self.tables.mirror]))
 
     def turn(self, t: float):
         """E(t) as a map of FFTs; its phases are formed once."""
@@ -381,8 +372,8 @@ def _normal_velocity_spectrum(state: ContourState) -> np.ndarray:
     # kappa |z_sigma| = Im(conj(z_sigma) z_sigma_sigma) / |z_sigma|^2
     stretch = un * (np.conj(zs) * state.derivatives[1]).imag / speed ** 2
     # dT/dsigma = <stretch> - stretch; the antiderivative factors drop the mean
-    tang = -irfft(rfft(stretch) * _antiderivative_factors(state.size), n=state.size)
-    return fft((tang - 1j * un) * tangent) * _velocity_filter(state.size)
+    tang = -irfft(rfft(stretch) * _tables(state.size).antiderivative, n=state.size)
+    return fft((tang - 1j * un) * tangent) * _tables(state.size).filter
 
 
 def normal_node_velocity(state: ContourState) -> np.ndarray:
@@ -490,7 +481,7 @@ def redistribute(state: ContourState) -> ContourState:
     n, total = len(speed), 2.0 * np.pi * speed.mean()
     # arclength at the fine points, offset by its value at sigma = 0: the mean
     # speed's share plus the spectral zero-mean antiderivative of the rest
-    arc = total * np.arange(n) / n + irfft(rfft(speed) * _antiderivative_factors(n), n=n)
+    arc = total * np.arange(n) / n + irfft(rfft(speed) * _tables(n).antiderivative, n=n)
     target = arc[0] + total * np.arange(state.size) / state.size
     j = np.searchsorted(arc, target, side="right") - 1
     rest = target - arc[j]
@@ -546,7 +537,7 @@ def _fine_curve(z: np.ndarray) -> np.ndarray:
     interpolant, with an even count's Nyquist mode split between +-m/2."""
     m, half = len(z), len(z) // 2
     big = np.zeros((4, _FINE * m), dtype=complex)
-    big[:, np.fft.fftfreq(m, 1.0 / m).astype(int)] = _derivative_factors(m) * fft(z)
+    big[:, np.fft.fftfreq(m, 1.0 / m).astype(int)] = _tables(m).derivative * fft(z)
     if m % 2 == 0:
         big[:, half] = big[:, -half] = 0.5 * big[:, -half]
     return ifft(big) * _FINE

@@ -16,6 +16,7 @@ eval_deriv are the one-row forms.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -24,7 +25,7 @@ import numpy as np
 
 
 class AliasingWarning(UserWarning):
-    """Grid too small for the boundary's coefficient count."""
+    """Grid too small for the highest order w^(-n) it samples."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -116,12 +117,18 @@ class FourierBoundary:
         return len(self.coeffs) - 1
 
 
+def _warn(message: str, category: type[Warning]) -> None:
+    """Warn at the caller's line: the first frame outside the package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
-def _check_alias(bnd: FourierBoundary, grid: UnitGrid) -> None:
-    if grid.size < 2 * (bnd.order + 1):
-        warnings.warn(
-            f"grid of size {grid.size} under-resolves {bnd.order + 1} coefficients",
-            AliasingWarning, stacklevel=4)
+
+def _check_alias(order: int, grid: UnitGrid) -> None:
+    """Warn when the grid under-resolves the terms w^(-n), n <= order."""
+    if grid.size < 2 * (order + 1):
+        _warn(f"grid of size {grid.size} under-resolves order {order}", AliasingWarning)
 
 
 def _conj_power_series(coeffs: np.ndarray, grid: UnitGrid) -> np.ndarray:
@@ -145,7 +152,7 @@ def _map_samples(bnd: FourierBoundary, grid: UnitGrid, derivs=(0, 1)) -> list[np
         phi(w_j)  = lead w_j + fft(b_n)_j,
         phi'(w_j) = lead - conj(w_j) fft(n b_n)_j.
     """
-    _check_alias(bnd, grid)
+    _check_alias(bnd.order, grid)
     weighted = [np.arange(bnd.order + 1) * bnd.coeffs if d else bnd.coeffs for d in derivs]
     series = _conj_power_series(np.stack(weighted), grid)
     w = grid.nodes

@@ -21,12 +21,11 @@ the modes only, and are formed once for every Jacobian that shares them.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, _map_samples, _read_only,
+from .geometry import (FourierBoundary, UnitGrid, _check_alias, _map_samples, _read_only,
                        default_grid)
 from .kernels import _field_from_values, _formed_rows, _inverse_chords, _kernel_blocks
 from .specfun import _omega_ladder, omega_dispersion
@@ -72,10 +71,7 @@ def monomial_derivatives(bnd: FourierBoundary, modes, omega: float, alpha: float
     modes = np.asarray(modes, dtype=int)
     if modes.size and modes.min() < -1:
         raise ValueError("directions are w^(-n) with n >= -1")
-    n_max = max(int(modes.max(initial=0)), 0)
-    if grid.size < 2 * (n_max + 1):
-        warnings.warn(f"grid of size {grid.size} under-resolves the direction b_{n_max}",
-                      AliasingWarning, stacklevel=2)
+    _check_alias(int(modes.max(initial=0)), grid)
     formed = _formed_rows(bnd, grid, modes + 1)
     fields = _formed_fields(bnd, modes, omega, alpha, grid, formed.count)
     return formed.unfold(fields, -1).T
@@ -212,10 +208,9 @@ def bifurcation_scan(alpha: float, m: int, omega_window: tuple[float, float]) ->
 def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = _DISC_MODES) -> dict:
     """Singular-value picture of the disc Jacobian at a candidate bifurcation.
 
-    Reports the number of near-zero singular values, the mass the critical
-    right singular vector carries on mode m-1, the conditioning of the
-    complement with the b_{m-1} column removed, and transversality.  The
-    omega column, the mixed derivative along b_{m-1}, is its closed form
+    Reports the singular values, the number of near-zero ones, the mass the
+    critical right singular vector carries on mode m-1, and transversality.
+    The omega column, the mixed derivative along b_{m-1}, is its closed form
     (m/2) e_{m-1}: only sine mode m moves, with the omega slope of the
     multiplier.  Its normalised projection onto the cokernel u (the last
     left singular vector) is |u[m-1]|, and the branch crosses with nonzero
@@ -225,15 +220,11 @@ def kernel_diagnostics(alpha: float, m: int, omega: float, n_modes: int = _DISC_
     n_modes = max(n_modes, m + 4)
     entries = disc_jacobian(alpha, omega, n_modes)
     u_mat, sv, vt = np.linalg.svd(entries)
-    scale = sv[0]
-    n_small = int(np.sum(sv < 1e-9 * scale))
+    n_small = int(np.sum(sv < 1e-9 * sv[0]))
     v_min = vt[-1]
     mass = float(v_min[m - 1] ** 2 / np.dot(v_min, v_min))
-    keep = [n for n in range(n_modes) if n != m - 1]
-    reduced = entries[np.ix_(keep, keep)]
-    cond = float(np.linalg.cond(reduced))
     return {"singular_values": sv, "n_small": n_small, "kernel_mass": mass,
-            "reduced_condition": cond, "transversal": bool(abs(u_mat[m - 1, -1]) > 1e-3)}
+            "transversal": bool(abs(u_mat[m - 1, -1]) > 1e-3)}
 
 
 def transversality_check(alpha: float, m: int) -> bool:

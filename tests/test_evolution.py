@@ -675,3 +675,19 @@ def test_imports_nothing_from_the_spectral_solver():
         elif isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
     assert not imported & {"kernels", "linearization", "continuation"}
+
+
+@pytest.mark.parametrize("m", [8, 130, 512])
+def test_tables_nyquist_convention(m):
+    tables = ev._tables(m)
+    half = m // 2
+    # FFT index j of z holds mode j - 1 of w: w's Nyquist mode is filtered out
+    assert tables.filter[half + 1] == 0.0
+    assert tables.filter[1] == 1.0
+    # the unmatched Nyquist wavenumber of z has no derivative or antiderivative
+    assert np.all(tables.derivative[1:, half] == 0.0)
+    assert tables.antiderivative[half] == 0.0
+    k = np.arange(1, half)
+    assert np.max(np.abs(tables.antiderivative[1:half] * 1j * k - 1.0)) <= 1e-15
+    assert all(not arr.flags.writeable for arr in tables)
+    assert ev._tables(m) is tables

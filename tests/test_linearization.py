@@ -424,8 +424,10 @@ class TestBifurcationScan:
         diag = kernel_diagnostics(a, m, om, n_modes=16)
         assert diag["n_small"] == 1
         assert diag["kernel_mass"] > 0.999999
-        # removing the free column must leave a well-conditioned complement
-        assert diag["reduced_condition"] < 1e4
+        # the kernel is one-dimensional with room to spare: the next singular
+        # value stays well clear of zero
+        sv = diag["singular_values"]
+        assert sv[-2] >= 1e-4 * sv[0]
 
 
 class TestTransversality:
