@@ -22,15 +22,15 @@ print(f"branch alpha={alpha}, m={m}:")
 print(f"{'s':>6} {'omega':>14} {'residual':>10} {'a_(2m-1)':>12}")
 for sol in table.solutions:
     print(f"{sol.s:6.3f} {sol.omega:14.10f} {sol.residual_norm:10.1e} "
-          f"{sol.boundary.reduced[1]:+12.3e}")
+          f"{sol.reduced[1]:+12.3e}")
 
 om0 = omega_dispersion(alpha, m)
 print(f"\nextrapolated omega(s->0): {table.extrapolate_omega():.10f}")
 print(f"dispersion value        : {om0:.10f}")
 print(f"gap {abs(table.extrapolate_omega() - om0):.2e}")
 
-r1 = table.solutions[0].boundary.reduced[1] / table.solutions[0].s
-r4 = table.solutions[-1].boundary.reduced[1] / table.solutions[-1].s
+r1 = table.solutions[0].reduced[1] / table.solutions[0].s
+r4 = table.solutions[-1].reduced[1] / table.solutions[-1].s
 print(f"\nsecond rung per unit amplitude grows linearly in s: "
       f"{r1:.3e} at s=0.01 vs {r4:.3e} at s=0.04")
 

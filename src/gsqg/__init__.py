@@ -21,9 +21,8 @@ cli            command-line drivers (also exposed as `python -m gsqg`)
 from .specfun import (DispersionTable, GammaOverflowError, GammaPoleError,
                       conv_constant, gamma_fn, gap_ladder, odd_harmonic_ladder,
                       omega_asymptotic, omega_dispersion, omega_sqg, theta_alpha)
-from .geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
-                       UnitGrid, default_grid, dilate, embed_mfold, eval_deriv,
-                       eval_map, univalence_margin)
+from .geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
+                       dilate, embed_mfold, eval_deriv, eval_map, univalence_margin)
 from .kernels import (ResidualField, SelfIntersectionError,
                       ellipse_fourth_coefficient, ellipse_moment_ratio,
                       functional_G, s_phi,

@@ -9,8 +9,9 @@ hold; a non-finite value fails before any file is written.
 The parser alone decides what a valid command line is: each flag carries its
 argument's domain, and a value outside it, an unknown flag or a missing
 argument prints one `CONFIG ...` line on stderr and exits 2 before any
-numerics run.  Output files are deterministic; re-running a command with the
-same arguments reproduces them byte for byte.
+numerics run.  Each distinct warning a command raises prints once on stderr,
+as `WARN <Category>: <message>`.  Output files are deterministic; re-running
+a command with the same arguments reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import re
 import sys
 import traceback
+import warnings
 from functools import cache, partial
 from pathlib import Path
 
@@ -177,8 +179,7 @@ def cmd_solve_branch(args) -> int:
     sols = table.solutions
     stem = f"branch_a{args.alpha:g}_m{args.m}"
     write_csv(out / f"{stem}.csv", ["s", "omega", "residual", "a1", "a2", "a3"],
-              [[sol.s, sol.omega, sol.residual_norm, *sol.boundary.reduced[:3]]
-               for sol in sols])
+              [[sol.s, sol.omega, sol.residual_norm, *sol.reduced[:3]] for sol in sols])
     if sols:
         grid = UnitGrid(512)
         curves = [eval_map(sol.full_boundary, grid) for sol in sols]
@@ -191,7 +192,7 @@ def cmd_solve_branch(args) -> int:
               "residual": [sol.residual_norm for sol in sols],
               "residual_evals": [sol.residual_evals for sol in sols],
               "jacobian_builds": [sol.jacobian_builds for sol in sols],
-              "reduced": [sol.boundary.reduced for sol in sols],
+              "reduced": [sol.reduced for sol in sols],
               "failure": table.failure}
     if table.failure is not None:
         write_json(out / f"{stem}.json", report)
@@ -220,8 +221,8 @@ def cmd_ellipse_test(args) -> int:
 
 def _initial_contour(args) -> ContourState:
     if args.shape == "disc":
-        return ContourState.disc(args.nodes, args.alpha)
-    if args.shape == "ellipse":
+        boundary = FourierBoundary.identity()
+    elif args.shape == "ellipse":
         boundary = FourierBoundary.ellipse(args.q)
     else:
         boundary = solve_vstate(args.alpha, args.m, args.s).full_boundary
@@ -399,24 +400,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        # looked up by name: the cached parser holds the functions of its first build
-        return globals()[args.fn.__name__](args)
-    except SystemExit as exc:
-        # the parser exits only after --help has printed the usage
-        return exc.code
-    except ConfigError as exc:
-        print(f"CONFIG {exc}", file=sys.stderr)
-        return 2
-    except _NonFinite as exc:
-        return _fail(f"non-finite {exc}")
-    except NUMERICAL_ERRORS as exc:
-        print(f"FAIL {type(exc).__name__}: {exc}")
-        return 1
-    except Exception:
-        traceback.print_exc()
-        return 3
+    # warnings pass the active filters, so DeprecationWarnings stay hidden by default
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = build_parser().parse_args(argv)
+            # looked up by name: the cached parser holds the functions of its first build
+            return globals()[args.fn.__name__](args)
+        except SystemExit as exc:
+            # the parser exits only after --help has printed the usage
+            return exc.code
+        except ConfigError as exc:
+            print(f"CONFIG {exc}", file=sys.stderr)
+            return 2
+        except _NonFinite as exc:
+            return _fail(f"non-finite {exc}")
+        except NUMERICAL_ERRORS as exc:
+            print(f"FAIL {type(exc).__name__}: {exc}")
+            return 1
+        except Exception:
+            traceback.print_exc()
+            return 3
+        finally:
+            for line in dict.fromkeys(f"WARN {w.category.__name__}: {w.message}"
+                                      for w in caught):
+                print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

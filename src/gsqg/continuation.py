@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (FourierBoundary, MFoldBoundary, UnitGrid, _map_samples, _warn,
-                       default_grid, dilate, embed_mfold)
+from .geometry import (FourierBoundary, UnitGrid, _map_samples, _warn, default_grid,
+                       dilate, embed_mfold)
 from .kernels import SelfIntersectionError, functional_G
 from .linearization import monomial_derivatives
 from .specfun import omega_dispersion
@@ -41,7 +41,7 @@ class VStateSolution:
     m: int
     s: float
     omega: float
-    boundary: MFoldBoundary
+    reduced: np.ndarray          # the rungs a_{m-1}, a_{2m-1}, ..., a_{Km-1}
     residual_norm: float
     grid_size: int
     residual_evals: int = 0      # residual evaluations the solve made
@@ -52,7 +52,7 @@ class VStateSolution:
 
     @property
     def full_boundary(self) -> FourierBoundary:
-        return embed_mfold(self.boundary)
+        return embed_mfold(self.m, self.reduced)
 
 
 @dataclass
@@ -92,7 +92,7 @@ def _sine_rows(m: int, k_modes: int) -> np.ndarray:
 
 def _equations(omega: float, reduced: np.ndarray, alpha: float, m: int,
                grid: UnitGrid, k_modes: int) -> np.ndarray:
-    fld = functional_G(omega, embed_mfold(MFoldBoundary(m=m, reduced=reduced)), alpha, grid)
+    fld = functional_G(omega, embed_mfold(m, reduced), alpha, grid)
     return fld.sine_coeffs[_sine_rows(m, k_modes)]
 
 
@@ -115,7 +115,7 @@ def _mfold_jacobian(omega: float, reduced: np.ndarray, alpha: float, m: int,
     along b_{2m-1}, ..., b_{Km-1}, all from one pass.  Coefficient b_{km-1}
     and sine mode km share the index km - 1, so the rungs are rows[1:].
     """
-    bnd = embed_mfold(MFoldBoundary(m=m, reduced=reduced))
+    bnd = embed_mfold(m, reduced)
     rows = _sine_rows(m, k_modes)
     fields = monomial_derivatives(bnd, rows[1:], omega, alpha, grid)
     return np.column_stack([_omega_column(bnd, m, grid, k_modes),
@@ -154,9 +154,9 @@ def solve_vstate(alpha: float, m: int, s: float, start: VStateSolution | None = 
     if start is None:
         x[0] = omega_dispersion(alpha, m)
     else:
-        if len(start.boundary.reduced) != k_modes:
-            raise ValueError(f"start has {len(start.boundary.reduced)} rungs, not {k_modes}")
-        x = np.concatenate([[start.omega], start.boundary.reduced[1:]])
+        if len(start.reduced) != k_modes:
+            raise ValueError(f"start has {len(start.reduced)} rungs, not {k_modes}")
+        x = np.concatenate([[start.omega], start.reduced[1:]])
         if start.jacobian is not None:
             if start.jacobian.shape != (k_modes, k_modes):
                 raise ValueError(f"start jacobian shape {start.jacobian.shape}, "
@@ -164,7 +164,7 @@ def solve_vstate(alpha: float, m: int, s: float, start: VStateSolution | None = 
             jacobian = start.jacobian.copy()
             # the omega column is zero at the disc and O(s) along the branch,
             # so it is always refreshed; the rung columns move by O(ds) only
-            at_start = embed_mfold(MFoldBoundary(m=m, reduced=reduced_of(x)))
+            at_start = embed_mfold(m, reduced_of(x))
             jacobian[:, 0] = _omega_column(at_start, m, grid, k_modes)
 
     evals = 0
@@ -178,9 +178,8 @@ def solve_vstate(alpha: float, m: int, s: float, start: VStateSolution | None = 
         return _mfold_jacobian(x_vec[0], reduced_of(x_vec), alpha, m, grid, k_modes)
 
     sol_x, norm, jac, builds = _chord_newton(x, res_of, jac_of, tol, s, jacobian)
-    bnd = MFoldBoundary(m=m, reduced=reduced_of(sol_x))
-    return VStateSolution(alpha=alpha, m=m, s=s, omega=float(sol_x[0]), boundary=bnd,
-                          residual_norm=norm, grid_size=grid.size,
+    return VStateSolution(alpha=alpha, m=m, s=s, omega=float(sol_x[0]),
+                          reduced=reduced_of(sol_x), residual_norm=norm, grid_size=grid.size,
                           residual_evals=evals, jacobian_builds=builds, jacobian=jac)
 
 

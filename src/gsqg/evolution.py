@@ -125,10 +125,6 @@ class ContourState:
                       alpha: float) -> "ContourState":
         return cls(nodes=eval_map(bnd, UnitGrid(n_nodes)), time=0.0, alpha=alpha)
 
-    @classmethod
-    def disc(cls, n_nodes: int, alpha: float) -> "ContourState":
-        return cls(nodes=UnitGrid(n_nodes).nodes.copy(), time=0.0, alpha=alpha)
-
 
 def _filter_cutoff(m: int) -> int:
     """k_c = m // 3 for m nodes, the top mode the 2/3 rule keeps (Orszag,
@@ -155,6 +151,11 @@ class _Tables(NamedTuple):
     share: np.ndarray           # (1 - 1/k) / 2 for mode k of w (see `_DiscFlow`)
 
 
+def _antiderivative(k: np.ndarray) -> np.ndarray:
+    """1/(ik) for each wavenumber k, 0 at k = 0: the zero-mean antiderivative."""
+    return np.divide(1.0, 1j * k, out=np.zeros(len(k), dtype=complex), where=k != 0)
+
+
 @lru_cache(maxsize=16)
 def _tables(m: int) -> _Tables:
     """The tables of m nodes, formed once and read-only."""
@@ -167,8 +168,7 @@ def _tables(m: int) -> _Tables:
     tables = _Tables(
         wavenumbers=k,
         derivative=np.stack([np.ones(m), 1j * k, -k ** 2, -1j * k ** 3]),
-        antiderivative=np.divide(1.0, 1j * half, out=np.zeros(len(half), dtype=complex),
-                                 where=half != 0),
+        antiderivative=_antiderivative(half),
         filter=np.exp(-_FILTER_DECAY * (np.abs(np.roll(raw, 1)) / _filter_cutoff(m))
                       ** _FILTER_ORDER),
         mirror=(2 - np.arange(m)) % m,
@@ -480,8 +480,10 @@ def redistribute(state: ContourState) -> ContourState:
     speed = np.abs(fine[1])
     n, total = len(speed), 2.0 * np.pi * speed.mean()
     # arclength at the fine points, offset by its value at sigma = 0: the mean
-    # speed's share plus the spectral zero-mean antiderivative of the rest
-    arc = total * np.arange(n) / n + irfft(rfft(speed) * _tables(n).antiderivative, n=n)
+    # speed's share plus the spectral zero-mean antiderivative of the rest (its
+    # Nyquist factor is not zeroed: irfft drops the imaginary part of that bin)
+    arc = irfft(rfft(speed) * _antiderivative(np.arange(n // 2 + 1)), n=n)
+    arc += total * np.arange(n) / n
     target = arc[0] + total * np.arange(state.size) / state.size
     j = np.searchsorted(arc, target, side="right") - 1
     rest = target - arc[j]

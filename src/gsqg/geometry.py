@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -184,24 +184,10 @@ def dilate(bnd: FourierBoundary, lam: float, alpha: float) -> tuple[FourierBound
     return scaled, lam ** (-alpha)
 
 
-@dataclass(frozen=True)
-class MFoldBoundary:
-    """Reduced coefficients (a_{m-1}, a_{2m-1}, ...) of an m-fold boundary."""
-
-    m: int
-    reduced: np.ndarray
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("m-fold symmetry needs m >= 2")
-        arr = np.atleast_1d(np.asarray(self.reduced, dtype=float))
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("reduced coefficients must be finite")
-        object.__setattr__(self, "reduced", arr)
-
-
-def embed_mfold(red: MFoldBoundary) -> FourierBoundary:
-    """Full coefficient vector with b_{km-1} = reduced[k-1], zeros elsewhere."""
-    coeffs = np.zeros(red.m * len(red.reduced))
-    coeffs[red.m - 1::red.m] = red.reduced
+def embed_mfold(m: int, reduced: np.ndarray) -> FourierBoundary:
+    """The m-fold boundary with rungs b_{km-1} = reduced[k-1], zeros elsewhere."""
+    if m < 2:
+        raise ValueError("m-fold symmetry needs m >= 2")
+    coeffs = np.zeros(m * len(reduced))
+    coeffs[m - 1::m] = reduced
     return FourierBoundary(coeffs)

@@ -7,7 +7,7 @@ import pytest
 import gsqg.continuation as cont
 from gsqg.continuation import (BranchTable, FoldError, NonConvergenceError, VStateSolution,
                                continue_branch, solve_vstate, verify_dilation_law)
-from gsqg.geometry import MFoldBoundary, UnitGrid, default_grid, embed_mfold
+from gsqg.geometry import UnitGrid, default_grid
 from gsqg.kernels import SelfIntersectionError, functional_G
 from gsqg.specfun import omega_dispersion
 
@@ -21,7 +21,7 @@ class TestSolve:
         assert sol.omega == omega_dispersion(0.5, 3)
         assert sol.residual_norm < 1e-15
         assert sol.jacobian_builds == 0
-        assert np.all(sol.boundary.reduced == 0.0)
+        assert np.all(sol.reduced == 0.0)
 
     def test_small_amplitude(self):
         sol = solve_vstate(0.5, 3, 1e-4, k_modes=8)
@@ -31,8 +31,8 @@ class TestSolve:
 
     def test_second_rung_is_quadratic(self):
         # a_{2m-1}(s)/s must vanish linearly in s
-        r1 = solve_vstate(0.5, 3, 0.01, k_modes=8).boundary.reduced[1] / 0.01
-        r2 = solve_vstate(0.5, 3, 0.02, k_modes=8).boundary.reduced[1] / 0.02
+        r1 = solve_vstate(0.5, 3, 0.01, k_modes=8).reduced[1] / 0.01
+        r2 = solve_vstate(0.5, 3, 0.02, k_modes=8).reduced[1] / 0.02
         assert r2 / r1 == pytest.approx(2.0, rel=0.05)
 
     def test_grid_refinement(self):
@@ -51,7 +51,7 @@ class TestSolve:
         fine = solve_vstate(alpha, m, s)
         assert fine.grid_size == 2 * sol.grid_size
         assert abs(fine.omega - sol.omega) <= 1e-13
-        assert np.max(np.abs(fine.boundary.reduced - sol.boundary.reduced)) <= 1e-13
+        assert np.max(np.abs(fine.reduced - sol.reduced)) <= 1e-13
 
     def test_mfold_purity(self):
         sol = solve_vstate(0.5, 3, 0.02, k_modes=8)
@@ -86,7 +86,7 @@ class TestSolve:
         def record(x, res_of, jac_of, tol, s, jac=None):
             seen.append(jac)
             return x, 0.0, jac, 0
-        start = np.concatenate([[0.02], first.boundary.reduced[1:]])
+        start = np.concatenate([[0.02], first.reduced[1:]])
         exact = cont._mfold_jacobian(first.omega, start, 0.5, 3, grid, k_modes)
         monkeypatch.setattr(cont, "_chord_newton", record)
         solve_vstate(0.5, 3, 0.02, start=first, k_modes=k_modes)
@@ -118,7 +118,7 @@ class TestJacobian:
         alpha, s, k_modes = 0.5, 0.02, 16
         grid = default_grid(k_modes * m)
         sol = solve_vstate(alpha, m, s, k_modes=k_modes)
-        converged = np.concatenate([[sol.omega], sol.boundary.reduced[1:]])
+        converged = np.concatenate([[sol.omega], sol.reduced[1:]])
         disc_guess = np.zeros(k_modes)
         disc_guess[0] = omega_dispersion(alpha, m)
         for x in (converged, disc_guess):
@@ -206,7 +206,7 @@ class TestBranch:
         # accumulating s += 0.05 gives 0.39999999999999997 at the 8th step
         def fake_solve(alpha, m, s, start=None, **kwargs):
             return VStateSolution(alpha=alpha, m=m, s=s, omega=0.0,
-                                  boundary=MFoldBoundary(m=m, reduced=[s, 0.0]),
+                                  reduced=np.array([s, 0.0]),
                                   residual_norm=0.0, grid_size=64)
         monkeypatch.setattr(cont, "solve_vstate", fake_solve)
         table = continue_branch(0.5, 3, 0.4, 0.05)
@@ -246,7 +246,7 @@ class TestCarriedJacobian:
         assert table.amplitudes.tolist() == [sol.s for sol in ref]
         for sol, want in zip(table.solutions, ref):
             assert abs(sol.omega - want.omega) <= 1e-10 * abs(want.omega)
-            assert np.max(np.abs(sol.boundary.reduced - want.boundary.reduced)) <= 1e-10
+            assert np.max(np.abs(sol.reduced - want.reduced)) <= 1e-10
         builds = [sol.jacobian_builds for sol in table.solutions]
         assert builds[0] >= 1
         if ds == 0.01:
@@ -260,7 +260,7 @@ class TestCarriedJacobian:
         cold = solve_vstate(alpha, m, s)
         seeded = solve_vstate(alpha, m, s, start=solve_vstate(alpha0, m, s))
         assert abs(seeded.omega - cold.omega) <= 1e-10
-        assert np.max(np.abs(seeded.boundary.reduced - cold.boundary.reduced)) <= 1e-10
+        assert np.max(np.abs(seeded.reduced - cold.reduced)) <= 1e-10
         assert seeded.jacobian_builds <= 1
 
     @pytest.mark.slow

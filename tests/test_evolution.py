@@ -15,8 +15,13 @@ from gsqg.evolution import (ContourError, ContourState, conserved_diagnostics,
                             normal_step_bounds, normal_velocity_residual,
                             redistribute, stability_step, step_normal,
                             velocity_contour)
-from gsqg.geometry import FourierBoundary, MFoldBoundary, embed_mfold
+from gsqg.geometry import FourierBoundary, embed_mfold
 from gsqg.specfun import conv_constant, theta_alpha
+
+
+def _disc(n_nodes: int, alpha: float) -> ContourState:
+    """The unit disc on n_nodes nodes."""
+    return ContourState.from_boundary(FourierBoundary.identity(), n_nodes, alpha)
 
 
 def sampled_ellipse(m: int, a: float = 1.3) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +156,7 @@ def lagrangian_evolve(state: ContourState, t_final: float, dt: float) -> Contour
 class TestVelocity:
     def test_disc_velocity_is_tangential(self):
         for a in (0.25, 0.5, 0.75):
-            st = ContourState.disc(256, a)
+            st = _disc(256, a)
             u = velocity_contour(st)
             radial = np.abs((u * np.conj(st.nodes)).real)
             assert radial.max() < 1e-8
@@ -159,7 +164,7 @@ class TestVelocity:
     def test_disc_rotation_rate(self):
         # the disc parametrization spins at theta_alpha: measured 2.4e-13 off,
         # where the product-integration band missed by 5.9e-4
-        st = ContourState.disc(512, 0.5)
+        st = _disc(512, 0.5)
         u = velocity_contour(st)
         tang = (u * np.conj(1j * st.nodes)).real
         assert np.abs(tang - theta_alpha(0.5)).max() < 5e-12
@@ -185,7 +190,7 @@ class TestVelocity:
         assert np.abs(u - sub).max() > 1e-2   # tangential parts do differ
 
     def test_critical_case_needs_subtraction(self):
-        st = ContourState.disc(128, 1.0)
+        st = _disc(128, 1.0)
         u = velocity_contour(st)
         assert np.abs((u * np.conj(st.nodes)).real).max() < 1e-8
 
@@ -199,7 +204,7 @@ class TestVelocity:
     def test_adjacent_cluster_inside_band_passes(self):
         # adjacent nodes closer than the floor lie in the band of neighbours
         # that the near-approach guard ignores
-        nodes = ContourState.disc(256, 0.5).nodes
+        nodes = _disc(256, 0.5).nodes
         nodes[5] = nodes[4] + 0.05 * (nodes[5] - nodes[4])
         u = velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
         assert np.all(np.isfinite(u))
@@ -212,7 +217,7 @@ class TestVelocity:
     ], ids=["wrap-around", "strip-boundary", "gap-window", "gap-window-plus-one"])
     def test_band_edges(self, n_nodes, moved, anchor, raises):
         # the moved node comes within 2% of its gap to the anchor, far below the floor
-        nodes = ContourState.disc(n_nodes, 0.5).nodes
+        nodes = _disc(n_nodes, 0.5).nodes
         nodes[moved] = nodes[anchor] + 0.02 * (nodes[moved] - nodes[anchor])
         state = ContourState(nodes=nodes, time=0.0, alpha=0.5)
         if raises:
@@ -223,7 +228,7 @@ class TestVelocity:
 
     def test_near_contact_past_first_strip_raises(self):
         # nodes 300 and 305 are non-adjacent and both lie in the third strip
-        nodes = ContourState.disc(512, 0.5).nodes
+        nodes = _disc(512, 0.5).nodes
         nodes[300] = nodes[305] + 1e-5
         with pytest.raises(ContourError, match="non-adjacent"):
             velocity_contour(ContourState(nodes=nodes, time=0.0, alpha=0.5))
@@ -232,7 +237,7 @@ class TestVelocity:
     def test_tiled_pair_kernel_matches_dense(self, n_nodes):
         # 130 and 200 are not multiples of the strip height; 130 leaves a
         # last strip of 2 rows
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
+        bnd = embed_mfold(3, [0.05, -0.004, 3e-4])
         for alpha in (0.35, 0.5, 0.97, 1.0):
             st = ContourState.from_boundary(bnd, n_nodes, alpha)
             dense = dense_velocity(st, subtract=alpha == 1.0)
@@ -257,13 +262,13 @@ class TestVelocity:
     def test_physical_velocity_near_the_critical_exponent(self, alpha):
         # below alpha = 1 the velocity carries its whole tangential part,
         # which grows like 1 / (1 - alpha)
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
+        bnd = embed_mfold(3, [0.05, -0.004, 3e-4])
         st = ContourState.from_boundary(bnd, 256, alpha)
         dense = dense_velocity(st, subtract=False)
         assert np.max(np.abs(velocity_contour(st) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_non_finite_nodes_rejected(self):
-        nodes = ContourState.disc(64, 0.5).nodes
+        nodes = _disc(64, 0.5).nodes
         nodes[5] = np.nan
         with pytest.raises(ValueError):
             ContourState(nodes=nodes, time=0.0, alpha=0.5)
@@ -282,7 +287,7 @@ class TestVelocity:
         # 6.2e-4 in the full velocity, and the U_n gap falls 4.1-6.3 times
         # from 256 nodes, like that rule's error.  At 0.97 the rule takes the
         # subtracted form, so only the normal parts compare
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
+        bnd = embed_mfold(3, [0.05, -0.004, 3e-4])
         for alpha, subtract in ((0.35, False), (0.5, False), (0.97, True), (1.0, True)):
             gaps = []
             for n_nodes in (256, 512):
@@ -307,7 +312,7 @@ class TestStepping:
     def test_zero_velocity_field_is_identity(self, monkeypatch):
         # the disc's modes are neutral under the linear part, so with the
         # field at rest only the clock moves; the FFT round trip leaves rounding
-        st = ContourState.disc(64, 0.5)
+        st = _disc(64, 0.5)
         calls = Counter()
 
         def at_rest(state, tangent):
@@ -326,7 +331,7 @@ class TestStepping:
             step_normal(st, 1.0)
 
     def test_disc_is_stationary(self):
-        st0 = ContourState.disc(256, 0.5)
+        st0 = _disc(256, 0.5)
         st1 = evolve(st0, 1.0, 2e-3)
         assert hausdorff_distance(st1.nodes, st0.nodes) < 1e-6
 
@@ -375,7 +380,7 @@ class TestStepping:
 class TestNormalStepping:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.97, 1.0])
     def test_disc_is_a_fixed_point(self, alpha):
-        assert np.abs(normal_node_velocity(ContourState.disc(256, alpha))).max() <= 1e-13
+        assert np.abs(normal_node_velocity(_disc(256, alpha))).max() <= 1e-13
 
     def test_keeps_equal_spacing(self):
         start = redistribute(ContourState.from_boundary(FourierBoundary.ellipse(0.3), 256, 0.5))
@@ -448,7 +453,7 @@ class TestNormalStepping:
 
     @pytest.mark.parametrize("alpha", [0.35, 0.97])
     def test_disc_stays_fixed_under_the_step(self, alpha):
-        disc = ContourState.disc(256, alpha)
+        disc = _disc(256, alpha)
         dt = min(normal_step_bounds(disc))
         cur = disc
         for _ in range(20):
@@ -456,7 +461,7 @@ class TestNormalStepping:
         assert np.abs(cur.nodes - disc.nodes).max() <= 1e-13
 
     def test_shares_the_step_guard(self, monkeypatch):
-        st = ContourState.disc(64, 0.5)
+        st = _disc(64, 0.5)
         monkeypatch.setattr(ev, "_normal_velocity_spectrum",
                             lambda state: np.fft.fft(np.full(state.size, 10.0 + 0j)))
         with pytest.raises(ContourError, match="quarter-spacing"):
@@ -561,7 +566,7 @@ class TestDiscFlow:
         # tangential (q) displacements of modes k <= 10; the worst gap is at
         # k = 10: 0.02% (alpha 0.35) and 0.2% (alpha 0.97) of |L r_k|.  The
         # radius is not 1, so that the R^(-alpha) of the rates is checked too
-        disc = ContourState(1.5 * ContourState.disc(512, alpha).nodes, 0.0, alpha)
+        disc = ContourState(1.5 * _disc(512, alpha).nodes, 0.0, alpha)
         flow = ev._DiscFlow.about(disc)
         sigma = 2.0 * np.pi * np.arange(512) / 512
 
@@ -591,7 +596,7 @@ class TestSpectralState:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_spectrum_rejected(self, bad):
-        spec = ContourState.disc(64, 0.5).spectrum.copy()
+        spec = _disc(64, 0.5).spectrum.copy()
         spec[3] = bad
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             ContourState.from_spectrum(spec, 0.0, 0.5)
@@ -633,7 +638,7 @@ class TestOddNodeCounts:
 
 class TestDiagnostics:
     def test_unit_disc(self):
-        area, cent = conserved_diagnostics(ContourState.disc(4096, 0.5))
+        area, cent = conserved_diagnostics(_disc(4096, 0.5))
         assert area == pytest.approx(np.pi, rel=1e-6)
         assert abs(cent) < 1e-14
 
@@ -655,11 +660,11 @@ class TestDiagnostics:
         assert abs(c1 - c0) < 1e-8
 
     def test_hausdorff_detects_radial_motion(self):
-        z = ContourState.disc(256, 0.5).nodes
+        z = _disc(256, 0.5).nodes
         assert hausdorff_distance(z, 1.0001 * z) == pytest.approx(1e-4, rel=1e-2)
 
     def test_hausdorff_ignores_reparametrization(self):
-        z = ContourState.disc(256, 0.5).nodes
+        z = _disc(256, 0.5).nodes
         assert hausdorff_distance(z, np.exp(0.37j) * z) <= 1e-13
 
 

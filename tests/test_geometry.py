@@ -4,9 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary,
-                           UnitGrid, _map_samples, default_grid, dilate, embed_mfold,
-                           eval_deriv, eval_map, univalence_margin)
+from gsqg.geometry import (AliasingWarning, FourierBoundary, UnitGrid, _map_samples,
+                           default_grid, dilate, embed_mfold, eval_deriv, eval_map,
+                           univalence_margin)
 
 from dense_oracle import eval_deriv_at, eval_map_at
 
@@ -18,15 +18,15 @@ def conj_deriv(bnd: FourierBoundary, grid: UnitGrid) -> np.ndarray:
 
 
 def project_mfold(bnd: FourierBoundary, m: int,
-                  strict: bool = False) -> tuple[MFoldBoundary, float]:
-    """The m-fold coefficient ladder of bnd and the discarded off-symmetry
+                  strict: bool = False) -> tuple[np.ndarray, float]:
+    """The m-fold rungs of bnd and the discarded off-symmetry
     energy (sup norm); raises if strict and that energy exceeds 1e-12."""
     keep = np.zeros(bnd.order + 1, dtype=bool)
     keep[m - 1::m] = True
     discarded = float(np.max(np.abs(bnd.coeffs[~keep]), initial=0.0))
     if strict and discarded > 1e-12:
         raise ValueError(f"boundary is not {m}-fold: off-symmetry energy {discarded:.3e}")
-    return MFoldBoundary(m=m, reduced=bnd.coeffs[keep].copy()), discarded
+    return bnd.coeffs[keep].copy(), discarded
 
 
 def coeffs_from_values(values: np.ndarray, grid: UnitGrid, n: int) -> np.ndarray:
@@ -50,8 +50,7 @@ class TestEvalMap:
 
     def test_mfold_rotation_relation(self, rng):
         m = 4
-        red = MFoldBoundary(m=m, reduced=0.02 * rng.standard_normal(5))
-        bnd = embed_mfold(red)
+        bnd = embed_mfold(m, 0.02 * rng.standard_normal(5))
         g = UnitGrid(256)
         rot = np.exp(2j * np.pi / m)
         phi = eval_map(bnd, g)
@@ -161,15 +160,15 @@ class TestDilate:
 
 class TestMFold:
     def test_embed_places_ladder(self):
-        red = MFoldBoundary(m=3, reduced=np.array([0.1, -0.02]))
-        assert np.array_equal(embed_mfold(red).coeffs, [0.0, 0.0, 0.1, 0.0, 0.0, -0.02])
+        assert np.array_equal(embed_mfold(3, [0.1, -0.02]).coeffs,
+                              [0.0, 0.0, 0.1, 0.0, 0.0, -0.02])
 
     def test_round_trip(self, rng):
         for m in (2, 3, 5):
-            red = MFoldBoundary(m=m, reduced=rng.standard_normal(4))
-            back, discarded = project_mfold(embed_mfold(red), m)
+            red = rng.standard_normal(4)
+            back, discarded = project_mfold(embed_mfold(m, red), m)
             assert discarded == 0.0
-            assert np.array_equal(back.reduced, red.reduced)
+            assert np.array_equal(back, red)
 
     def test_strict_rejects_asymmetric(self):
         bnd = FourierBoundary(np.array([0.0, 0.1, 0.2]))
@@ -177,6 +176,11 @@ class TestMFold:
             project_mfold(bnd, 3, strict=True)
         _, discarded = project_mfold(bnd, 3, strict=False)
         assert discarded == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_embed_refuses_fewer_than_two_folds(self, m):
+        with pytest.raises(ValueError, match="m >= 2"):
+            embed_mfold(m, [0.1, -0.02])
 
 
 class TestFiniteData:
@@ -186,7 +190,7 @@ class TestFiniteData:
 
     def test_mfold_boundary_rejects_inf(self):
         with pytest.raises(ValueError):
-            MFoldBoundary(m=3, reduced=np.array([0.1, np.inf]))
+            embed_mfold(3, [0.1, np.inf])
 
 
 class TestTransforms:

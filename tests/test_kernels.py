@@ -8,8 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from gsqg import continuation, kernels, linearization, oracles
-from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid, embed_mfold,
-                           eval_deriv, eval_map)
+from gsqg.geometry import FourierBoundary, UnitGrid, embed_mfold, eval_deriv, eval_map
 from gsqg.kernels import (SelfIntersectionError, ellipse_fourth_coefficient,
                           ellipse_moment_ratio, functional_G, s_phi,
                           singular_moment_I, singular_moment_J, singular_moment_Z,
@@ -393,7 +392,7 @@ class TestCriticalFunctional:
         assert min(abs(v) for v in vals) > 1e-3
 
     def test_residual_is_pure_sine(self):
-        bnd = embed_mfold(MFoldBoundary(m=2, reduced=np.array([0.05, 0.002])))
+        bnd = embed_mfold(2, np.array([0.05, 0.002]))
         grid = UnitGrid(256)
         values = functional_G(0.3, bnd, 1.0, grid).values
         assert np.max(np.abs(grid.mode_coeffs(values).real)) < 1e-12
@@ -450,7 +449,7 @@ def oracle_residual(omega, bnd, alpha, grid):
 def _oracle_boundary(kind, rng):
     if kind == "asym":
         return FourierBoundary(0.03 * rng.standard_normal(7))
-    return embed_mfold(MFoldBoundary(m=kind, reduced=[0.05, -0.004, 3e-4]))
+    return embed_mfold(kind, [0.05, -0.004, 3e-4])
 
 
 class TestCirculantQuadrature:
@@ -505,7 +504,7 @@ class TestCirculantQuadrature:
     def test_cached_rows_and_weights_are_read_only(self):
         # formed once per period and per (grid size, alpha) and shared by every
         # later pass, so a caller must not be able to write into them
-        bnd, grid = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004])), UnitGrid(384)
+        bnd, grid = embed_mfold(3, [0.05, -0.004]), UnitGrid(384)
         formed = kernels._formed_rows(bnd, grid)
         assert formed is kernels._formed_rows(bnd, grid)
         for arr in (formed.source, formed.mirrored):
@@ -519,7 +518,7 @@ class TestCirculantQuadrature:
         assert diagonal == conv_constant(0.5) * kernels._moment_prefactor(0.5) + k_0
 
     def test_sector_rows_follow_the_coefficient_ladder(self):
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, -0.004, 3e-4]))
+        bnd = embed_mfold(3, [0.05, -0.004, 3e-4])
         assert kernels._sector_rows(bnd, 768) == 256
         assert kernels._sector_rows(bnd, 768, [0, 3, 6, 12]) == 256    # the lead and rungs
         assert kernels._sector_rows(bnd, 1024) == 1024     # 3 does not divide 1024
@@ -529,7 +528,7 @@ class TestCirculantQuadrature:
         assert kernels._sector_rows(FourierBoundary.ellipse(0.3), 64, [4]) == 32
 
     def test_off_ladder_coefficient_falls_back_to_all_rows(self):
-        rungs = embed_mfold(MFoldBoundary(m=4, reduced=[0.05, -0.004, 3e-4]))
+        rungs = embed_mfold(4, [0.05, -0.004, 3e-4])
         coeffs = rungs.coeffs.copy()
         coeffs[4] = 1e-14      # n + 1 = 5 breaks the 4-fold ladder
         bnd = FourierBoundary(coeffs)
@@ -644,7 +643,7 @@ class TestMirroredRows:
         # 3-fold boundary on 192 nodes: rung directions keep its sector of 64
         # rows and form 33; one direction off the ladder, w^(-4) of order 5,
         # leaves only the grid's period and forms 97
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=[0.05, 0.004, -0.001]))
+        bnd = embed_mfold(3, [0.05, 0.004, -0.001])
         for modes, rows in (([-1, 2, 5, 8], 33), ([-1, 2, 4, 5, 8], 97)):
             formed_rows.clear()
             monomial_derivatives(bnd, modes, 0.3, 0.5, UnitGrid(192))

@@ -7,8 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid,  # noqa: E402
-                           dilate, embed_mfold)
+from gsqg.geometry import FourierBoundary, UnitGrid, dilate, embed_mfold  # noqa: E402
 from gsqg.kernels import functional_G  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -23,7 +22,7 @@ GRID = UnitGrid(128)
 
 
 def mfold(m, coeffs) -> FourierBoundary:
-    return embed_mfold(MFoldBoundary(m=m, reduced=np.array(coeffs)))
+    return embed_mfold(m, np.array(coeffs))
 
 
 @SETTINGS

@@ -3,8 +3,8 @@ import pytest
 
 import gsqg.linearization as lin
 from gsqg import kernels
-from gsqg.geometry import (AliasingWarning, FourierBoundary, MFoldBoundary, UnitGrid,
-                           default_grid, embed_mfold, eval_deriv, eval_map)
+from gsqg.geometry import (AliasingWarning, FourierBoundary, UnitGrid, default_grid,
+                           embed_mfold, eval_deriv, eval_map)
 from gsqg.kernels import _field_from_values, functional_G
 from gsqg.linearization import (BracketError, bifurcation_scan, disc_jacobian,
                                 gateaux_derivative, kernel_diagnostics,
@@ -199,7 +199,7 @@ class TestGateaux:
 
     def test_sector_rows_match_all_rows(self, monkeypatch):
         # 3-fold boundary and 3-fold directions: 768 / 3 target rows suffice
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, 0.004, -0.001])))
+        bnd = embed_mfold(3, np.array([0.05, 0.004, -0.001]))
         modes = [-1, 2, 5, 8, 11]
         orders = np.array(modes) + 1
         # and the mirror halves them again
@@ -216,7 +216,7 @@ class TestGateaux:
     def test_rotation_unfold_matches_all_rows(self, grid, alpha):
         # directions off the 3-fold ladder have no period but the grid's: the
         # pass forms half the rows (97 of 192) and mirrors the rest
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, 0.004, -0.001])))
+        bnd = embed_mfold(3, np.array([0.05, 0.004, -0.001]))
         modes = [-1, 0, 1, 2, 4, 7]
         assert kernels._formed_rows(bnd, grid, np.array(modes) + 1).count == 97
         got = monomial_derivatives(bnd, modes, 0.34, alpha, grid)
@@ -335,7 +335,7 @@ class TestJacobian:
     def test_derivative_tends_to_the_critical_one_linearly(self):
         # (D(1 - eps) - D(1)) / eps is one slope down to eps = 1e-11: alpha = 1
         # is the limit of the same pass, not a branch
-        bnd = embed_mfold(MFoldBoundary(m=3, reduced=np.array([0.05, -0.004, 3e-4])))
+        bnd = embed_mfold(3, np.array([0.05, -0.004, 3e-4]))
         grid = UnitGrid(256)
         at_one = monomial_derivatives(bnd, [2, 5], 0.3, 1.0, grid)
         slopes = [(monomial_derivatives(bnd, [2, 5], 0.3, 1.0 - eps, grid) - at_one) / eps
@@ -389,7 +389,7 @@ class TestJacobian:
     def test_mfold_rows_decouple(self):
         m, grid = 3, UnitGrid(208)
         # b_0 .. b_11, zero-padded past the m-fold modes
-        coeffs = embed_mfold(MFoldBoundary(m=m, reduced=[0.04, 0.001])).coeffs
+        coeffs = embed_mfold(m, [0.04, 0.001]).coeffs
         bnd = FourierBoundary(np.pad(coeffs, (0, 12 - len(coeffs))))
         jac = grid.sine_coeffs(monomial_derivatives(bnd, range(12), 0.3, 0.5, grid), 12).T
         assert np.max(np.abs(jac - fd_jacobian_matrix(bnd, 0.3, 0.5, grid, 12))) < 1e-7

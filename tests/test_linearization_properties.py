@@ -8,8 +8,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import gsqg.linearization as lin  # noqa: E402
-from gsqg.geometry import (FourierBoundary, MFoldBoundary, UnitGrid,  # noqa: E402
-                           default_grid, embed_mfold)
+from gsqg.geometry import FourierBoundary, UnitGrid, default_grid, embed_mfold  # noqa: E402
 from gsqg.linearization import (disc_jacobian, monomial_derivatives,  # noqa: E402
                                 multiplier_at_disc)
 
@@ -48,7 +47,7 @@ def test_disc_column_is_affine_in_omega(alpha, omega, mode):
 def test_monomial_derivatives_linear_in_direction(alpha, omega, m, reduced, amps):
     # directions w^(-n), n = -1 (the lead) .. 6: one pass over all of them,
     # over their common period, against a pass per direction over its own
-    bnd = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced)))
+    bnd = embed_mfold(m, np.array(reduced))
     grid, amps = UnitGrid(128), np.array(amps)
     modes = np.arange(len(amps)) - 1
     joint = amps @ monomial_derivatives(bnd, modes, omega, alpha, grid)
@@ -69,7 +68,7 @@ def test_rotation_unfold_matches_all_rows(alpha, omega, m, reduced, modes):
     # half the common period of the boundary and the directions, repeated
     # and mirrored onto every row, against the same pass forming every row;
     # 120 is a multiple of every m drawn
-    bnd, grid = embed_mfold(MFoldBoundary(m=m, reduced=np.array(reduced))), UnitGrid(120)
+    bnd, grid = embed_mfold(m, np.array(reduced)), UnitGrid(120)
     got = monomial_derivatives(bnd, modes, omega, alpha, grid)
     ref = lin._formed_fields(bnd, np.array(modes), omega, alpha, grid, grid.size).T
     # a mirrored row carries the rounding of its source row, not its own

@@ -557,6 +557,31 @@ class TestCli:
         assert run_cli(tmp_path, "dispersion", "--alpha", "0.5") == 1
         assert capsys.readouterr().out.startswith("FAIL NonConvergenceError")
 
+    @pytest.mark.parametrize("argv, line", [
+        (("solve-branch", "--alpha", "1", "--m", "3", "--s-max", "0.1", "--ds", "0.05"),
+         "WARN RuntimeWarning: critical-case branch solving is experimental"),
+        (("evolve", "--alpha", "0.5", "--shape", "vstate", "--m", "9", "--nodes", "64",
+          "--t-final", "0.01", "--dt", "0.01", "--frames", "2"),
+         "WARN AliasingWarning: grid of size 64 under-resolves order 143"),
+    ], ids=["critical-case", "aliasing"])
+    def test_a_warning_prints_one_warn_line(self, tmp_path, capsys, argv, line):
+        # the critical case warns at both solves of the branch, and prints once
+        assert run_cli(tmp_path, *argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(line), err
+
+    def test_warn_lines_print_when_the_command_raises(self, tmp_path, monkeypatch, capsys):
+        def warns_then_diverges(args):
+            warnings.warn("first", RuntimeWarning)
+            warnings.warn("first", RuntimeWarning)
+            warnings.warn("second", UserWarning)
+            raise NonConvergenceError("residual 1e-3")
+        monkeypatch.setattr(cli, "cmd_dispersion", warns_then_diverges)
+        assert run_cli(tmp_path, "dispersion", "--alpha", "0.5") == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL NonConvergenceError")
+        assert captured.err == "WARN RuntimeWarning: first\nWARN UserWarning: second\n"
+
 
 @pytest.mark.parametrize("argv, loaded", [
     ((), []),
