@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gsqg import (ContourState, conserved_diagnostics, evolve,
-                  hausdorff_distance, normal_step_bounds,
-                  normal_velocity_residual, solve_vstate)
+from gsqg import (ContourState, conserved_diagnostics, hausdorff_distance,
+                  march, normal_velocity_residual, solve_vstate)
 from gsqg.output import write_curves_svg
 
 print(__doc__)
@@ -30,11 +29,12 @@ print(f"normal velocity vs rigid rotation at 512 nodes: "
       f"{normal_velocity_residual(state0, sol.omega):.2e}")
 
 quarter = np.pi / (2.0 * sol.omega)
-# the step: the stability rule of the top mode the filter keeps, or the
-# node-spacing guard; evolve takes the fewest equal steps no longer than it
-dt = min(normal_step_bounds(state0))
-print(f"marching a quarter period T = {quarter:.3f} in steps of at most {dt:.2e} ...")
-state1 = evolve(state0, quarter, dt)
+# the step plan: the fewest equal steps no longer than the stability rule of
+# the top mode the filter keeps or the node-spacing guard, whichever is smaller
+print(f"marching a quarter period T = {quarter:.3f} ...")
+(_, state1), plan = march(state0, quarter, 1)
+print(f"{plan['steps']} steps of dt = {plan['dt']:.2e} (stability rule "
+      f"{plan['dt_stability']:.2e}, guard {plan['dt_guard']:.2e})")
 
 rotated = np.exp(1j * sol.omega * quarter) * state0.nodes
 print(f"hausdorff distance to the rotated start: "

@@ -36,7 +36,7 @@ from .continuation import (BranchTable, FoldError, NonConvergenceError,
                            VStateSolution, continue_branch, solve_vstate,
                            verify_dilation_law)
 from .evolution import (ContourError, ContourState, conserved_diagnostics,
-                        evolve, hausdorff_distance, normal_node_velocity,
+                        evolve, hausdorff_distance, march, normal_node_velocity,
                         normal_step_bounds, normal_velocity_residual,
                         redistribute, stability_step, step_normal,
                         velocity_contour)

@@ -31,9 +31,9 @@ import numpy as np
 from . import oracles
 from .continuation import (FoldError, NonConvergenceError, continue_branch,
                            solve_vstate)
-from .evolution import (ContourError, ContourState, _steps, conserved_diagnostics,
-                        evolve, hausdorff_distance, normal_step_bounds,
-                        normal_velocity_residual, redistribute)
+from .evolution import (ContourError, ContourState, conserved_diagnostics,
+                        hausdorff_distance, march, normal_velocity_residual,
+                        redistribute)
 from .geometry import FourierBoundary, UnitGrid, eval_map
 from .kernels import (SelfIntersectionError, ellipse_moment_ratio, functional_G,
                       singular_moment_I, singular_moment_J, singular_moment_Z,
@@ -181,7 +181,8 @@ def cmd_solve_branch(args) -> int:
     write_csv(out / f"{stem}.csv", ["s", "omega", "residual", "a1", "a2", "a3"],
               [[sol.s, sol.omega, sol.residual_norm, *sol.reduced[:3]] for sol in sols])
     if sols:
-        grid = UnitGrid(512)
+        # 512 nodes, or the 2 (order + 1) that resolve a high m's rungs
+        grid = UnitGrid(max(512, 2 * max(sol.full_boundary.order for sol in sols) + 2))
         curves = [eval_map(sol.full_boundary, grid) for sol in sols]
         write_curves_svg(out / f"{stem}_boundaries.svg", curves,
                          [f"s={sol.s:g}" for sol in sols])
@@ -229,23 +230,6 @@ def _initial_contour(args) -> ContourState:
     return ContourState.from_boundary(boundary, args.nodes, args.alpha)
 
 
-def _march(start: ContourState, horizon: float, chunks: int,
-           cap: float = math.inf) -> tuple[list[ContourState], dict]:
-    """The frames of start marched over horizon in equal chunks, and the step record.
-
-    The one step plan of `evolve` and `rigid-check`: the fewest equal steps
-    no longer than the smallest of cap, dt_stability and dt_guard at the start.
-    """
-    dt_stability, dt_guard = normal_step_bounds(start)
-    chunk = horizon / chunks
-    n_steps, dt = _steps(chunk, min(cap, dt_stability, dt_guard))
-    frames = [start]
-    for _ in range(chunks):
-        frames.append(evolve(frames[-1], chunk, dt))
-    return frames, {"steps": chunks * n_steps, "dt": dt,
-                    "dt_stability": dt_stability, "dt_guard": dt_guard}
-
-
 def _drifts(start: ContourState, end: ContourState) -> dict[str, tuple[float, float]]:
     """The checks of relative area drift and absolute centroid drift from start to end."""
     area0, cent0 = conserved_diagnostics(start)
@@ -257,7 +241,7 @@ def _drifts(start: ContourState, end: ContourState) -> dict[str, tuple[float, fl
 def cmd_evolve(args) -> int:
     out = _outdir(args)
     # --dt caps the step; the stability rule and the guard may take it lower
-    frames, plan = _march(_initial_contour(args), args.t_final, args.frames - 1, args.dt)
+    frames, plan = march(_initial_contour(args), args.t_final, args.frames - 1, args.dt)
     checks = _finite(_drifts(frames[0], frames[-1]))
     write_jsonl(out / "trajectory.jsonl",
                 [{"time": st.time, "alpha": st.alpha,
@@ -276,7 +260,7 @@ def cmd_rigid_check(args) -> int:
     state0 = ContourState.from_boundary(sol.full_boundary, args.nodes, args.alpha)
     t_quarter = np.pi / (2.0 * sol.omega)
     # normal-velocity stepping from equal arclength
-    (_, state1), plan = _march(redistribute(state0), t_quarter, 1)
+    (_, state1), plan = march(redistribute(state0), t_quarter, 1)
     rotated = np.exp(1j * sol.omega * t_quarter) * state0.nodes
     checks = _finite({"hausdorff": (hausdorff_distance(state1.nodes, rotated), 1e-3),
                       **_drifts(state0, state1)})

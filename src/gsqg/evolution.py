@@ -461,8 +461,8 @@ def normal_step_bounds(state: ContourState) -> tuple[float, float]:
     """(dt_stability, dt_guard) for `step_normal` runs from `state`.
 
     dt_stability is `stability_step`; dt_guard is 0.95 of the quarter-spacing
-    bound that `step_normal` enforces, on the node velocity at `state`.  A
-    run steps at the smaller of the two.
+    bound that `step_normal` enforces, on the node velocity at `state`.
+    `march` steps at the smaller of the two.
     """
     guard = _guard_step(state.nodes, normal_node_velocity(state))
     return stability_step(state), _GUARD_MARGIN * guard
@@ -504,13 +504,28 @@ def _steps(t_final: float, dt: float) -> tuple[int, float]:
 
 
 def evolve(state: ContourState, t_final: float, dt: float) -> ContourState:
-    """March to t_final in the fewest equal `step_normal` steps no longer
-    than dt."""
+    """March to t_final in the fewest equal `step_normal` steps no longer than dt."""
     n_steps, dt = _steps(t_final, dt)
     cur = state
     for _ in range(n_steps):
         cur = step_normal(cur, dt)
     return cur
+
+
+def march(start: ContourState, horizon: float, chunks: int,
+          cap: float = math.inf) -> tuple[list[ContourState], dict]:
+    """The frames of start marched over horizon in equal chunks, and the step record.
+
+    The one step plan of contour runs: the fewest equal steps per chunk no
+    longer than the smallest of cap, dt_stability and dt_guard at the start."""
+    dt_stability, dt_guard = normal_step_bounds(start)
+    chunk = horizon / chunks
+    n_steps, dt = _steps(chunk, min(cap, dt_stability, dt_guard))
+    frames = [start]
+    for _ in range(chunks):
+        frames.append(evolve(frames[-1], chunk, dt))
+    return frames, {"steps": chunks * n_steps, "dt": dt,
+                    "dt_stability": dt_stability, "dt_guard": dt_guard}
 
 
 def _area(state: ContourState) -> float:

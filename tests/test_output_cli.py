@@ -454,6 +454,15 @@ class TestCli:
             rows = continuation._equations(omega, np.array(reduced), 0.5, 2, grid, 16)
             assert np.max(np.abs(rows)) == res
 
+    def test_solve_branch_figure_resolves_a_high_m(self, tmp_path, capsys):
+        # at m = 17 the rungs reach order 271, past what 512 nodes resolve
+        assert run_cli(tmp_path, "solve-branch", "--alpha", "0.5", "--m", "17",
+                       "--s-max", "0.01", "--ds", "0.01") == 0
+        assert "WARN" not in capsys.readouterr().err
+        figure = ET.parse(tmp_path / "branch_a0.5_m17_boundaries.svg").getroot()
+        polygons = [el for el in figure if el.tag.endswith("polygon")]
+        assert [len(el.get("points").split()) for el in polygons] == [544]
+
     def test_solve_branch_reports_solver_work(self, tmp_path):
         # per-point counts are deterministic, so the report stays byte-reproducible
         for sub in ("a", "b"):
@@ -491,6 +500,15 @@ class TestCli:
         rep = json.loads(first)
         assert rep["dt"] <= min(rep["dt_stability"], rep["dt_guard"])
         assert rep["steps"] * rep["dt"] == pytest.approx(0.2, rel=1e-14)
+
+    def test_evolve_steps_at_the_cap_where_it_binds(self, tmp_path):
+        # the stability rule (0.038) and the guard (0.045) are far above --dt
+        assert run_cli(tmp_path, "evolve", "--alpha", "0.5", "--shape", "ellipse", "--q", "0.3",
+                       "--t-final", "0.2", "--dt", "0.002", "--nodes", "256",
+                       "--frames", "3") == 0
+        rep = json.loads((tmp_path / "evolve_report.json").read_text())
+        assert 0.002 < min(rep["dt_stability"], rep["dt_guard"])
+        assert (rep["steps"], rep["dt"]) == (100, 0.002)
 
     @pytest.mark.parametrize("argv", NON_FINITE_ARGS, ids=" ".join)
     def test_non_finite_float_exits_2(self, tmp_path, capsys, argv):
@@ -606,3 +624,18 @@ def test_commands_load_only_the_scipy_modules_they_call(tmp_path, argv, loaded):
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1].split() == ["0", *loaded]
+
+
+def test_rigid_check_repeats_byte_for_byte_under_threaded_blas(tmp_path):
+    # two fresh processes on a threaded BLAS write the same report and figure,
+    # so the rigid workload's margins move only with the rounds a run fits
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+    for sub in ("a", "b"):
+        run = subprocess.run([sys.executable, "-m", "gsqg", "--output-dir", str(tmp_path / sub),
+                              "rigid-check", "--alpha", "0.97", "--m", "3", "--s", "0.03",
+                              "--nodes", "128"], cwd=tmp_path, capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+    for name in ("rigid_m3.json", "rigid_m3.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
